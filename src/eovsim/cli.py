@@ -6,12 +6,11 @@ Exit codes: 0 on success, 1 for configuration errors, 2 for runtime errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from . import presets
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, load_json_object
 from .metrics import journeys_to_csv
 from .simulation import run_simulation
 from .sweep import SweepSpec, extract_figure, read_cells_csv, run_sweep
@@ -52,18 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_json(path) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-
-
 def cmd_run(args) -> int:
-    overrides = _load_json(args.config) if args.config else {}
+    overrides = load_json_object(args.config) if args.config else {}
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.duration is not None:
@@ -89,14 +78,14 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.spec:
-        spec_dict = _load_json(args.spec)
+        spec_dict = load_json_object(args.spec)
         if args.config:
             # file spec's own base wins over the shared base config
             spec_dict["base"] = presets.merge_dicts(
-                _load_json(args.config), spec_dict.get("base", {}))
+                load_json_object(args.config), spec_dict.get("base", {}))
     else:
-        spec_dict = presets.figure_sweep(
-            args.figure, _load_json(args.config) if args.config else None)
+        base = load_json_object(args.config) if args.config else None
+        spec_dict = presets.figure_sweep(args.figure, base)
     spec = SweepSpec.from_dict(spec_dict)
     rows = run_sweep(spec, args.out, base_seed=args.seed, workers=args.workers)
     failed = sum(1 for row in rows if row.get("error"))

@@ -12,7 +12,7 @@ out-of-order arrivals are buffered until the gap fills.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .endorser import EndorsementPolicy, endorse, policy_satisfied
 from .engine import Message, MessageKind, Node, NodeClass, Timer, timer
@@ -27,35 +27,24 @@ class ValidationFlag(enum.Enum):
     MVCC_CONFLICT = "MVCCConflict"
 
 
-@dataclass(slots=True)
-class ValidationResult:
-    txn_id: str
-    flag: ValidationFlag
-    checked_versions: list[tuple[str, Version | None, Version | None]] = field(
-        default_factory=list)
-
-
 def validate_block(block: Block, policy: EndorsementPolicy,
-                   ledger: Ledger) -> list[ValidationResult]:
+                   ledger: Ledger) -> list[ValidationFlag]:
     """Flag every transaction in the block, in order.
 
     A txn is Valid iff its endorsement set satisfies the policy and every
     read version matches the running state (committed state plus writes of
     earlier valid txns in this block).
     """
-    results = []
+    flags = []
     overlay: dict[str, Version] = {}
     for idx, env in enumerate(block.txns):
-        ok = getattr(env, "policy_memo", None)
+        ok = env.policy_memo
         if ok is None:
             ok, _witness = policy_satisfied(policy, env.endorsements)
-            if hasattr(env, "policy_memo"):
-                env.policy_memo = ok
+            env.policy_memo = ok
         if not ok:
-            results.append(ValidationResult(env.txn_id,
-                                            ValidationFlag.POLICY_VIOLATION))
+            flags.append(ValidationFlag.POLICY_VIOLATION)
             continue
-        checked = []
         conflict = False
         for key, expected in env.read_set.reads:
             if key in overlay:
@@ -63,31 +52,24 @@ def validate_block(block: Block, policy: EndorsementPolicy,
             else:
                 entry = ledger.read_state(key)
                 found = entry[1] if entry is not None else None
-            checked.append((key, expected, found))
             if found != expected:
                 conflict = True
         if conflict:
-            results.append(ValidationResult(env.txn_id,
-                                            ValidationFlag.MVCC_CONFLICT, checked))
+            flags.append(ValidationFlag.MVCC_CONFLICT)
             continue
         for key, _value in env.write_set.writes:
             overlay[key] = (block.height, idx)
-        results.append(ValidationResult(env.txn_id, ValidationFlag.VALID, checked))
-    return results
+        flags.append(ValidationFlag.VALID)
+    return flags
 
 
 def commit_block(ledger: Ledger, block: Block,
-                 results: list[ValidationResult]) -> tuple[int, str, dict]:
+                 flags: list[ValidationFlag]) -> None:
     """Append the block and apply only the valid write sets, in block order."""
-    flags = [r.flag for r in results]
-    height = ledger.append_block(block, flags)
-    for idx, (env, result) in enumerate(zip(block.txns, results)):
-        if result.flag is ValidationFlag.VALID:
+    ledger.append_block(block, flags)
+    for idx, (env, flag) in enumerate(zip(block.txns, flags)):
+        if flag is ValidationFlag.VALID:
             ledger.apply_write_set(env.write_set, (block.height, idx))
-    counts = {flag: 0 for flag in ValidationFlag}
-    for flag in flags:
-        counts[flag] += 1
-    return height, ledger.state_digest(), counts
 
 
 class PeerBase(Node):
@@ -141,15 +123,15 @@ class PeerBase(Node):
             self._buffered[block.height] = block
 
     def _commit(self, block: Block) -> None:
-        results = validate_block(block, self.policy, self.ledger)
-        commit_block(self.ledger, block, results)
-        for result in results:
-            self.flag_counts[result.flag] += 1
-        self.on_committed(block, results)
+        flags = validate_block(block, self.policy, self.ledger)
+        commit_block(self.ledger, block, flags)
+        for flag in flags:
+            self.flag_counts[flag] += 1
+        self.on_committed(block, flags)
         if self.ledger.height + 1 in self._buffered:
             self.engine.schedule(self.id, timer("block_ready"), 0)
 
-    def on_committed(self, block: Block, results: list[ValidationResult]) -> None:
+    def on_committed(self, block: Block, flags: list[ValidationFlag]) -> None:
         pass
 
 
@@ -194,12 +176,12 @@ class EndorsingPeer(PeerBase):
         else:
             super().handle(msg)
 
-    def on_committed(self, block: Block, results) -> None:
+    def on_committed(self, block: Block, flags) -> None:
         if self.home_clients:
-            flags = tuple((r.txn_id, r.flag is ValidationFlag.VALID)
-                          for r in results)
+            txn_flags = tuple((txn_id, flag is ValidationFlag.VALID)
+                              for txn_id, flag in zip(block.txn_ids(), flags))
             size = self.sizes.notice + self.sizes.block_txn_summary * len(flags)
-            body = BlockCommitted(block.height, self.engine.now, flags)
+            body = BlockCommitted(block.height, self.engine.now, txn_flags)
             for client in self.home_clients:
                 self.engine.send(self.id, client,
                                  Message(MessageKind.COMMIT_NOTICE, size, body))

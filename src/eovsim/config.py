@@ -223,19 +223,6 @@ class ExperimentConfig:
         raw = _deep_merge(presets.PAPER_LIKE, overrides or {})
         return cls(raw)
 
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"config {path} must be a JSON object")
-        return cls.from_dict(data)
-
     def resolved(self) -> dict:
         """Full config echo embedded in every output file."""
         out = copy.deepcopy(self.raw)
@@ -249,6 +236,20 @@ class ExperimentConfig:
             "duration_us": self.duration_us,
         }
         return out
+
+
+def load_json_object(path) -> dict:
+    """Read a config or sweep-spec file, which must hold one JSON object."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
+    return data
 
 
 def validate_param_path(path: str) -> None:

@@ -126,7 +126,6 @@ class ClientNode(Node):
 
     def _submit(self, index: int) -> None:
         proposal = self.proposals[index]
-        proposal.submitted_at = self.engine.now
         journey = TxnJourney(txn_id=proposal.txn_id, client=self.id, index=index,
                              op_name=proposal.op.kind.value,
                              submit_us=self.engine.now)
@@ -160,8 +159,7 @@ class ClientNode(Node):
                             endorsements=tuple(witness),
                             read_set=witness[0].read_set,
                             write_set=witness[0].write_set,
-                            client=self.id, broadcast_at=self.engine.now,
-                            size_bytes=size)
+                            client=self.id, size_bytes=size)
         orderer = self.orderers[journey.index % len(self.orderers)]
         self.engine.send(self.id, orderer,
                          Message(MessageKind.ENVELOPE, size, envelope))

@@ -96,7 +96,6 @@ class NodeClass(enum.Enum):
     PEER = "peer"
     ORDERER = "orderer"
     BROKER = "broker"
-    MONITOR = "monitor"
 
 
 @dataclass

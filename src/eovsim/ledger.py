@@ -127,7 +127,7 @@ class Ledger:
         other._digest_acc = self._digest_acc
         return other
 
-    def apply_write_set(self, ws: WriteSet, at: Version) -> str:
+    def apply_write_set(self, ws: WriteSet, at: Version) -> None:
         for key, value in ws.writes:
             old = self._state.get(key)
             if old is not None:
@@ -135,7 +135,6 @@ class Ledger:
             entry = (value, at)
             self._state[key] = entry
             self._digest_acc ^= _entry_hash(key, entry)
-        return self.state_digest()
 
     def state_digest(self) -> str:
         """Order-independent fold over entries; equal maps give equal digests."""

@@ -4,7 +4,7 @@ Throughput counts only committed journeys whose submission fell inside the
 measurement window (warm-up excluded); latency averages commit - submit over
 those journeys, with p50/p95 reported alongside the mean. With nothing
 committed, latency is reported as undefined (null), never as zero. The
-enqueue ratio r = attempts / successes is reported twice: snapshotted at the
+enqueue ratio r = attempts / successes is reported twice: counted up to the
 window end (backlog shows up as r > 1) and again after the drain (equal to 1
 exactly when every accepted envelope eventually committed).
 """

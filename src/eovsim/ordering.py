@@ -28,22 +28,10 @@ class Envelope:
     read_set: ReadSet
     write_set: WriteSet
     client: str
-    broadcast_at: int
     size_bytes: int
     # Policy evaluation is a pure function of the endorsement set, so peers
     # share one memoized verdict instead of re-deriving it N times.
     policy_memo: bool | None = None
-
-
-@dataclass(slots=True)
-class GenesisLoad:
-    """Synthetic height-0 envelope carrying the initial account balances."""
-
-    txn_id: str
-    write_set: WriteSet
-    read_set: ReadSet
-    endorsements: tuple
-    size_bytes: int
 
 
 # message bodies -----------------------------------------------------------
@@ -152,21 +140,26 @@ class OrdererNode(Node):
 
     Counts every received envelope as an enqueue attempt and the commit of
     one of its own forwarded envelopes as an enqueue success, so the
-    attempt/success ratio can be read off directly. A bounded input buffer
+    attempt/success ratio can be read off directly; window_attempts and
+    window_successes count only the envelopes and commit notices handled
+    before window_end. A bounded input buffer
     (envelopes forwarded but not yet committed) refuses further envelopes
     when full; the client only ever observes that as a broadcast timeout.
     """
 
     def __init__(self, node_id, leader: str, endorsing_peers: list[str],
-                 capacity: int, service_cfg, sizes):
+                 capacity: int, window_end: int, service_cfg, sizes):
         super().__init__(node_id, NodeClass.ORDERER)
         self.leader = leader
         self.endorsing_peers = endorsing_peers
         self.capacity = capacity
+        self.window_end = window_end
         self.svc = service_cfg
         self.sizes = sizes
         self.enqueue_attempts = 0
         self.enqueue_successes = 0
+        self.window_attempts = 0
+        self.window_successes = 0
         self.refusals = 0
         self.in_flight = 0
         self._awaiting_ack: dict[str, str] = {}  # txn -> client
@@ -184,6 +177,8 @@ class OrdererNode(Node):
         if msg.kind is MessageKind.ENVELOPE:
             env: Envelope = msg.body
             self.enqueue_attempts += 1
+            if self.engine.now < self.window_end:
+                self.window_attempts += 1
             if self.in_flight >= self.capacity:
                 self.refusals += 1
                 return
@@ -199,6 +194,8 @@ class OrdererNode(Node):
                 client = self._awaiting_ack.pop(body.txn_id, None)
                 if client is not None:
                     self.enqueue_successes += 1
+                    if self.engine.now < self.window_end:
+                        self.window_successes += 1
                     self.in_flight -= 1
                     ack = Message(MessageKind.COMMIT_NOTICE, self.sizes.notice,
                                   BroadcastAck(body.txn_id))
@@ -244,9 +241,6 @@ class BrokerNode(Node):
         self.records: list[LogRecord] = []
         self.copies_held: list[int] = []
         self.committed_count = 0
-        self.commit_times: list[int] = []
-        # follower store
-        self.replica: dict[int, Envelope] = {}
 
     def service_us(self, msg: Message) -> int:
         if msg.kind is MessageKind.LOG_APPEND:
@@ -315,7 +309,6 @@ class BrokerNode(Node):
     def _commit(self, offset: int) -> None:
         record = self.records[offset]
         now = self.engine.now
-        self.commit_times.append(now)
         notice = RecordCommitted(offset, record.envelope.txn_id, record.orderer)
         for orderer in self.orderers:
             self.engine.send(self.id, orderer,
@@ -337,7 +330,6 @@ class BrokerNode(Node):
     # -- follower ----------------------------------------------------------
 
     def _follower_append(self, copy: ReplicaCopy) -> None:
-        self.replica[copy.offset] = copy.envelope
         self.engine.send(self.id, self.leader,
                          Message(MessageKind.LOG_ACK, self.sizes.log_ack,
                                  LogAck(copy.offset, self.id)))

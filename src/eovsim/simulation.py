@@ -2,48 +2,33 @@
 
 Node naming: client000.., peer000.. (endorsing), npeer000.. (non-endorsing),
 orderer000.., broker000..; broker000 is the static log leader. Every peer
-starts from an identical genesis block carrying the initial account
-balances, applied directly at build time (it predates the policy machinery).
-It is applied before the peers fork the base ledger and never passes
+starts from an identical genesis block: one unendorsed envelope carrying the
+initial account balances, committed through commit_block with a Valid flag
+(it predates the policy machinery, so it skips validate_block). It is
+committed before the peers fork the base ledger and never passes
 PeerBase._commit, so PeerBase.flag_counts covers only blocks of height >= 1.
 Clients spray envelopes over orderers round-robin by submission index and
-observe commits through their round-robin home peer.
+observe commits through their round-robin home peer. Each orderer counts the
+enqueue attempts and successes it handles before the window end; there is no
+monitor node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .committer import EndorsingPeer, NonEndorsingPeer, ValidationFlag
+from .committer import (EndorsingPeer, NonEndorsingPeer, ValidationFlag,
+                        commit_block)
 from .config import ExperimentConfig
 from .driver import (ClientConfig, ClientNode, TxnJourney, submission_times)
 from .endorser import EndorsementPolicy
-from .engine import (Engine, Message, MessageKind, Node, NodeClass,
-                     TraceSummary, timer)
-from .ledger import (GENESIS_PREV_HASH, Block, CutReason, Ledger, ReadSet,
-                     hash_block)
+from .engine import Engine, TraceSummary
+from .ledger import GENESIS_PREV_HASH, Block, CutReason, Ledger, ReadSet
 from .metrics import RunReport, aggregate
-from .ordering import (BlockCutter, BrokerNode, GenesisLoad, OrdererNode)
+from .ordering import BlockCutter, BrokerNode, Envelope, OrdererNode
 from .smallbank import generate, initial_write_set, total_balance
 
 GENESIS_TXN_ID = "genesis-load"
-
-
-class MonitorNode(Node):
-    """Zero-cost observer that snapshots orderer counters at the window end."""
-
-    def __init__(self, node_id: str, orderers: list[str]):
-        super().__init__(node_id, NodeClass.MONITOR)
-        self.orderers = orderers
-        self.window_attempts = 0
-        self.window_successes = 0
-
-    def handle(self, msg: Message) -> None:
-        if msg.kind is MessageKind.TIMER_FIRE and msg.body.tag == "window_end":
-            for orderer_id in self.orderers:
-                orderer = self.engine.nodes[orderer_id]
-                self.window_attempts += orderer.enqueue_attempts
-                self.window_successes += orderer.enqueue_successes
 
 
 @dataclass
@@ -55,7 +40,6 @@ class Simulation:
     non_endorsing: list[NonEndorsingPeer]
     orderers: list[OrdererNode]
     brokers: list[BrokerNode]
-    monitor: MonitorNode
     policy: EndorsementPolicy
 
     @property
@@ -68,8 +52,9 @@ class Simulation:
 
 def genesis_block(cfg: ExperimentConfig) -> Block:
     ws = initial_write_set(cfg.workload)
-    load = GenesisLoad(txn_id=GENESIS_TXN_ID, write_set=ws, read_set=ReadSet(),
-                       endorsements=(), size_bytes=max(1, 16 * len(ws.writes)))
+    load = Envelope(txn_id=GENESIS_TXN_ID, proposal=None, endorsements=(),
+                    read_set=ReadSet(), write_set=ws, client="",
+                    size_bytes=max(1, 16 * len(ws.writes)))
     return Block(height=0, prev_hash=GENESIS_PREV_HASH, txns=[load],
                  cut_reason=CutReason.COUNT_THRESHOLD, created_at=0)
 
@@ -87,12 +72,8 @@ def build(cfg: ExperimentConfig) -> Simulation:
     policy = EndorsementPolicy(required=tuple(peer_ids),
                                threshold=cfg.policy_threshold)
 
-    genesis = genesis_block(cfg)
-    tip = hash_block(genesis)
-
     base_ledger = Ledger()
-    base_ledger.append_block(genesis, [ValidationFlag.VALID])
-    base_ledger.apply_write_set(genesis.txns[0].write_set, (0, 0))
+    commit_block(base_ledger, genesis_block(cfg), [ValidationFlag.VALID])
 
     endorsing = [EndorsingPeer(pid, base_ledger.fork(), policy, cfg.service,
                                cfg.sizes) for pid in peer_ids]
@@ -104,9 +85,11 @@ def build(cfg: ExperimentConfig) -> Simulation:
         anchor.gossip_targets.append(npeer.id)
 
     orderers = [OrdererNode(oid, leader_id, peer_ids, cfg.orderer_capacity,
-                            cfg.service, cfg.sizes) for oid in orderer_ids]
+                            cfg.duration_us, cfg.service, cfg.sizes)
+                for oid in orderer_ids]
 
-    cutter = BlockCutter(cfg.cutter, next_height=1, prev_hash=tip)
+    cutter = BlockCutter(cfg.cutter, next_height=1,
+                         prev_hash=base_ledger.tip_hash)
     followers = broker_ids[1:cfg.replication_factor]
     brokers = [BrokerNode(leader_id, True, leader_id, followers,
                           cfg.min_insync, orderer_ids, cutter,
@@ -130,20 +113,15 @@ def build(cfg: ExperimentConfig) -> Simulation:
         home = endorsing[i % len(endorsing)]
         home.home_clients.append(cid)
 
-    monitor = MonitorNode("monitor", orderer_ids)
-
     for node in endorsing + non_endorsing + orderers + brokers + clients:
         engine.add_node(node)
-    engine.add_node(monitor)
 
     for client in clients:
         client.arm()
-    engine.schedule(monitor.id, timer("window_end"), cfg.duration_us)
 
     return Simulation(config=cfg, engine=engine, clients=clients,
                       endorsing=endorsing, non_endorsing=non_endorsing,
-                      orderers=orderers, brokers=brokers, monitor=monitor,
-                      policy=policy)
+                      orderers=orderers, brokers=brokers, policy=policy)
 
 
 @dataclass
@@ -206,30 +184,30 @@ def collect_report(sim: Simulation, trace: TraceSummary,
         "total_balance": total_balance(ledger.state_items()),
     }
 
+    attempts_window = sum(o.window_attempts for o in sim.orderers)
+    successes_window = sum(o.window_successes for o in sim.orderers)
     attempts_final = sum(o.enqueue_attempts for o in sim.orderers)
     successes_final = sum(o.enqueue_successes for o in sim.orderers)
     refusals = sum(o.refusals for o in sim.orderers)
     endorse_refusals = sum(p.endorse_refusals for p in sim.endorsing)
 
-    per_node = {}
-    for node in sim.engine.nodes.values():
-        if node.klass is NodeClass.MONITOR:
-            continue
-        per_node[node.id] = {
+    per_node = {
+        node.id: {
             "class": node.klass.value,
             "sent_msgs": node.sent_msgs,
             "sent_bytes": node.sent_bytes,
             "recv_msgs": node.recv_msgs,
             "recv_bytes": node.recv_bytes,
         }
+        for node in sim.engine.nodes.values()
+    }
 
     return aggregate(
         journeys,
         config_echo=cfg.resolved(),
         seed=cfg.seed,
         window=(cfg.warmup_us, cfg.duration_us),
-        orderer_window=(sim.monitor.window_attempts,
-                        sim.monitor.window_successes),
+        orderer_window=(attempts_window, successes_window),
         orderer_final=(attempts_final, successes_final, refusals),
         endorse_refusals=endorse_refusals,
         block_stats=block_stats,

@@ -63,7 +63,6 @@ class Proposal:
     txn_id: str
     client: str
     op: SmallbankOp
-    submitted_at: int | None = None
 
 
 def checking_key(customer: int) -> str:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import copy
 import csv
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -51,11 +50,6 @@ class SweepSpec:
                         f"axis row {row!r} does not match params {params!r}")
             groups.append({"params": params, "values": values})
         return cls(base=base, groups=groups)
-
-    @classmethod
-    def from_file(cls, path) -> "SweepSpec":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
     def varied_params(self) -> list[str]:
         out = []

@@ -24,8 +24,7 @@ def mk_env(txn_id, reads, writes, peers=("p0", "p1")):
         Endorsement(txn_id=txn_id, peer=p, read_set=rs, write_set=ws,
                     response=0, issued_at=0) for p in peers)
     return Envelope(txn_id=txn_id, proposal=None, endorsements=endorsements,
-                    read_set=rs, write_set=ws, client="c", broadcast_at=0,
-                    size_bytes=64)
+                    read_set=rs, write_set=ws, client="c", size_bytes=64)
 
 
 def mk_block(height, prev, envs, created=0):
@@ -70,8 +69,7 @@ def committed_ledger(writes):
     """Ledger holding a genesis stub block with `writes` applied at (0, 0)."""
     ledger = Ledger()
     stub = mk_block(0, GENESIS_PREV_HASH, [mk_env("genesis", [], writes)])
-    ledger.append_block(stub, [ValidationFlag.VALID])
-    ledger.apply_write_set(WriteSet(writes), (0, 0))
+    commit_block(ledger, stub, [ValidationFlag.VALID])
     return ledger
 
 
@@ -81,12 +79,13 @@ def test_double_write_same_key_first_wins():
     block = mk_block(1, ledger.tip_hash, [
         mk_env("t0", reads=[("k", v)], writes=[("k", 2)]),
         mk_env("t1", reads=[("k", v)], writes=[("k", 3)]),
+        mk_env("t2", reads=[("k", (1, 0))], writes=[]),
     ])
-    results = validate_block(block, POLICY, ledger)
-    assert [r.flag for r in results] == [ValidationFlag.VALID,
-                                         ValidationFlag.MVCC_CONFLICT]
-    # the conflicting read saw t0's in-block write, not the committed version
-    assert results[1].checked_versions == [("k", v, (1, 0))]
+    flags = validate_block(block, POLICY, ledger)
+    # t1 conflicts with t0's in-block write; t2, which expects exactly that
+    # write's version (1, 0), is valid, so reads go through the overlay
+    assert flags == [ValidationFlag.VALID, ValidationFlag.MVCC_CONFLICT,
+                     ValidationFlag.VALID]
 
 
 def test_policy_violation_flag():
@@ -94,17 +93,16 @@ def test_policy_violation_flag():
     block = mk_block(1, ledger.tip_hash, [
         mk_env("t0", reads=[], writes=[("k", 1)], peers=("p0",)),
     ])
-    results = validate_block(block, POLICY, ledger)
-    assert results[0].flag is ValidationFlag.POLICY_VIOLATION
+    flags = validate_block(block, POLICY, ledger)
+    assert flags[0] is ValidationFlag.POLICY_VIOLATION
 
 
 def test_read_only_block_all_valid():
     ledger = committed_ledger([("a", 1), ("b", 2)])
     envs = [mk_env(f"q{i}", reads=[("a", (0, 0)), ("b", (0, 0))], writes=[])
             for i in range(10)]
-    results = validate_block(mk_block(1, ledger.tip_hash, envs), POLICY,
-                             ledger)
-    assert all(r.flag is ValidationFlag.VALID for r in results)
+    flags = validate_block(mk_block(1, ledger.tip_hash, envs), POLICY, ledger)
+    assert all(flag is ValidationFlag.VALID for flag in flags)
 
 
 def test_absent_key_reads_match_none():
@@ -113,9 +111,9 @@ def test_absent_key_reads_match_none():
         mk_env("t0", reads=[("nope", None)], writes=[("nope", 1)]),
         mk_env("t1", reads=[("nope", None)], writes=[]),
     ])
-    results = validate_block(block, POLICY, ledger)
-    assert results[0].flag is ValidationFlag.VALID
-    assert results[1].flag is ValidationFlag.MVCC_CONFLICT  # t0 bumped it
+    flags = validate_block(block, POLICY, ledger)
+    assert flags[0] is ValidationFlag.VALID
+    assert flags[1] is ValidationFlag.MVCC_CONFLICT  # t0 bumped it
 
 
 def test_commit_applies_only_valid_writes():
@@ -124,13 +122,12 @@ def test_commit_applies_only_valid_writes():
         mk_env("t0", reads=[("k", (0, 0))], writes=[("k", 5)]),
         mk_env("t1", reads=[("k", (0, 0))], writes=[("k", 9), ("j", 9)]),
     ])
-    results = validate_block(block, POLICY, ledger)
-    height, digest, counts = commit_block(ledger, block, results)
-    assert height == 1
+    flags = validate_block(block, POLICY, ledger)
+    assert flags == [ValidationFlag.VALID, ValidationFlag.MVCC_CONFLICT]
+    commit_block(ledger, block, flags)
+    assert ledger.height == 1
     assert ledger.read_state("k") == (5, (1, 0))
     assert ledger.read_state("j") == (1, (0, 0))
-    assert counts[ValidationFlag.VALID] == 1
-    assert counts[ValidationFlag.MVCC_CONFLICT] == 1
 
 
 def test_all_invalid_block_leaves_state_unchanged():
@@ -140,8 +137,7 @@ def test_all_invalid_block_leaves_state_unchanged():
         mk_env("t0", reads=[("k", (9, 9))], writes=[("k", 5)]),
         mk_env("t1", reads=[], writes=[("k", 6)], peers=("p0",)),
     ])
-    results = validate_block(block, POLICY, ledger)
-    commit_block(ledger, block, results)
+    commit_block(ledger, block, validate_block(block, POLICY, ledger))
     assert ledger.state_digest() == before
     assert ledger.height == 1  # block still appended
 
@@ -154,9 +150,9 @@ def test_rollback_completeness_no_version_points_at_invalid_txn():
     for h in range(30):
         envs = random_envs(rng, ledger, h)
         block = mk_block(h, prev, envs)
-        results = validate_block(block, POLICY, ledger)
-        commit_block(ledger, block, results)
-        flags_per_block.append([r.flag for r in results])
+        flags = validate_block(block, POLICY, ledger)
+        commit_block(ledger, block, flags)
+        flags_per_block.append(flags)
         prev = ledger.tip_hash
     for key, (value, (bh, ti)) in ledger.state_items():
         if (bh, ti) == (0, 0) and not flags_per_block:
@@ -195,9 +191,9 @@ def test_randomized_blocks_match_serial_oracle_on_two_peers():
         block = mk_block(h, prev, envs)
         expected_flags, oracle_state = oracle_block(oracle_state, block, POLICY)
         for ledger in (ledger_a, ledger_b):
-            results = validate_block(block, POLICY, ledger)
-            assert [r.flag for r in results] == expected_flags
-            commit_block(ledger, block, results)
+            flags = validate_block(block, POLICY, ledger)
+            assert flags == expected_flags
+            commit_block(ledger, block, flags)
         assert ledger_a.state_digest() == ledger_b.state_digest()
         assert dict(ledger_a.state_items()) == oracle_state
         prev = ledger_a.tip_hash

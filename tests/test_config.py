@@ -3,8 +3,8 @@ import json
 import pytest
 
 from eovsim import presets
-from eovsim.config import (ConfigError, ExperimentConfig, set_param,
-                           validate_param_path)
+from eovsim.config import (ConfigError, ExperimentConfig, load_json_object,
+                           set_param, validate_param_path)
 
 
 def test_defaults_load_and_resolve():
@@ -79,16 +79,20 @@ def test_resolved_echo_contains_inputs_and_derivations():
     assert echo["resolved"]["total_tps"] == 300.0
 
 
-def test_from_file_and_errors(tmp_path):
+def test_load_json_object_and_errors(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seed": 9}))
-    assert ExperimentConfig.from_file(path).seed == 9
+    assert ExperimentConfig.from_dict(load_json_object(path)).seed == 9
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     with pytest.raises(ConfigError, match="JSON"):
-        ExperimentConfig.from_file(bad)
+        load_json_object(bad)
     with pytest.raises(ConfigError):
-        ExperimentConfig.from_file(tmp_path / "missing.json")
+        load_json_object(tmp_path / "missing.json")
+    for text in ("[]", "[1]", "3", "null"):
+        bad.write_text(text)
+        with pytest.raises(ConfigError, match="JSON object"):
+            load_json_object(bad)
 
 
 def test_validate_param_path():

@@ -9,7 +9,7 @@ from eovsim.engine import (Engine, LatencyModel, Message, MessageKind, Node,
 class Recorder(Node):
     """Collects (time, body) for every handled message."""
 
-    def __init__(self, node_id, klass=NodeClass.MONITOR, service=0):
+    def __init__(self, node_id, klass=NodeClass.CLIENT, service=0):
         super().__init__(node_id, klass)
         self.service = service
         self.seen = []
@@ -23,7 +23,7 @@ class Recorder(Node):
 
 class Rescheduler(Node):
     def __init__(self, node_id):
-        super().__init__(node_id, NodeClass.MONITOR)
+        super().__init__(node_id, NodeClass.CLIENT)
         self.fired = 0
 
     def handle(self, msg):

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,6 +49,21 @@ def test_run_is_deterministic_byte_for_byte(tmp_path):
     assert (out1 / "journeys.csv").read_bytes() == (out2 / "journeys.csv").read_bytes()
 
 
+def test_outputs_identical_across_processes_and_hash_seeds(tmp_path):
+    cfg = write_cfg(tmp_path, SMALL)
+    src = Path(__file__).resolve().parents[1] / "src"
+    outs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"out{hash_seed}"
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
+        subprocess.run([sys.executable, "-m", "eovsim.cli", "run", "--config",
+                        cfg, "--out", str(out), "--block-trace"],
+                       env=env, check=True, capture_output=True)
+        outs.append(out)
+    for name in ("report.json", "journeys.csv", "blocks.jsonl"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_seed_override_changes_jitter_not_invariants(tmp_path):
     cfg = write_cfg(tmp_path, SMALL)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -62,6 +80,15 @@ def test_invalid_config_exits_1_with_field_name(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"topology": {"peers": 0}})
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "topology.peers" in capsys.readouterr().err
+    # a file that is valid JSON but not an object is a config error too,
+    # wherever a config or spec file is read
+    for doc in ([], [1]):
+        path = write_cfg(tmp_path, doc, name="list.json")
+        for argv in (["run", "--config", path],
+                     ["sweep", "--figure", "fig3a", "--config", path],
+                     ["sweep", "--spec", path]):
+            assert main(argv + ["--out", str(tmp_path / "o")]) == 1, argv
+            assert "config error" in capsys.readouterr().err
 
 
 def test_block_trace_dump(tmp_path):

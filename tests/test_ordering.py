@@ -19,7 +19,7 @@ CUT_CFG = BlockCutterConfig(max_txn_count=100, timeout_us=2_000_000,
 def mk_envelope(txn_id, size=500, client="client000"):
     return Envelope(txn_id=txn_id, proposal=None, endorsements=(),
                     read_set=ReadSet(), write_set=WriteSet(), client=client,
-                    broadcast_at=0, size_bytes=size)
+                    size_bytes=size)
 
 
 def base_cfg(**over):
@@ -114,7 +114,7 @@ class Sink(Node):
 
 def wire_service(n_brokers=4, replication_factor=3, min_insync=2,
                  orderer_capacity=5000, n_peers=2, cutter_cfg=None,
-                 orderers=1):
+                 orderers=1, window_end=10**12):
     cfg = ExperimentConfig.from_dict({})
     engine = Engine(LatencyModel(default_us=1000), seed=1)
     peer_ids = [f"peer{i:03d}" for i in range(n_peers)]
@@ -126,7 +126,7 @@ def wire_service(n_brokers=4, replication_factor=3, min_insync=2,
     nodes = {}
     for oid in orderer_ids:
         nodes[oid] = OrdererNode(oid, leader_id, peer_ids, orderer_capacity,
-                                 cfg.service, cfg.sizes)
+                                 window_end, cfg.service, cfg.sizes)
     followers = broker_ids[1:replication_factor]
     nodes[leader_id] = BrokerNode(leader_id, True, leader_id, followers,
                                   min_insync, orderer_ids, cutter,
@@ -203,11 +203,12 @@ def test_min_insync_one_commits_at_append():
     leader = nodes[leader_id]
     assert leader.committed_count == 1
     # no followers were involved at all
-    assert all(not nodes[b].replica for b in nodes
-               if b.startswith("broker") and b != leader_id)
+    others = [n for n in nodes.values()
+              if isinstance(n, BrokerNode) and not n.is_leader]
+    assert others and all(n.recv_msgs == n.sent_msgs == 0 for n in others)
 
 
-def test_high_min_insync_waits_for_follower_acks():
+def test_high_min_insync_waits_for_follower_acks(commit_times):
     engine, nodes, [oid], leader_id = wire_service(n_brokers=16,
                                                    replication_factor=15,
                                                    min_insync=14)
@@ -217,11 +218,13 @@ def test_high_min_insync_waits_for_follower_acks():
     assert leader.committed_count == 1
     followers = [n for n in nodes.values()
                  if isinstance(n, BrokerNode) and not n.is_leader]
-    holders = [f for f in followers if 0 in f.replica]
-    assert len(holders) == 14  # replication_factor - 1 copies
+    # each of the replication_factor - 1 followers received the copy and
+    # acked it once; the 16th broker is outside the replica set
+    assert sorted(f.sent_msgs for f in followers) == [0] + [1] * 14
     # commit needed 13 follower acks on top of the leader's copy: at least
     # one round trip of intra-cluster latency after the append finished
-    commit_time = leader.commit_times[0]
+    assert len(commit_times) == 1
+    commit_time = commit_times[0]
     append_done = 1000 + nodes[leader_id].service_us(
         Message(MessageKind.LOG_APPEND, 500,
                 type("R", (), {"envelope": mk_envelope("t0")})()))
@@ -229,16 +232,42 @@ def test_high_min_insync_waits_for_follower_acks():
 
 
 def test_commit_order_is_offset_order_even_with_jitter():
-    engine, nodes, [oid], leader_id = wire_service(n_brokers=8,
-                                                   replication_factor=7,
-                                                   min_insync=4)
+    engine, nodes, [oid], leader_id = wire_service(
+        n_brokers=8, replication_factor=7, min_insync=4,
+        cutter_cfg=BlockCutterConfig(7, 2_000_000, 10**9))
     engine.latency.jitter_fraction = 0.3
     for i in range(30):
         inject_envelope(engine, oid, mk_envelope(f"t{i}"), at=i * 50)
     engine.run_until_quiescent()
     leader = nodes[leader_id]
     assert leader.committed_count == 30
-    assert leader.commit_times == sorted(leader.commit_times)
+    blocks = sorted((m.body.block for _, m in nodes["peer000"].got
+                     if m.kind is MessageKind.BLOCK_DELIVER),
+                    key=lambda b: b.height)
+    assert [b.height for b in blocks] == [1, 2, 3, 4, 5]
+    assert [txn_id for b in blocks for txn_id in b.txn_ids()] == \
+        [r.envelope.txn_id for r in leader.records]
+
+
+def test_window_counters_count_only_envelopes_handled_before_window_end():
+    window_end = 50_000
+    engine, nodes, [oid], _ = wire_service(window_end=window_end)
+    orderer = nodes[oid]
+    forward = orderer.svc.orderer_forward
+    for i in range(3):  # handled and committed well inside the window
+        inject_envelope(engine, oid, mk_envelope(f"early{i}"), at=0)
+    # handled at window_end - forward - 1, committed after window_end
+    inject_envelope(engine, oid, mk_envelope("edge"),
+                    at=window_end - 2 * forward - 1)
+    # handled exactly at window_end, then well after it
+    inject_envelope(engine, oid, mk_envelope("at_end"), at=window_end - forward)
+    inject_envelope(engine, oid, mk_envelope("late"), at=window_end + 10_000)
+    engine.run_until_quiescent(time_limit_us=window_end - 1)
+    assert orderer.window_attempts == orderer.enqueue_attempts == 4
+    assert orderer.window_successes == orderer.enqueue_successes == 3
+    engine.run_until_quiescent()
+    assert (orderer.window_attempts, orderer.enqueue_attempts) == (4, 6)
+    assert (orderer.window_successes, orderer.enqueue_successes) == (3, 6)
 
 
 def test_block_fanout_one_message_per_peer():
