@@ -13,7 +13,8 @@ from . import presets
 from .config import ConfigError, ExperimentConfig, load_json_object
 from .metrics import journeys_to_csv
 from .simulation import run_simulation
-from .sweep import SweepSpec, extract_figure, read_cells_csv, run_sweep
+from .sweep import (SweepSpec, extract_figure, layer_configs,
+                    read_cells_csv, run_sweep)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,16 +78,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    config = load_json_object(args.config) if args.config else {}
     if args.spec:
-        spec_dict = load_json_object(args.spec)
-        if args.config:
-            # file spec's own base wins over the shared base config
-            spec_dict["base"] = presets.merge_dicts(
-                load_json_object(args.config), spec_dict.get("base", {}))
+        spec = SweepSpec.from_dict(load_json_object(args.spec))
+        # file spec's own base wins over the shared base config
+        spec.base = layer_configs(config, spec.base)
     else:
-        base = load_json_object(args.config) if args.config else None
-        spec_dict = presets.figure_sweep(args.figure, base)
-    spec = SweepSpec.from_dict(spec_dict)
+        spec = SweepSpec.from_dict(presets.figure_sweep(args.figure))
+        # explicit user overrides win over the scenario's pinned base
+        spec.base = layer_configs(spec.base, config)
     rows = run_sweep(spec, args.out, base_seed=args.seed, workers=args.workers)
     failed = sum(1 for row in rows if row.get("error"))
     print(f"{len(rows)} cells -> {Path(args.out) / 'cells.csv'}"

@@ -5,8 +5,10 @@ Transactions in a block are processed in order; the conflict check for txn i
 sees the writes of valid txns 0..i-1 of the same block (first writer wins).
 Only valid write sets are applied, versioned (height, txn index). Endorsing
 peers receive blocks from the ordering service; each non-endorsing peer is
-assigned one endorsing anchor peer that pushes committed blocks to it, and
-out-of-order arrivals are buffered until the gap fills.
+assigned one endorsing anchor peer that pushes committed blocks to it.
+An out-of-order arrival is buffered as the message it came in; once its
+predecessor commits, the peer re-delivers that message to itself, and it
+re-enters the work queue like any block delivery.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import enum
 from dataclasses import dataclass
 
 from .endorser import EndorsementPolicy, endorse, policy_satisfied
-from .engine import Message, MessageKind, Node, NodeClass, Timer, timer
+from .engine import Message, MessageKind, Node, NodeClass
 from .ledger import Block, Ledger, Version
 from .ordering import BlockMsg, block_bytes
 from .smallbank import Proposal
@@ -77,8 +79,9 @@ class PeerBase(Node):
 
     Blocks may arrive out of height order (designated orderers rotate, and
     gossip copies jitter); a block for a future height is buffered with zero
-    service cost and re-enters the work queue once its predecessor commits,
-    paying its validation service then. Duplicate heights are dropped.
+    service cost, and its message is re-delivered once its predecessor
+    commits, paying its validation service then. Duplicate heights are
+    dropped.
     """
 
     def __init__(self, node_id: str, ledger: Ledger, policy: EndorsementPolicy,
@@ -89,38 +92,24 @@ class PeerBase(Node):
         self.svc = service_cfg
         self.sizes = sizes
         self.flag_counts = {flag: 0 for flag in ValidationFlag}
-        self._buffered: dict[int, Block] = {}
-
-    def _validate_cost(self, block: Block) -> int:
-        return len(block.txns) * self.svc.validate_per_txn
+        self._buffered: dict[int, Message] = {}  # height -> block message
 
     def service_us(self, msg: Message) -> int:
         if msg.kind in (MessageKind.BLOCK_DELIVER, MessageKind.GOSSIP_BLOCK):
             block = msg.body.block
             if block.height == self.ledger.height + 1:
-                return self._validate_cost(block)
-            return 0
-        if msg.kind is MessageKind.TIMER_FIRE and isinstance(msg.body, Timer) \
-                and msg.body.tag == "block_ready":
-            block = self._buffered.get(self.ledger.height + 1)
-            return self._validate_cost(block) if block is not None else 0
+                return len(block.txns) * self.svc.validate_per_txn
         return 0
 
     def handle(self, msg: Message) -> None:
         if msg.kind in (MessageKind.BLOCK_DELIVER, MessageKind.GOSSIP_BLOCK):
-            self._receive_block(msg.body.block)
-        elif msg.kind is MessageKind.TIMER_FIRE and msg.body.tag == "block_ready":
-            block = self._buffered.pop(self.ledger.height + 1, None)
-            if block is not None:
+            block = msg.body.block
+            if block.height <= self.ledger.height or block.height in self._buffered:
+                return  # duplicate
+            if block.height == self.ledger.height + 1:
                 self._commit(block)
-
-    def _receive_block(self, block: Block) -> None:
-        if block.height <= self.ledger.height or block.height in self._buffered:
-            return  # duplicate
-        if block.height == self.ledger.height + 1:
-            self._commit(block)
-        else:
-            self._buffered[block.height] = block
+            else:
+                self._buffered[block.height] = msg
 
     def _commit(self, block: Block) -> None:
         flags = validate_block(block, self.policy, self.ledger)
@@ -128,8 +117,9 @@ class PeerBase(Node):
         for flag in flags:
             self.flag_counts[flag] += 1
         self.on_committed(block, flags)
-        if self.ledger.height + 1 in self._buffered:
-            self.engine.schedule(self.id, timer("block_ready"), 0)
+        successor = self._buffered.pop(self.ledger.height + 1, None)
+        if successor is not None:
+            self.engine.schedule(self.id, successor, 0)
 
     def on_committed(self, block: Block, flags: list[ValidationFlag]) -> None:
         pass

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 
 from . import presets
-from .engine import US_PER_SECOND, LatencyModel
+from .engine import US_PER_SECOND, LatencyKeyError, LatencyModel, NodeClass
 from .ordering import BlockCutterConfig
 from .smallbank import AccessPattern, OpKind, WorkloadConfig
 
@@ -194,16 +194,20 @@ class ExperimentConfig:
         for key, value in base.items():
             _require(isinstance(value, int) and value >= 0,
                      f"field 'latency.base_us.{key}' must be an integer >= 0")
-            _require(len(key.split("-")) == 2,
-                     f"field 'latency.base_us.{key}': keys look like 'client-peer'")
         jitter = _as_number(raw, "latency.jitter_fraction", 0.0)
         _require(jitter < 1.0, "field 'latency.jitter_fraction' must be in [0, 1)")
-        self.latency = LatencyModel(
-            base_us=base,
-            default_us=default,
-            per_byte_ns=_as_int(raw, "latency.per_byte_ns", 0),
-            jitter_fraction=jitter,
-        )
+        try:
+            self.latency = LatencyModel(
+                base_us=base,
+                default_us=default,
+                per_byte_ns=_as_int(raw, "latency.per_byte_ns", 0),
+                jitter_fraction=jitter,
+            )
+        except LatencyKeyError as exc:
+            classes = ", ".join(c.value for c in NodeClass)
+            raise ConfigError(
+                f"field 'latency.base_us.{exc.key}': keys pair two of "
+                f"{classes}, like 'client-peer'") from exc
 
         svc = {k: _as_int(raw, f"service_us.{k}", 0) for k in raw["service_us"]}
         self.service = ServiceTimes(**svc)

@@ -43,6 +43,14 @@ class UnknownTargetError(SimError):
     """Scheduling or sending to a node id that is not in the topology."""
 
 
+class LatencyKeyError(SimError):
+    """A latency base_us key that does not name two node classes."""
+
+    def __init__(self, key: str):
+        super().__init__(f"latency key {key!r} does not name two node classes")
+        self.key = key
+
+
 class MessageKind(enum.Enum):
     PROPOSAL = "Proposal"
     ENDORSEMENT = "Endorsement"
@@ -80,6 +88,8 @@ def timer(tag: str, *data) -> Message:
 
 
 _SVC_TAG = "_svc"
+# The one service-completion message every node schedules to itself.
+_SERVICE_DONE = timer(_SVC_TAG)
 
 
 class SimEvent(NamedTuple):
@@ -103,6 +113,7 @@ class LatencyModel:
     """Delivery delay = base(src class, dst class) + size * per_byte + jitter.
 
     base_us maps unordered class-pair keys like "client-peer" to microseconds;
+    a key that does not name two NodeClass values raises LatencyKeyError, and
     pairs not listed fall back to default_us. With jitter_fraction == 0 the
     delay is a pure function of (classes, size).
     """
@@ -117,14 +128,17 @@ class LatencyModel:
             raise SimError("latencies must be non-negative")
         if not 0.0 <= self.jitter_fraction < 1.0:
             raise SimError("jitter_fraction must be in [0, 1)")
-        self._table = {}
+        self._table: dict[tuple[NodeClass, NodeClass], int] = {}
         for key, value in self.base_us.items():
-            a, b = key.split("-")
+            try:
+                a, b = map(NodeClass, key.split("-"))
+            except ValueError:
+                raise LatencyKeyError(key) from None
             self._table[(a, b)] = value
             self._table[(b, a)] = value
 
     def base_for(self, src: NodeClass, dst: NodeClass) -> int:
-        return self._table.get((src.value, dst.value), self.default_us)
+        return self._table.get((src, dst), self.default_us)
 
     def delay_us(self, src: NodeClass, dst: NodeClass, size_bytes: int,
                  rng: random.Random) -> int:
@@ -148,10 +162,9 @@ class Node:
     """Base state machine: a single-server FIFO work queue.
 
     Each delivered message waits for the node to be idle, occupies it for
-    service_us(msg), and is handled when that service completes. Handlers may
-    call charge_busy() to extend their occupancy (for costs only known
-    mid-handler, e.g. per-copy sends). Zero-service messages on an idle node
-    are handled inline without an extra completion event.
+    service_us(msg), and is handled when that service completes; the node is
+    busy exactly while a message is in service. Zero-service messages on an
+    idle node are handled inline without a completion event.
     """
 
     def __init__(self, node_id: str, klass: NodeClass):
@@ -164,9 +177,7 @@ class Node:
         self.recv_msgs = 0
         self.recv_bytes = 0
         self._work: deque[Message] = deque()
-        self._busy = False
         self._in_service: Message | None = None
-        self._post_busy_us = 0
 
     # -- service discipline ------------------------------------------------
 
@@ -182,53 +193,28 @@ class Node:
     def handle(self, msg: Message) -> None:
         raise NotImplementedError
 
-    def charge_busy(self, extra_us: int) -> None:
-        """Extend the current work item's occupancy; callable from handle()."""
-        self._post_busy_us += extra_us
-
     def deliver(self, msg: Message) -> None:
-        if (msg.kind is MessageKind.TIMER_FIRE
-                and isinstance(msg.body, Timer) and msg.body.tag == _SVC_TAG):
-            self._on_service_done()
-            return
-        if self.is_control(msg):
+        if msg is _SERVICE_DONE:
+            done = self._in_service
+            self._in_service = None
+            self.handle(done)
+        elif self.is_control(msg):
             self.handle(msg)
             return
-        self._work.append(msg)
-        if not self._busy:
-            self._pump()
-
-    def _pump(self) -> None:
-        while self._work:
-            service = self.service_us(self._work[0])
-            msg = self._work.popleft()
+        else:
+            self._work.append(msg)
+            if self._in_service is not None:
+                return
+        # The node is idle: serve queued work until a message needs service.
+        work = self._work
+        while work:
+            msg = work.popleft()
+            service = self.service_us(msg)
             if service > 0:
-                self._busy = True
                 self._in_service = msg
-                self.engine.schedule(self.id, timer(_SVC_TAG), service)
+                self.engine.schedule(self.id, _SERVICE_DONE, service)
                 return
-            self._run_handler(msg)
-            if self._busy:
-                return
-
-    def _run_handler(self, msg: Message) -> None:
-        self.handle(msg)
-        if self._post_busy_us > 0:
-            post = self._post_busy_us
-            self._post_busy_us = 0
-            self._busy = True
-            self._in_service = None
-            self.engine.schedule(self.id, timer(_SVC_TAG), post)
-
-    def _on_service_done(self) -> None:
-        self._busy = False
-        msg = self._in_service
-        self._in_service = None
-        if msg is not None:
-            self._run_handler(msg)
-            if self._busy:
-                return
-        self._pump()
+            self.handle(msg)
 
 
 class Engine:
@@ -259,15 +245,15 @@ class Engine:
                                             target, payload))
         return self._seq
 
-    def send(self, src: str, dst: str, msg: Message, extra_delay_us: int = 0,
-             allow_loopback: bool = False) -> int:
+    def send(self, src: str, dst: str, msg: Message,
+             extra_delay_us: int = 0) -> int:
         """Deliver msg from src to dst under the latency model.
 
         The network is lossless; drops only ever appear as timeouts at the
         application layer. Returns the scheduled delivery time.
         """
-        if src == dst and not allow_loopback:
-            raise SimError(f"loopback send on {src!r} without allow_loopback")
+        if src == dst:
+            raise SimError(f"loopback send on {src!r}")
         src_node = self.nodes[src]
         if dst not in self.nodes:
             raise UnknownTargetError(f"unknown destination node {dst!r}")

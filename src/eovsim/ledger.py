@@ -151,5 +151,5 @@ class Ledger:
                 "cut_reason": block.cut_reason.value,
                 "created_at_us": block.created_at,
                 "txn_ids": block.txn_ids(),
-                "valid": [f.value if hasattr(f, "value") else f for f in flags],
+                "valid": [f.value for f in flags],
             }, sort_keys=True)

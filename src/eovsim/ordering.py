@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import Message, MessageKind, Node, NodeClass, Timer, timer
+from .engine import Message, MessageKind, Node, NodeClass, timer
 from .ledger import Block, CutReason, ReadSet, WriteSet, hash_block
 
 
@@ -260,11 +260,9 @@ class BrokerNode(Node):
     def is_control(self, msg: Message) -> bool:
         # Replication acks and cut timers are handled like the replication
         # and timer threads of a real broker: they never wait behind queued
-        # produce work.
-        if msg.kind is MessageKind.LOG_ACK:
-            return True
-        return (msg.kind is MessageKind.TIMER_FIRE
-                and isinstance(msg.body, Timer) and msg.body.tag == "cut")
+        # produce work. Service completions never get past deliver, so every
+        # timer a broker handles is a cut timer.
+        return msg.kind in (MessageKind.LOG_ACK, MessageKind.TIMER_FIRE)
 
     def handle(self, msg: Message) -> None:
         if msg.kind is MessageKind.LOG_APPEND:
@@ -275,11 +273,9 @@ class BrokerNode(Node):
         elif msg.kind is MessageKind.LOG_ACK:
             self._on_ack(msg.body)
         elif msg.kind is MessageKind.TIMER_FIRE:
-            body: Timer = msg.body
-            if body.tag == "cut":
-                block = self.cutter.on_timeout(body.data[0], self.engine.now)
-                if block is not None:
-                    self._emit_block(block)
+            block = self.cutter.on_timeout(msg.body.data[0], self.engine.now)
+            if block is not None:
+                self._emit_block(block)
 
     # -- leader ------------------------------------------------------------
 

@@ -204,27 +204,10 @@ FIGURES = {
 }
 
 
-def figure_sweep(name: str, base_overrides: dict | None = None) -> dict:
+def figure_sweep(name: str) -> dict:
     """Sweep spec dict for a named figure scenario."""
     if name not in FIGURES:
         raise KeyError(f"unknown figure {name!r}; known: {sorted(FIGURES)}")
     fig = FIGURES[name]
-    spec = {
-        "base": copy.deepcopy(fig["base"]),
-        "axes": copy.deepcopy(fig["axes"]),
-    }
-    if base_overrides:
-        # explicit user overrides win over the scenario's pinned base
-        spec["base"] = merge_dicts(spec["base"], base_overrides)
-    return spec
-
-
-def merge_dicts(base: dict, overrides: dict) -> dict:
-    """Plain recursive merge; overrides win on conflicts."""
-    out = copy.deepcopy(base)
-    for key, value in overrides.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = merge_dicts(out[key], value)
-        else:
-            out[key] = copy.deepcopy(value)
-    return out
+    return {"base": copy.deepcopy(fig["base"]),
+            "axes": copy.deepcopy(fig["axes"])}

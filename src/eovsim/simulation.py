@@ -40,11 +40,6 @@ class Simulation:
     non_endorsing: list[NonEndorsingPeer]
     orderers: list[OrdererNode]
     brokers: list[BrokerNode]
-    policy: EndorsementPolicy
-
-    @property
-    def leader(self) -> BrokerNode:
-        return self.brokers[0]
 
     def all_peers(self):
         return self.endorsing + self.non_endorsing
@@ -121,7 +116,7 @@ def build(cfg: ExperimentConfig) -> Simulation:
 
     return Simulation(config=cfg, engine=engine, clients=clients,
                       endorsing=endorsing, non_endorsing=non_endorsing,
-                      orderers=orderers, brokers=brokers, policy=policy)
+                      orderers=orderers, brokers=brokers)
 
 
 @dataclass

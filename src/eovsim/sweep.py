@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import presets
-from .config import ConfigError, ExperimentConfig, set_param, validate_param_path
+from .config import (ConfigError, ExperimentConfig, _deep_merge, set_param,
+                     validate_param_path)
 from .metrics import journeys_to_csv
 from .simulation import run_simulation
 
@@ -34,15 +35,29 @@ class SweepSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
         base = data.get("base", {})
+        axes = data.get("axes", [])
+        if not isinstance(base, dict):
+            raise ConfigError("sweep spec 'base' must be an object")
+        if not isinstance(axes, list):
+            raise ConfigError("sweep spec 'axes' must be a list")
         groups = []
-        for axis in data.get("axes", []):
+        for i, axis in enumerate(axes):
+            where = f"sweep spec axes[{i}]"
+            if not isinstance(axis, dict):
+                raise ConfigError(f"{where} must be an object")
             if "param" in axis:
                 params = [axis["param"]]
-                values = [[v] for v in axis["values"]]
+                values = [[v] for v in _list_field(axis, "values", where)]
+            elif "params" in axis:
+                params = _list_field(axis, "params", where)
+                values = _list_field(axis, "values", where)
+                if not all(isinstance(row, list) for row in values):
+                    raise ConfigError(f"{where} 'values' rows must be lists")
             else:
-                params = list(axis["params"])
-                values = [list(row) for row in axis["values"]]
+                raise ConfigError(f"{where} needs 'param' or 'params'")
             for path in params:
+                if not isinstance(path, str):
+                    raise ConfigError(f"{where} parameter {path!r} is not a string")
                 validate_param_path(path)
             for row in values:
                 if len(row) != len(params):
@@ -69,6 +84,25 @@ class SweepSpec:
                     expanded.append(new)
             assignments = expanded
         return assignments
+
+
+def _list_field(axis: dict, key: str, where: str) -> list:
+    value = axis.get(key)
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} {key!r} must be a list")
+    return value
+
+
+def layer_configs(*layers: dict) -> dict:
+    """PAPER_LIKE with each layer merged over it in turn; later layers win.
+
+    Every layer merges by the rule ExperimentConfig.from_dict applies to one
+    override (an op_mix replaces the whole mix), and unknown fields fail.
+    """
+    raw = presets.PAPER_LIKE
+    for layer in layers:
+        raw = _deep_merge(raw, layer)
+    return raw
 
 
 def _cell_config(spec: SweepSpec, assignment: dict, base_seed: int | None,

@@ -268,6 +268,26 @@ def test_out_of_order_block_buffered_until_gap_fills():
     assert target.ledger.tip_hash == hash_block(b2)
 
 
+def test_buffered_blocks_reenter_and_pay_validation_once():
+    engine, anchor, npeers = wire_peers(n_non_endorsing=1)
+    target = npeers[0]
+    commits = []
+    target.on_committed = lambda block, flags: commits.append(
+        (block.height, engine.now))
+    b0, b1, b2 = chain_blocks(3, txns_per_block=3)
+    deliver_block(engine, target.id, b2, at=0)   # buffered
+    deliver_block(engine, target.id, b1, at=50)  # buffered
+    deliver_block(engine, target.id, b0, at=100)
+    summary = engine.run_until_quiescent()
+    # each block pays its validation service once, back to back after b0
+    cost = 3 * target.svc.validate_per_txn
+    assert commits == [(0, 100 + cost), (1, 100 + 2 * cost),
+                       (2, 100 + 3 * cost)]
+    # three arrivals, two re-deliveries, three service completions
+    assert summary.events_dispatched == 8
+    assert target.ledger.tip_hash == hash_block(b2)
+
+
 def test_duplicate_blocks_committed_exactly_once():
     engine, anchor, npeers = wire_peers(n_non_endorsing=1)
     target = npeers[0]

@@ -39,6 +39,8 @@ def test_unknown_field_is_named():
     ({"warmup_fraction": 1.0}, "warmup_fraction"),
     ({"workload": {"op_mix": {"query": 0.7}}}, "workload"),
     ({"workload": {"op_mix": {"mystery_op": 1.0}}}, "mystery_op"),
+    ({"latency": {"base_us": {"client-peers": 5}}}, "latency.base_us.client-peers"),
+    ({"latency": {"base_us": {"monitor-peer": 7}}}, "latency.base_us.monitor-peer"),
 ])
 def test_invalid_values_name_their_field(overrides, needle):
     with pytest.raises(ConfigError, match=needle):

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eovsim.engine import (Engine, LatencyModel, Message, MessageKind, Node,
-                           NodeClass, SimError, UnknownTargetError, timer)
+from eovsim.engine import (Engine, LatencyKeyError, LatencyModel, Message,
+                           MessageKind, Node, NodeClass, SimError,
+                           UnknownTargetError, timer)
 
 
 class Recorder(Node):
@@ -139,6 +140,13 @@ def test_class_pair_latency_lookup():
     assert model.base_for(NodeClass.CLIENT, NodeClass.BROKER) == 1000
 
 
+def test_latency_keys_must_name_two_node_classes():
+    for key in ("client-peers", "monitor-peer", "client", "client-peer-broker"):
+        with pytest.raises(LatencyKeyError, match=key) as err:
+            LatencyModel(base_us={"client-peer": 1, key: 5})
+        assert err.value.key == key
+
+
 def test_latency_model_rejects_bad_jitter():
     with pytest.raises(SimError):
         LatencyModel(jitter_fraction=1.0)
@@ -187,19 +195,40 @@ def test_fifo_service_queue():
     assert worker.seen == [(10, 0), (20, 1), (30, 2)]
 
 
-def test_charge_busy_extends_occupancy():
-    class Charging(Recorder):
-        def handle(self, msg):
-            super().handle(msg)
-            self.charge_busy(100)
+def test_control_message_handled_on_arrival_while_busy():
+    class AckBypass(Recorder):
+        def is_control(self, msg):
+            return msg.kind is MessageKind.LOG_ACK
 
     engine = Engine(flat_latency(), seed=0)
-    worker = Charging("w", NodeClass.PEER, service=10)
+    worker = AckBypass("w", NodeClass.BROKER, service=100)
     engine.add_node(worker)
-    engine.schedule("w", Message(MessageKind.PROPOSAL, 1, "x"), 0)
-    engine.schedule("w", Message(MessageKind.PROPOSAL, 1, "y"), 0)
-    engine.run_until_quiescent()
-    assert worker.seen == [(10, "x"), (120, "y")]
+    engine.schedule("w", Message(MessageKind.LOG_APPEND, 1, "first"), 0)
+    engine.schedule("w", Message(MessageKind.LOG_APPEND, 1, "queued"), 10)
+    engine.schedule("w", Message(MessageKind.LOG_ACK, 1, "ack"), 30)
+    summary = engine.run_until_quiescent()
+    # the ack neither waits for nor delays the work in service
+    assert worker.seen == [(30, "ack"), (100, "first"), (200, "queued")]
+    assert summary.events_dispatched == 5  # three arrivals, two completions
+
+
+def test_zero_service_message_adds_no_completion_event():
+    class Costed(Recorder):
+        def service_us(self, msg):
+            return msg.body[1]
+
+    engine = Engine(flat_latency(), seed=0)
+    worker = Costed("w", NodeClass.PEER)
+    engine.add_node(worker)
+    engine.schedule("w", Message(MessageKind.PROPOSAL, 1, ("idle", 0)), 5)
+    engine.schedule("w", Message(MessageKind.PROPOSAL, 1, ("paid", 10)), 6)
+    engine.schedule("w", Message(MessageKind.PROPOSAL, 1, ("behind", 0)), 7)
+    summary = engine.run_until_quiescent()
+    # zero-service work is handled inline: on arrival when idle, right after
+    # the completion it queued behind otherwise
+    assert worker.seen == [(5, ("idle", 0)), (16, ("paid", 10)),
+                           (16, ("behind", 0))]
+    assert summary.events_dispatched == 4  # three arrivals, one completion
 
 
 def test_message_requires_positive_size():

@@ -89,6 +89,34 @@ def test_invalid_config_exits_1_with_field_name(tmp_path, capsys):
                      ["sweep", "--spec", path]):
             assert main(argv + ["--out", str(tmp_path / "o")]) == 1, argv
             assert "config error" in capsys.readouterr().err
+    # a spec object whose base or axes have the wrong shape
+    for doc in ({"base": [1], "axes": []},
+                {"base": {}, "axes": [{"values": [1]}]},
+                {"base": {}, "axes": {"param": "seed"}},
+                {"base": {}, "axes": [{"param": "seed", "values": 3}]}):
+        path = write_cfg(tmp_path, doc, name="spec.json")
+        assert main(["sweep", "--spec", path,
+                     "--out", str(tmp_path / "o")]) == 1, doc
+        assert "config error: sweep spec" in capsys.readouterr().err
+
+
+def test_schedule_guard_buffered_reentry_cell(tmp_path):
+    # Small cutter batches and heavy jitter make gossip blocks arrive out of
+    # order, so this cell exercises buffered block re-entry. The values pin
+    # the event schedule; they change only if the schedule does.
+    cfg = write_cfg(tmp_path, {
+        "topology": {"peers": 4, "clients": 4, "orderers": 3, "brokers": 3,
+                     "non_endorsing": 2},
+        "rate": {"total_tps": 200.0}, "cutter": {"max_txn_count": 1},
+        "duration_s": 2.0,
+        "latency": {"base_us": {"default": 8000}, "jitter_fraction": 0.9},
+        "seed": 7})
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["events_dispatched"] == 19_080
+    assert report["dispatch_digest"] == "e3603c1027821746"
+    assert report["all_peers_agree"] is True
 
 
 def test_block_trace_dump(tmp_path):
@@ -169,6 +197,27 @@ def test_failing_cell_recorded_without_aborting(tmp_path):
     assert not rows[0]["error"]
     assert "min_insync" in rows[1]["error"]
     assert rows[1]["throughput_tps"] == ""
+
+
+def test_spec_base_op_mix_replaces_config_mix(tmp_path):
+    # every layer merges as one config override does: a mix is replaced
+    # whole, never merged key by key into a mix that sums past 1
+    small = {"duration_s": 1.0, "rate": {"total_tps": 40.0},
+             "topology": {"peers": 2, "clients": 2, "brokers": 3,
+                          "orderers": 1}}
+    spec = write_cfg(tmp_path, {
+        "base": small | {"workload": {"op_mix": {"send_payment": 1.0}}},
+        "axes": []}, name="spec.json")
+    cfg = write_cfg(tmp_path, {"workload": {"op_mix": {
+        "query": 0.5, "deposit_checking": 0.5}}})
+    out = tmp_path / "s"
+    assert main(["sweep", "--spec", spec, "--config", cfg,
+                 "--out", str(out)]) == 0
+    (row,) = read_cells_csv(out / "cells.csv")
+    assert row["error"] == ""
+    report = json.loads(
+        (out / "cells" / "cell_000" / "report.json").read_text())
+    assert report["config"]["workload"]["op_mix"] == {"send_payment": 1.0}
 
 
 def test_unknown_axis_param_rejected():

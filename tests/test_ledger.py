@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from eovsim.committer import ValidationFlag
 from eovsim.ledger import (GENESIS_PREV_HASH, Block, ChainIntegrityError,
                            CutReason, Ledger, ReadSet, WriteSet, hash_block)
 
@@ -207,7 +208,7 @@ def test_trace_lines_schema():
     chain = random_chain(random.Random(3), blocks=3)
     ledger = Ledger()
     for block in chain:
-        ledger.append_block(block, ["Valid"] * len(block.txns))
+        ledger.append_block(block, [ValidationFlag.VALID] * len(block.txns))
     lines = list(ledger.trace_lines())
     assert len(lines) == 3
     for line, block in zip(lines, chain):
