@@ -1,6 +1,9 @@
 """Command-line experiment runner: run / sweep / report subcommands.
 
 Exit codes: 0 on success, 1 for configuration errors, 2 for runtime errors.
+A sweep checks every cell's config before any cell runs (exit 1 names the
+bad cell); it runs every cell and writes cells.csv even when some cells fail
+at run time, and then exits 2.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ def cmd_sweep(args) -> int:
     failed = sum(1 for row in rows if row.get("error"))
     print(f"{len(rows)} cells -> {Path(args.out) / 'cells.csv'}"
           + (f" ({failed} failed)" if failed else ""))
-    return 0
+    return 2 if failed else 0
 
 
 def cmd_report(args) -> int:

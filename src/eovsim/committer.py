@@ -3,9 +3,11 @@ commit with rollback of invalid transactions, and block gossip.
 
 Transactions in a block are processed in order; the conflict check for txn i
 sees the writes of valid txns 0..i-1 of the same block (first writer wins).
-Only valid write sets are applied, versioned (height, txn index). Endorsing
-peers receive blocks from the ordering service; each non-endorsing peer is
-assigned one endorsing anchor peer that pushes committed blocks to it.
+Only valid write sets are applied, versioned (height, txn index). The
+ledger keeps each txn's flag beside its block; it is the one record of
+validation outcomes, which the run report counts. Endorsing peers receive
+blocks from the ordering service; each non-endorsing peer is assigned one
+endorsing anchor peer that pushes committed blocks to it.
 An out-of-order arrival is buffered as the message it came in; once its
 predecessor commits, the peer re-delivers that message to itself, and it
 re-enters the work queue like any block delivery.
@@ -91,7 +93,6 @@ class PeerBase(Node):
         self.policy = policy
         self.svc = service_cfg
         self.sizes = sizes
-        self.flag_counts = {flag: 0 for flag in ValidationFlag}
         self._buffered: dict[int, Message] = {}  # height -> block message
 
     def service_us(self, msg: Message) -> int:
@@ -114,8 +115,6 @@ class PeerBase(Node):
     def _commit(self, block: Block) -> None:
         flags = validate_block(block, self.policy, self.ledger)
         commit_block(self.ledger, block, flags)
-        for flag in flags:
-            self.flag_counts[flag] += 1
         self.on_committed(block, flags)
         successor = self._buffered.pop(self.ledger.height + 1, None)
         if successor is not None:
@@ -155,8 +154,7 @@ class EndorsingPeer(PeerBase):
     def handle(self, msg: Message) -> None:
         if msg.kind is MessageKind.PROPOSAL:
             proposal: Proposal = msg.body
-            result = endorse(proposal, self.ledger, self.id, self.engine.now,
-                             self.authorized)
+            result = endorse(proposal, self.ledger, self.id, self.authorized)
             if result is None:
                 self.endorse_refusals += 1
                 return

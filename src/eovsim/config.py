@@ -256,19 +256,6 @@ def load_json_object(path) -> dict:
     return data
 
 
-def validate_param_path(path: str) -> None:
-    """Check that a sweep axis names a real config field."""
-    node = presets.PAPER_LIKE
-    parts = path.split(".")
-    for i, part in enumerate(parts):
-        here = ".".join(parts[: i + 1])
-        if not isinstance(node, dict) or part not in node:
-            if _is_open_dict(".".join(parts[:i])):
-                return
-            raise ConfigError(f"unknown sweep parameter {here!r}")
-        node = node[part]
-
-
 def set_param(overrides: dict, path: str, value) -> None:
     parts = path.split(".")
     node = overrides

@@ -5,6 +5,10 @@ round(i * 1e6 / rate) microseconds after start, never waiting for earlier
 transactions. Endorsement replies, broadcast acks and commit notices are
 handled asynchronously; a transaction whose endorsements or broadcast ack
 miss their timeout is discarded (never retried) and counted.
+
+A transaction's journey is its only state record: while status is None the
+journey is open, and its phase is the first unset instant (endorsed_us,
+then bcast_ack_us); a closed journey ignores every later reply and timer.
 """
 
 from __future__ import annotations
@@ -25,13 +29,6 @@ class JourneyStatus(enum.Enum):
     DROPPED_ENDORSEMENT = "DroppedEndorsement"
     DROPPED_BROADCAST = "DroppedBroadcast"
     IN_FLIGHT = "InFlight"
-
-
-class _State(enum.Enum):
-    AWAIT_ENDORSE = 1
-    AWAIT_ACK = 2
-    AWAIT_COMMIT = 3
-    CLOSED = 4
 
 
 @dataclass
@@ -89,7 +86,6 @@ class ClientNode(Node):
         self.policy = policy
         self.sizes = sizes
         self.journeys: dict[str, TxnJourney] = {}
-        self._states: dict[str, _State] = {}
         self._collected: dict[str, dict] = {}  # txn -> {peer: Endorsement}
         self._early_commits: dict[str, tuple[int, bool]] = {}
 
@@ -116,13 +112,13 @@ class ClientNode(Node):
         if t.tag == "submit":
             self._submit(t.data[0])
         elif t.tag == "endorse_to":
-            txn_id = t.data[0]
-            if self._states.get(txn_id) is _State.AWAIT_ENDORSE:
-                self._close(txn_id, JourneyStatus.DROPPED_ENDORSEMENT)
+            journey = self.journeys[t.data[0]]
+            if journey.status is None and journey.endorsed_us is None:
+                self._close(journey, JourneyStatus.DROPPED_ENDORSEMENT)
         elif t.tag == "bcast_to":
-            txn_id = t.data[0]
-            if self._states.get(txn_id) is _State.AWAIT_ACK:
-                self._close(txn_id, JourneyStatus.DROPPED_BROADCAST)
+            journey = self.journeys[t.data[0]]
+            if journey.status is None and journey.bcast_ack_us is None:
+                self._close(journey, JourneyStatus.DROPPED_BROADCAST)
 
     def _submit(self, index: int) -> None:
         proposal = self.proposals[index]
@@ -130,7 +126,6 @@ class ClientNode(Node):
                              op_name=proposal.op.kind.value,
                              submit_us=self.engine.now)
         self.journeys[proposal.txn_id] = journey
-        self._states[proposal.txn_id] = _State.AWAIT_ENDORSE
         self._collected[proposal.txn_id] = {}
         for peer in self.peers:
             self.engine.send(self.id, peer,
@@ -141,8 +136,9 @@ class ClientNode(Node):
 
     def _on_endorsement(self, endorsement) -> None:
         txn_id = endorsement.txn_id
-        if self._states.get(txn_id) is not _State.AWAIT_ENDORSE:
-            return  # late or duplicate reply for a finished txn
+        journey = self.journeys[txn_id]
+        if journey.status is not None or journey.endorsed_us is not None:
+            return  # late or duplicate reply for an endorsed or closed txn
         collected = self._collected[txn_id]
         if endorsement.peer in collected:
             return
@@ -152,55 +148,53 @@ class ClientNode(Node):
         ok, witness = policy_satisfied(self.policy, collected.values())
         if not ok:
             return
-        journey = self.journeys[txn_id]
         journey.endorsed_us = self.engine.now
         size = self.sizes.proposal + self.sizes.endorsement * len(witness)
-        envelope = Envelope(txn_id=txn_id, proposal=self.proposals[journey.index],
-                            endorsements=tuple(witness),
+        envelope = Envelope(txn_id=txn_id, endorsements=tuple(witness),
                             read_set=witness[0].read_set,
                             write_set=witness[0].write_set,
                             client=self.id, size_bytes=size)
         orderer = self.orderers[journey.index % len(self.orderers)]
         self.engine.send(self.id, orderer,
                          Message(MessageKind.ENVELOPE, size, envelope))
-        self._states[txn_id] = _State.AWAIT_ACK
         del self._collected[txn_id]
         self.engine.schedule(self.id, timer("bcast_to", txn_id),
                              self.cfg.broadcast_timeout_us)
 
     def _on_broadcast_ack(self, txn_id: str) -> None:
-        if self._states.get(txn_id) is not _State.AWAIT_ACK:
+        journey = self.journeys[txn_id]
+        if journey.status is not None or journey.bcast_ack_us is not None:
             return
-        self.journeys[txn_id].bcast_ack_us = self.engine.now
-        self._states[txn_id] = _State.AWAIT_COMMIT
+        journey.bcast_ack_us = self.engine.now
         if txn_id in self._early_commits:
             committed_at, valid = self._early_commits.pop(txn_id)
-            self._finalize(txn_id, committed_at, valid)
+            self._finalize(journey, committed_at, valid)
 
     def _on_block_committed(self, body: BlockCommitted) -> None:
         for txn_id, valid in body.txn_flags:
-            state = self._states.get(txn_id)
-            if state is _State.AWAIT_COMMIT:
-                self._finalize(txn_id, body.committed_at, valid)
-            elif state is _State.AWAIT_ACK:
+            journey = self.journeys.get(txn_id)  # None: another client's txn
+            if journey is None or journey.status is not None:
+                continue
+            if journey.bcast_ack_us is not None:
+                self._finalize(journey, body.committed_at, valid)
+            else:
                 # Commit observed before the broadcast ack made it back;
                 # resolve once the ack lands (or the timeout drops it).
                 self._early_commits[txn_id] = (body.committed_at, valid)
 
-    def _finalize(self, txn_id: str, committed_at: int, valid: bool) -> None:
-        journey = self.journeys[txn_id]
+    def _finalize(self, journey: TxnJourney, committed_at: int,
+                  valid: bool) -> None:
         journey.commit_us = committed_at
         status = JourneyStatus.COMMITTED if valid else JourneyStatus.INVALID_COMMITTED
-        self._close(txn_id, status)
+        self._close(journey, status)
 
-    def _close(self, txn_id: str, status: JourneyStatus) -> None:
-        self.journeys[txn_id].status = status
-        self._states[txn_id] = _State.CLOSED
-        self._collected.pop(txn_id, None)
-        self._early_commits.pop(txn_id, None)
+    def _close(self, journey: TxnJourney, status: JourneyStatus) -> None:
+        journey.status = status
+        self._collected.pop(journey.txn_id, None)
+        self._early_commits.pop(journey.txn_id, None)
 
     def finish_open_journeys(self) -> None:
         """Mark journeys still open at run end; they count as in flight."""
-        for txn_id, state in self._states.items():
-            if state is not _State.CLOSED:
-                self.journeys[txn_id].status = JourneyStatus.IN_FLIGHT
+        for journey in self.journeys.values():
+            if journey.status is None:
+                journey.status = JourneyStatus.IN_FLIGHT

@@ -21,7 +21,6 @@ class Endorsement:
     read_set: ReadSet
     write_set: WriteSet
     response: int | None
-    issued_at: int
 
     def payload_key(self):
         return (self.read_set.key(), self.write_set.key())
@@ -69,7 +68,7 @@ def policy_satisfied(policy: EndorsementPolicy,
     return True, best
 
 
-def endorse(proposal: Proposal, ledger, peer_id: str, now: int,
+def endorse(proposal: Proposal, ledger, peer_id: str,
             authorized: set[str] | None = None) -> Endorsement | None:
     """Produce an endorsement from the peer's committed state, or refuse.
 
@@ -82,4 +81,4 @@ def endorse(proposal: Proposal, ledger, peer_id: str, now: int,
     read_set, write_set, response = execute(proposal.op, ledger)
     return Endorsement(txn_id=proposal.txn_id, peer=peer_id,
                        read_set=read_set, write_set=write_set,
-                       response=response, issued_at=now)
+                       response=response)

@@ -1,12 +1,13 @@
-"""Run metrics: throughput, latency, the enqueue ratio, drops and traffic.
+"""The run report, and the figures it reads off transaction journeys.
 
-Throughput counts only committed journeys whose submission fell inside the
-measurement window (warm-up excluded); latency averages commit - submit over
-those journeys, with p50/p95 reported alongside the mean. With nothing
-committed, latency is reported as undefined (null), never as zero. The
-enqueue ratio r = attempts / successes is reported twice: counted up to the
-window end (backlog shows up as r > 1) and again after the drain (equal to 1
-exactly when every accepted envelope eventually committed).
+simulation.collect_report builds the RunReport; aggregate supplies its
+journey figures. Throughput counts only committed journeys whose submission
+fell inside the measurement window (warm-up excluded); latency averages
+commit - submit over those journeys, with p50/p95 reported alongside the
+mean. With nothing committed, latency is reported as undefined (null), never
+as zero. The enqueue ratio r = attempts / successes is reported twice:
+counted up to the window end (backlog shows up as r > 1) and again after the
+drain (equal to 1 exactly when every accepted envelope eventually committed).
 """
 
 from __future__ import annotations
@@ -75,11 +76,10 @@ def percentile(values: list[float], q: float) -> float:
     return ordered[min(n - 1, max(0, int(rank) - 1))]
 
 
-def aggregate(journeys: list[TxnJourney], *, config_echo: dict, seed: int,
-              window: tuple[int, int], orderer_window: tuple[int, int],
-              orderer_final: tuple[int, int, int], endorse_refusals: int,
-              block_stats: dict, flag_counts: dict, agreement: dict,
-              trace, per_node: dict) -> RunReport:
+def aggregate(journeys: list[TxnJourney], window: tuple[int, int]) -> dict:
+    """The RunReport fields read off journeys, keyed by field name: status
+    counts over the journeys submitted in the window, throughput and
+    latency."""
     start, end = window
     in_window = [j for j in journeys if start <= j.submit_us < end]
     by_status = {status: 0 for status in JourneyStatus}
@@ -98,48 +98,18 @@ def aggregate(journeys: list[TxnJourney], *, config_echo: dict, seed: int,
     else:
         avg = p50 = p95 = None
 
-    attempts_w, successes_w = orderer_window
-    attempts_f, successes_f, refusals = orderer_final
-    return RunReport(
-        config=config_echo,
-        seed=seed,
-        window_start_us=start,
-        window_end_us=end,
-        submitted=len(in_window),
-        committed=committed,
-        invalid_committed=by_status[JourneyStatus.INVALID_COMMITTED],
-        dropped_endorse=by_status[JourneyStatus.DROPPED_ENDORSEMENT],
-        dropped_broadcast=by_status[JourneyStatus.DROPPED_BROADCAST],
-        in_flight=by_status[JourneyStatus.IN_FLIGHT],
-        throughput_tps=committed / window_s if window_s > 0 else 0.0,
-        avg_latency_s=avg,
-        p50_s=p50,
-        p95_s=p95,
-        enqueue_attempts_window=attempts_w,
-        enqueue_successes_window=successes_w,
-        r_ratio=attempts_w / successes_w if successes_w else None,
-        enqueue_attempts_final=attempts_f,
-        enqueue_successes_final=successes_f,
-        refusals=refusals,
-        r_ratio_final=attempts_f / successes_f if successes_f else None,
-        endorse_refusals=endorse_refusals,
-        blocks=block_stats["count"],
-        mean_block_fill=block_stats["mean_fill"],
-        cut_reasons=block_stats["cut_reasons"],
-        valid_txns=flag_counts["valid"],
-        policy_violations=flag_counts["policy_violation"],
-        mvcc_conflicts=flag_counts["mvcc_conflict"],
-        final_height=agreement["final_height"],
-        tip_hash=agreement["tip_hash"],
-        state_digest=agreement["state_digest"],
-        all_peers_agree=agreement["all_peers_agree"],
-        total_balance=agreement["total_balance"],
-        events_dispatched=trace.events_dispatched,
-        dispatch_digest=trace.dispatch_digest,
-        end_time_us=trace.end_time_us,
-        truncated=trace.truncated,
-        per_node=per_node,
-    )
+    return {
+        "submitted": len(in_window),
+        "committed": committed,
+        "invalid_committed": by_status[JourneyStatus.INVALID_COMMITTED],
+        "dropped_endorse": by_status[JourneyStatus.DROPPED_ENDORSEMENT],
+        "dropped_broadcast": by_status[JourneyStatus.DROPPED_BROADCAST],
+        "in_flight": by_status[JourneyStatus.IN_FLIGHT],
+        "throughput_tps": committed / window_s if window_s > 0 else 0.0,
+        "avg_latency_s": avg,
+        "p50_s": p50,
+        "p95_s": p95,
+    }
 
 
 def journeys_to_csv(journeys: list[TxnJourney], path) -> None:

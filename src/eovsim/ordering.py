@@ -20,10 +20,10 @@ from .ledger import Block, CutReason, ReadSet, WriteSet, hash_block
 
 @dataclass(slots=True)
 class Envelope:
-    """Endorsed transaction: proposal plus a policy-satisfying endorsement set."""
+    """Endorsed transaction: the read/write sets a policy-satisfying
+    endorsement set agrees on, plus that set."""
 
     txn_id: str
-    proposal: object
     endorsements: tuple
     read_set: ReadSet
     write_set: WriteSet
@@ -45,18 +45,15 @@ class LogRecord:
 @dataclass(slots=True)
 class ReplicaCopy:
     offset: int
-    envelope: Envelope
 
 
 @dataclass(slots=True)
 class LogAck:
     offset: int
-    broker: str
 
 
 @dataclass(slots=True)
 class RecordCommitted:
-    offset: int
     txn_id: str
     orderer: str
 
@@ -99,10 +96,6 @@ class BlockCutter:
         self.epoch = 0
         self._pending: list = []
         self._pending_bytes = 0
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
 
     def add(self, env, now: int) -> tuple[Block | None, bool]:
         """Append a committed envelope; returns (block or None, arm_timer).
@@ -161,7 +154,6 @@ class OrdererNode(Node):
         self.window_attempts = 0
         self.window_successes = 0
         self.refusals = 0
-        self.in_flight = 0
         self._awaiting_ack: dict[str, str] = {}  # txn -> client
 
     def service_us(self, msg: Message) -> int:
@@ -179,10 +171,9 @@ class OrdererNode(Node):
             self.enqueue_attempts += 1
             if self.engine.now < self.window_end:
                 self.window_attempts += 1
-            if self.in_flight >= self.capacity:
+            if len(self._awaiting_ack) >= self.capacity:
                 self.refusals += 1
                 return
-            self.in_flight += 1
             self._awaiting_ack[env.txn_id] = env.client
             record = Message(MessageKind.LOG_APPEND,
                              env.size_bytes + self.sizes.log_overhead,
@@ -196,7 +187,6 @@ class OrdererNode(Node):
                     self.enqueue_successes += 1
                     if self.engine.now < self.window_end:
                         self.window_successes += 1
-                    self.in_flight -= 1
                     ack = Message(MessageKind.COMMIT_NOTICE, self.sizes.notice,
                                   BroadcastAck(body.txn_id))
                     self.engine.send(self.id, client, ack)
@@ -236,8 +226,7 @@ class BrokerNode(Node):
         self.cutter = cutter
         self.svc = service_cfg
         self.sizes = sizes
-        # leader log state
-        self.next_offset = 0
+        # leader log state: a record's offset is its index in records
         self.records: list[LogRecord] = []
         self.copies_held: list[int] = []
         self.committed_count = 0
@@ -280,14 +269,13 @@ class BrokerNode(Node):
     # -- leader ------------------------------------------------------------
 
     def _leader_append(self, record: LogRecord) -> None:
-        offset = self.next_offset
-        self.next_offset += 1
+        offset = len(self.records)
         self.records.append(record)
         self.copies_held.append(1)
         copy_size = record.envelope.size_bytes + self.sizes.log_overhead
         for follower in self.followers:
             copy = Message(MessageKind.LOG_APPEND, copy_size,
-                           ReplicaCopy(offset, record.envelope))
+                           ReplicaCopy(offset))
             self.engine.send(self.id, follower, copy)
         self._advance_commit()
 
@@ -296,7 +284,7 @@ class BrokerNode(Node):
         self._advance_commit()
 
     def _advance_commit(self) -> None:
-        while (self.committed_count < self.next_offset
+        while (self.committed_count < len(self.records)
                and self.copies_held[self.committed_count] >= self.min_insync):
             offset = self.committed_count
             self.committed_count += 1
@@ -305,7 +293,7 @@ class BrokerNode(Node):
     def _commit(self, offset: int) -> None:
         record = self.records[offset]
         now = self.engine.now
-        notice = RecordCommitted(offset, record.envelope.txn_id, record.orderer)
+        notice = RecordCommitted(record.envelope.txn_id, record.orderer)
         for orderer in self.orderers:
             self.engine.send(self.id, orderer,
                              Message(MessageKind.COMMIT_NOTICE,
@@ -328,4 +316,4 @@ class BrokerNode(Node):
     def _follower_append(self, copy: ReplicaCopy) -> None:
         self.engine.send(self.id, self.leader,
                          Message(MessageKind.LOG_ACK, self.sizes.log_ack,
-                                 LogAck(copy.offset, self.id)))
+                                 LogAck(copy.offset)))

@@ -4,9 +4,12 @@ Node naming: client000.., peer000.. (endorsing), npeer000.. (non-endorsing),
 orderer000.., broker000..; broker000 is the static log leader. Every peer
 starts from an identical genesis block: one unendorsed envelope carrying the
 initial account balances, committed through commit_block with a Valid flag
-(it predates the policy machinery, so it skips validate_block). It is
-committed before the peers fork the base ledger and never passes
-PeerBase._commit, so PeerBase.flag_counts covers only blocks of height >= 1.
+(it predates the policy machinery, so it skips validate_block) before the
+peers fork the base ledger. collect_report builds the RunReport in one
+place: chain, flag and state figures from the observer peer's (peer000)
+ledger, whose flags from height 1 on give valid_txns, policy_violations and
+mvcc_conflicts; journey figures from metrics.aggregate; counters from the
+nodes. Peers agree when their chains, per-txn flags and states are equal.
 Clients spray envelopes over orderers round-robin by submission index and
 observe commits through their round-robin home peer. Each orderer counts the
 enqueue attempts and successes it handles before the window end; there is no
@@ -15,6 +18,7 @@ monitor node.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .committer import (EndorsingPeer, NonEndorsingPeer, ValidationFlag,
@@ -47,7 +51,7 @@ class Simulation:
 
 def genesis_block(cfg: ExperimentConfig) -> Block:
     ws = initial_write_set(cfg.workload)
-    load = Envelope(txn_id=GENESIS_TXN_ID, proposal=None, endorsements=(),
+    load = Envelope(txn_id=GENESIS_TXN_ID, endorsements=(),
                     read_set=ReadSet(), write_set=ws, client="",
                     size_bytes=max(1, 16 * len(ws.writes)))
     return Block(height=0, prev_hash=GENESIS_PREV_HASH, txns=[load],
@@ -145,46 +149,23 @@ def collect_report(sim: Simulation, trace: TraceSummary,
                    journeys: list[TxnJourney]) -> RunReport:
     cfg = sim.config
     peers = sim.all_peers()
-    observer = peers[0]
-
+    # Peers agree when they hold the same chain, the same flag for every
+    # txn, and the same world state.
     views = [(p.ledger.height, p.ledger.tip_hash, p.ledger.state_digest(),
-              tuple(sorted((k.value, v) for k, v in p.flag_counts.items())))
-             for p in peers]
-    all_agree = len(set(views)) == 1
-
-    ledger = observer.ledger
+              p.ledger.flags) for p in peers]
+    ledger = peers[0].ledger  # the observer peer's
     workload_blocks = ledger.blocks[1:]  # exclude genesis
+    flag_totals = Counter(flag for block_flags in ledger.flags[1:]
+                          for flag in block_flags)
     reasons = {reason.value: 0 for reason in CutReason}
     for block in workload_blocks:
         reasons[block.cut_reason.value] += 1
     fills = [len(b.txns) for b in workload_blocks]
-    block_stats = {
-        "count": len(workload_blocks),
-        "mean_fill": sum(fills) / len(fills) if fills else None,
-        "cut_reasons": reasons,
-    }
-
-    # Genesis never passes PeerBase._commit, so these cover heights >= 1 only.
-    flag_counts = {
-        "valid": observer.flag_counts[ValidationFlag.VALID],
-        "policy_violation": observer.flag_counts[ValidationFlag.POLICY_VIOLATION],
-        "mvcc_conflict": observer.flag_counts[ValidationFlag.MVCC_CONFLICT],
-    }
-
-    agreement = {
-        "final_height": ledger.height,
-        "tip_hash": ledger.tip_hash,
-        "state_digest": ledger.state_digest(),
-        "all_peers_agree": all_agree,
-        "total_balance": total_balance(ledger.state_items()),
-    }
 
     attempts_window = sum(o.window_attempts for o in sim.orderers)
     successes_window = sum(o.window_successes for o in sim.orderers)
     attempts_final = sum(o.enqueue_attempts for o in sim.orderers)
     successes_final = sum(o.enqueue_successes for o in sim.orderers)
-    refusals = sum(o.refusals for o in sim.orderers)
-    endorse_refusals = sum(p.endorse_refusals for p in sim.endorsing)
 
     per_node = {
         node.id: {
@@ -197,17 +178,36 @@ def collect_report(sim: Simulation, trace: TraceSummary,
         for node in sim.engine.nodes.values()
     }
 
-    return aggregate(
-        journeys,
-        config_echo=cfg.resolved(),
+    return RunReport(
+        config=cfg.resolved(),
         seed=cfg.seed,
-        window=(cfg.warmup_us, cfg.duration_us),
-        orderer_window=(attempts_window, successes_window),
-        orderer_final=(attempts_final, successes_final, refusals),
-        endorse_refusals=endorse_refusals,
-        block_stats=block_stats,
-        flag_counts=flag_counts,
-        agreement=agreement,
-        trace=trace,
+        window_start_us=cfg.warmup_us,
+        window_end_us=cfg.duration_us,
+        **aggregate(journeys, (cfg.warmup_us, cfg.duration_us)),
+        enqueue_attempts_window=attempts_window,
+        enqueue_successes_window=successes_window,
+        r_ratio=(attempts_window / successes_window
+                 if successes_window else None),
+        enqueue_attempts_final=attempts_final,
+        enqueue_successes_final=successes_final,
+        refusals=sum(o.refusals for o in sim.orderers),
+        r_ratio_final=(attempts_final / successes_final
+                       if successes_final else None),
+        endorse_refusals=sum(p.endorse_refusals for p in sim.endorsing),
+        blocks=len(workload_blocks),
+        mean_block_fill=sum(fills) / len(fills) if fills else None,
+        cut_reasons=reasons,
+        valid_txns=flag_totals[ValidationFlag.VALID],
+        policy_violations=flag_totals[ValidationFlag.POLICY_VIOLATION],
+        mvcc_conflicts=flag_totals[ValidationFlag.MVCC_CONFLICT],
+        final_height=ledger.height,
+        tip_hash=ledger.tip_hash,
+        state_digest=ledger.state_digest(),
+        all_peers_agree=all(view == views[0] for view in views),
+        total_balance=total_balance(ledger.state_items()),
+        events_dispatched=trace.events_dispatched,
+        dispatch_digest=trace.dispatch_digest,
+        end_time_us=trace.end_time_us,
+        truncated=trace.truncated,
         per_node=per_node,
     )

@@ -2,14 +2,16 @@
 
 A sweep spec holds a base config plus axis groups. Values inside one group
 advance together (paired parameters like peers/clients); the groups
-themselves combine as a cross product. Cells are fully isolated runs, so
-they can execute on parallel workers without changing any result; each
-cell's seed is base seed + cell index and is recorded in its row.
+themselves combine as a cross product. A cell's config is the base with
+the cell's assignment merged over it by the config merge rule, so an axis
+on workload.op_mix must give whole mixes. Every cell's config is built and
+checked before any cell runs. Cells are fully isolated runs, so they can
+execute on parallel workers without changing any result; each cell's seed
+is base seed + cell index and is recorded in its row.
 """
 
 from __future__ import annotations
 
-import copy
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -17,8 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import presets
-from .config import (ConfigError, ExperimentConfig, _deep_merge, set_param,
-                     validate_param_path)
+from .config import ConfigError, ExperimentConfig, _deep_merge, set_param
 from .metrics import journeys_to_csv
 from .simulation import run_simulation
 
@@ -58,7 +59,6 @@ class SweepSpec:
             for path in params:
                 if not isinstance(path, str):
                     raise ConfigError(f"{where} parameter {path!r} is not a string")
-                validate_param_path(path)
             for row in values:
                 if len(row) != len(params):
                     raise ConfigError(
@@ -106,25 +106,27 @@ def layer_configs(*layers: dict) -> dict:
 
 
 def _cell_config(spec: SweepSpec, assignment: dict, base_seed: int | None,
-                 index: int) -> dict:
-    overrides = copy.deepcopy(spec.base)
+                 index: int) -> ExperimentConfig:
+    """The cell's checked config; a bad cell raises ConfigError naming it."""
+    layer: dict = {}
     for path, value in assignment.items():
-        set_param(overrides, path, value)
-    seed = (base_seed if base_seed is not None
-            else overrides.get("seed", presets.PAPER_LIKE["seed"]))
-    set_param(overrides, "seed", seed + index)
-    return overrides
+        set_param(layer, path, value)
+    try:
+        raw = layer_configs(spec.base, layer)
+        seed = base_seed if base_seed is not None else raw["seed"]
+        raw["seed"] = seed + index
+        return ExperimentConfig.from_dict(raw)
+    except ConfigError as exc:
+        raise ConfigError(f"sweep cell {index} {assignment}: {exc}") from exc
 
 
-def run_cell(overrides: dict, out_dir: str | None) -> dict:
+def run_cell(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Execute one sweep cell; returns its RunReport as a plain dict."""
-    cfg = ExperimentConfig.from_dict(overrides)
     result = run_simulation(cfg)
-    if out_dir is not None:
-        cell_dir = Path(out_dir)
-        cell_dir.mkdir(parents=True, exist_ok=True)
-        (cell_dir / "report.json").write_text(result.report.to_json())
-        journeys_to_csv(result.journeys, cell_dir / "journeys.csv")
+    cell_dir = Path(out_dir)
+    cell_dir.mkdir(parents=True, exist_ok=True)
+    (cell_dir / "report.json").write_text(result.report.to_json())
+    journeys_to_csv(result.journeys, cell_dir / "journeys.csv")
     report = result.report
     return {name: getattr(report, name) for name in CELL_SCALARS} | {
         "seed": report.seed,
@@ -133,13 +135,13 @@ def run_cell(overrides: dict, out_dir: str | None) -> dict:
 
 
 def _run_cell_task(args):
-    index, overrides, out_dir, assignment = args
+    index, cfg, out_dir, assignment = args
     try:
-        row = run_cell(overrides, out_dir)
+        row = run_cell(cfg, out_dir)
         row["error"] = ""
     except Exception as exc:  # a failing cell must not abort the sweep
         row = {name: "" for name in CELL_SCALARS}
-        row["seed"] = overrides.get("seed", "")
+        row["seed"] = cfg.seed
         row["offered_tps"] = ""
         row["error"] = f"{type(exc).__name__}: {exc}"
     row["cell"] = index
@@ -148,15 +150,16 @@ def _run_cell_task(args):
 
 
 def run_sweep(spec: SweepSpec, out_dir, base_seed: int | None = None,
-              workers: int = 1, keep_cell_artifacts: bool = True) -> list[dict]:
+              workers: int = 1) -> list[dict]:
+    """Run every cell, then write cells.csv; a cell that fails at run time
+    is a row with its error. A bad cell config raises before any cell runs."""
+    cells = spec.cells()
+    configs = [_cell_config(spec, assignment, base_seed, index)
+               for index, assignment in enumerate(cells)]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = []
-    for index, assignment in enumerate(spec.cells()):
-        overrides = _cell_config(spec, assignment, base_seed, index)
-        cell_dir = str(out / "cells" / f"cell_{index:03d}") \
-            if keep_cell_artifacts else None
-        tasks.append((index, overrides, cell_dir, assignment))
+    tasks = [(index, cfg, str(out / "cells" / f"cell_{index:03d}"), assignment)
+             for index, (cfg, assignment) in enumerate(zip(configs, cells))]
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -1,0 +1,47 @@
+"""The benchmark's traced cell measures layers by span name: a function or
+method of eovsim that the tracer wraps. A renamed or deleted target would
+read as zero, not fail, so every name the benchmark measures must resolve
+to a public callable of the package."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from eovsim import engine
+
+CELL_PY = Path(__file__).resolve().parents[1] / "bench" / "cell.py"
+
+
+def load_cell():
+    spec = importlib.util.spec_from_file_location("bench_cell", CELL_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def measured_span_names():
+    cell = load_cell()
+    names = [name for names in cell.SELF_TIME.values() for name in names]
+    names += list(cell.CALLS.values())
+    names += [name for name, _count in cell._tallies(engine).values()]
+    return sorted(set(names))
+
+
+@pytest.mark.parametrize("span", measured_span_names())
+def test_measured_span_names_a_public_callable(span):
+    # The tracer wraps the public functions and classes a module defines,
+    # and the public members a class body defines itself: an inherited
+    # method is not wrapped under the subclass's name.
+    module_name, *attrs = span.split(".")
+    module = importlib.import_module(f"eovsim.{module_name}")
+    assert not any(attr.startswith("_") for attr in attrs), span
+    target = vars(module).get(attrs[0])
+    assert getattr(target, "__module__", None) == module.__name__, \
+        f"{span}: eovsim.{module_name} defines no {attrs[0]}"
+    if len(attrs) == 2:
+        target = vars(target).get(attrs[1])
+        if isinstance(target, property):
+            target = target.fget
+    assert callable(target), f"{span}: no such function or method"

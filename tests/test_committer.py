@@ -22,8 +22,8 @@ def mk_env(txn_id, reads, writes, peers=("p0", "p1")):
     rs, ws = ReadSet(list(reads)), WriteSet(list(writes))
     endorsements = tuple(
         Endorsement(txn_id=txn_id, peer=p, read_set=rs, write_set=ws,
-                    response=0, issued_at=0) for p in peers)
-    return Envelope(txn_id=txn_id, proposal=None, endorsements=endorsements,
+                    response=0) for p in peers)
+    return Envelope(txn_id=txn_id, endorsements=endorsements,
                     read_set=rs, write_set=ws, client="c", size_bytes=64)
 
 
@@ -300,7 +300,7 @@ def test_duplicate_blocks_committed_exactly_once():
     assert [b.height for b in target.ledger.blocks] == [0, 1, 2]
 
 
-def test_flag_counts_accumulate_on_peer():
+def test_flags_recorded_per_txn_in_peer_ledger():
     engine, anchor, _ = wire_peers(n_non_endorsing=0)
     anchor.gossip_targets = []
     b0 = mk_block(0, GENESIS_PREV_HASH, [
@@ -310,6 +310,29 @@ def test_flag_counts_accumulate_on_peer():
     ])
     deliver_block(engine, anchor.id, b0, at=0)
     engine.run_until_quiescent()
-    assert anchor.flag_counts[ValidationFlag.VALID] == 1
-    assert anchor.flag_counts[ValidationFlag.MVCC_CONFLICT] == 1
-    assert anchor.flag_counts[ValidationFlag.POLICY_VIOLATION] == 1
+    assert anchor.ledger.flags == [[ValidationFlag.VALID,
+                                    ValidationFlag.MVCC_CONFLICT,
+                                    ValidationFlag.POLICY_VIOLATION]]
+
+
+def test_agreement_compares_every_txn_flag_not_totals():
+    from eovsim.simulation import collect_report, run_simulation
+    cfg = ExperimentConfig.from_dict({
+        "duration_s": 2.0, "rate": {"total_tps": 100.0},
+        "workload": {"n_accounts": 4,
+                     "op_mix": {"send_payment": 0.6, "deposit_checking": 0.4},
+                     "access": {"kind": "hotspot", "fraction_hot": 0.5,
+                                "prob_hot": 0.9}}})
+    result = run_simulation(cfg)
+    assert result.report.all_peers_agree
+    # swap one Valid and one MVCCConflict flag in one peer: its flag totals,
+    # chain and state are unchanged, but two txns now disagree
+    flags = result.sim.all_peers()[1].ledger.flags
+    slots = {flag: (h, i) for h in range(1, len(flags))
+             for i, flag in enumerate(flags[h])}
+    (hv, iv) = slots[ValidationFlag.VALID]
+    (hm, im) = slots[ValidationFlag.MVCC_CONFLICT]
+    flags[hv][iv], flags[hm][im] = flags[hm][im], flags[hv][iv]
+    report = collect_report(result.sim, result.trace, result.journeys)
+    assert report.valid_txns == result.report.valid_txns
+    assert report.all_peers_agree is False

@@ -89,7 +89,7 @@ def wire_client(n_peers=3, threshold=None, rate=10.0, duration_us=200_000,
 def feed_endorsement(engine, client, txn_id, peer, payload=0, delay=0):
     e = Endorsement(txn_id=txn_id, peer=peer,
                     read_set=ReadSet([("k", (0, payload))]),
-                    write_set=WriteSet(), response=payload, issued_at=0)
+                    write_set=WriteSet(), response=payload)
     engine.schedule(client.id, Message(MessageKind.ENDORSEMENT, 64, e), delay)
 
 
@@ -155,7 +155,10 @@ def test_duplicate_endorsements_from_same_peer_ignored():
     feed_endorsement(engine, client, txn, "peer000", delay=1000)
     feed_endorsement(engine, client, txn, "peer000", delay=2000)
     engine.run_until_quiescent(time_limit_us=3000)
-    assert client._states[txn].name == "AWAIT_ENDORSE"
+    # one peer twice is one endorsement: threshold 2 is not met yet
+    journey = client.journeys[txn]
+    assert journey.status is None and journey.endorsed_us is None
+    assert not [m for _, m in orderer.got if m.kind is MessageKind.ENVELOPE]
 
 
 def test_broadcast_timeout_drops_journey():

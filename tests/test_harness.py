@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from eovsim import sweep
 from eovsim.cli import main
+from eovsim.config import ConfigError
 from eovsim.sweep import SweepSpec, extract_figure, read_cells_csv, run_sweep
 
 SMALL = {"duration_s": 3.0, "rate": {"total_tps": 60.0},
@@ -151,7 +153,7 @@ def sweep_spec(axes):
 
 def test_sweep_brokers_three_rows(tmp_path):
     spec = sweep_spec([{"param": "topology.brokers", "values": [3, 4, 5]}])
-    rows = run_sweep(spec, tmp_path / "s", keep_cell_artifacts=False)
+    rows = run_sweep(spec, tmp_path / "s")
     assert len(rows) == 3
     assert [r["topology.brokers"] for r in rows] == [3, 4, 5]
     assert all(not r["error"] for r in rows)
@@ -163,13 +165,13 @@ def test_sweep_brokers_three_rows(tmp_path):
 def test_sweep_orderer_axis_seven_rows(tmp_path):
     spec = sweep_spec([{"param": "topology.orderers",
                         "values": [1, 2, 3, 4, 5, 6, 7]}])
-    rows = run_sweep(spec, tmp_path / "s", keep_cell_artifacts=False)
+    rows = run_sweep(spec, tmp_path / "s")
     assert len(rows) == 7
 
 
 def test_empty_axes_single_cell_equals_run(tmp_path):
     spec = sweep_spec([])
-    rows = run_sweep(spec, tmp_path / "s", keep_cell_artifacts=True)
+    rows = run_sweep(spec, tmp_path / "s")
     assert len(rows) == 1
     cell_report = json.loads(
         (tmp_path / "s" / "cells" / "cell_000" / "report.json").read_text())
@@ -178,25 +180,77 @@ def test_empty_axes_single_cell_equals_run(tmp_path):
 
 def test_cell_seeds_are_base_plus_index(tmp_path):
     spec = sweep_spec([{"param": "replica", "values": [0, 1, 2]}])
-    rows = run_sweep(spec, tmp_path / "s", base_seed=100,
-                     keep_cell_artifacts=False)
+    rows = run_sweep(spec, tmp_path / "s", base_seed=100)
     assert [r["seed"] for r in rows] == [100, 101, 102]
 
 
 def test_paired_axes_advance_together(tmp_path):
     spec = sweep_spec([{"params": ["topology.peers", "topology.clients"],
                         "values": [[2, 2], [3, 3]]}])
-    rows = run_sweep(spec, tmp_path / "s", keep_cell_artifacts=False)
+    rows = run_sweep(spec, tmp_path / "s")
     assert [(r["topology.peers"], r["topology.clients"]) for r in rows] == \
         [(2, 2), (3, 3)]
 
 
-def test_failing_cell_recorded_without_aborting(tmp_path):
-    spec = sweep_spec([{"param": "replication.min_insync", "values": [1, 99]}])
-    rows = run_sweep(spec, tmp_path / "s", keep_cell_artifacts=False)
-    assert not rows[0]["error"]
-    assert "min_insync" in rows[1]["error"]
+def fail_on_seed(monkeypatch, seed):
+    """Make sweep cells whose config has this seed raise at run time."""
+    real = sweep.run_simulation
+
+    def flaky(cfg):
+        if cfg.seed == seed:
+            raise RuntimeError("cell broke")
+        return real(cfg)
+    monkeypatch.setattr(sweep, "run_simulation", flaky)
+
+
+def test_failing_cell_recorded_without_aborting(tmp_path, monkeypatch):
+    fail_on_seed(monkeypatch, 101)
+    spec = sweep_spec([{"param": "replica", "values": [0, 1, 2]}])
+    rows = run_sweep(spec, tmp_path / "s", base_seed=100)
+    assert [r["error"] for r in rows] == ["", "RuntimeError: cell broke", ""]
+    assert rows[1]["seed"] == 101
     assert rows[1]["throughput_tps"] == ""
+    assert len(read_cells_csv(tmp_path / "s" / "cells.csv")) == 3
+    assert (tmp_path / "s" / "cells" / "cell_002" / "report.json").exists()
+
+
+def test_sweep_cells_checked_before_any_runs_and_exit_codes(
+        tmp_path, monkeypatch, capsys):
+    base = {"duration_s": 1.0, "rate": {"total_tps": 40.0},
+            "topology": {"peers": 2, "clients": 2, "brokers": 3,
+                         "orderers": 1}}
+
+    def sweep_cli(name, axis):
+        spec = write_cfg(tmp_path, {"base": base, "axes": [axis]},
+                         name=f"{name}.json")
+        return main(["sweep", "--spec", spec, "--seed", "10",
+                     "--out", str(tmp_path / name)])
+
+    # a cell whose config is bad exits 1, naming cell and field, before
+    # any cell runs; an op_mix is replaced whole, so one op is not a mix
+    for name, axis, field in [
+            ("lat", {"param": "latency.base_us.client-peers", "values": [5]},
+             "latency.base_us.client-peers"),
+            ("mixkey", {"param": "workload.op_mix.query", "values": [0.5]},
+             "op_mix"),
+            ("insync", {"param": "replication.min_insync", "values": [1, 99]},
+             "min_insync")]:
+        assert sweep_cli(name, axis) == 1, name
+        err = capsys.readouterr().err
+        assert "config error: sweep cell" in err and field in err, err
+        assert not (tmp_path / name).exists()
+    # whole mixes run
+    mixes = [{"query": 1.0}, {"send_payment": 0.5, "query": 0.5}]
+    assert sweep_cli("mix", {"param": "workload.op_mix", "values": mixes}) == 0
+    rows = read_cells_csv(tmp_path / "mix" / "cells.csv")
+    assert [r["error"] for r in rows] == ["", ""]
+    # a cell failing at run time: every row is written, then exit 2
+    capsys.readouterr()
+    fail_on_seed(monkeypatch, 11)
+    assert sweep_cli("flaky", {"param": "replica", "values": [0, 1, 2]}) == 2
+    assert "(1 failed)" in capsys.readouterr().out
+    rows = read_cells_csv(tmp_path / "flaky" / "cells.csv")
+    assert [bool(r["error"]) for r in rows] == [False, True, False]
 
 
 def test_spec_base_op_mix_replaces_config_mix(tmp_path):
@@ -220,18 +274,18 @@ def test_spec_base_op_mix_replaces_config_mix(tmp_path):
     assert report["config"]["workload"]["op_mix"] == {"send_payment": 1.0}
 
 
-def test_unknown_axis_param_rejected():
-    with pytest.raises(Exception, match="galaxy"):
-        SweepSpec.from_dict({"base": {}, "axes": [{"param": "topology.galaxy",
-                                                   "values": [1]}]})
+def test_unknown_axis_param_rejected(tmp_path):
+    spec = sweep_spec([{"param": "topology.galaxy", "values": [1]}])
+    with pytest.raises(ConfigError, match="sweep cell 0 .*galaxy"):
+        run_sweep(spec, tmp_path / "s")
+    assert not (tmp_path / "s").exists()
 
 
 def test_parallel_sweep_matches_serial(tmp_path):
     spec = sweep_spec([{"param": "topology.brokers", "values": [3, 4]},
                        {"param": "replica", "values": [0, 1]}])
-    serial = run_sweep(spec, tmp_path / "ser", keep_cell_artifacts=False)
-    parallel = run_sweep(spec, tmp_path / "par", workers=2,
-                         keep_cell_artifacts=False)
+    serial = run_sweep(spec, tmp_path / "ser")
+    parallel = run_sweep(spec, tmp_path / "par", workers=2)
     assert serial == parallel
     assert (tmp_path / "ser" / "cells.csv").read_bytes() == \
         (tmp_path / "par" / "cells.csv").read_bytes()
