@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .endorser import EndorsementPolicy, endorse, policy_satisfied
 from .engine import Message, MessageKind, Node, NodeClass
 from .ledger import Block, Ledger, Version
-from .ordering import BlockMsg, block_bytes
+from .ordering import block_bytes
 from .smallbank import Proposal
 
 
@@ -97,14 +97,14 @@ class PeerBase(Node):
 
     def service_us(self, msg: Message) -> int:
         if msg.kind in (MessageKind.BLOCK_DELIVER, MessageKind.GOSSIP_BLOCK):
-            block = msg.body.block
+            block = msg.body
             if block.height == self.ledger.height + 1:
                 return len(block.txns) * self.svc.validate_per_txn
         return 0
 
     def handle(self, msg: Message) -> None:
         if msg.kind in (MessageKind.BLOCK_DELIVER, MessageKind.GOSSIP_BLOCK):
-            block = msg.body.block
+            block = msg.body
             if block.height <= self.ledger.height or block.height in self._buffered:
                 return  # duplicate
             if block.height == self.ledger.height + 1:
@@ -134,17 +134,14 @@ class BlockCommitted:
 
 
 class EndorsingPeer(PeerBase):
-    """Endorsing peer: authorizes and endorses proposals, then validates and
-    commits blocks like any peer; pushes committed blocks to its assigned
+    """Endorsing peer: endorses every proposal it receives, then validates
+    and commits blocks like any peer; pushes committed blocks to its assigned
     non-endorsing peers and commit notices to its home clients."""
 
-    def __init__(self, node_id, ledger, policy, service_cfg, sizes,
-                 authorized: set[str] | None = None):
+    def __init__(self, node_id, ledger, policy, service_cfg, sizes):
         super().__init__(node_id, ledger, policy, service_cfg, sizes)
-        self.authorized = authorized
         self.home_clients: list[str] = []
         self.gossip_targets: list[str] = []
-        self.endorse_refusals = 0
 
     def service_us(self, msg: Message) -> int:
         if msg.kind is MessageKind.PROPOSAL:
@@ -154,12 +151,8 @@ class EndorsingPeer(PeerBase):
     def handle(self, msg: Message) -> None:
         if msg.kind is MessageKind.PROPOSAL:
             proposal: Proposal = msg.body
-            result = endorse(proposal, self.ledger, self.id, self.authorized)
-            if result is None:
-                self.endorse_refusals += 1
-                return
             reply = Message(MessageKind.ENDORSEMENT, self.sizes.endorsement,
-                            result)
+                            endorse(proposal, self.ledger, self.id))
             self.engine.send(self.id, proposal.client, reply)
         else:
             super().handle(msg)
@@ -174,11 +167,10 @@ class EndorsingPeer(PeerBase):
                 self.engine.send(self.id, client,
                                  Message(MessageKind.COMMIT_NOTICE, size, body))
         if self.gossip_targets:
-            size = block_bytes(block, self.sizes)
+            out = Message(MessageKind.GOSSIP_BLOCK,
+                          block_bytes(block, self.sizes), block)
             for target in self.gossip_targets:
-                self.engine.send(self.id, target,
-                                 Message(MessageKind.GOSSIP_BLOCK, size,
-                                         BlockMsg(block)))
+                self.engine.send(self.id, target, out)
 
 
 class NonEndorsingPeer(PeerBase):

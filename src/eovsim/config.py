@@ -113,25 +113,20 @@ class ExperimentConfig:
         self.orderers = _as_int(raw, "topology.orderers", 1)
         self.brokers = _as_int(raw, "topology.brokers", 1)
         self.non_endorsing = _as_int(raw, "topology.non_endorsing", 0)
-        self.zookeepers = _as_int(raw, "topology.zookeepers", 0)
 
-        total = raw["rate"]["total_tps"]
-        per_client = raw["rate"]["per_client_tps"]
-        _require((total is None) != (per_client is None),
+        rate = raw["rate"]
+        _require((rate["total_tps"] is None) != (rate["per_client_tps"] is None),
                  "exactly one of rate.total_tps / rate.per_client_tps required")
-        if per_client is None:
-            _require(isinstance(total, (int, float)) and total > 0,
-                     "field 'rate.total_tps' must be > 0")
-            self.per_client_tps = float(total) / self.clients
+        if rate["per_client_tps"] is None:
+            total = _as_number(raw, "rate.total_tps", 0, strict=True)
+            self.per_client_tps = total / self.clients
         else:
-            _require(isinstance(per_client, (int, float)) and per_client > 0,
-                     "field 'rate.per_client_tps' must be > 0")
-            self.per_client_tps = float(per_client)
+            self.per_client_tps = _as_number(raw, "rate.per_client_tps", 0,
+                                             strict=True)
         self.total_tps = self.per_client_tps * self.clients
-        cap = raw["rate"]["total_txns_per_client"]
-        _require(cap is None or (isinstance(cap, int) and cap >= 0),
-                 "field 'rate.total_txns_per_client' must be null or >= 0")
-        self.total_txns_per_client = cap
+        self.total_txns_per_client = (
+            None if rate["total_txns_per_client"] is None
+            else _as_int(raw, "rate.total_txns_per_client", 0))
 
         self.duration_us = int(_as_number(raw, "duration_s", 0, strict=True)
                                * US_PER_SECOND)
@@ -141,13 +136,18 @@ class ExperimentConfig:
         self.drain_limit_us = int(_as_number(raw, "drain_limit_s", 0.0)
                                   * US_PER_SECOND)
         self.seed = _as_int(raw, "seed")
-        self.replica = _as_int(raw, "replica", 0)
+        _as_int(raw, "replica", 0)  # a figure's repeat label; nothing reads it
 
         w = raw["workload"]
         mix = w["op_mix"]
         known = {k.value for k in OpKind}
         for name in mix:
             _require(name in known, f"unknown op {name!r} in workload.op_mix")
+        _require(w["access"]["kind"] in ("uniform", "hotspot"),
+                 "field 'workload.access.kind' must be 'uniform' or 'hotspot'")
+        for name in ("fraction_hot", "prob_hot"):
+            _require(_as_number(raw, f"workload.access.{name}", 0.0) <= 1.0,
+                     f"field 'workload.access.{name}' must be in [0, 1]")
         try:
             self.workload = WorkloadConfig(
                 n_accounts=_as_int(raw, "workload.n_accounts", 1),
@@ -160,10 +160,9 @@ class ExperimentConfig:
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"field 'workload': {exc}") from exc
 
-        threshold = raw["policy"]["threshold"]
-        if threshold is None:
-            threshold = self.peers
-        _require(isinstance(threshold, int) and 1 <= threshold <= self.peers,
+        threshold = (self.peers if raw["policy"]["threshold"] is None
+                     else _as_int(raw, "policy.threshold"))
+        _require(1 <= threshold <= self.peers,
                  "field 'policy.threshold' must be in 1..topology.peers")
         self.policy_threshold = threshold
 
@@ -177,10 +176,10 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"field 'cutter': {exc}") from exc
 
-        rf = raw["replication"]["replication_factor"]
-        if rf is None:
-            rf = max(1, self.brokers - 1)
-        _require(isinstance(rf, int) and 1 <= rf <= self.brokers,
+        rf = (max(1, self.brokers - 1)
+              if raw["replication"]["replication_factor"] is None
+              else _as_int(raw, "replication.replication_factor"))
+        _require(1 <= rf <= self.brokers,
                  "field 'replication.replication_factor' must be in 1..topology.brokers")
         self.replication_factor = rf
         insync = _as_int(raw, "replication.min_insync", 1)
@@ -190,10 +189,10 @@ class ExperimentConfig:
 
         lat = raw["latency"]
         base = dict(lat["base_us"])
-        default = base.pop("default", 1000)
         for key, value in base.items():
-            _require(isinstance(value, int) and value >= 0,
+            _require(type(value) is int and value >= 0,
                      f"field 'latency.base_us.{key}' must be an integer >= 0")
+        default = base.pop("default", 1000)
         jitter = _as_number(raw, "latency.jitter_fraction", 0.0)
         _require(jitter < 1.0, "field 'latency.jitter_fraction' must be in [0, 1)")
         try:

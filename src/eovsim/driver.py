@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .committer import BlockCommitted
 from .endorser import EndorsementPolicy, policy_satisfied
 from .engine import Message, MessageKind, Node, NodeClass, Timer, timer
-from .ordering import BroadcastAck, Envelope
+from .ordering import Envelope
 from .smallbank import Proposal
 
 
@@ -101,12 +101,10 @@ class ClientNode(Node):
             self._on_timer(msg.body)
         elif msg.kind is MessageKind.ENDORSEMENT:
             self._on_endorsement(msg.body)
+        elif msg.kind is MessageKind.BROADCAST_ACK:
+            self._on_broadcast_ack(msg.body)
         elif msg.kind is MessageKind.COMMIT_NOTICE:
-            body = msg.body
-            if isinstance(body, BroadcastAck):
-                self._on_broadcast_ack(body.txn_id)
-            elif isinstance(body, BlockCommitted):
-                self._on_block_committed(body)
+            self._on_block_committed(msg.body)
 
     def _on_timer(self, t: Timer) -> None:
         if t.tag == "submit":

@@ -20,7 +20,6 @@ class Endorsement:
     peer: str
     read_set: ReadSet
     write_set: WriteSet
-    response: int | None
 
     def payload_key(self):
         return (self.read_set.key(), self.write_set.key())
@@ -68,17 +67,14 @@ def policy_satisfied(policy: EndorsementPolicy,
     return True, best
 
 
-def endorse(proposal: Proposal, ledger, peer_id: str,
-            authorized: set[str] | None = None) -> Endorsement | None:
-    """Produce an endorsement from the peer's committed state, or refuse.
+def endorse(proposal: Proposal, ledger, peer_id: str) -> Endorsement:
+    """Execute the proposal against the peer's committed state; the
+    endorsement is its read and write sets, stamped with the peer's identity.
 
-    authorized=None means every client identity is authorized. A refusal
-    (unauthorized client) returns None; it is counted by the caller, never
-    fatal.
+    Every client's proposal is endorsed: there is no authorization. The
+    contract's response value is dropped, as nothing after endorsement
+    reads it.
     """
-    if authorized is not None and proposal.client not in authorized:
-        return None
-    read_set, write_set, response = execute(proposal.op, ledger)
+    read_set, write_set, _response = execute(proposal.op, ledger)
     return Endorsement(txn_id=proposal.txn_id, peer=peer_id,
-                       read_set=read_set, write_set=write_set,
-                       response=response)
+                       read_set=read_set, write_set=write_set)

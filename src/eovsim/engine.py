@@ -60,6 +60,7 @@ class MessageKind(enum.Enum):
     BLOCK_DELIVER = "BlockDeliver"
     GOSSIP_BLOCK = "GossipBlock"
     COMMIT_NOTICE = "CommitNotice"
+    BROADCAST_ACK = "BcastAck"
     TIMER_FIRE = "TimerFire"
 
 

@@ -93,7 +93,6 @@ class Ledger:
         self.flags: list[list] = []  # validity flags per block, same order
         self.tip_hash = GENESIS_PREV_HASH
         self._state: dict[str, tuple[int, Version]] = {}
-        self._digest_acc = 0  # XOR fold of per-entry hashes, updated in place
 
     @property
     def height(self) -> int:
@@ -124,21 +123,24 @@ class Ledger:
         other.flags = [list(f) for f in self.flags]
         other.tip_hash = self.tip_hash
         other._state = dict(self._state)
-        other._digest_acc = self._digest_acc
         return other
 
     def apply_write_set(self, ws: WriteSet, at: Version) -> None:
         for key, value in ws.writes:
-            old = self._state.get(key)
-            if old is not None:
-                self._digest_acc ^= _entry_hash(key, old)
-            entry = (value, at)
-            self._state[key] = entry
-            self._digest_acc ^= _entry_hash(key, entry)
+            self._state[key] = (value, at)
 
     def state_digest(self) -> str:
-        """Order-independent fold over entries; equal maps give equal digests."""
-        return f"{self._digest_acc:032x}"
+        """Order-independent fold over all entries, taken on each call; equal
+        maps give equal digests."""
+        acc = 0
+        for key, entry in self._state.items():
+            acc ^= _entry_hash(key, entry)
+        return f"{acc:032x}"
+
+    def agrees_with(self, other: "Ledger") -> bool:
+        """Same chain, the same flag for every txn, and the same world state."""
+        return (self.tip_hash == other.tip_hash and self.flags == other.flags
+                and self._state == other._state)
 
     def state_items(self) -> Iterator[tuple[str, tuple[int, Version]]]:
         return iter(self._state.items())

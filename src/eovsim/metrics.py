@@ -46,7 +46,6 @@ class RunReport:
     enqueue_successes_final: int
     refusals: int
     r_ratio_final: float | None
-    endorse_refusals: int
     blocks: int
     mean_block_fill: float | None
     cut_reasons: dict

@@ -34,7 +34,8 @@ class Envelope:
     policy_memo: bool | None = None
 
 
-# message bodies -----------------------------------------------------------
+# Message bodies. A body that is one value (a Block, a log offset, a txn
+# id) travels as that value, unwrapped.
 
 @dataclass(slots=True)
 class LogRecord:
@@ -43,29 +44,9 @@ class LogRecord:
 
 
 @dataclass(slots=True)
-class ReplicaCopy:
-    offset: int
-
-
-@dataclass(slots=True)
-class LogAck:
-    offset: int
-
-
-@dataclass(slots=True)
 class RecordCommitted:
     txn_id: str
     orderer: str
-
-
-@dataclass(slots=True)
-class BroadcastAck:
-    txn_id: str
-
-
-@dataclass(slots=True)
-class BlockMsg:
-    block: Block
 
 
 @dataclass
@@ -187,14 +168,13 @@ class OrdererNode(Node):
                     self.enqueue_successes += 1
                     if self.engine.now < self.window_end:
                         self.window_successes += 1
-                    ack = Message(MessageKind.COMMIT_NOTICE, self.sizes.notice,
-                                  BroadcastAck(body.txn_id))
+                    ack = Message(MessageKind.BROADCAST_ACK, self.sizes.notice,
+                                  body.txn_id)
                     self.engine.send(self.id, client, ack)
         elif msg.kind is MessageKind.BLOCK_DELIVER:
-            block = msg.body.block
-            size = block_bytes(block, self.sizes)
+            out = Message(MessageKind.BLOCK_DELIVER,
+                          block_bytes(msg.body, self.sizes), msg.body)
             for i, peer in enumerate(self.endorsing_peers):
-                out = Message(MessageKind.BLOCK_DELIVER, size, BlockMsg(block))
                 self.engine.send(self.id, peer, out,
                                  extra_delay_us=i * self.svc.orderer_deliver_stagger)
 
@@ -274,13 +254,12 @@ class BrokerNode(Node):
         self.copies_held.append(1)
         copy_size = record.envelope.size_bytes + self.sizes.log_overhead
         for follower in self.followers:
-            copy = Message(MessageKind.LOG_APPEND, copy_size,
-                           ReplicaCopy(offset))
+            copy = Message(MessageKind.LOG_APPEND, copy_size, offset)
             self.engine.send(self.id, follower, copy)
         self._advance_commit()
 
-    def _on_ack(self, ack: LogAck) -> None:
-        self.copies_held[ack.offset] += 1
+    def _on_ack(self, offset: int) -> None:
+        self.copies_held[offset] += 1
         self._advance_commit()
 
     def _advance_commit(self) -> None:
@@ -308,12 +287,12 @@ class BrokerNode(Node):
     def _emit_block(self, block: Block) -> None:
         designated = self.orderers[block.height % len(self.orderers)]
         out = Message(MessageKind.BLOCK_DELIVER, block_bytes(block, self.sizes),
-                      BlockMsg(block))
+                      block)
         self.engine.send(self.id, designated, out)
 
     # -- follower ----------------------------------------------------------
 
-    def _follower_append(self, copy: ReplicaCopy) -> None:
+    def _follower_append(self, offset: int) -> None:
         self.engine.send(self.id, self.leader,
                          Message(MessageKind.LOG_ACK, self.sizes.log_ack,
-                                 LogAck(copy.offset)))
+                                 offset))

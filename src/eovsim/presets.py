@@ -23,7 +23,6 @@ PAPER_LIKE = {
         "orderers": 4,
         "brokers": 4,
         "non_endorsing": 0,
-        "zookeepers": 3,
     },
     "rate": {
         "total_tps": 300.0,

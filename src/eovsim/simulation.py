@@ -9,7 +9,8 @@ peers fork the base ledger. collect_report builds the RunReport in one
 place: chain, flag and state figures from the observer peer's (peer000)
 ledger, whose flags from height 1 on give valid_txns, policy_violations and
 mvcc_conflicts; journey figures from metrics.aggregate; counters from the
-nodes. Peers agree when their chains, per-txn flags and states are equal.
+nodes. Peers agree when their chains, per-txn flags and world states are
+equal to the observer's, compared exactly.
 Clients spray envelopes over orderers round-robin by submission index and
 observe commits through their round-robin home peer. Each orderer counts the
 enqueue attempts and successes it handles before the window end; there is no
@@ -149,10 +150,6 @@ def collect_report(sim: Simulation, trace: TraceSummary,
                    journeys: list[TxnJourney]) -> RunReport:
     cfg = sim.config
     peers = sim.all_peers()
-    # Peers agree when they hold the same chain, the same flag for every
-    # txn, and the same world state.
-    views = [(p.ledger.height, p.ledger.tip_hash, p.ledger.state_digest(),
-              p.ledger.flags) for p in peers]
     ledger = peers[0].ledger  # the observer peer's
     workload_blocks = ledger.blocks[1:]  # exclude genesis
     flag_totals = Counter(flag for block_flags in ledger.flags[1:]
@@ -193,7 +190,6 @@ def collect_report(sim: Simulation, trace: TraceSummary,
         refusals=sum(o.refusals for o in sim.orderers),
         r_ratio_final=(attempts_final / successes_final
                        if successes_final else None),
-        endorse_refusals=sum(p.endorse_refusals for p in sim.endorsing),
         blocks=len(workload_blocks),
         mean_block_fill=sum(fills) / len(fills) if fills else None,
         cut_reasons=reasons,
@@ -203,7 +199,7 @@ def collect_report(sim: Simulation, trace: TraceSummary,
         final_height=ledger.height,
         tip_hash=ledger.tip_hash,
         state_digest=ledger.state_digest(),
-        all_peers_agree=all(view == views[0] for view in views),
+        all_peers_agree=all(p.ledger.agrees_with(ledger) for p in peers[1:]),
         total_balance=total_balance(ledger.state_items()),
         events_dispatched=trace.events_dispatched,
         dispatch_digest=trace.dispatch_digest,

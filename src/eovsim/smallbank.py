@@ -206,8 +206,8 @@ def _pick_account(rng: random.Random, cfg: WorkloadConfig) -> int:
     return rng.randrange(cfg.n_accounts)
 
 
-def generate(cfg: WorkloadConfig, count: int, client: str = "",
-             start_index: int = 0) -> list[Proposal]:
+def generate(cfg: WorkloadConfig, count: int,
+             client: str = "") -> list[Proposal]:
     """Deterministic proposal stream; op frequencies converge to op_mix."""
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -226,7 +226,7 @@ def generate(cfg: WorkloadConfig, count: int, client: str = "",
         else:
             accounts = (a,)
         amount = rng.randint(1, cfg.max_amount) if kind in AMOUNT_OPS else None
-        txn_id = f"{client or 'txn'}-{start_index + i:06d}"
+        txn_id = f"{client or 'txn'}-{i:06d}"
         out.append(Proposal(txn_id=txn_id, client=client,
                             op=SmallbankOp(kind, accounts, amount)))
     return out

@@ -182,7 +182,7 @@ def test_c02_mvcc_serial_oracle_equivalence():
                       for _ in range(rng.randint(0, 2))]
             stamp = ("p0", "p1") if rng.random() > 0.05 else ("p0",)
             rs, ws = ReadSet(reads), WriteSet(writes)
-            ends = tuple(Endorsement(f"t{height}.{i}", p, rs, ws, 0)
+            ends = tuple(Endorsement(f"t{height}.{i}", p, rs, ws)
                          for p in stamp)
             txns.append(Envelope(f"t{height}.{i}", ends, rs, ws, "c", 64))
         block = Block(height, prev, txns, CutReason.COUNT_THRESHOLD, height)

@@ -1,10 +1,14 @@
 """The benchmark's traced cell measures layers by span name: a function or
 method of eovsim that the tracer wraps. A renamed or deleted target would
 read as zero, not fail, so every name the benchmark measures must resolve
-to a public callable of the package."""
+to a public callable of the package. A tally is called with the positional
+arguments of each call it counts, so a target whose signature changed would
+crash the traced cell; each tally must take the same positional parameters
+as its target."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -29,8 +33,8 @@ def measured_span_names():
     return sorted(set(names))
 
 
-@pytest.mark.parametrize("span", measured_span_names())
-def test_measured_span_names_a_public_callable(span):
+def resolve(span):
+    """The callable a span name wraps, asserting that the tracer wraps it."""
     # The tracer wraps the public functions and classes a module defines,
     # and the public members a class body defines itself: an inherited
     # method is not wrapped under the subclass's name.
@@ -45,3 +49,24 @@ def test_measured_span_names_a_public_callable(span):
         if isinstance(target, property):
             target = target.fget
     assert callable(target), f"{span}: no such function or method"
+    return target
+
+
+def positional_shape(fn):
+    """Whether each positional parameter is required, in order; names may
+    differ between a tally and its target."""
+    params = inspect.signature(fn).parameters.values()
+    return [p.default is p.empty for p in params
+            if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+
+
+@pytest.mark.parametrize("span", measured_span_names())
+def test_measured_span_names_a_public_callable(span):
+    resolve(span)
+
+
+@pytest.mark.parametrize("metric", sorted(load_cell()._tallies(engine)))
+def test_tally_takes_the_positional_parameters_of_its_target(metric):
+    span, count = load_cell()._tallies(engine)[metric]
+    assert positional_shape(count) == positional_shape(resolve(span)), \
+        f"{metric}: tally and {span} take different positional parameters"

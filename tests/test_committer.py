@@ -12,7 +12,7 @@ from eovsim.endorser import Endorsement, EndorsementPolicy
 from eovsim.engine import Engine, LatencyModel, Message, MessageKind
 from eovsim.ledger import (Block, CutReason, GENESIS_PREV_HASH, Ledger,
                            ReadSet, WriteSet, hash_block)
-from eovsim.ordering import BlockMsg, Envelope
+from eovsim.ordering import Envelope
 
 POLICY = EndorsementPolicy(("p0", "p1"), 2)
 
@@ -21,8 +21,8 @@ def mk_env(txn_id, reads, writes, peers=("p0", "p1")):
     """Envelope whose endorsements trivially satisfy POLICY (or not)."""
     rs, ws = ReadSet(list(reads)), WriteSet(list(writes))
     endorsements = tuple(
-        Endorsement(txn_id=txn_id, peer=p, read_set=rs, write_set=ws,
-                    response=0) for p in peers)
+        Endorsement(txn_id=txn_id, peer=p, read_set=rs, write_set=ws)
+        for p in peers)
     return Envelope(txn_id=txn_id, endorsements=endorsements,
                     read_set=rs, write_set=ws, client="c", size_bytes=64)
 
@@ -229,8 +229,8 @@ def chain_blocks(count, txns_per_block=3):
 
 
 def deliver_block(engine, target, block, at):
-    engine.schedule(target, Message(MessageKind.BLOCK_DELIVER, 1000,
-                                    BlockMsg(block)), at)
+    engine.schedule(target, Message(MessageKind.BLOCK_DELIVER, 1000, block),
+                    at)
 
 
 def test_gossip_zero_targets_sends_nothing():
@@ -315,8 +315,10 @@ def test_flags_recorded_per_txn_in_peer_ledger():
                                     ValidationFlag.POLICY_VIOLATION]]
 
 
-def test_agreement_compares_every_txn_flag_not_totals():
-    from eovsim.simulation import collect_report, run_simulation
+def contended_run():
+    """A short real run on four hot accounts: it commits Valid and
+    MVCCConflict txns, and every peer agrees."""
+    from eovsim.simulation import run_simulation
     cfg = ExperimentConfig.from_dict({
         "duration_s": 2.0, "rate": {"total_tps": 100.0},
         "workload": {"n_accounts": 4,
@@ -325,6 +327,12 @@ def test_agreement_compares_every_txn_flag_not_totals():
                                 "prob_hot": 0.9}}})
     result = run_simulation(cfg)
     assert result.report.all_peers_agree
+    return result
+
+
+def test_agreement_compares_every_txn_flag_not_totals():
+    from eovsim.simulation import collect_report
+    result = contended_run()
     # swap one Valid and one MVCCConflict flag in one peer: its flag totals,
     # chain and state are unchanged, but two txns now disagree
     flags = result.sim.all_peers()[1].ledger.flags
@@ -336,3 +344,19 @@ def test_agreement_compares_every_txn_flag_not_totals():
     report = collect_report(result.sim, result.trace, result.journeys)
     assert report.valid_txns == result.report.valid_txns
     assert report.all_peers_agree is False
+
+
+def test_agreement_compares_world_state_values():
+    from eovsim.simulation import collect_report
+    result = contended_run()
+    peers = result.sim.all_peers()
+    observer, other = peers[0].ledger, peers[2].ledger
+    # one different value under an unchanged version: chains and flags stay
+    # equal, only the world state differs
+    value, version = other.read_state("cust/0/checking")
+    other.apply_write_set(WriteSet([("cust/0/checking", value + 1)]), version)
+    assert other.tip_hash == observer.tip_hash
+    assert other.flags == observer.flags
+    report = collect_report(result.sim, result.trace, result.journeys)
+    assert report.all_peers_agree is False
+    assert report.state_digest == result.report.state_digest

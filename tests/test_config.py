@@ -24,6 +24,8 @@ def test_unknown_field_is_named():
         ExperimentConfig.from_dict({"topology": {"bogus": 1}})
     with pytest.raises(ConfigError, match="nonsense"):
         ExperimentConfig.from_dict({"nonsense": True})
+    with pytest.raises(ConfigError, match="topology.zookeepers"):
+        ExperimentConfig.from_dict({"topology": {"zookeepers": 3}})
 
 
 @pytest.mark.parametrize("overrides,needle", [
@@ -41,6 +43,22 @@ def test_unknown_field_is_named():
     ({"workload": {"op_mix": {"mystery_op": 1.0}}}, "mystery_op"),
     ({"latency": {"base_us": {"client-peers": 5}}}, "latency.base_us.client-peers"),
     ({"latency": {"base_us": {"monitor-peer": 7}}}, "latency.base_us.monitor-peer"),
+    ({"rate": {"total_tps": True}}, "rate.total_tps"),
+    ({"rate": {"total_tps": None, "per_client_tps": True}},
+     "rate.per_client_tps"),
+    ({"rate": {"total_txns_per_client": True}}, "rate.total_txns_per_client"),
+    ({"policy": {"threshold": True}}, "policy.threshold"),
+    ({"replication": {"replication_factor": True}}, "replication_factor"),
+    ({"latency": {"base_us": {"default": -5}}}, "latency.base_us.default"),
+    ({"latency": {"base_us": {"default": "x"}}}, "latency.base_us.default"),
+    ({"latency": {"base_us": {"default": 1.5}}}, "latency.base_us.default"),
+    ({"workload": {"access": {"kind": "zipf"}}}, "workload.access.kind"),
+    ({"workload": {"access": {"fraction_hot": -3}}},
+     "workload.access.fraction_hot"),
+    ({"workload": {"access": {"fraction_hot": 1.5}}},
+     "workload.access.fraction_hot"),
+    ({"workload": {"access": {"prob_hot": "x"}}}, "workload.access.prob_hot"),
+    ({"workload": {"access": {"prob_hot": True}}}, "workload.access.prob_hot"),
 ])
 def test_invalid_values_name_their_field(overrides, needle):
     with pytest.raises(ConfigError, match=needle):
@@ -76,7 +94,7 @@ def test_resolved_echo_contains_inputs_and_derivations():
     cfg = ExperimentConfig.from_dict({"seed": 7})
     echo = cfg.resolved()
     assert echo["seed"] == 7
-    assert echo["topology"]["zookeepers"] == 3
+    assert echo["topology"]["peers"] == 4
     assert echo["resolved"]["policy_threshold"] == 4
     assert echo["resolved"]["total_tps"] == 300.0
 

@@ -8,7 +8,6 @@ from eovsim.endorser import Endorsement, EndorsementPolicy
 from eovsim.engine import (Engine, LatencyModel, Message, MessageKind, Node,
                            NodeClass)
 from eovsim.ledger import ReadSet, WriteSet
-from eovsim.ordering import BroadcastAck
 from eovsim.simulation import run_simulation
 from eovsim.smallbank import OpKind, Proposal, SmallbankOp
 
@@ -89,7 +88,7 @@ def wire_client(n_peers=3, threshold=None, rate=10.0, duration_us=200_000,
 def feed_endorsement(engine, client, txn_id, peer, payload=0, delay=0):
     e = Endorsement(txn_id=txn_id, peer=peer,
                     read_set=ReadSet([("k", (0, payload))]),
-                    write_set=WriteSet(), response=payload)
+                    write_set=WriteSet())
     engine.schedule(client.id, Message(MessageKind.ENDORSEMENT, 64, e), delay)
 
 
@@ -180,8 +179,8 @@ def test_ack_then_commit_notice_completes_journey():
     txn = client.proposals[0].txn_id
     for peer in ("peer000", "peer001", "peer002"):
         feed_endorsement(engine, client, txn, peer, delay=1000)
-    engine.schedule(client.id, Message(MessageKind.COMMIT_NOTICE, 64,
-                                       BroadcastAck(txn)), 5000)
+    engine.schedule(client.id, Message(MessageKind.BROADCAST_ACK, 64, txn),
+                    5000)
     engine.schedule(client.id,
                     Message(MessageKind.COMMIT_NOTICE, 64,
                             BlockCommitted(1, 9000, ((txn, True),))), 12_000)
@@ -201,8 +200,8 @@ def test_commit_notice_before_ack_is_stashed():
     engine.schedule(client.id,
                     Message(MessageKind.COMMIT_NOTICE, 64,
                             BlockCommitted(1, 4000, ((txn, False),))), 5000)
-    engine.schedule(client.id, Message(MessageKind.COMMIT_NOTICE, 64,
-                                       BroadcastAck(txn)), 8000)
+    engine.schedule(client.id, Message(MessageKind.BROADCAST_ACK, 64, txn),
+                    8000)
     engine.run_until_quiescent()
     journey = client.journeys[txn]
     assert journey.status is JourneyStatus.INVALID_COMMITTED

@@ -10,7 +10,7 @@ from eovsim.engine import (Engine, LatencyModel, Message, MessageKind, Node,
 from eovsim.ledger import CutReason, GENESIS_PREV_HASH, ReadSet, WriteSet
 from eovsim.ordering import (BlockCutter, BlockCutterConfig, BrokerNode,
                              Envelope, OrdererNode, RecordCommitted,
-                             BroadcastAck, BlockMsg, block_bytes)
+                             block_bytes)
 
 CUT_CFG = BlockCutterConfig(max_txn_count=100, timeout_us=2_000_000,
                             max_block_bytes=10 * 1024 * 1024)
@@ -157,8 +157,8 @@ def test_single_envelope_acked_counters_balanced():
     assert orderer.enqueue_successes == 1
     assert orderer.refusals == 0
     client = nodes["client000"]
-    acks = [m for _, m in client.got if isinstance(m.body, BroadcastAck)]
-    assert len(acks) == 1 and acks[0].body.txn_id == "t0"
+    acks = [m for _, m in client.got if m.kind is MessageKind.BROADCAST_ACK]
+    assert len(acks) == 1 and acks[0].body == "t0"
 
 
 def test_queue_capacity_one_refuses_second_simultaneous_envelope():
@@ -241,7 +241,7 @@ def test_commit_order_is_offset_order_even_with_jitter():
     engine.run_until_quiescent()
     leader = nodes[leader_id]
     assert leader.committed_count == 30
-    blocks = sorted((m.body.block for _, m in nodes["peer000"].got
+    blocks = sorted((m.body for _, m in nodes["peer000"].got
                      if m.kind is MessageKind.BLOCK_DELIVER),
                     key=lambda b: b.height)
     assert [b.height for b in blocks] == [1, 2, 3, 4, 5]
@@ -280,7 +280,7 @@ def test_block_fanout_one_message_per_peer():
         blocks = [m for _, m in nodes[pid].got
                   if m.kind is MessageKind.BLOCK_DELIVER]
         assert len(blocks) == 1
-        assert len(blocks[0].body.block.txns) == 3
+        assert len(blocks[0].body.txns) == 3
 
 
 def test_peers_receive_consecutive_blocks_in_height_order():
@@ -290,7 +290,7 @@ def test_peers_receive_consecutive_blocks_in_height_order():
         inject_envelope(engine, oid, mk_envelope(f"t{i}"), at=i * 2000)
     engine.run_until_quiescent()
     for pid in ("peer000", "peer001", "peer002"):
-        heights = [m.body.block.height for _, m in nodes[pid].got
+        heights = [m.body.height for _, m in nodes[pid].got
                    if m.kind is MessageKind.BLOCK_DELIVER]
         assert heights == [1, 2, 3, 4]
 
@@ -346,6 +346,6 @@ def test_designated_orderer_rotates_by_height():
     leader = nodes[leader_id]
     assert leader.cutter.next_height == 5
     # every block reached the single peer exactly once regardless of route
-    heights = [m.body.block.height for _, m in nodes["peer000"].got
+    heights = [m.body.height for _, m in nodes["peer000"].got
                if m.kind is MessageKind.BLOCK_DELIVER]
     assert sorted(heights) == [1, 2, 3, 4]
