@@ -128,7 +128,6 @@ class PeerBase(Node):
 class BlockCommitted:
     """Peer -> client commit notice: which txns landed, and whether valid."""
 
-    height: int
     committed_at: int
     txn_flags: tuple  # (txn_id, valid: bool) pairs
 
@@ -162,7 +161,7 @@ class EndorsingPeer(PeerBase):
             txn_flags = tuple((txn_id, flag is ValidationFlag.VALID)
                               for txn_id, flag in zip(block.txn_ids(), flags))
             size = self.sizes.notice + self.sizes.block_txn_summary * len(flags)
-            body = BlockCommitted(block.height, self.engine.now, txn_flags)
+            body = BlockCommitted(self.engine.now, txn_flags)
             for client in self.home_clients:
                 self.engine.send(self.id, client,
                                  Message(MessageKind.COMMIT_NOTICE, size, body))

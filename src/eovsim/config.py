@@ -1,20 +1,21 @@
 """Experiment configuration: schema, validation, and resolution.
 
 A config file is a single JSON document; any field left out takes its value
-from the PAPER_LIKE profile. Validation errors always name the offending
-field with its dotted path.
+from the PAPER_LIKE profile. Every input rule is checked once, here, and its
+error names the field's dotted path; the model records trust their values.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass
 
 from . import presets
-from .engine import US_PER_SECOND, LatencyKeyError, LatencyModel, NodeClass
+from .engine import US_PER_SECOND, LatencyModel, NodeClass
 from .ordering import BlockCutterConfig
-from .smallbank import AccessPattern, OpKind, WorkloadConfig
+from .smallbank import TWO_ACCOUNT_OPS, AccessPattern, OpKind, WorkloadConfig
 
 
 class ConfigError(Exception):
@@ -52,13 +53,12 @@ def _deep_merge(base: dict, overrides: dict, path: str = "") -> dict:
         here = f"{path}.{key}" if path else key
         if key not in base and not _is_open_dict(path):
             raise ConfigError(f"unknown field {here!r}")
-        if here == "workload.op_mix":
-            # A mix is a complete distribution; partial edits make no sense.
-            out[key] = copy.deepcopy(value)
-        elif isinstance(base.get(key), dict):
+        if isinstance(base.get(key), dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"field {here!r} must be an object")
-            out[key] = _deep_merge(base[key], value, here)
+            # A mix is a complete distribution; partial edits make no sense.
+            out[key] = (copy.deepcopy(value) if here == "workload.op_mix"
+                        else _deep_merge(base[key], value, here))
         else:
             out[key] = copy.deepcopy(value)
     return out
@@ -86,14 +86,23 @@ def _as_int(raw: dict, path: str, minimum: int | None = None) -> int:
 def _as_number(raw: dict, path: str, minimum: float | None = None,
                strict: bool = False) -> float:
     value = _lookup(raw, path)
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             f"field {path!r} must be a number, got {value!r}")
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
+             and -math.inf < value < math.inf,
+             f"field {path!r} must be a finite number, got {value!r}")
     if minimum is not None:
         if strict:
             _require(value > minimum, f"field {path!r} must be > {minimum}")
         else:
             _require(value >= minimum, f"field {path!r} must be >= {minimum}")
     return float(value)
+
+
+def _as_us(raw: dict, path: str, minimum: int) -> int:
+    """A seconds field as whole microseconds, refused below minimum us."""
+    us = int(_as_number(raw, path, 0.0) * US_PER_SECOND)
+    _require(us >= minimum,
+             f"field {path!r} must be >= {minimum / US_PER_SECOND} s")
+    return us
 
 
 def _lookup(raw: dict, path: str):
@@ -128,13 +137,11 @@ class ExperimentConfig:
             None if rate["total_txns_per_client"] is None
             else _as_int(raw, "rate.total_txns_per_client", 0))
 
-        self.duration_us = int(_as_number(raw, "duration_s", 0, strict=True)
-                               * US_PER_SECOND)
+        self.duration_us = _as_us(raw, "duration_s", 1)
         warmup = _as_number(raw, "warmup_fraction", 0.0)
         _require(warmup < 1.0, "field 'warmup_fraction' must be in [0, 1)")
         self.warmup_us = int(self.duration_us * warmup)
-        self.drain_limit_us = int(_as_number(raw, "drain_limit_s", 0.0)
-                                  * US_PER_SECOND)
+        self.drain_limit_us = _as_us(raw, "drain_limit_s", 0)
         self.seed = _as_int(raw, "seed")
         _as_int(raw, "replica", 0)  # a figure's repeat label; nothing reads it
 
@@ -143,22 +150,27 @@ class ExperimentConfig:
         known = {k.value for k in OpKind}
         for name in mix:
             _require(name in known, f"unknown op {name!r} in workload.op_mix")
+            _require(_as_number(raw, f"workload.op_mix.{name}", 0.0) <= 1.0,
+                     f"field 'workload.op_mix.{name}' must be in [0, 1]")
+        total = sum(mix.values())
+        _require(abs(total - 1.0) <= 1e-9,
+                 f"field 'workload.op_mix' must sum to 1, got {total}")
+        # send_payment and amalgamate draw two distinct accounts.
+        two_accounts = any(mix.get(op.value, 0) > 0 for op in TWO_ACCOUNT_OPS)
         _require(w["access"]["kind"] in ("uniform", "hotspot"),
                  "field 'workload.access.kind' must be 'uniform' or 'hotspot'")
         for name in ("fraction_hot", "prob_hot"):
             _require(_as_number(raw, f"workload.access.{name}", 0.0) <= 1.0,
                      f"field 'workload.access.{name}' must be in [0, 1]")
-        try:
-            self.workload = WorkloadConfig(
-                n_accounts=_as_int(raw, "workload.n_accounts", 1),
-                op_mix=dict(mix),
-                access=AccessPattern(**w["access"]),
-                seed=self.seed,
-                max_amount=_as_int(raw, "workload.max_amount", 1),
-                initial_balance=_as_int(raw, "workload.initial_balance", 0),
-            )
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"field 'workload': {exc}") from exc
+        self.workload = WorkloadConfig(
+            n_accounts=_as_int(raw, "workload.n_accounts",
+                               2 if two_accounts else 1),
+            op_mix=dict(mix),
+            access=AccessPattern(**w["access"]),
+            seed=self.seed,
+            max_amount=_as_int(raw, "workload.max_amount", 1),
+            initial_balance=_as_int(raw, "workload.initial_balance", 0),
+        )
 
         threshold = (self.peers if raw["policy"]["threshold"] is None
                      else _as_int(raw, "policy.threshold"))
@@ -166,15 +178,11 @@ class ExperimentConfig:
                  "field 'policy.threshold' must be in 1..topology.peers")
         self.policy_threshold = threshold
 
-        try:
-            self.cutter = BlockCutterConfig(
-                max_txn_count=_as_int(raw, "cutter.max_txn_count", 1),
-                timeout_us=int(_as_number(raw, "cutter.timeout_s", 0, strict=True)
-                               * US_PER_SECOND),
-                max_block_bytes=_as_int(raw, "cutter.max_block_bytes", 1),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"field 'cutter': {exc}") from exc
+        self.cutter = BlockCutterConfig(
+            max_txn_count=_as_int(raw, "cutter.max_txn_count", 1),
+            timeout_us=_as_us(raw, "cutter.timeout_s", 1),
+            max_block_bytes=_as_int(raw, "cutter.max_block_bytes", 1),
+        )
 
         rf = (max(1, self.brokers - 1)
               if raw["replication"]["replication_factor"] is None
@@ -187,36 +195,35 @@ class ExperimentConfig:
                  "field 'replication.min_insync' must be <= replication_factor")
         self.min_insync = insync
 
-        lat = raw["latency"]
-        base = dict(lat["base_us"])
-        for key, value in base.items():
+        classes = {c.value: c for c in NodeClass}
+        base = {}  # (src class, dst class) -> us, both orders
+        for key, value in raw["latency"]["base_us"].items():
             _require(type(value) is int and value >= 0,
                      f"field 'latency.base_us.{key}' must be an integer >= 0")
-        default = base.pop("default", 1000)
+            if key == "default":
+                continue
+            names = key.split("-")
+            _require(len(names) == 2 and all(n in classes for n in names),
+                     f"field 'latency.base_us.{key}': keys pair two of "
+                     f"{', '.join(classes)}, like 'client-peer'")
+            a, b = classes[names[0]], classes[names[1]]
+            base[(a, b)] = base[(b, a)] = value
         jitter = _as_number(raw, "latency.jitter_fraction", 0.0)
         _require(jitter < 1.0, "field 'latency.jitter_fraction' must be in [0, 1)")
-        try:
-            self.latency = LatencyModel(
-                base_us=base,
-                default_us=default,
-                per_byte_ns=_as_int(raw, "latency.per_byte_ns", 0),
-                jitter_fraction=jitter,
-            )
-        except LatencyKeyError as exc:
-            classes = ", ".join(c.value for c in NodeClass)
-            raise ConfigError(
-                f"field 'latency.base_us.{exc.key}': keys pair two of "
-                f"{classes}, like 'client-peer'") from exc
+        self.latency = LatencyModel(
+            base_us=base,
+            default_us=raw["latency"]["base_us"]["default"],
+            per_byte_ns=_as_int(raw, "latency.per_byte_ns", 0),
+            jitter_fraction=jitter,
+        )
 
         svc = {k: _as_int(raw, f"service_us.{k}", 0) for k in raw["service_us"]}
         self.service = ServiceTimes(**svc)
         self.sizes = MessageSizes(**{k: _as_int(raw, f"sizes_bytes.{k}", 1)
                                      for k in raw["sizes_bytes"]})
 
-        self.endorse_timeout_us = int(
-            _as_number(raw, "timeouts.endorse_s", 0, strict=True) * US_PER_SECOND)
-        self.broadcast_timeout_us = int(
-            _as_number(raw, "timeouts.broadcast_s", 0, strict=True) * US_PER_SECOND)
+        self.endorse_timeout_us = _as_us(raw, "timeouts.endorse_s", 1)
+        self.broadcast_timeout_us = _as_us(raw, "timeouts.broadcast_s", 1)
         self.orderer_capacity = _as_int(raw, "queues.orderer_capacity", 1)
 
     # -- construction --------------------------------------------------------

@@ -27,13 +27,10 @@ class Endorsement:
 
 @dataclass(frozen=True)
 class EndorsementPolicy:
-    required: tuple[str, ...]  # sorted peer identities
-    threshold: int
+    """Who may endorse and how many must agree, checked by config.py."""
 
-    def __post_init__(self):
-        if not 1 <= self.threshold <= len(self.required):
-            raise ValueError("threshold must be in 1..len(required)")
-        object.__setattr__(self, "required", tuple(sorted(self.required)))
+    required: tuple[str, ...]  # endorsing peer identities
+    threshold: int
 
 
 def policy_satisfied(policy: EndorsementPolicy,

@@ -43,14 +43,6 @@ class UnknownTargetError(SimError):
     """Scheduling or sending to a node id that is not in the topology."""
 
 
-class LatencyKeyError(SimError):
-    """A latency base_us key that does not name two node classes."""
-
-    def __init__(self, key: str):
-        super().__init__(f"latency key {key!r} does not name two node classes")
-        self.key = key
-
-
 class MessageKind(enum.Enum):
     PROPOSAL = "Proposal"
     ENDORSEMENT = "Endorsement"
@@ -113,33 +105,19 @@ class NodeClass(enum.Enum):
 class LatencyModel:
     """Delivery delay = base(src class, dst class) + size * per_byte + jitter.
 
-    base_us maps unordered class-pair keys like "client-peer" to microseconds;
-    a key that does not name two NodeClass values raises LatencyKeyError, and
-    pairs not listed fall back to default_us. With jitter_fraction == 0 the
-    delay is a pure function of (classes, size).
+    base_us maps (src, dst) NodeClass pairs, both orders listed, to
+    microseconds; pairs not listed fall back to default_us. With
+    jitter_fraction == 0 the delay is a pure function of (classes, size).
+    The values are checked by config.py.
     """
 
-    base_us: dict = field(default_factory=dict)
+    base_us: dict[tuple[NodeClass, NodeClass], int] = field(default_factory=dict)
     default_us: int = 1000
     per_byte_ns: int = 0
     jitter_fraction: float = 0.0
 
-    def __post_init__(self):
-        if self.default_us < 0 or any(v < 0 for v in self.base_us.values()):
-            raise SimError("latencies must be non-negative")
-        if not 0.0 <= self.jitter_fraction < 1.0:
-            raise SimError("jitter_fraction must be in [0, 1)")
-        self._table: dict[tuple[NodeClass, NodeClass], int] = {}
-        for key, value in self.base_us.items():
-            try:
-                a, b = map(NodeClass, key.split("-"))
-            except ValueError:
-                raise LatencyKeyError(key) from None
-            self._table[(a, b)] = value
-            self._table[(b, a)] = value
-
     def base_for(self, src: NodeClass, dst: NodeClass) -> int:
-        return self._table.get((src, dst), self.default_us)
+        return self.base_us.get((src, dst), self.default_us)
 
     def delay_us(self, src: NodeClass, dst: NodeClass, size_bytes: int,
                  rng: random.Random) -> int:
@@ -235,8 +213,8 @@ class Engine:
         node.engine = self
         self.nodes[node.id] = node
 
-    def schedule(self, target: str, payload: Message, delay_us: int) -> int:
-        """Enqueue payload for target at now + delay_us; returns the event id."""
+    def schedule(self, target: str, payload: Message, delay_us: int) -> None:
+        """Enqueue payload for target at now + delay_us."""
         if delay_us < 0:
             raise SimError(f"negative delay {delay_us}")
         if target not in self.nodes:
@@ -244,14 +222,13 @@ class Engine:
         self._seq += 1
         heapq.heappush(self._heap, SimEvent(self.now + delay_us, self._seq,
                                             target, payload))
-        return self._seq
 
     def send(self, src: str, dst: str, msg: Message,
-             extra_delay_us: int = 0) -> int:
+             extra_delay_us: int = 0) -> None:
         """Deliver msg from src to dst under the latency model.
 
         The network is lossless; drops only ever appear as timeouts at the
-        application layer. Returns the scheduled delivery time.
+        application layer.
         """
         if src == dst:
             raise SimError(f"loopback send on {src!r}")
@@ -266,7 +243,6 @@ class Engine:
         src_node.sent_bytes += msg.size_bytes
         dst_node.recv_msgs += 1
         dst_node.recv_bytes += msg.size_bytes
-        return self.now + delay + extra_delay_us
 
     def run_until_quiescent(self, time_limit_us: int | None = None) -> TraceSummary:
         """Dispatch events in (fire_time, seq) order until empty or the limit.

@@ -98,7 +98,7 @@ class Ledger:
     def height(self) -> int:
         return len(self.blocks) - 1
 
-    def append_block(self, block: Block, flags: list | None = None) -> int:
+    def append_block(self, block: Block, flags: list | None = None) -> None:
         if block.height != self.height + 1:
             raise ChainIntegrityError(
                 f"append height {block.height}, expected {self.height + 1}")
@@ -110,7 +110,6 @@ class Ledger:
         self.blocks.append(block)
         self.flags.append(list(flags) if flags is not None else [])
         self.tip_hash = hash_block(block)
-        return block.height
 
     def read_state(self, key: str) -> tuple[int, Version] | None:
         """Committed (value, version), or None; absence is a normal outcome."""

@@ -51,13 +51,11 @@ class RecordCommitted:
 
 @dataclass
 class BlockCutterConfig:
+    """The three cut thresholds, checked by config.py."""
+
     max_txn_count: int = 100
     timeout_us: int = 2_000_000
     max_block_bytes: int = 10 * 1024 * 1024
-
-    def __post_init__(self):
-        if self.max_txn_count <= 0 or self.timeout_us <= 0 or self.max_block_bytes <= 0:
-            raise ValueError("block cutter thresholds must be positive")
 
 
 class BlockCutter:

@@ -167,21 +167,14 @@ class AccessPattern:
 
 @dataclass
 class WorkloadConfig:
+    """What generate() draws from, checked by config.py."""
+
     n_accounts: int = 10000
     op_mix: dict = field(default_factory=lambda: dict(DEFAULT_OP_MIX))
     access: AccessPattern = field(default_factory=AccessPattern)
     seed: int | str = 0
     max_amount: int = 200
     initial_balance: int = 10000
-
-    def __post_init__(self):
-        if self.n_accounts < 1:
-            raise ValueError("n_accounts must be >= 1")
-        total = sum(self.op_mix.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"op_mix must sum to 1, got {total}")
-        if any(not 0.0 <= p <= 1.0 for p in self.op_mix.values()):
-            raise ValueError("op_mix probabilities must be in [0, 1]")
 
 
 DEFAULT_OP_MIX = {

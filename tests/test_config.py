@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -32,14 +33,14 @@ def test_unknown_field_is_named():
     ({"topology": {"peers": 0}}, "topology.peers"),
     ({"rate": {"total_tps": -1.0}}, "rate.total_tps"),
     ({"duration_s": 0}, "duration_s"),
-    ({"cutter": {"max_txn_count": 0}}, "cutter"),
+    ({"cutter": {"max_txn_count": 0}}, "cutter.max_txn_count"),
     ({"replication": {"min_insync": 9}}, "min_insync"),
     ({"replication": {"replication_factor": 9}}, "replication_factor"),
     ({"policy": {"threshold": 99}}, "policy.threshold"),
     ({"timeouts": {"endorse_s": 0}}, "timeouts.endorse_s"),
     ({"latency": {"jitter_fraction": 1.0}}, "jitter_fraction"),
     ({"warmup_fraction": 1.0}, "warmup_fraction"),
-    ({"workload": {"op_mix": {"query": 0.7}}}, "workload"),
+    ({"workload": {"op_mix": {"query": 0.7}}}, "workload.op_mix"),
     ({"workload": {"op_mix": {"mystery_op": 1.0}}}, "mystery_op"),
     ({"latency": {"base_us": {"client-peers": 5}}}, "latency.base_us.client-peers"),
     ({"latency": {"base_us": {"monitor-peer": 7}}}, "latency.base_us.monitor-peer"),
@@ -59,10 +60,59 @@ def test_unknown_field_is_named():
      "workload.access.fraction_hot"),
     ({"workload": {"access": {"prob_hot": "x"}}}, "workload.access.prob_hot"),
     ({"workload": {"access": {"prob_hot": True}}}, "workload.access.prob_hot"),
+    ({"cutter": {"timeout_s": 0}}, "cutter.timeout_s"),
+    ({"cutter": {"max_block_bytes": 0}}, "cutter.max_block_bytes"),
+    ({"policy": {"threshold": 0}}, "policy.threshold"),
+    ({"workload": {"op_mix": {"query": 0.5}}}, "workload.op_mix"),
+    ({"workload": {"op_mix": {"query": 1.5, "amalgamate": -0.5}}},
+     "workload.op_mix.query"),
+    ({"workload": {"op_mix": 5}}, "workload.op_mix"),
+    ({"latency": {"base_us": {"client": 7}}}, "latency.base_us.client"),
+    ({"latency": {"base_us": {"client-peer-broker": 7}}},
+     "latency.base_us.client-peer-broker"),
+    ({"rate": {"total_tps": float("inf")}}, "rate.total_tps"),
 ])
 def test_invalid_values_name_their_field(overrides, needle):
-    with pytest.raises(ConfigError, match=needle):
+    with pytest.raises(ConfigError, match=re.escape(needle)):
         ExperimentConfig.from_dict(overrides)
+
+
+def _leaf_paths(tree: dict, prefix: str = ""):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaf_paths(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+# Seconds fields whose zero is refused; 1e-7 s is below their 1 us minimum.
+NONZERO_SECONDS = ("duration_s", "cutter.timeout_s", "timeouts.endorse_s",
+                   "timeouts.broadcast_s")
+BAD_VALUES = [(path, value) for path in _leaf_paths(presets.PAPER_LIKE)
+              for value in ("x", True, [1])]
+BAD_VALUES += [(path, 1e-7) for path in NONZERO_SECONDS]
+
+
+@pytest.mark.parametrize("path,value", BAD_VALUES,
+                         ids=[f"{p}={v!r}" for p, v in BAD_VALUES])
+def test_every_field_names_itself_when_refused(path, value):
+    overrides = {}
+    if path == "rate.per_client_tps":
+        set_param(overrides, "rate.total_tps", None)
+    set_param(overrides, path, value)
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        ExperimentConfig.from_dict(overrides)
+
+
+def test_two_account_ops_need_two_accounts():
+    with pytest.raises(ConfigError, match="workload.n_accounts"):
+        ExperimentConfig.from_dict({"workload": {"n_accounts": 1}})
+    with pytest.raises(ConfigError, match="workload.n_accounts"):
+        ExperimentConfig.from_dict({"workload": {
+            "n_accounts": 1, "op_mix": {"query": 0.5, "amalgamate": 0.5}}})
+    cfg = ExperimentConfig.from_dict(
+        {"workload": {"n_accounts": 1, "op_mix": {"query": 1.0}}})
+    assert cfg.workload.n_accounts == 1
 
 
 def test_rate_exclusivity():

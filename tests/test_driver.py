@@ -1,5 +1,3 @@
-import pytest
-
 from eovsim.committer import BlockCommitted
 from eovsim.config import ExperimentConfig
 from eovsim.driver import (ClientConfig, ClientNode, JourneyStatus, TxnJourney,
@@ -39,15 +37,6 @@ def test_fractional_rate_is_deterministic():
     times = submission_times(cfg)
     assert times == submission_times(cfg)
     assert times[0] == 0 and all(b > a for a, b in zip(times, times[1:]))
-
-
-def test_config_rejects_bad_values():
-    with pytest.raises(ValueError):
-        ClientConfig(rate_tps=0, duration_us=1, endorse_timeout_us=1,
-                     broadcast_timeout_us=1)
-    with pytest.raises(ValueError):
-        ClientConfig(rate_tps=1, duration_us=1, endorse_timeout_us=0,
-                     broadcast_timeout_us=1)
 
 
 # --- client state machine, hand-fed --------------------------------------------
@@ -183,7 +172,7 @@ def test_ack_then_commit_notice_completes_journey():
                     5000)
     engine.schedule(client.id,
                     Message(MessageKind.COMMIT_NOTICE, 64,
-                            BlockCommitted(1, 9000, ((txn, True),))), 12_000)
+                            BlockCommitted(9000, ((txn, True),))), 12_000)
     engine.run_until_quiescent()
     journey = client.journeys[txn]
     assert journey.status is JourneyStatus.COMMITTED
@@ -199,7 +188,7 @@ def test_commit_notice_before_ack_is_stashed():
         feed_endorsement(engine, client, txn, peer, delay=1000)
     engine.schedule(client.id,
                     Message(MessageKind.COMMIT_NOTICE, 64,
-                            BlockCommitted(1, 4000, ((txn, False),))), 5000)
+                            BlockCommitted(4000, ((txn, False),))), 5000)
     engine.schedule(client.id, Message(MessageKind.BROADCAST_ACK, 64, txn),
                     8000)
     engine.run_until_quiescent()

@@ -94,13 +94,6 @@ def test_policy_tie_breaks_on_lexicographic_peers():
     assert [e.peer for e in witness] == ["p0", "p2"]
 
 
-def test_policy_threshold_bounds():
-    with pytest.raises(ValueError):
-        EndorsementPolicy(("p0",), 2)
-    with pytest.raises(ValueError):
-        EndorsementPolicy(("p0",), 0)
-
-
 def oracle_satisfiable(policy, endorsements):
     """Brute force: any subset of size >= threshold, required peers only,
     all payloads equal."""

@@ -2,9 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eovsim.engine import (Engine, LatencyKeyError, LatencyModel, Message,
-                           MessageKind, Node, NodeClass, SimError,
-                           UnknownTargetError, timer)
+from eovsim.engine import (Engine, LatencyModel, Message, MessageKind, Node,
+                           NodeClass, SimError, UnknownTargetError, timer)
 
 
 class Recorder(Node):
@@ -83,8 +82,7 @@ def test_schedule_negative_delay():
 
 def test_send_base_latency_only():
     engine, _, b = make_engine(base=1000, per_byte_ns=0, jitter=0.0)
-    at = engine.send("a", "b", Message(MessageKind.PROPOSAL, 100, "hi"))
-    assert at == 1000
+    engine.send("a", "b", Message(MessageKind.PROPOSAL, 100, "hi"))
     engine.run_until_quiescent()
     assert b.seen == [(1000, "hi")]
 
@@ -92,8 +90,9 @@ def test_send_base_latency_only():
 def test_send_per_byte_cost():
     # 1 us/byte on a 500-byte message on top of 1 ms base
     engine, _, b = make_engine(base=1000, per_byte_ns=1000, jitter=0.0)
-    at = engine.send("a", "b", Message(MessageKind.ENVELOPE, 500, "env"))
-    assert at == 1500
+    engine.send("a", "b", Message(MessageKind.ENVELOPE, 500, "env"))
+    engine.run_until_quiescent()
+    assert b.seen == [(1500, "env")]
 
 
 def test_send_rejects_loopback_by_default():
@@ -110,46 +109,43 @@ def test_send_updates_traffic_counters():
 
 
 def test_jittered_delivery_is_deterministic_per_seed():
-    def schedule_times(seed):
+    def deliveries(seed):
         engine = Engine(flat_latency(base=1000, jitter=0.3), seed=seed)
         engine.add_node(Recorder("a", NodeClass.CLIENT))
-        engine.add_node(Recorder("b", NodeClass.PEER))
-        return [engine.send("a", "b", Message(MessageKind.PROPOSAL, 10, i))
-                for i in range(50)]
+        b = Recorder("b", NodeClass.PEER)
+        engine.add_node(b)
+        for i in range(50):
+            engine.send("a", "b", Message(MessageKind.PROPOSAL, 10, i))
+        engine.run_until_quiescent()
+        return b.seen
 
-    assert schedule_times(1) == schedule_times(1)
-    assert schedule_times(1) != schedule_times(2)
+    assert deliveries(1) == deliveries(1)
+    assert deliveries(1) != deliveries(2)
 
 
 def test_jitter_never_negative():
     model = flat_latency(base=100, jitter=0.99)
     engine = Engine(model, seed=3)
     engine.add_node(Recorder("a", NodeClass.CLIENT))
-    engine.add_node(Recorder("b", NodeClass.PEER))
+    b = Recorder("b", NodeClass.PEER)
+    engine.add_node(b)
     for i in range(500):
-        t0 = engine.now
-        assert engine.send("a", "b", Message(MessageKind.PROPOSAL, 1, i)) >= t0
+        engine.send("a", "b", Message(MessageKind.PROPOSAL, 1, i))
+    engine.run_until_quiescent()
+    # every send left at time 0 with a delay of 100 +- 99 us
+    assert len(b.seen) == 500
+    assert all(1 <= t <= 199 for t, _ in b.seen)
 
 
 def test_class_pair_latency_lookup():
-    model = LatencyModel(base_us={"client-peer": 250, "broker-broker": 10},
+    client, peer, broker = NodeClass.CLIENT, NodeClass.PEER, NodeClass.BROKER
+    model = LatencyModel(base_us={(client, peer): 250, (peer, client): 250,
+                                  (broker, broker): 10},
                          default_us=1000)
     assert model.base_for(NodeClass.CLIENT, NodeClass.PEER) == 250
     assert model.base_for(NodeClass.PEER, NodeClass.CLIENT) == 250
     assert model.base_for(NodeClass.BROKER, NodeClass.BROKER) == 10
     assert model.base_for(NodeClass.CLIENT, NodeClass.BROKER) == 1000
-
-
-def test_latency_keys_must_name_two_node_classes():
-    for key in ("client-peers", "monitor-peer", "client", "client-peer-broker"):
-        with pytest.raises(LatencyKeyError, match=key) as err:
-            LatencyModel(base_us={"client-peer": 1, key: 5})
-        assert err.value.key == key
-
-
-def test_latency_model_rejects_bad_jitter():
-    with pytest.raises(SimError):
-        LatencyModel(jitter_fraction=1.0)
 
 
 def test_run_empty_queue():
@@ -270,10 +266,9 @@ class SendOnTimer(Node):
         super().__init__(node_id, NodeClass.CLIENT)
 
     def handle(self, msg):
-        sent_at = self.engine.now
-        delivery = self.engine.send(self.id, "b",
-                                    Message(MessageKind.PROPOSAL, 10, "x"))
-        assert delivery >= sent_at
+        # the body is the send instant, so the receiver can compare
+        self.engine.send(self.id, "b",
+                         Message(MessageKind.PROPOSAL, 10, self.engine.now))
 
 
 @settings(max_examples=40, deadline=None)
@@ -282,7 +277,10 @@ class SendOnTimer(Node):
 def test_causality_delivery_never_precedes_send(delays, seed):
     engine = Engine(flat_latency(base=100, jitter=0.5), seed=seed)
     engine.add_node(SendOnTimer("a"))
-    engine.add_node(Recorder("b", NodeClass.PEER))
+    b = Recorder("b", NodeClass.PEER)
+    engine.add_node(b)
     for d in delays:
         engine.schedule("a", timer("go", d), d)
     engine.run_until_quiescent()
+    assert len(b.seen) == len(delays)
+    assert all(delivered >= sent for delivered, sent in b.seen)

@@ -79,9 +79,16 @@ def test_seed_override_changes_jitter_not_invariants(tmp_path):
 
 
 def test_invalid_config_exits_1_with_field_name(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, {"topology": {"peers": 0}})
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert "topology.peers" in capsys.readouterr().err
+    for doc, field in (
+            ({"topology": {"peers": 0}}, "topology.peers"),
+            ({"timeouts": {"endorse_s": 1e-7}}, "timeouts.endorse_s"),
+            ({"workload": {"op_mix": {"query": True}}}, "workload.op_mix.query"),
+            ({"workload": {"op_mix": {"query": "x"}}}, "workload.op_mix.query"),
+            ({"cutter": {"timeout_s": 1e-7}}, "cutter.timeout_s"),
+            ({"workload": {"n_accounts": 1}}, "workload.n_accounts")):
+        cfg = write_cfg(tmp_path, doc)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1, doc
+        assert field in capsys.readouterr().err, doc
     # a file that is valid JSON but not an object is a config error too,
     # wherever a config or spec file is read
     for doc in ([], [1]):

@@ -52,11 +52,12 @@ def test_digest_sensitive_to_height_prev_and_reason():
 def test_append_genesis_then_chain():
     ledger = Ledger()
     genesis = fixture_block()
-    assert ledger.append_block(genesis) == 0
+    ledger.append_block(genesis)
     assert ledger.height == 0
     nxt = Block(height=1, prev_hash=hash_block(genesis), txns=stub_txns("d"),
                 cut_reason=CutReason.TIMEOUT, created_at=5)
-    assert ledger.append_block(nxt) == 1
+    ledger.append_block(nxt)
+    assert ledger.height == 1
     assert ledger.tip_hash == hash_block(nxt)
 
 

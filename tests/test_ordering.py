@@ -1,8 +1,6 @@
 """Ordering-service behavior: cutter thresholds, quorum commit, proxy
 counters and block fan-out, driven through small hand-wired engines."""
 
-import pytest
-
 from eovsim.config import ExperimentConfig
 from eovsim.endorser import Endorsement
 from eovsim.engine import (Engine, LatencyModel, Message, MessageKind, Node,
@@ -93,11 +91,6 @@ def test_cutter_chains_prev_hashes():
     b2, _ = [cutter.add(mk_envelope(f"b{i}"), 1) for i in range(2)][-1]
     assert b1.height == 1 and b2.height == 2
     assert b2.prev_hash == hash_block(b1)
-
-
-def test_cutter_rejects_nonpositive_thresholds():
-    with pytest.raises(ValueError):
-        BlockCutterConfig(0, 1, 1)
 
 
 # --- wired ordering service --------------------------------------------------

@@ -237,11 +237,6 @@ def test_op_frequencies_converge_to_mix():
         assert abs(freq.get(name, 0) / len(proposals) - p) < 0.01
 
 
-def test_mix_must_sum_to_one():
-    with pytest.raises(ValueError):
-        WorkloadConfig(op_mix={"query": 0.5})
-
-
 def test_initial_write_set_covers_every_account():
     cfg = WorkloadConfig(n_accounts=7, initial_balance=123, seed=0)
     ws = initial_write_set(cfg)
