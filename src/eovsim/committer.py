@@ -7,7 +7,9 @@ Only valid write sets are applied, versioned (height, txn index). The
 ledger keeps each txn's flag beside its block; it is the one record of
 validation outcomes, which the run report counts. Endorsing peers receive
 blocks from the ordering service; each non-endorsing peer is assigned one
-endorsing anchor peer that pushes committed blocks to it.
+endorsing anchor peer that forwards each committed block to it as the
+BLOCK_DELIVER message it received, so every peer commits a height from the
+one message the leader built.
 An out-of-order arrival is buffered as the message it came in; once its
 predecessor commits, the peer re-delivers that message to itself, and it
 re-enters the work queue like any block delivery.
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 from .endorser import EndorsementPolicy, endorse, policy_satisfied
 from .engine import Message, MessageKind, Node, NodeClass
 from .ledger import Block, Ledger, Version
-from .ordering import block_bytes
 from .smallbank import Proposal
 
 
@@ -96,32 +97,32 @@ class PeerBase(Node):
         self._buffered: dict[int, Message] = {}  # height -> block message
 
     def service_us(self, msg: Message) -> int:
-        if msg.kind in (MessageKind.BLOCK_DELIVER, MessageKind.GOSSIP_BLOCK):
+        if msg.kind is MessageKind.BLOCK_DELIVER:
             block = msg.body
             if block.height == self.ledger.height + 1:
                 return len(block.txns) * self.svc.validate_per_txn
         return 0
 
     def handle(self, msg: Message) -> None:
-        if msg.kind in (MessageKind.BLOCK_DELIVER, MessageKind.GOSSIP_BLOCK):
+        if msg.kind is MessageKind.BLOCK_DELIVER:
             block = msg.body
             if block.height <= self.ledger.height or block.height in self._buffered:
                 return  # duplicate
             if block.height == self.ledger.height + 1:
-                self._commit(block)
+                self._commit(msg)
             else:
                 self._buffered[block.height] = msg
 
-    def _commit(self, block: Block) -> None:
-        flags = validate_block(block, self.policy, self.ledger)
-        commit_block(self.ledger, block, flags)
-        self.on_committed(block, flags)
+    def _commit(self, msg: Message) -> None:
+        flags = validate_block(msg.body, self.policy, self.ledger)
+        commit_block(self.ledger, msg.body, flags)
+        self.on_committed(msg, flags)
         successor = self._buffered.pop(self.ledger.height + 1, None)
         if successor is not None:
             self.engine.schedule(self.id, successor, 0)
 
-    def on_committed(self, block: Block, flags: list[ValidationFlag]) -> None:
-        pass
+    def on_committed(self, msg: Message, flags: list[ValidationFlag]) -> None:
+        """Called with the BLOCK_DELIVER message just committed."""
 
 
 @dataclass(slots=True)
@@ -156,20 +157,17 @@ class EndorsingPeer(PeerBase):
         else:
             super().handle(msg)
 
-    def on_committed(self, block: Block, flags) -> None:
+    def on_committed(self, msg: Message, flags) -> None:
         if self.home_clients:
             txn_flags = tuple((txn_id, flag is ValidationFlag.VALID)
-                              for txn_id, flag in zip(block.txn_ids(), flags))
+                              for txn_id, flag in zip(msg.body.txn_ids(), flags))
             size = self.sizes.notice + self.sizes.block_txn_summary * len(flags)
-            body = BlockCommitted(self.engine.now, txn_flags)
+            notice = Message(MessageKind.COMMIT_NOTICE, size,
+                             BlockCommitted(self.engine.now, txn_flags))
             for client in self.home_clients:
-                self.engine.send(self.id, client,
-                                 Message(MessageKind.COMMIT_NOTICE, size, body))
-        if self.gossip_targets:
-            out = Message(MessageKind.GOSSIP_BLOCK,
-                          block_bytes(block, self.sizes), block)
-            for target in self.gossip_targets:
-                self.engine.send(self.id, target, out)
+                self.engine.send(self.id, client, notice)
+        for target in self.gossip_targets:
+            self.engine.send(self.id, target, msg)
 
 
 class NonEndorsingPeer(PeerBase):

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from . import presets
 from .engine import US_PER_SECOND, LatencyModel, NodeClass
 from .ordering import BlockCutterConfig
-from .smallbank import TWO_ACCOUNT_OPS, AccessPattern, OpKind, WorkloadConfig
+from .smallbank import (TWO_ACCOUNT_OPS, AccessPattern, OpKind,
+                        WorkloadConfig, reachable_accounts)
 
 
 class ConfigError(Exception):
@@ -155,22 +156,24 @@ class ExperimentConfig:
         total = sum(mix.values())
         _require(abs(total - 1.0) <= 1e-9,
                  f"field 'workload.op_mix' must sum to 1, got {total}")
-        # send_payment and amalgamate draw two distinct accounts.
-        two_accounts = any(mix.get(op.value, 0) > 0 for op in TWO_ACCOUNT_OPS)
         _require(w["access"]["kind"] in ("uniform", "hotspot"),
                  "field 'workload.access.kind' must be 'uniform' or 'hotspot'")
         for name in ("fraction_hot", "prob_hot"):
             _require(_as_number(raw, f"workload.access.{name}", 0.0) <= 1.0,
                      f"field 'workload.access.{name}' must be in [0, 1]")
         self.workload = WorkloadConfig(
-            n_accounts=_as_int(raw, "workload.n_accounts",
-                               2 if two_accounts else 1),
+            n_accounts=_as_int(raw, "workload.n_accounts", 1),
             op_mix=dict(mix),
             access=AccessPattern(**w["access"]),
             seed=self.seed,
             max_amount=_as_int(raw, "workload.max_amount", 1),
             initial_balance=_as_int(raw, "workload.initial_balance", 0),
         )
+        if (any(mix.get(op.value, 0) > 0 for op in TWO_ACCOUNT_OPS)
+                and reachable_accounts(self.workload) < 2):
+            name = "n_accounts" if self.workload.n_accounts < 2 else "access"
+            raise ConfigError(f"field 'workload.{name}' leaves one account to "
+                              "draw, but send_payment and amalgamate need two")
 
         threshold = (self.peers if raw["policy"]["threshold"] is None
                      else _as_int(raw, "policy.threshold"))

@@ -104,13 +104,13 @@ class ClientNode(Node):
 
     def _on_timer(self, t: Timer) -> None:
         if t.tag == "submit":
-            self._submit(t.data[0])
+            self._submit(t.arg)
         elif t.tag == "endorse_to":
-            journey = self.journeys[t.data[0]]
+            journey = self.journeys[t.arg]
             if journey.status is None and journey.endorsed_us is None:
                 self._close(journey, JourneyStatus.DROPPED_ENDORSEMENT)
         elif t.tag == "bcast_to":
-            journey = self.journeys[t.data[0]]
+            journey = self.journeys[t.arg]
             if journey.status is None and journey.bcast_ack_us is None:
                 self._close(journey, JourneyStatus.DROPPED_BROADCAST)
 
@@ -121,10 +121,9 @@ class ClientNode(Node):
                              submit_us=self.engine.now)
         self.journeys[proposal.txn_id] = journey
         self._collected[proposal.txn_id] = {}
+        msg = Message(MessageKind.PROPOSAL, self.sizes.proposal, proposal)
         for peer in self.peers:
-            self.engine.send(self.id, peer,
-                             Message(MessageKind.PROPOSAL, self.sizes.proposal,
-                                     proposal))
+            self.engine.send(self.id, peer, msg)
         self.engine.schedule(self.id, timer("endorse_to", proposal.txn_id),
                              self.cfg.endorse_timeout_us)
 

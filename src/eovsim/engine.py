@@ -5,6 +5,9 @@ drives every node state machine; ties on fire time are broken by a global
 monotonically increasing sequence number, so a run is an exact function of
 (configuration, seed). Jitter comes from one engine-owned generator; nodes
 never own randomness.
+
+A Message is delivered by reference and never mutated: its body is the object
+it carries, a fan-out sends one Message to all, and a forward resends it.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ class MessageKind(enum.Enum):
     LOG_APPEND = "LogAppend"
     LOG_ACK = "LogAck"
     BLOCK_DELIVER = "BlockDeliver"
-    GOSSIP_BLOCK = "GossipBlock"
     COMMIT_NOTICE = "CommitNotice"
     BROADCAST_ACK = "BcastAck"
     TIMER_FIRE = "TimerFire"
@@ -73,11 +75,11 @@ class Timer(NamedTuple):
     """Body payload for TIMER_FIRE messages; tag routes it inside the node."""
 
     tag: str
-    data: tuple = ()
+    arg: object = None
 
 
-def timer(tag: str, *data) -> Message:
-    return Message(MessageKind.TIMER_FIRE, 0, Timer(tag, tuple(data)))
+def timer(tag: str, arg: object = None) -> Message:
+    return Message(MessageKind.TIMER_FIRE, 0, Timer(tag, arg))
 
 
 _SVC_TAG = "_svc"

@@ -98,7 +98,7 @@ class Ledger:
     def height(self) -> int:
         return len(self.blocks) - 1
 
-    def append_block(self, block: Block, flags: list | None = None) -> None:
+    def append_block(self, block: Block, flags: list) -> None:
         if block.height != self.height + 1:
             raise ChainIntegrityError(
                 f"append height {block.height}, expected {self.height + 1}")
@@ -107,8 +107,10 @@ class Ledger:
                 f"prev_hash mismatch at height {block.height}")
         if not block.txns:
             raise ChainIntegrityError("blocks must carry at least one txn")
+        if len(flags) != len(block.txns):
+            raise ChainIntegrityError("append_block needs one flag per txn")
         self.blocks.append(block)
-        self.flags.append(list(flags) if flags is not None else [])
+        self.flags.append(list(flags))
         self.tip_hash = hash_block(block)
 
     def read_state(self, key: str) -> tuple[int, Version] | None:

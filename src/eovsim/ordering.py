@@ -8,6 +8,9 @@ without blocking commit. The block cutter runs on the leader so every
 orderer and peer observes one authoritative block sequence; a deterministic
 designated orderer per block (round-robin by height) performs the peer
 fan-out.
+
+A log record is the client's Envelope, a replica copy its offset, a commit
+notice the txn id, and a block one BLOCK_DELIVER message sized at the leader.
 """
 
 from __future__ import annotations
@@ -32,21 +35,6 @@ class Envelope:
     # Policy evaluation is a pure function of the endorsement set, so peers
     # share one memoized verdict instead of re-deriving it N times.
     policy_memo: bool | None = None
-
-
-# Message bodies. A body that is one value (a Block, a log offset, a txn
-# id) travels as that value, unwrapped.
-
-@dataclass(slots=True)
-class LogRecord:
-    envelope: Envelope
-    orderer: str
-
-
-@dataclass(slots=True)
-class RecordCommitted:
-    txn_id: str
-    orderer: str
 
 
 @dataclass
@@ -155,30 +143,22 @@ class OrdererNode(Node):
                 return
             self._awaiting_ack[env.txn_id] = env.client
             record = Message(MessageKind.LOG_APPEND,
-                             env.size_bytes + self.sizes.log_overhead,
-                             LogRecord(env, self.id))
+                             env.size_bytes + self.sizes.log_overhead, env)
             self.engine.send(self.id, self.leader, record)
         elif msg.kind is MessageKind.COMMIT_NOTICE:
-            body: RecordCommitted = msg.body
-            if body.orderer == self.id:
-                client = self._awaiting_ack.pop(body.txn_id, None)
-                if client is not None:
-                    self.enqueue_successes += 1
-                    if self.engine.now < self.window_end:
-                        self.window_successes += 1
-                    ack = Message(MessageKind.BROADCAST_ACK, self.sizes.notice,
-                                  body.txn_id)
-                    self.engine.send(self.id, client, ack)
+            # Every orderer hears every commit; only the forwarder awaits it.
+            client = self._awaiting_ack.pop(msg.body, None)
+            if client is not None:
+                self.enqueue_successes += 1
+                if self.engine.now < self.window_end:
+                    self.window_successes += 1
+                ack = Message(MessageKind.BROADCAST_ACK, self.sizes.notice,
+                              msg.body)
+                self.engine.send(self.id, client, ack)
         elif msg.kind is MessageKind.BLOCK_DELIVER:
-            out = Message(MessageKind.BLOCK_DELIVER,
-                          block_bytes(msg.body, self.sizes), msg.body)
             for i, peer in enumerate(self.endorsing_peers):
-                self.engine.send(self.id, peer, out,
+                self.engine.send(self.id, peer, msg,
                                  extra_delay_us=i * self.svc.orderer_deliver_stagger)
-
-
-def block_bytes(block: Block, sizes) -> int:
-    return sizes.block_header + sum(t.size_bytes for t in block.txns)
 
 
 class BrokerNode(Node):
@@ -205,7 +185,7 @@ class BrokerNode(Node):
         self.svc = service_cfg
         self.sizes = sizes
         # leader log state: a record's offset is its index in records
-        self.records: list[LogRecord] = []
+        self.records: list[Envelope] = []
         self.copies_held: list[int] = []
         self.committed_count = 0
 
@@ -217,11 +197,11 @@ class BrokerNode(Node):
             # accepted record commits exactly once, and folding the cost in
             # keeps the produce lane's capacity accounting exact while acks
             # stay out of band.
-            env = msg.body.envelope
             return (self.svc.leader_order + self.svc.broker_append
                     + len(self.followers) * self.svc.leader_copy_send
                     + len(self.orderers) * self.svc.leader_notice_send
-                    + (env.size_bytes * self.svc.leader_order_per_byte_ns) // 1000)
+                    + (msg.body.size_bytes
+                       * self.svc.leader_order_per_byte_ns) // 1000)
         return 0
 
     def is_control(self, msg: Message) -> bool:
@@ -240,19 +220,19 @@ class BrokerNode(Node):
         elif msg.kind is MessageKind.LOG_ACK:
             self._on_ack(msg.body)
         elif msg.kind is MessageKind.TIMER_FIRE:
-            block = self.cutter.on_timeout(msg.body.data[0], self.engine.now)
+            block = self.cutter.on_timeout(msg.body.arg, self.engine.now)
             if block is not None:
                 self._emit_block(block)
 
     # -- leader ------------------------------------------------------------
 
-    def _leader_append(self, record: LogRecord) -> None:
+    def _leader_append(self, env: Envelope) -> None:
         offset = len(self.records)
-        self.records.append(record)
+        self.records.append(env)
         self.copies_held.append(1)
-        copy_size = record.envelope.size_bytes + self.sizes.log_overhead
+        copy = Message(MessageKind.LOG_APPEND,
+                       env.size_bytes + self.sizes.log_overhead, offset)
         for follower in self.followers:
-            copy = Message(MessageKind.LOG_APPEND, copy_size, offset)
             self.engine.send(self.id, follower, copy)
         self._advance_commit()
 
@@ -263,19 +243,15 @@ class BrokerNode(Node):
     def _advance_commit(self) -> None:
         while (self.committed_count < len(self.records)
                and self.copies_held[self.committed_count] >= self.min_insync):
-            offset = self.committed_count
             self.committed_count += 1
-            self._commit(offset)
+            self._commit(self.records[self.committed_count - 1])
 
-    def _commit(self, offset: int) -> None:
-        record = self.records[offset]
-        now = self.engine.now
-        notice = RecordCommitted(record.envelope.txn_id, record.orderer)
+    def _commit(self, env: Envelope) -> None:
+        notice = Message(MessageKind.COMMIT_NOTICE, self.sizes.notice,
+                         env.txn_id)
         for orderer in self.orderers:
-            self.engine.send(self.id, orderer,
-                             Message(MessageKind.COMMIT_NOTICE,
-                                     self.sizes.notice, notice))
-        block, arm = self.cutter.add(record.envelope, now)
+            self.engine.send(self.id, orderer, notice)
+        block, arm = self.cutter.add(env, self.engine.now)
         if block is not None:
             self._emit_block(block)
         elif arm:
@@ -284,9 +260,9 @@ class BrokerNode(Node):
 
     def _emit_block(self, block: Block) -> None:
         designated = self.orderers[block.height % len(self.orderers)]
-        out = Message(MessageKind.BLOCK_DELIVER, block_bytes(block, self.sizes),
-                      block)
-        self.engine.send(self.id, designated, out)
+        size = self.sizes.block_header + sum(t.size_bytes for t in block.txns)
+        self.engine.send(self.id, designated,
+                         Message(MessageKind.BLOCK_DELIVER, size, block))
 
     # -- follower ----------------------------------------------------------
 

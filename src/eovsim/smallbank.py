@@ -199,6 +199,17 @@ def _pick_account(rng: random.Random, cfg: WorkloadConfig) -> int:
     return rng.randrange(cfg.n_accounts)
 
 
+def reachable_accounts(cfg: WorkloadConfig) -> int:
+    """How many accounts _pick_account can draw (two-account ops need 2)."""
+    n, access = cfg.n_accounts, cfg.access
+    if access.kind != "hotspot":
+        return n
+    hot = max(1, int(n * access.fraction_hot))
+    if access.prob_hot >= 1.0:
+        return hot
+    return n - hot if access.prob_hot <= 0.0 and hot < n else n
+
+
 def generate(cfg: WorkloadConfig, count: int,
              client: str = "") -> list[Proposal]:
     """Deterministic proposal stream; op frequencies converge to op_mix."""

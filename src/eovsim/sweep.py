@@ -201,20 +201,17 @@ def extract_figure(cells_rows: list[dict], figure: str, out_dir) -> list[Path]:
     if figure not in presets.FIGURES:
         raise ConfigError(f"unknown figure {figure!r}")
     fig = presets.FIGURES[figure]
-    x_col = fig["x"]
+    x_col, series_col = fig["x"], fig["series_by"]
+    # Every DictReader row has the header's keys; check before writing.
+    for col in [x_col, series_col, *fig["y"]]:
+        if col is not None and cells_rows and col not in cells_rows[0]:
+            raise ConfigError(f"cells csv is missing column {col!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for row in cells_rows:
-        if x_col not in row:
-            raise ConfigError(f"cells csv is missing column {x_col!r}")
-
-    series_col = fig["series_by"]
     series_values = sorted({row[series_col] for row in cells_rows}) \
         if series_col else [None]
     for y_col in fig["y"]:
-        if cells_rows and y_col not in cells_rows[0]:
-            raise ConfigError(f"cells csv is missing column {y_col!r}")
         for series_value in series_values:
             rows = [r for r in cells_rows
                     if series_col is None or r[series_col] == series_value]

@@ -272,8 +272,8 @@ def test_buffered_blocks_reenter_and_pay_validation_once():
     engine, anchor, npeers = wire_peers(n_non_endorsing=1)
     target = npeers[0]
     commits = []
-    target.on_committed = lambda block, flags: commits.append(
-        (block.height, engine.now))
+    target.on_committed = lambda msg, flags: commits.append(
+        (msg.body.height, engine.now))
     b0, b1, b2 = chain_blocks(3, txns_per_block=3)
     deliver_block(engine, target.id, b2, at=0)   # buffered
     deliver_block(engine, target.id, b1, at=50)  # buffered
@@ -360,3 +360,41 @@ def test_agreement_compares_world_state_values():
     report = collect_report(result.sim, result.trace, result.journeys)
     assert report.all_peers_agree is False
     assert report.state_digest == result.report.state_digest
+
+
+def test_every_peer_commits_each_height_from_the_leaders_message():
+    from eovsim.simulation import build
+    cfg = ExperimentConfig.from_dict({
+        "duration_s": 1.0, "rate": {"total_tps": 60.0},
+        "cutter": {"max_txn_count": 5},
+        "topology": {"peers": 2, "clients": 2, "orderers": 2, "brokers": 3,
+                     "non_endorsing": 3}})
+    sim = build(cfg)
+    leader = sim.brokers[0].id
+    built = {}  # height -> the BLOCK_DELIVER message the leader sent
+    proposals = []  # (client, message) per proposal sent
+    send = sim.engine.send
+
+    def spy(src, dst, msg, extra_delay_us=0):
+        if src == leader and msg.kind is MessageKind.BLOCK_DELIVER:
+            built[msg.body.height] = msg
+        if msg.kind is MessageKind.PROPOSAL:
+            proposals.append((src, msg))
+        send(src, dst, msg, extra_delay_us)
+    sim.engine.send = spy
+    committed = {}  # (peer, height) -> the message the peer committed from
+    for peer in sim.all_peers():
+        def record(msg, flags, peer=peer, inner=peer.on_committed):
+            committed[peer.id, msg.body.height] = msg
+            inner(msg, flags)
+        peer.on_committed = record
+    sim.engine.run_until_quiescent(cfg.duration_us + cfg.drain_limit_us)
+    heights = sorted(built)
+    assert len(heights) >= 3 and heights == list(range(1, len(heights) + 1))
+    assert len(sim.non_endorsing) == 3
+    for peer in sim.all_peers():
+        assert peer.ledger.height == heights[-1]
+        for h in heights:
+            assert committed[peer.id, h] is built[h]
+    # a proposal is one message shared by every endorsing peer it goes to
+    assert len(proposals) == 2 * len({id(m) for _, m in proposals})

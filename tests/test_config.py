@@ -113,6 +113,16 @@ def test_two_account_ops_need_two_accounts():
     cfg = ExperimentConfig.from_dict(
         {"workload": {"n_accounts": 1, "op_mix": {"query": 1.0}}})
     assert cfg.workload.n_accounts == 1
+    # an access pattern that reaches one account of many is refused too,
+    # unless no op needs two
+    hot_only = {"kind": "hotspot", "prob_hot": 1.0, "fraction_hot": 0.0}
+    with pytest.raises(ConfigError, match="workload.access"):
+        ExperimentConfig.from_dict({"workload": {"access": hot_only}})
+    ExperimentConfig.from_dict({"workload": {"access": hot_only,
+                                             "op_mix": {"query": 1.0}}})
+    # prob_hot 0 with no cold set draws from every account
+    ExperimentConfig.from_dict({"workload": {"n_accounts": 2, "access": {
+        "kind": "hotspot", "prob_hot": 0.0, "fraction_hot": 1.0}}})
 
 
 def test_rate_exclusivity():

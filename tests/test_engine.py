@@ -65,7 +65,7 @@ def test_identical_fire_times_dispatch_in_schedule_order():
     for i in range(10):
         engine.schedule("a", timer("t", i), 1234)
     engine.run_until_quiescent()
-    assert [body.data[0] for _, body in a.seen] == list(range(10))
+    assert [body.arg for _, body in a.seen] == list(range(10))
 
 
 def test_schedule_unknown_target():

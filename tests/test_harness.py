@@ -1,4 +1,6 @@
+import copy
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -9,7 +11,8 @@ import pytest
 
 from eovsim import sweep
 from eovsim.cli import main
-from eovsim.config import ConfigError
+from eovsim.config import ConfigError, ExperimentConfig
+from eovsim.simulation import run_simulation
 from eovsim.sweep import SweepSpec, extract_figure, read_cells_csv, run_sweep
 
 SMALL = {"duration_s": 3.0, "rate": {"total_tps": 60.0},
@@ -85,7 +88,15 @@ def test_invalid_config_exits_1_with_field_name(tmp_path, capsys):
             ({"workload": {"op_mix": {"query": True}}}, "workload.op_mix.query"),
             ({"workload": {"op_mix": {"query": "x"}}}, "workload.op_mix.query"),
             ({"cutter": {"timeout_s": 1e-7}}, "cutter.timeout_s"),
-            ({"workload": {"n_accounts": 1}}, "workload.n_accounts")):
+            ({"workload": {"n_accounts": 1}}, "workload.n_accounts"),
+            # two-account ops with one reachable account once hung generate
+            ({"workload": {"access": {"kind": "hotspot", "prob_hot": 1.0,
+                                      "fraction_hot": 0.0}}},
+             "workload.access"),
+            ({"workload": {"n_accounts": 2,
+                           "access": {"kind": "hotspot", "prob_hot": 0.0,
+                                      "fraction_hot": 0.5}}},
+             "workload.access")):
         cfg = write_cfg(tmp_path, doc)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1, doc
         assert field in capsys.readouterr().err, doc
@@ -126,6 +137,30 @@ def test_schedule_guard_buffered_reentry_cell(tmp_path):
     assert report["events_dispatched"] == 19_080
     assert report["dispatch_digest"] == "e3603c1027821746"
     assert report["all_peers_agree"] is True
+
+
+def bench_workloads() -> dict:
+    """The benchmark's workload overrides, read from bench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+@pytest.mark.parametrize("workload,seed,events,digest", [
+    ("default", 42, 204_820, "fea3ba2b4d1ed902"),
+    ("order-saturated", 1, 425_608, "d9c20a67e5f12282"),
+    ("validate-wide", 1, 116_534, "1ad02e770a621e9c"),
+])
+def test_schedule_guard_pinned_cell(workload, seed, events, digest):
+    # The default profile and the benchmark's two workloads; the values
+    # change only if the event schedule does.
+    overrides = ({} if workload == "default"
+                 else copy.deepcopy(bench_workloads()[workload]))
+    trace = run_simulation(ExperimentConfig.from_dict(
+        overrides | {"seed": seed})).trace
+    assert (trace.events_dispatched, trace.dispatch_digest) == (events, digest)
 
 
 def test_block_trace_dump(tmp_path):
@@ -342,7 +377,24 @@ def test_report_single_row_single_point(tmp_path):
         assert len(lines) == 1
 
 
-def test_report_missing_column_is_named(tmp_path):
+def test_report_missing_column_is_named(tmp_path, capsys):
     rows = [{"throughput_tps": "1", "error": ""}]
-    with pytest.raises(Exception, match="topology.orderers"):
+    with pytest.raises(ConfigError, match="topology.orderers"):
         extract_figure(rows, "fig4", tmp_path)
+    # x, series and every y column are checked before any file is written
+    for figure, row, missing in (
+            ("fig4", {"topology.orderers": "4", "throughput_tps": "1"},
+             "avg_latency_s"),
+            ("fig9", {"rate.total_tps": "150", "throughput_tps": "1"},
+             "replication.replication_factor")):
+        out = tmp_path / figure
+        with pytest.raises(ConfigError, match=missing):
+            extract_figure([row | {"error": ""}], figure, out)
+        assert not out.exists()
+        cells = tmp_path / f"{figure}.csv"
+        cells.write_text(",".join(row) + ",error\n"
+                         + ",".join(row.values()) + ",\n")
+        assert main(["report", "--cells", str(cells), "--figure", figure,
+                     "--out", str(out)]) == 1
+        assert missing in capsys.readouterr().err
+        assert not out.exists()

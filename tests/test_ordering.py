@@ -7,8 +7,7 @@ from eovsim.engine import (Engine, LatencyModel, Message, MessageKind, Node,
                            NodeClass)
 from eovsim.ledger import CutReason, GENESIS_PREV_HASH, ReadSet, WriteSet
 from eovsim.ordering import (BlockCutter, BlockCutterConfig, BrokerNode,
-                             Envelope, OrdererNode, RecordCommitted,
-                             block_bytes)
+                             Envelope, OrdererNode)
 
 CUT_CFG = BlockCutterConfig(max_txn_count=100, timeout_us=2_000_000,
                             max_block_bytes=10 * 1024 * 1024)
@@ -184,7 +183,7 @@ def test_offsets_are_gap_free_in_arrival_order():
     engine.run_until_quiescent()
     leader = nodes[leader_id]
     assert leader.committed_count == 25
-    assert [r.envelope.txn_id for r in leader.records] == \
+    assert [env.txn_id for env in leader.records] == \
         [f"t{i}" for i in range(25)]
 
 
@@ -219,8 +218,7 @@ def test_high_min_insync_waits_for_follower_acks(commit_times):
     assert len(commit_times) == 1
     commit_time = commit_times[0]
     append_done = 1000 + nodes[leader_id].service_us(
-        Message(MessageKind.LOG_APPEND, 500,
-                type("R", (), {"envelope": mk_envelope("t0")})()))
+        Message(MessageKind.LOG_APPEND, 500, mk_envelope("t0")))
     assert commit_time > append_done
 
 
@@ -239,7 +237,7 @@ def test_commit_order_is_offset_order_even_with_jitter():
                     key=lambda b: b.height)
     assert [b.height for b in blocks] == [1, 2, 3, 4, 5]
     assert [txn_id for b in blocks for txn_id in b.txn_ids()] == \
-        [r.envelope.txn_id for r in leader.records]
+        [env.txn_id for env in leader.records]
 
 
 def test_window_counters_count_only_envelopes_handled_before_window_end():
@@ -342,3 +340,57 @@ def test_designated_orderer_rotates_by_height():
     heights = [m.body.height for _, m in nodes["peer000"].got
                if m.kind is MessageKind.BLOCK_DELIVER]
     assert sorted(heights) == [1, 2, 3, 4]
+
+
+def test_commit_notice_for_another_orderers_txn_changes_nothing():
+    engine, nodes, orderer_ids, _ = wire_service(orderers=2)
+    orderer = nodes[orderer_ids[1]]
+    inject_envelope(engine, orderer.id, mk_envelope("mine"))
+    engine.run_until_quiescent(time_limit_us=orderer.svc.orderer_forward)
+    assert orderer.sent_msgs == 1  # "mine" is forwarded and awaits commit
+
+    def counters():
+        return (orderer.enqueue_attempts, orderer.enqueue_successes,
+                orderer.window_successes, orderer.refusals,
+                orderer.sent_msgs, orderer.sent_bytes)
+    before = counters()
+    # every orderer hears every commit; orderer000 forwarded "theirs"
+    orderer.handle(Message(MessageKind.COMMIT_NOTICE, 64, "theirs"))
+    assert counters() == before
+    orderer.handle(Message(MessageKind.COMMIT_NOTICE, 64, "mine"))
+    assert orderer.enqueue_successes == 1 and orderer.sent_msgs == 2
+
+
+def test_one_message_per_fanout_and_log_record_is_the_envelope():
+    engine, nodes, [oid, designated], leader_id = wire_service(
+        n_brokers=4, replication_factor=4, min_insync=4, n_peers=3,
+        orderers=2, cutter_cfg=BlockCutterConfig(1, 2_000_000, 10**9))
+    sent = []  # (src, dst, message) per send
+    send = engine.send
+
+    def spy(src, dst, msg, extra_delay_us=0):
+        sent.append((src, dst, msg))
+        send(src, dst, msg, extra_delay_us)
+    engine.send = spy
+    env = mk_envelope("t0")
+    inject_envelope(engine, oid, env)
+    engine.run_until_quiescent()
+    by_kind = {}
+    for src, dst, msg in sent:
+        by_kind.setdefault((src, msg.kind), []).append(msg)
+    # the orderer forwards the client's envelope itself as the log record
+    [record] = by_kind[oid, MessageKind.LOG_APPEND]
+    assert record.body is env
+    assert nodes[leader_id].records == [env]
+    # one copy message for all followers, one notice for all orderers, and
+    # the designated orderer forwards the leader's block message as is
+    for kind, receivers in ((MessageKind.LOG_APPEND, 3),
+                            (MessageKind.COMMIT_NOTICE, 2),
+                            (MessageKind.BLOCK_DELIVER, 1)):
+        msgs = by_kind[leader_id, kind]
+        assert len(msgs) == receivers and len({id(m) for m in msgs}) == 1
+    [block_msg] = by_kind[leader_id, MessageKind.BLOCK_DELIVER]
+    forwarded = by_kind[designated, MessageKind.BLOCK_DELIVER]
+    assert len(forwarded) == 3 and all(m is block_msg for m in forwarded)
+    assert block_msg.size_bytes == \
+        nodes[leader_id].sizes.block_header + env.size_bytes

@@ -9,7 +9,7 @@ from eovsim.ledger import Ledger, WriteSet
 from eovsim.smallbank import (AccessPattern, OpKind, Proposal, REJECTED,
                               SmallbankOp, WorkloadConfig, checking_key,
                               execute, generate, initial_write_set,
-                              savings_key, total_balance)
+                              reachable_accounts, savings_key, total_balance)
 
 
 def seeded_state(balances):
@@ -242,3 +242,21 @@ def test_initial_write_set_covers_every_account():
     ws = initial_write_set(cfg)
     assert len(ws.writes) == 14
     assert all(v == 123 for _, v in ws.writes)
+
+
+@pytest.mark.parametrize("n,kind,fraction_hot,prob_hot,reach", [
+    (5, "uniform", 0.01, 0.5, 5),
+    (5, "hotspot", 0.0, 1.0, 1),   # the hot set is one account
+    (2, "hotspot", 0.5, 0.0, 1),   # the cold set is one account
+    (6, "hotspot", 0.5, 0.0, 3),
+    (6, "hotspot", 0.5, 1.0, 3),
+    (6, "hotspot", 1.0, 0.0, 6),   # no cold set: every account
+    (6, "hotspot", 0.5, 0.5, 6),
+])
+def test_reachable_accounts_counts_the_accounts_generate_draws(
+        n, kind, fraction_hot, prob_hot, reach):
+    cfg = WorkloadConfig(n_accounts=n, op_mix={"deposit_checking": 1.0},
+                         access=AccessPattern(kind, fraction_hot, prob_hot),
+                         seed=8)
+    drawn = {p.op.accounts[0] for p in generate(cfg, 2000)}
+    assert len(drawn) == reachable_accounts(cfg) == reach
