@@ -3,7 +3,8 @@
 Signatures are modeled as identity stamps: an endorsement names the peer
 that produced it, and policy evaluation trusts the stamp. A policy is
 satisfied by at least `threshold` endorsements from the required peer set
-whose (read set, write set) payloads are pairwise equal.
+whose (read set, write set) payloads are pairwise equal. Peers on one chain
+tip share one execution of a proposal, and so one ReadSet and WriteSet.
 """
 
 from __future__ import annotations
@@ -71,7 +72,15 @@ def endorse(proposal: Proposal, ledger, peer_id: str) -> Endorsement:
     Every client's proposal is endorsed: there is no authorization. The
     contract's response value is dropped, as nothing after endorsement
     reads it.
+
+    The sets are memoized on the proposal by ledger.tip_hash. Premise:
+    state changes only through commit_block, which appends the block before
+    it applies writes, so the tip names the state. Ledgers seeded with
+    apply_write_set and no block must not share a Proposal across states.
     """
-    read_set, write_set, _response = execute(proposal.op, ledger)
+    sets = proposal.executed.get(ledger.tip_hash)
+    if sets is None:
+        read_set, write_set, _response = execute(proposal.op, ledger)
+        sets = proposal.executed[ledger.tip_hash] = (read_set, write_set)
     return Endorsement(txn_id=proposal.txn_id, peer=peer_id,
-                       read_set=read_set, write_set=write_set)
+                       read_set=sets[0], write_set=sets[1])

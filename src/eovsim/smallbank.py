@@ -14,7 +14,8 @@ the exact semantics implemented (and tested against a serial oracle):
 
 Execution is a pure function of (op, snapshot): it records every key read
 with the version observed, never mutates the snapshot, and a rejection
-yields an empty write set. Unknown accounts are rejected.
+yields an empty write set. Unknown accounts are rejected. Being pure, it
+runs once per proposal and chain tip (Proposal.executed, endorser.endorse).
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ class Proposal:
     txn_id: str
     client: str
     op: SmallbankOp
+    # ledger tip hash -> (ReadSet, WriteSet), memoized by endorser.endorse
+    executed: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def checking_key(customer: int) -> str:
@@ -187,6 +190,11 @@ DEFAULT_OP_MIX = {
 }
 
 
+# A hotspot side picked with a probability below this counts as unreachable:
+# random() < 1e-300 holds for one float in 2**53, so it is never drawn.
+MIN_SIDE_PROB = 1e-9
+
+
 def _pick_account(rng: random.Random, cfg: WorkloadConfig) -> int:
     access = cfg.access
     if access.kind == "hotspot":
@@ -200,14 +208,15 @@ def _pick_account(rng: random.Random, cfg: WorkloadConfig) -> int:
 
 
 def reachable_accounts(cfg: WorkloadConfig) -> int:
-    """How many accounts _pick_account can draw (two-account ops need 2)."""
+    """How many accounts _pick_account draws in practice (two-account ops
+    need 2); a side picked with probability below MIN_SIDE_PROB is left out."""
     n, access = cfg.n_accounts, cfg.access
     if access.kind != "hotspot":
         return n
     hot = max(1, int(n * access.fraction_hot))
-    if access.prob_hot >= 1.0:
+    if access.prob_hot > 1.0 - MIN_SIDE_PROB:
         return hot
-    return n - hot if access.prob_hot <= 0.0 and hot < n else n
+    return n - hot if access.prob_hot < MIN_SIDE_PROB and hot < n else n
 
 
 def generate(cfg: WorkloadConfig, count: int,

@@ -1,5 +1,6 @@
 import pytest
 
+from eovsim import endorser
 from eovsim.ordering import BlockCutter
 
 
@@ -16,3 +17,17 @@ def commit_times(monkeypatch):
 
     monkeypatch.setattr(BlockCutter, "add", spy)
     return times
+
+
+@pytest.fixture
+def executions(monkeypatch):
+    """The op of every smallbank execution endorse() runs, in call order."""
+    ops = []
+    execute = endorser.execute
+
+    def spy(op, snapshot):
+        ops.append(op)
+        return execute(op, snapshot)
+
+    monkeypatch.setattr(endorser, "execute", spy)
+    return ops

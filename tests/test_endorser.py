@@ -3,11 +3,14 @@ import random
 
 import pytest
 
+from eovsim.committer import ValidationFlag, commit_block
 from eovsim.endorser import (Endorsement, EndorsementPolicy, endorse,
                              policy_satisfied)
-from eovsim.ledger import Ledger, ReadSet, WriteSet
+from eovsim.ledger import Block, CutReason, Ledger, ReadSet, WriteSet
+from eovsim.ordering import Envelope
 from eovsim.smallbank import (OpKind, Proposal, SmallbankOp, WorkloadConfig,
-                              execute, initial_write_set)
+                              checking_key, execute, generate,
+                              initial_write_set)
 
 
 def seeded_ledger(n_accounts=4):
@@ -45,6 +48,65 @@ def test_endorsement_reflects_state_at_issuance():
     result = endorse(proposal, ledger, "peer000")
     rs, ws, _resp = execute(proposal.op, ledger)
     assert (tuple(rs.reads), tuple(ws.writes)) == result.payload_key()
+
+
+# --- one execution per committed state --------------------------------------
+
+def committed(ledger, write_set, txn_id):
+    """Commit a one-txn block carrying write_set, the way peers change state."""
+    env = Envelope(txn_id=txn_id, endorsements=(), read_set=ReadSet(),
+                   write_set=write_set, client="", size_bytes=1)
+    block = Block(height=ledger.height + 1, prev_hash=ledger.tip_hash,
+                  txns=[env], cut_reason=CutReason.COUNT_THRESHOLD,
+                  created_at=0)
+    commit_block(ledger, block, [ValidationFlag.VALID])
+    return ledger
+
+
+def genesis_ledger():
+    cfg = WorkloadConfig(n_accounts=4, seed=0)
+    return committed(Ledger(), initial_write_set(cfg), "genesis")
+
+
+def test_peers_on_one_tip_share_one_execution(executions):
+    a = genesis_ledger()
+    b = a.fork()
+    proposal = Proposal("t4", "c", SmallbankOp(OpKind.SEND_PAYMENT, (0, 1), 7))
+    ea = endorse(proposal, a, "peer000")
+    eb = endorse(proposal, b, "peer001")
+    assert (ea.peer, eb.peer) == ("peer000", "peer001")
+    assert ea.read_set is eb.read_set
+    assert ea.write_set is eb.write_set
+    assert executions == [proposal.op]
+
+
+def test_a_committed_block_gives_a_fresh_execution(executions):
+    a = genesis_ledger()
+    b = a.fork()
+    key = checking_key(2)
+    proposal = Proposal("t5", "c", SmallbankOp(OpKind.DEPOSIT_CHECKING, (2,), 3))
+    before = endorse(proposal, a, "peer000")
+    assert before.read_set.reads == [(key, (0, 0))]
+    committed(a, WriteSet([(key, 50)]), "t-other")
+    after = endorse(proposal, a, "peer000")
+    assert after.read_set.reads == [(key, (1, 0))]
+    assert after.write_set.writes == [(key, 53)]
+    stale = endorse(proposal, b, "peer001")  # b is still on the old tip
+    assert stale.read_set is before.read_set
+    assert stale.write_set is before.write_set
+    assert stale.payload_key() != after.payload_key()
+    assert len(executions) == 2
+
+
+def test_memo_leaves_proposal_equality_and_repr_alone():
+    cfg = WorkloadConfig(n_accounts=4, seed=3)
+    used, fresh = generate(cfg, 3, "c"), generate(cfg, 3, "c")
+    ledger = genesis_ledger()
+    for proposal in used:
+        endorse(proposal, ledger, "peer000")
+    assert all(p.executed for p in used)
+    assert used == fresh
+    assert [repr(p) for p in used] == [repr(p) for p in fresh]
 
 
 def test_policy_all_peers_threshold():

@@ -96,6 +96,12 @@ def test_invalid_config_exits_1_with_field_name(tmp_path, capsys):
             ({"workload": {"n_accounts": 2,
                            "access": {"kind": "hotspot", "prob_hot": 0.0,
                                       "fraction_hot": 0.5}}},
+             "workload.access"),
+            # a hot side picked with probability 1e-300 is never drawn
+            ({"workload": {"n_accounts": 2,
+                           "access": {"kind": "hotspot", "prob_hot": 1e-300,
+                                      "fraction_hot": 0.5}},
+              "duration_s": 1.0},
              "workload.access")):
         cfg = write_cfg(tmp_path, doc)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1, doc
@@ -148,19 +154,28 @@ def bench_workloads() -> dict:
     return module.WORKLOADS
 
 
+# Smallbank executions per pinned cell: endorsing peers on one chain tip
+# share one, so this counts distinct (proposal, tip) pairs, not proposals
+# times peers.
+PINNED_EXECUTES = {"default": 6_221, "order-saturated": 4_335,
+                   "validate-wide": 2_616}
+
+
 @pytest.mark.parametrize("workload,seed,events,digest", [
     ("default", 42, 204_820, "fea3ba2b4d1ed902"),
     ("order-saturated", 1, 425_608, "d9c20a67e5f12282"),
     ("validate-wide", 1, 116_534, "1ad02e770a621e9c"),
 ])
-def test_schedule_guard_pinned_cell(workload, seed, events, digest):
-    # The default profile and the benchmark's two workloads; the values
-    # change only if the event schedule does.
+def test_schedule_guard_pinned_cell(workload, seed, events, digest,
+                                    executions):
+    # The default profile and the benchmark's two workloads; the events and
+    # digest change only if the event schedule does.
     overrides = ({} if workload == "default"
                  else copy.deepcopy(bench_workloads()[workload]))
     trace = run_simulation(ExperimentConfig.from_dict(
         overrides | {"seed": seed})).trace
     assert (trace.events_dispatched, trace.dispatch_digest) == (events, digest)
+    assert len(executions) == PINNED_EXECUTES[workload]
 
 
 def test_block_trace_dump(tmp_path):
