@@ -1,5 +1,7 @@
-"""Validation phase on every peer: policy check, version conflict check,
-commit with rollback of invalid transactions, and block gossip.
+"""The peer: it endorses what it is sent, then runs the validation phase
+(policy check, version conflict check, commit with rollback of invalid
+transactions) and gossips blocks. Clients send proposals to the endorsing
+peers only; the policy is a threshold of endorsements that agree.
 
 Transactions in a block are processed in order; the conflict check for txn i
 sees the writes of valid txns 0..i-1 of the same block (first writer wins).
@@ -10,9 +12,6 @@ blocks from the ordering service; each non-endorsing peer is assigned one
 endorsing anchor peer that forwards each committed block to it as the
 BLOCK_DELIVER message it received, so every peer commits a height from the
 one message the leader built.
-An out-of-order arrival is buffered as the message it came in; once its
-predecessor commits, the peer re-delivers that message to itself, and it
-re-enters the work queue like any block delivery.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .endorser import EndorsementPolicy, endorse, policy_satisfied
+from .endorser import endorse, policy_satisfied
 from .engine import Message, MessageKind, Node, NodeClass
 from .ledger import Block, Ledger, Version
 from .smallbank import Proposal
@@ -32,20 +31,20 @@ class ValidationFlag(enum.Enum):
     MVCC_CONFLICT = "MVCCConflict"
 
 
-def validate_block(block: Block, policy: EndorsementPolicy,
+def validate_block(block: Block, threshold: int,
                    ledger: Ledger) -> list[ValidationFlag]:
     """Flag every transaction in the block, in order.
 
-    A txn is Valid iff its endorsement set satisfies the policy and every
-    read version matches the running state (committed state plus writes of
-    earlier valid txns in this block).
+    A txn is Valid iff at least `threshold` of its endorsements agree on
+    one payload and every read version matches the running state (committed
+    state plus writes of earlier valid txns in this block).
     """
     flags = []
     overlay: dict[str, Version] = {}
     for idx, env in enumerate(block.txns):
         ok = env.policy_memo
         if ok is None:
-            ok, _witness = policy_satisfied(policy, env.endorsements)
+            ok, _witness = policy_satisfied(threshold, env.endorsements)
             env.policy_memo = ok
         if not ok:
             flags.append(ValidationFlag.POLICY_VIOLATION)
@@ -77,54 +76,6 @@ def commit_block(ledger: Ledger, block: Block,
             ledger.apply_write_set(env.write_set, (block.height, idx))
 
 
-class PeerBase(Node):
-    """Shared peer behavior: in-order block validation and commit.
-
-    Blocks may arrive out of height order (designated orderers rotate, and
-    gossip copies jitter); a block for a future height is buffered with zero
-    service cost, and its message is re-delivered once its predecessor
-    commits, paying its validation service then. Duplicate heights are
-    dropped.
-    """
-
-    def __init__(self, node_id: str, ledger: Ledger, policy: EndorsementPolicy,
-                 service_cfg, sizes):
-        super().__init__(node_id, NodeClass.PEER)
-        self.ledger = ledger
-        self.policy = policy
-        self.svc = service_cfg
-        self.sizes = sizes
-        self._buffered: dict[int, Message] = {}  # height -> block message
-
-    def service_us(self, msg: Message) -> int:
-        if msg.kind is MessageKind.BLOCK_DELIVER:
-            block = msg.body
-            if block.height == self.ledger.height + 1:
-                return len(block.txns) * self.svc.validate_per_txn
-        return 0
-
-    def handle(self, msg: Message) -> None:
-        if msg.kind is MessageKind.BLOCK_DELIVER:
-            block = msg.body
-            if block.height <= self.ledger.height or block.height in self._buffered:
-                return  # duplicate
-            if block.height == self.ledger.height + 1:
-                self._commit(msg)
-            else:
-                self._buffered[block.height] = msg
-
-    def _commit(self, msg: Message) -> None:
-        flags = validate_block(msg.body, self.policy, self.ledger)
-        commit_block(self.ledger, msg.body, flags)
-        self.on_committed(msg, flags)
-        successor = self._buffered.pop(self.ledger.height + 1, None)
-        if successor is not None:
-            self.engine.schedule(self.id, successor, 0)
-
-    def on_committed(self, msg: Message, flags: list[ValidationFlag]) -> None:
-        """Called with the BLOCK_DELIVER message just committed."""
-
-
 @dataclass(slots=True)
 class BlockCommitted:
     """Peer -> client commit notice: which txns landed, and whether valid."""
@@ -133,20 +84,40 @@ class BlockCommitted:
     txn_flags: tuple  # (txn_id, valid: bool) pairs
 
 
-class EndorsingPeer(PeerBase):
-    """Endorsing peer: endorses every proposal it receives, then validates
-    and commits blocks like any peer; pushes committed blocks to its assigned
-    non-endorsing peers and commit notices to its home clients."""
+class Peer(Node):
+    """A peer endorses each proposal it is sent, and validates and commits
+    blocks in height order.
 
-    def __init__(self, node_id, ledger, policy, service_cfg, sizes):
-        super().__init__(node_id, ledger, policy, service_cfg, sizes)
+    Blocks may arrive out of height order (designated orderers rotate, and
+    gossip copies jitter); a block for a future height is buffered, at zero
+    service cost, as the message it came in. Once its predecessor commits,
+    the peer re-delivers that message to itself, and it re-enters the work
+    queue and pays its validation service like any block delivery.
+    Duplicate heights are dropped. After a commit the peer sends a commit
+    notice to each home client and forwards the block message to each
+    gossip target; a non-endorsing peer is one that no client or orderer
+    sends to, and has neither.
+    """
+
+    def __init__(self, node_id: str, ledger: Ledger, threshold: int,
+                 service_cfg, sizes):
+        super().__init__(node_id, NodeClass.PEER)
+        self.ledger = ledger
+        self.threshold = threshold
+        self.svc = service_cfg
+        self.sizes = sizes
         self.home_clients: list[str] = []
         self.gossip_targets: list[str] = []
+        self._buffered: dict[int, Message] = {}  # height -> block message
 
     def service_us(self, msg: Message) -> int:
         if msg.kind is MessageKind.PROPOSAL:
             return self.svc.endorse
-        return super().service_us(msg)
+        if msg.kind is MessageKind.BLOCK_DELIVER:
+            block = msg.body
+            if block.height == self.ledger.height + 1:
+                return len(block.txns) * self.svc.validate_per_txn
+        return 0
 
     def handle(self, msg: Message) -> None:
         if msg.kind is MessageKind.PROPOSAL:
@@ -154,13 +125,20 @@ class EndorsingPeer(PeerBase):
             reply = Message(MessageKind.ENDORSEMENT, self.sizes.endorsement,
                             endorse(proposal, self.ledger, self.id))
             self.engine.send(self.id, proposal.client, reply)
-        else:
-            super().handle(msg)
+        elif msg.kind is MessageKind.BLOCK_DELIVER:
+            height = msg.body.height
+            if height == self.ledger.height + 1:
+                self._commit(msg)
+            elif height > self.ledger.height:  # a lower height is a duplicate
+                self._buffered.setdefault(height, msg)
 
-    def on_committed(self, msg: Message, flags) -> None:
+    def _commit(self, msg: Message) -> None:
+        block = msg.body
+        flags = validate_block(block, self.threshold, self.ledger)
+        commit_block(self.ledger, block, flags)
         if self.home_clients:
             txn_flags = tuple((txn_id, flag is ValidationFlag.VALID)
-                              for txn_id, flag in zip(msg.body.txn_ids(), flags))
+                              for txn_id, flag in zip(block.txn_ids(), flags))
             size = self.sizes.notice + self.sizes.block_txn_summary * len(flags)
             notice = Message(MessageKind.COMMIT_NOTICE, size,
                              BlockCommitted(self.engine.now, txn_flags))
@@ -168,7 +146,6 @@ class EndorsingPeer(PeerBase):
                 self.engine.send(self.id, client, notice)
         for target in self.gossip_targets:
             self.engine.send(self.id, target, msg)
-
-
-class NonEndorsingPeer(PeerBase):
-    """Validates and commits gossiped blocks; plays no part in endorsement."""
+        successor = self._buffered.pop(self.ledger.height + 1, None)
+        if successor is not None:
+            self.engine.schedule(self.id, successor, 0)

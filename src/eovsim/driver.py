@@ -17,7 +17,7 @@ import enum
 from dataclasses import dataclass
 
 from .committer import BlockCommitted
-from .endorser import EndorsementPolicy, policy_satisfied
+from .endorser import policy_satisfied
 from .engine import Message, MessageKind, Node, NodeClass, Timer, timer
 from .ordering import Envelope
 from .smallbank import Proposal
@@ -73,13 +73,13 @@ class TxnJourney:
 class ClientNode(Node):
     def __init__(self, node_id: str, cfg: ClientConfig, proposals: list[Proposal],
                  endorsing_peers: list[str], orderers: list[str],
-                 policy: EndorsementPolicy, sizes):
+                 threshold: int, sizes):
         super().__init__(node_id, NodeClass.CLIENT)
         self.cfg = cfg
         self.proposals = proposals
         self.peers = endorsing_peers
         self.orderers = orderers
-        self.policy = policy
+        self.threshold = threshold
         self.sizes = sizes
         self.journeys: dict[str, TxnJourney] = {}
         self._collected: dict[str, dict] = {}  # txn -> {peer: Endorsement}
@@ -136,9 +136,9 @@ class ClientNode(Node):
         if endorsement.peer in collected:
             return
         collected[endorsement.peer] = endorsement
-        if len(collected) < self.policy.threshold:
+        if len(collected) < self.threshold:
             return  # cannot possibly satisfy the policy yet
-        ok, witness = policy_satisfied(self.policy, collected.values())
+        ok, witness = policy_satisfied(self.threshold, collected.values())
         if not ok:
             return
         journey.endorsed_us = self.engine.now

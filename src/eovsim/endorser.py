@@ -1,10 +1,11 @@
 """Endorsement issuance and endorsement-policy evaluation.
 
 Signatures are modeled as identity stamps: an endorsement names the peer
-that produced it, and policy evaluation trusts the stamp. A policy is
-satisfied by at least `threshold` endorsements from the required peer set
-whose (read set, write set) payloads are pairwise equal. Peers on one chain
-tip share one execution of a proposal, and so one ReadSet and WriteSet.
+that produced it, and policy evaluation trusts the stamp. A peer endorses
+what it is sent, so the policy is a threshold: it is satisfied by at least
+`threshold` endorsements whose (read set, write set) payloads are pairwise
+equal. Peers on one chain tip share one execution of a proposal, and so one
+ReadSet and WriteSet.
 """
 
 from __future__ import annotations
@@ -26,35 +27,25 @@ class Endorsement:
         return (self.read_set.key(), self.write_set.key())
 
 
-@dataclass(frozen=True)
-class EndorsementPolicy:
-    """Who may endorse and how many must agree, checked by config.py."""
-
-    required: tuple[str, ...]  # endorsing peer identities
-    threshold: int
-
-
-def policy_satisfied(policy: EndorsementPolicy,
+def policy_satisfied(threshold: int,
                      endorsements) -> tuple[bool, list[Endorsement]]:
-    """Check a policy; returns (satisfied, witnessing subset).
+    """Check a threshold policy; returns (satisfied, witnessing subset).
 
     The witnessing subset is the largest group of payload-identical
-    endorsements from required peers with size >= threshold; ties between
-    equally large groups break on lexicographic peer identity. Adding an
-    endorsement can never turn a satisfied policy unsatisfied.
+    endorsements with size >= threshold; ties between equally large groups
+    break on lexicographic peer identity. Adding an endorsement can never
+    turn a satisfied policy unsatisfied.
     """
     endorsements = list(endorsements)
     txn_ids = {e.txn_id for e in endorsements}
     if len(txn_ids) > 1:
         raise ValueError(f"mixed txn ids in policy check: {sorted(txn_ids)}")
-    required = set(policy.required)
     groups: dict[tuple, list[Endorsement]] = {}
     for e in endorsements:
-        if e.peer in required:
-            groups.setdefault(e.payload_key(), []).append(e)
+        groups.setdefault(e.payload_key(), []).append(e)
     best = None
     for group in groups.values():
-        if len(group) < policy.threshold:
+        if len(group) < threshold:
             continue
         group = sorted(group, key=lambda e: e.peer)
         peers = tuple(e.peer for e in group)

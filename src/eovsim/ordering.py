@@ -32,8 +32,9 @@ class Envelope:
     write_set: WriteSet
     client: str
     size_bytes: int
-    # Policy evaluation is a pure function of the endorsement set, so peers
-    # share one memoized verdict instead of re-deriving it N times.
+    # Policy evaluation is a pure function of the endorsement set and the
+    # threshold, which every peer of a run shares, so peers share one
+    # memoized verdict instead of re-deriving it N times.
     policy_memo: bool | None = None
 
 

@@ -1,16 +1,18 @@
 """Builds a topology from a config, runs it to quiescence, and reports.
 
 Node naming: client000.., peer000.. (endorsing), npeer000.. (non-endorsing),
-orderer000.., broker000..; broker000 is the static log leader. Every peer
-starts from an identical genesis block: one unendorsed envelope carrying the
-initial account balances, committed through commit_block with a Valid flag
-(it predates the policy machinery, so it skips validate_block) before the
-peers fork the base ledger. collect_report builds the RunReport in one
-place: chain, flag and state figures from the observer peer's (peer000)
-ledger, whose flags from height 1 on give valid_txns, policy_violations and
-mvcc_conflicts; journey figures from metrics.aggregate; counters from the
-nodes. Peers agree when their chains, per-txn flags and world states are
-equal to the observer's, compared exactly.
+orderer000.., broker000..; broker000 is the static log leader. Every peer is
+a committer.Peer with the config's policy threshold; the endorsing ones are
+those the clients send proposals to. Every peer starts from an identical
+genesis block: one unendorsed envelope carrying the initial account
+balances, committed through commit_block with a Valid flag (it predates the
+policy machinery, so it skips validate_block) before the peers fork the base
+ledger. collect_report builds the RunReport in one place: chain, flag and
+state figures from the observer peer's (peer000) ledger, whose flags from
+height 1 on give valid_txns, policy_violations and mvcc_conflicts; journey
+figures from metrics.aggregate; counters from the nodes. Peers agree when
+their chains, per-txn flags and world states are equal to the observer's,
+compared exactly.
 Clients spray envelopes over orderers round-robin by submission index and
 observe commits through their round-robin home peer. Each orderer counts the
 enqueue attempts and successes it handles before the window end; there is no
@@ -22,11 +24,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .committer import (EndorsingPeer, NonEndorsingPeer, ValidationFlag,
-                        commit_block)
+from .committer import Peer, ValidationFlag, commit_block
 from .config import ExperimentConfig
 from .driver import (ClientConfig, ClientNode, TxnJourney, submission_times)
-from .endorser import EndorsementPolicy
 from .engine import Engine, TraceSummary
 from .ledger import GENESIS_PREV_HASH, Block, CutReason, Ledger, ReadSet
 from .metrics import RunReport, aggregate
@@ -41,8 +41,8 @@ class Simulation:
     config: ExperimentConfig
     engine: Engine
     clients: list[ClientNode]
-    endorsing: list[EndorsingPeer]
-    non_endorsing: list[NonEndorsingPeer]
+    endorsing: list[Peer]
+    non_endorsing: list[Peer]
     orderers: list[OrdererNode]
     brokers: list[BrokerNode]
 
@@ -69,20 +69,14 @@ def build(cfg: ExperimentConfig) -> Simulation:
     broker_ids = [f"broker{i:03d}" for i in range(cfg.brokers)]
     leader_id = broker_ids[0]
 
-    policy = EndorsementPolicy(required=tuple(peer_ids),
-                               threshold=cfg.policy_threshold)
-
     base_ledger = Ledger()
     commit_block(base_ledger, genesis_block(cfg), [ValidationFlag.VALID])
 
-    endorsing = [EndorsingPeer(pid, base_ledger.fork(), policy, cfg.service,
-                               cfg.sizes) for pid in peer_ids]
-    non_endorsing = [NonEndorsingPeer(pid, base_ledger.fork(), policy,
-                                      cfg.service, cfg.sizes)
-                     for pid in npeer_ids]
+    peers = [Peer(pid, base_ledger.fork(), cfg.policy_threshold, cfg.service,
+                  cfg.sizes) for pid in peer_ids + npeer_ids]
+    endorsing, non_endorsing = peers[:cfg.peers], peers[cfg.peers:]
     for i, npeer in enumerate(non_endorsing):
-        anchor = endorsing[i % len(endorsing)]
-        anchor.gossip_targets.append(npeer.id)
+        endorsing[i % cfg.peers].gossip_targets.append(npeer.id)
 
     orderers = [OrdererNode(oid, leader_id, peer_ids, cfg.orderer_capacity,
                             cfg.duration_us, cfg.service, cfg.sizes)
@@ -108,12 +102,11 @@ def build(cfg: ExperimentConfig) -> Simulation:
     for i, cid in enumerate(client_ids):
         proposals = generate(cfg.workload, plan, client=cid)
         client = ClientNode(cid, client_cfg, proposals, peer_ids, orderer_ids,
-                            policy, cfg.sizes)
+                            cfg.policy_threshold, cfg.sizes)
         clients.append(client)
-        home = endorsing[i % len(endorsing)]
-        home.home_clients.append(cid)
+        endorsing[i % cfg.peers].home_clients.append(cid)
 
-    for node in endorsing + non_endorsing + orderers + brokers + clients:
+    for node in peers + orderers + brokers + clients:
         engine.add_node(node)
 
     for client in clients:

@@ -190,9 +190,11 @@ DEFAULT_OP_MIX = {
 }
 
 
-# A hotspot side picked with a probability below this counts as unreachable:
-# random() < 1e-300 holds for one float in 2**53, so it is never drawn.
-MIN_SIDE_PROB = 1e-9
+# A hotspot side picked with a probability below this counts as unreachable.
+# generate redraws a two-account op's second account until it differs from
+# the first, and waiting for a side picked with probability p takes about
+# 1/p draws, so no op needs more than about 1,000 expected redraws.
+MIN_SIDE_PROB = 1e-3
 
 
 def _pick_account(rng: random.Random, cfg: WorkloadConfig) -> int:

@@ -67,22 +67,15 @@ class SweepSpec:
         return cls(base=base, groups=groups)
 
     def varied_params(self) -> list[str]:
-        out = []
-        for group in self.groups:
-            out.extend(group["params"])
-        return out
+        return [path for group in self.groups for path in group["params"]]
 
     def cells(self) -> list[dict]:
         """Flat list of {param: value} assignments, cross product of groups."""
         assignments = [{}]
         for group in self.groups:
-            expanded = []
-            for assignment in assignments:
-                for row in group["values"]:
-                    new = dict(assignment)
-                    new.update(zip(group["params"], row))
-                    expanded.append(new)
-            assignments = expanded
+            assignments = [assignment | dict(zip(group["params"], row))
+                           for assignment in assignments
+                           for row in group["values"]]
         return assignments
 
 
@@ -140,9 +133,8 @@ def _run_cell_task(args):
         row = run_cell(cfg, out_dir)
         row["error"] = ""
     except Exception as exc:  # a failing cell must not abort the sweep
-        row = {name: "" for name in CELL_SCALARS}
+        row = dict.fromkeys(CELL_SCALARS + ["offered_tps"], "")
         row["seed"] = cfg.seed
-        row["offered_tps"] = ""
         row["error"] = f"{type(exc).__name__}: {exc}"
     row["cell"] = index
     row.update(assignment)
@@ -192,8 +184,24 @@ def _fmt(value) -> str:
 # -- figure extraction -------------------------------------------------------
 
 def read_cells_csv(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+    """A sweep's cells.csv rows; an unreadable or headerless file is refused."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            if not reader.fieldnames:
+                raise ConfigError(f"{path} has no header row")
+            return list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
+def _number(row: dict, col: str) -> float:
+    try:
+        return float(row[col])
+    except ValueError:
+        raise ConfigError(f"cells csv column {col!r} of cell "
+                          f"{row.get('cell', '?')!r} is not a number: "
+                          f"{row[col]!r}") from None
 
 
 def extract_figure(cells_rows: list[dict], figure: str, out_dir) -> list[Path]:
@@ -202,40 +210,42 @@ def extract_figure(cells_rows: list[dict], figure: str, out_dir) -> list[Path]:
         raise ConfigError(f"unknown figure {figure!r}")
     fig = presets.FIGURES[figure]
     x_col, series_col = fig["x"], fig["series_by"]
-    # Every DictReader row has the header's keys; check before writing.
+    # Every DictReader row has the header's keys. Every column and value
+    # the figure reads is checked before any file is written.
+    if not cells_rows:
+        raise ConfigError("cells csv has no rows")
     for col in [x_col, series_col, *fig["y"]]:
-        if col is not None and cells_rows and col not in cells_rows[0]:
+        if col is not None and col not in cells_rows[0]:
             raise ConfigError(f"cells csv is missing column {col!r}")
+    series_values = sorted({row[series_col] for row in cells_rows}) \
+        if series_col else [None]
+    points = {(y_col, s): {} for y_col in fig["y"] for s in series_values}
+    for row in cells_rows:
+        if row.get("error"):
+            continue
+        for y_col in fig["y"]:
+            if row[y_col] != "":
+                series = row[series_col] if series_col else None
+                points[y_col, series].setdefault(
+                    _number(row, x_col), []).append(_number(row, y_col))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    series_values = sorted({row[series_col] for row in cells_rows}) \
-        if series_col else [None]
-    for y_col in fig["y"]:
-        for series_value in series_values:
-            rows = [r for r in cells_rows
-                    if series_col is None or r[series_col] == series_value]
-            grouped: dict[float, list[float]] = {}
-            for row in rows:
-                if row.get("error"):
-                    continue
-                if row[y_col] == "":
-                    continue
-                grouped.setdefault(float(row[x_col]), []).append(float(row[y_col]))
-            label = f"_{series_col.split('.')[-1]}_{series_value}" \
-                if series_col else ""
-            path = out / f"{figure}{label}_{y_col}.dat"
-            with open(path, "w") as fh:
-                fh.write(f"# {fig['description']}\n")
-                fh.write(f"# x={x_col} y={y_col}\n")
-                for x in sorted(grouped):
-                    ys = grouped[x]
-                    mean = sum(ys) / len(ys)
-                    if len(ys) > 1:
-                        var = sum((y - mean) ** 2 for y in ys) / (len(ys) - 1)
-                        stderr = math.sqrt(var / len(ys))
-                    else:
-                        stderr = 0.0
-                    fh.write(f"{x:g} {mean:.6f} {stderr:.6f}\n")
-            written.append(path)
+    for (y_col, series_value), grouped in points.items():
+        label = f"_{series_col.split('.')[-1]}_{series_value}" \
+            if series_col else ""
+        path = out / f"{figure}{label}_{y_col}.dat"
+        with open(path, "w") as fh:
+            fh.write(f"# {fig['description']}\n")
+            fh.write(f"# x={x_col} y={y_col}\n")
+            for x in sorted(grouped):
+                ys = grouped[x]
+                mean = sum(ys) / len(ys)
+                if len(ys) > 1:
+                    var = sum((y - mean) ** 2 for y in ys) / (len(ys) - 1)
+                    stderr = math.sqrt(var / len(ys))
+                else:
+                    stderr = 0.0
+                fh.write(f"{x:g} {mean:.6f} {stderr:.6f}\n")
+        written.append(path)
     return written

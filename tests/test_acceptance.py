@@ -13,7 +13,7 @@ import pytest
 from eovsim.cli import main
 from eovsim.committer import ValidationFlag, commit_block, validate_block
 from eovsim.config import ExperimentConfig
-from eovsim.endorser import Endorsement, EndorsementPolicy
+from eovsim.endorser import Endorsement
 from eovsim.ledger import (Block, CutReason, GENESIS_PREV_HASH, Ledger,
                            ReadSet, WriteSet)
 from eovsim.ordering import Envelope
@@ -140,14 +140,13 @@ def test_c01_determinism_byte_identical_outputs(tmp_path):
 
 # --- criterion 2: MVCC oracle equivalence --------------------------------------
 
-def oracle_block(state, block, policy):
+def oracle_block(state, block, threshold):
     flags = []
     for idx, env in enumerate(block.txns):
         groups = {}
         for e in env.endorsements:
-            if e.peer in policy.required:
-                groups.setdefault(e.payload_key(), set()).add(e.peer)
-        if not any(len(g) >= policy.threshold for g in groups.values()):
+            groups.setdefault(e.payload_key(), set()).add(e.peer)
+        if not any(len(g) >= threshold for g in groups.values()):
             flags.append(ValidationFlag.POLICY_VIOLATION)
             continue
         if all((state[k][1] if k in state else None) == v
@@ -161,7 +160,7 @@ def oracle_block(state, block, policy):
 
 
 def test_c02_mvcc_serial_oracle_equivalence():
-    policy = EndorsementPolicy(("p0", "p1"), 2)
+    threshold = 2
     rng = random.Random(2024)
     keys = [f"k{i}" for i in range(10)]
     peers = [Ledger() for _ in range(3)]
@@ -186,9 +185,9 @@ def test_c02_mvcc_serial_oracle_equivalence():
                          for p in stamp)
             txns.append(Envelope(f"t{height}.{i}", ends, rs, ws, "c", 64))
         block = Block(height, prev, txns, CutReason.COUNT_THRESHOLD, height)
-        expected = oracle_block(oracle_state, block, policy)
+        expected = oracle_block(oracle_state, block, threshold)
         for ledger in peers:
-            flags = validate_block(block, policy, ledger)
+            flags = validate_block(block, threshold, ledger)
             if flags != expected:
                 mismatches += 1
             commit_block(ledger, block, flags)

@@ -6,9 +6,13 @@ arguments of each call it counts, so a target whose signature changed would
 crash the traced cell; each tally must take the same positional parameters
 as its target."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,3 +74,27 @@ def test_tally_takes_the_positional_parameters_of_its_target(metric):
     span, count = load_cell()._tallies(engine)[metric]
     assert positional_shape(count) == positional_shape(resolve(span)), \
         f"{metric}: tally and {span} take different positional parameters"
+
+
+def bench_hotspot_config() -> dict:
+    """The small contended HOTSPOT config of bench/test_bench_checks.py."""
+    tree = ast.parse((CELL_PY.parent / "test_bench_checks.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["HOTSPOT"])
+
+
+def test_traced_cell_passes_its_checks_and_counts_every_layer(tmp_path):
+    # Runs bench/cell.py end to end, as the benchmark does: the checks find
+    # no error, and no call count or tally reads zero.
+    config = tmp_path / "hotspot.json"
+    config.write_text(json.dumps(bench_hotspot_config()))
+    proc = subprocess.run(
+        [sys.executable, str(CELL_PY), "--config", str(config), "--seed", "3",
+         "--out", str(tmp_path / "out"), "--trace", "--check"],
+        capture_output=True, text=True, check=True, timeout=300)
+    cell = json.loads(proc.stdout.splitlines()[-1])
+    assert cell["errors"] == []
+    bench = load_cell()
+    counted = [*bench.CALLS, *bench._tallies(engine)]
+    assert [m for m in counted if not cell["layers"][m] > 0] == []

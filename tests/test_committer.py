@@ -5,20 +5,20 @@ import random
 
 import pytest
 
-from eovsim.committer import (EndorsingPeer, NonEndorsingPeer, ValidationFlag,
-                              commit_block, validate_block)
+from eovsim import committer
+from eovsim.committer import Peer, ValidationFlag, commit_block, validate_block
 from eovsim.config import ExperimentConfig
-from eovsim.endorser import Endorsement, EndorsementPolicy
+from eovsim.endorser import Endorsement
 from eovsim.engine import Engine, LatencyModel, Message, MessageKind
 from eovsim.ledger import (Block, CutReason, GENESIS_PREV_HASH, Ledger,
                            ReadSet, WriteSet, hash_block)
 from eovsim.ordering import Envelope
 
-POLICY = EndorsementPolicy(("p0", "p1"), 2)
+THRESHOLD = 2
 
 
 def mk_env(txn_id, reads, writes, peers=("p0", "p1")):
-    """Envelope whose endorsements trivially satisfy POLICY (or not)."""
+    """Envelope whose endorsements trivially satisfy THRESHOLD (or not)."""
     rs, ws = ReadSet(list(reads)), WriteSet(list(writes))
     endorsements = tuple(
         Endorsement(txn_id=txn_id, peer=p, read_set=rs, write_set=ws)
@@ -34,16 +34,15 @@ def mk_block(height, prev, envs, created=0):
 
 # --- independent serial oracle ----------------------------------------------
 
-def oracle_block(state, block, policy):
+def oracle_block(state, block, threshold):
     """state: {key: (value, version)}; returns (flags, new state)."""
     flags = []
     for idx, env in enumerate(block.txns):
         usable = {}
         for e in env.endorsements:
-            if e.peer in policy.required:
-                usable.setdefault((tuple(e.read_set.reads),
-                                   tuple(e.write_set.writes)), set()).add(e.peer)
-        policy_ok = any(len(peers) >= policy.threshold
+            usable.setdefault((tuple(e.read_set.reads),
+                               tuple(e.write_set.writes)), set()).add(e.peer)
+        policy_ok = any(len(peers) >= threshold
                         for peers in usable.values())
         if not policy_ok:
             flags.append(ValidationFlag.POLICY_VIOLATION)
@@ -81,7 +80,7 @@ def test_double_write_same_key_first_wins():
         mk_env("t1", reads=[("k", v)], writes=[("k", 3)]),
         mk_env("t2", reads=[("k", (1, 0))], writes=[]),
     ])
-    flags = validate_block(block, POLICY, ledger)
+    flags = validate_block(block, THRESHOLD, ledger)
     # t1 conflicts with t0's in-block write; t2, which expects exactly that
     # write's version (1, 0), is valid, so reads go through the overlay
     assert flags == [ValidationFlag.VALID, ValidationFlag.MVCC_CONFLICT,
@@ -93,7 +92,7 @@ def test_policy_violation_flag():
     block = mk_block(1, ledger.tip_hash, [
         mk_env("t0", reads=[], writes=[("k", 1)], peers=("p0",)),
     ])
-    flags = validate_block(block, POLICY, ledger)
+    flags = validate_block(block, THRESHOLD, ledger)
     assert flags[0] is ValidationFlag.POLICY_VIOLATION
 
 
@@ -101,7 +100,8 @@ def test_read_only_block_all_valid():
     ledger = committed_ledger([("a", 1), ("b", 2)])
     envs = [mk_env(f"q{i}", reads=[("a", (0, 0)), ("b", (0, 0))], writes=[])
             for i in range(10)]
-    flags = validate_block(mk_block(1, ledger.tip_hash, envs), POLICY, ledger)
+    flags = validate_block(mk_block(1, ledger.tip_hash, envs), THRESHOLD,
+                           ledger)
     assert all(flag is ValidationFlag.VALID for flag in flags)
 
 
@@ -111,7 +111,7 @@ def test_absent_key_reads_match_none():
         mk_env("t0", reads=[("nope", None)], writes=[("nope", 1)]),
         mk_env("t1", reads=[("nope", None)], writes=[]),
     ])
-    flags = validate_block(block, POLICY, ledger)
+    flags = validate_block(block, THRESHOLD, ledger)
     assert flags[0] is ValidationFlag.VALID
     assert flags[1] is ValidationFlag.MVCC_CONFLICT  # t0 bumped it
 
@@ -122,7 +122,7 @@ def test_commit_applies_only_valid_writes():
         mk_env("t0", reads=[("k", (0, 0))], writes=[("k", 5)]),
         mk_env("t1", reads=[("k", (0, 0))], writes=[("k", 9), ("j", 9)]),
     ])
-    flags = validate_block(block, POLICY, ledger)
+    flags = validate_block(block, THRESHOLD, ledger)
     assert flags == [ValidationFlag.VALID, ValidationFlag.MVCC_CONFLICT]
     commit_block(ledger, block, flags)
     assert ledger.height == 1
@@ -137,7 +137,7 @@ def test_all_invalid_block_leaves_state_unchanged():
         mk_env("t0", reads=[("k", (9, 9))], writes=[("k", 5)]),
         mk_env("t1", reads=[], writes=[("k", 6)], peers=("p0",)),
     ])
-    commit_block(ledger, block, validate_block(block, POLICY, ledger))
+    commit_block(ledger, block, validate_block(block, THRESHOLD, ledger))
     assert ledger.state_digest() == before
     assert ledger.height == 1  # block still appended
 
@@ -150,7 +150,7 @@ def test_rollback_completeness_no_version_points_at_invalid_txn():
     for h in range(30):
         envs = random_envs(rng, ledger, h)
         block = mk_block(h, prev, envs)
-        flags = validate_block(block, POLICY, ledger)
+        flags = validate_block(block, THRESHOLD, ledger)
         commit_block(ledger, block, flags)
         flags_per_block.append(flags)
         prev = ledger.tip_hash
@@ -189,9 +189,10 @@ def test_randomized_blocks_match_serial_oracle_on_two_peers():
     for h in range(200):
         envs = random_envs(rng, ledger_a, h)
         block = mk_block(h, prev, envs)
-        expected_flags, oracle_state = oracle_block(oracle_state, block, POLICY)
+        expected_flags, oracle_state = oracle_block(oracle_state, block,
+                                                    THRESHOLD)
         for ledger in (ledger_a, ledger_b):
-            flags = validate_block(block, POLICY, ledger)
+            flags = validate_block(block, THRESHOLD, ledger)
             assert flags == expected_flags
             commit_block(ledger, block, flags)
         assert ledger_a.state_digest() == ledger_b.state_digest()
@@ -204,9 +205,9 @@ def test_randomized_blocks_match_serial_oracle_on_two_peers():
 def wire_peers(n_non_endorsing=2):
     cfg = ExperimentConfig.from_dict({})
     engine = Engine(LatencyModel(default_us=500), seed=9)
-    anchor = EndorsingPeer("peer000", Ledger(), POLICY, cfg.service, cfg.sizes)
-    npeers = [NonEndorsingPeer(f"npeer{i:03d}", Ledger(), POLICY, cfg.service,
-                               cfg.sizes) for i in range(n_non_endorsing)]
+    anchor = Peer("peer000", Ledger(), THRESHOLD, cfg.service, cfg.sizes)
+    npeers = [Peer(f"npeer{i:03d}", Ledger(), THRESHOLD, cfg.service,
+                   cfg.sizes) for i in range(n_non_endorsing)]
     anchor.gossip_targets = [p.id for p in npeers]
     engine.add_node(anchor)
     for p in npeers:
@@ -268,12 +269,17 @@ def test_out_of_order_block_buffered_until_gap_fills():
     assert target.ledger.tip_hash == hash_block(b2)
 
 
-def test_buffered_blocks_reenter_and_pay_validation_once():
+def test_buffered_blocks_reenter_and_pay_validation_once(monkeypatch):
     engine, anchor, npeers = wire_peers(n_non_endorsing=1)
     target = npeers[0]
     commits = []
-    target.on_committed = lambda msg, flags: commits.append(
-        (msg.body.height, engine.now))
+    inner = committer.commit_block
+
+    def spy(ledger, block, flags):
+        if ledger is target.ledger:
+            commits.append((block.height, engine.now))
+        inner(ledger, block, flags)
+    monkeypatch.setattr(committer, "commit_block", spy)
     b0, b1, b2 = chain_blocks(3, txns_per_block=3)
     deliver_block(engine, target.id, b2, at=0)   # buffered
     deliver_block(engine, target.id, b1, at=50)  # buffered
@@ -372,29 +378,29 @@ def test_every_peer_commits_each_height_from_the_leaders_message():
     sim = build(cfg)
     leader = sim.brokers[0].id
     built = {}  # height -> the BLOCK_DELIVER message the leader sent
+    delivered = []  # every BLOCK_DELIVER message any node sent
     proposals = []  # (client, message) per proposal sent
     send = sim.engine.send
 
     def spy(src, dst, msg, extra_delay_us=0):
-        if src == leader and msg.kind is MessageKind.BLOCK_DELIVER:
-            built[msg.body.height] = msg
+        if msg.kind is MessageKind.BLOCK_DELIVER:
+            if src == leader:
+                built.setdefault(msg.body.height, msg)
+            delivered.append(msg)
         if msg.kind is MessageKind.PROPOSAL:
             proposals.append((src, msg))
         send(src, dst, msg, extra_delay_us)
     sim.engine.send = spy
-    committed = {}  # (peer, height) -> the message the peer committed from
-    for peer in sim.all_peers():
-        def record(msg, flags, peer=peer, inner=peer.on_committed):
-            committed[peer.id, msg.body.height] = msg
-            inner(msg, flags)
-        peer.on_committed = record
     sim.engine.run_until_quiescent(cfg.duration_us + cfg.drain_limit_us)
     heights = sorted(built)
     assert len(heights) >= 3 and heights == list(range(1, len(heights) + 1))
     assert len(sim.non_endorsing) == 3
+    # every block message that travels is the one the leader built for its
+    # height: orderers and anchor peers forward it as received
+    assert all(msg is built[msg.body.height] for msg in delivered)
     for peer in sim.all_peers():
         assert peer.ledger.height == heights[-1]
         for h in heights:
-            assert committed[peer.id, h] is built[h]
+            assert peer.ledger.blocks[h] is built[h].body
     # a proposal is one message shared by every endorsing peer it goes to
     assert len(proposals) == 2 * len({id(m) for _, m in proposals})

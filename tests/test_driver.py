@@ -2,7 +2,7 @@ from eovsim.committer import BlockCommitted
 from eovsim.config import ExperimentConfig
 from eovsim.driver import (ClientConfig, ClientNode, JourneyStatus, TxnJourney,
                            submission_times)
-from eovsim.endorser import Endorsement, EndorsementPolicy
+from eovsim.endorser import Endorsement
 from eovsim.engine import (Engine, LatencyModel, Message, MessageKind, Node,
                            NodeClass)
 from eovsim.ledger import ReadSet, WriteSet
@@ -57,14 +57,14 @@ def wire_client(n_peers=3, threshold=None, rate=10.0, duration_us=200_000,
     sim_cfg = ExperimentConfig.from_dict({})
     engine = Engine(LatencyModel(default_us=1000), seed=4)
     peer_ids = [f"peer{i:03d}" for i in range(n_peers)]
-    policy = EndorsementPolicy(tuple(peer_ids), threshold or n_peers)
     proposals = [Proposal(f"c0-{i:06d}", "client000",
                           SmallbankOp(OpKind.QUERY, (i,)))
                  for i in range(10)]
     client = ClientNode("client000",
                         ClientConfig(rate, duration_us, endorse_timeout_us,
                                      broadcast_timeout_us),
-                        proposals, peer_ids, ["orderer000"], policy,
+                        proposals, peer_ids, ["orderer000"],
+                        threshold or n_peers,
                         sim_cfg.sizes)
     engine.add_node(client)
     for pid in peer_ids:

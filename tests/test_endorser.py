@@ -4,8 +4,7 @@ import random
 import pytest
 
 from eovsim.committer import ValidationFlag, commit_block
-from eovsim.endorser import (Endorsement, EndorsementPolicy, endorse,
-                             policy_satisfied)
+from eovsim.endorser import Endorsement, endorse, policy_satisfied
 from eovsim.ledger import Block, CutReason, Ledger, ReadSet, WriteSet
 from eovsim.ordering import Envelope
 from eovsim.smallbank import (OpKind, Proposal, SmallbankOp, WorkloadConfig,
@@ -110,58 +109,44 @@ def test_memo_leaves_proposal_equality_and_repr_alone():
 
 
 def test_policy_all_peers_threshold():
-    policy = EndorsementPolicy(("p0", "p1", "p2", "p3"), 4)
-    full = [mk_endorsement(p) for p in policy.required]
-    ok, witness = policy_satisfied(policy, full)
+    full = [mk_endorsement(p) for p in ("p0", "p1", "p2", "p3")]
+    ok, witness = policy_satisfied(4, full)
     assert ok
     assert [e.peer for e in witness] == ["p0", "p1", "p2", "p3"]
 
-    ok, witness = policy_satisfied(policy, full[:3])
+    ok, witness = policy_satisfied(4, full[:3])
     assert not ok and witness == []
 
 
 def test_policy_divergent_write_set_breaks_full_match():
-    policy = EndorsementPolicy(("p0", "p1", "p2", "p3"), 4)
     endorsements = [mk_endorsement(p) for p in ("p0", "p1", "p2")]
     endorsements.append(mk_endorsement("p3", payload=9))
-    ok, _ = policy_satisfied(policy, endorsements)
+    ok, _ = policy_satisfied(4, endorsements)
     assert not ok
     # a lower threshold is satisfied by the matching trio
-    lower = EndorsementPolicy(("p0", "p1", "p2", "p3"), 3)
-    ok, witness = policy_satisfied(lower, endorsements)
+    ok, witness = policy_satisfied(3, endorsements)
     assert ok
     assert [e.peer for e in witness] == ["p0", "p1", "p2"]
 
 
-def test_policy_ignores_peers_outside_required_set():
-    policy = EndorsementPolicy(("p0", "p1"), 2)
-    endorsements = [mk_endorsement("p0"), mk_endorsement("outsider")]
-    ok, _ = policy_satisfied(policy, endorsements)
-    assert not ok
-
-
 def test_policy_mixed_txn_ids_fail_fast():
-    policy = EndorsementPolicy(("p0", "p1"), 1)
     with pytest.raises(ValueError):
-        policy_satisfied(policy, [mk_endorsement("p0", txn_id="a"),
+        policy_satisfied(1, [mk_endorsement("p0", txn_id="a"),
                                   mk_endorsement("p1", txn_id="b")])
 
 
 def test_policy_tie_breaks_on_lexicographic_peers():
-    policy = EndorsementPolicy(("p0", "p1", "p2", "p3"), 2)
     endorsements = [mk_endorsement("p1", payload=1), mk_endorsement("p3", payload=1),
                     mk_endorsement("p0", payload=2), mk_endorsement("p2", payload=2)]
-    ok, witness = policy_satisfied(policy, endorsements)
+    ok, witness = policy_satisfied(2, endorsements)
     assert ok
     assert [e.peer for e in witness] == ["p0", "p2"]
 
 
-def oracle_satisfiable(policy, endorsements):
-    """Brute force: any subset of size >= threshold, required peers only,
-    all payloads equal."""
-    usable = [e for e in endorsements if e.peer in policy.required]
-    for size in range(policy.threshold, len(usable) + 1):
-        for subset in itertools.combinations(usable, size):
+def oracle_satisfiable(threshold, endorsements):
+    """Brute force: any subset of size >= threshold, all payloads equal."""
+    for size in range(threshold, len(endorsements) + 1):
+        for subset in itertools.combinations(endorsements, size):
             if len({e.payload_key() for e in subset}) == 1:
                 return True
     return False
@@ -183,28 +168,25 @@ def random_endorsements(rng, peers=5):
 def test_policy_matches_brute_force_oracle():
     rng = random.Random(42)
     for _ in range(400):
-        n_required = rng.randint(1, 5)
-        required = tuple(f"p{i}" for i in range(n_required))
-        policy = EndorsementPolicy(required, rng.randint(1, n_required))
+        threshold = rng.randint(1, 5)
         endorsements = random_endorsements(rng)
-        ok, witness = policy_satisfied(policy, endorsements)
-        assert ok == oracle_satisfiable(policy, endorsements)
+        ok, witness = policy_satisfied(threshold, endorsements)
+        assert ok == oracle_satisfiable(threshold, endorsements)
         if ok:
-            assert len(witness) >= policy.threshold
+            assert len(witness) >= threshold
             assert len({e.payload_key() for e in witness}) == 1
-            assert all(e.peer in policy.required for e in witness)
+            assert all(e in endorsements for e in witness)
 
 
 def test_policy_monotonic_under_added_endorsements():
     rng = random.Random(43)
     for _ in range(300):
-        required = tuple(f"p{i}" for i in range(4))
-        policy = EndorsementPolicy(required, rng.randint(1, 4))
+        threshold = rng.randint(1, 4)
         pool = [mk_endorsement(f"p{i}", payload=rng.randrange(2))
                 for i in range(4)]
         rng.shuffle(pool)
         satisfied = False
         for upto in range(1, len(pool) + 1):
-            ok, _ = policy_satisfied(policy, pool[:upto])
+            ok, _ = policy_satisfied(threshold, pool[:upto])
             assert not (satisfied and not ok), "satisfied policy flipped back"
             satisfied = ok

@@ -102,6 +102,13 @@ def test_invalid_config_exits_1_with_field_name(tmp_path, capsys):
                            "access": {"kind": "hotspot", "prob_hot": 1e-300,
                                       "fraction_hot": 0.5}},
               "duration_s": 1.0},
+             "workload.access"),
+            # one picked with probability 1e-5 took ~1 s per ten proposals
+            ({"workload": {"n_accounts": 2,
+                           "op_mix": {"send_payment": 1.0},
+                           "access": {"kind": "hotspot", "prob_hot": 1e-5,
+                                      "fraction_hot": 0.5}},
+              "duration_s": 1.0},
              "workload.access")):
         cfg = write_cfg(tmp_path, doc)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1, doc
@@ -412,4 +419,21 @@ def test_report_missing_column_is_named(tmp_path, capsys):
         assert main(["report", "--cells", str(cells), "--figure", figure,
                      "--out", str(out)]) == 1
         assert missing in capsys.readouterr().err
+        assert not out.exists()
+    # the cells file itself: missing, empty, header-only, and a value that
+    # is not a number; each exits 1 naming the problem and writes nothing
+    for name, text, problem in (
+            ("absent.csv", None, "cannot read"),
+            ("empty.csv", "", "no header row"),
+            ("header.csv", "cell,rate.total_tps,throughput_tps,error\n",
+             "no rows"),
+            ("nan.csv", "cell,rate.total_tps,replication.replication_factor,"
+                        "throughput_tps,error\n3,fast,15,1,\n",
+             "column 'rate.total_tps' of cell '3' is not a number")):
+        cells, out = tmp_path / name, tmp_path / f"out_{name}"
+        if text is not None:
+            cells.write_text(text)
+        assert main(["report", "--cells", str(cells), "--figure", "fig9",
+                     "--out", str(out)]) == 1, name
+        assert problem in capsys.readouterr().err, name
         assert not out.exists()

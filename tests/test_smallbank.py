@@ -249,6 +249,7 @@ def test_initial_write_set_covers_every_account():
     (5, "hotspot", 0.0, 1.0, 1),   # the hot set is one account
     (2, "hotspot", 0.5, 0.0, 1),   # the cold set is one account
     (2, "hotspot", 0.5, 1e-300, 1),  # the hot side is never drawn
+    (2, "hotspot", 0.5, 1e-6, 1),  # too rare to wait for
     (6, "hotspot", 0.5, 0.0, 3),
     (6, "hotspot", 0.5, 1.0, 3),
     (6, "hotspot", 1.0, 0.0, 6),   # no cold set: every account
