@@ -74,7 +74,8 @@ def cmd_run(args) -> int:
                 fh.write(line + "\n")
     report = result.report
     print(f"committed {report.committed} txns, "
-          f"throughput {report.throughput_tps:.1f} tps, "
+          f"throughput {report.throughput_tps:.1f} tps "
+          f"(ordering capacity {cfg.capacity_tps or float('inf'):.1f} tps), "
           f"avg latency {report.avg_latency_s if report.avg_latency_s is not None else 'n/a'} s")
     print(f"wrote {out / 'report.json'} and {out / 'journeys.csv'}")
     return 0

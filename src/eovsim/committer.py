@@ -62,7 +62,7 @@ def validate_block(block: Block, threshold: int,
             flags.append(ValidationFlag.MVCC_CONFLICT)
             continue
         for key, _value in env.write_set.writes:
-            overlay[key] = (block.height, idx)
+            overlay[key] = block.versions[idx]
         flags.append(ValidationFlag.VALID)
     return flags
 
@@ -73,7 +73,7 @@ def commit_block(ledger: Ledger, block: Block,
     ledger.append_block(block, flags)
     for idx, (env, flag) in enumerate(zip(block.txns, flags)):
         if flag is ValidationFlag.VALID:
-            ledger.apply_write_set(env.write_set, (block.height, idx))
+            ledger.apply_write_set(env.write_set, block.versions[idx])
 
 
 @dataclass(slots=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import presets
 from .engine import US_PER_SECOND, LatencyModel, NodeClass
-from .ordering import BlockCutterConfig
+from .ordering import BlockCutterConfig, leader_demand_us
 from .smallbank import (TWO_ACCOUNT_OPS, AccessPattern, OpKind,
                         WorkloadConfig, reachable_accounts)
 
@@ -224,6 +224,12 @@ class ExperimentConfig:
         self.service = ServiceTimes(**svc)
         self.sizes = MessageSizes(**{k: _as_int(raw, f"sizes_bytes.{k}", 1)
                                      for k in raw["sizes_bytes"]})
+        self.envelope_bytes = (self.sizes.proposal
+                               + threshold * self.sizes.endorsement)
+        self.leader_demand_us = leader_demand_us(
+            self.service, rf - 1, self.orderers, self.envelope_bytes)
+        self.capacity_tps = (US_PER_SECOND / self.leader_demand_us
+                             if self.leader_demand_us else None)
 
         self.endorse_timeout_us = _as_us(raw, "timeouts.endorse_s", 1)
         self.broadcast_timeout_us = _as_us(raw, "timeouts.broadcast_s", 1)
@@ -247,6 +253,9 @@ class ExperimentConfig:
             "min_insync": self.min_insync,
             "warmup_us": self.warmup_us,
             "duration_us": self.duration_us,
+            "envelope_bytes": self.envelope_bytes,
+            "leader_demand_us": self.leader_demand_us,
+            "capacity_tps": self.capacity_tps,
         }
         return out
 

@@ -73,7 +73,7 @@ class TxnJourney:
 class ClientNode(Node):
     def __init__(self, node_id: str, cfg: ClientConfig, proposals: list[Proposal],
                  endorsing_peers: list[str], orderers: list[str],
-                 threshold: int, sizes):
+                 threshold: int, sizes, envelope_bytes: int):
         super().__init__(node_id, NodeClass.CLIENT)
         self.cfg = cfg
         self.proposals = proposals
@@ -81,6 +81,7 @@ class ClientNode(Node):
         self.orderers = orderers
         self.threshold = threshold
         self.sizes = sizes
+        self.envelope_bytes = envelope_bytes
         self.journeys: dict[str, TxnJourney] = {}
         self._collected: dict[str, dict] = {}  # txn -> {peer: Endorsement}
         self._early_commits: dict[str, tuple[int, bool]] = {}
@@ -142,14 +143,14 @@ class ClientNode(Node):
         if not ok:
             return
         journey.endorsed_us = self.engine.now
-        size = self.sizes.proposal + self.sizes.endorsement * len(witness)
+        # This arrival brought the witness up to exactly `threshold`.
         envelope = Envelope(txn_id=txn_id, endorsements=tuple(witness),
                             read_set=witness[0].read_set,
                             write_set=witness[0].write_set,
-                            client=self.id, size_bytes=size)
+                            client=self.id, size_bytes=self.envelope_bytes)
         orderer = self.orderers[journey.index % len(self.orderers)]
-        self.engine.send(self.id, orderer,
-                         Message(MessageKind.ENVELOPE, size, envelope))
+        self.engine.send(self.id, orderer, Message(
+            MessageKind.ENVELOPE, self.envelope_bytes, envelope))
         del self._collected[txn_id]
         self.engine.schedule(self.id, timer("bcast_to", txn_id),
                              self.cfg.broadcast_timeout_us)

@@ -68,6 +68,11 @@ class Block:
     txns: list  # ordered Envelopes
     cut_reason: CutReason
     created_at: int
+    # (height, txn index) per txn, built once and shared by every peer
+    versions: list[Version] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.versions = [(self.height, i) for i in range(len(self.txns))]
 
     def txn_ids(self) -> list[str]:
         return [t.txn_id for t in self.txns]

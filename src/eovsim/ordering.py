@@ -162,6 +162,15 @@ class OrdererNode(Node):
                                  extra_delay_us=i * self.svc.orderer_deliver_stagger)
 
 
+def leader_demand_us(svc, n_followers, n_orderers, record_bytes) -> int:
+    """The leader broker's service time per record, in us. Commit notices
+    are pre-charged: every accepted record commits exactly once."""
+    return (svc.leader_order + svc.broker_append
+            + n_followers * svc.leader_copy_send
+            + n_orderers * svc.leader_notice_send
+            + (record_bytes * svc.leader_order_per_byte_ns) // 1000)
+
+
 class BrokerNode(Node):
     """Replicated-log broker; exactly one instance acts as the static leader.
 
@@ -194,15 +203,8 @@ class BrokerNode(Node):
         if msg.kind is MessageKind.LOG_APPEND:
             if not self.is_leader:
                 return self.svc.broker_append
-            # The per-record commit notices are pre-charged here: every
-            # accepted record commits exactly once, and folding the cost in
-            # keeps the produce lane's capacity accounting exact while acks
-            # stay out of band.
-            return (self.svc.leader_order + self.svc.broker_append
-                    + len(self.followers) * self.svc.leader_copy_send
-                    + len(self.orderers) * self.svc.leader_notice_send
-                    + (msg.body.size_bytes
-                       * self.svc.leader_order_per_byte_ns) // 1000)
+            return leader_demand_us(self.svc, len(self.followers),
+                                    len(self.orderers), msg.body.size_bytes)
         return 0
 
     def is_control(self, msg: Message) -> bool:

@@ -1,11 +1,10 @@
 """Default experiment profile and named figure scenarios.
 
-PAPER_LIKE is the calibrated desk-scale profile: latencies and service
-times are chosen so that a 16-peer, 16-broker topology saturates between
-250 and 400 offered tps, anchoring runs to the operating region the
-scalability findings live in. The numbers are calibration data, not
-physical measurements; scripts/calibrate.py re-derives the capacity lever
-by bisection if the model changes.
+PAPER_LIKE is the desk-scale profile; its numbers are calibration data, not
+physical measurements. A config's ordering capacity is 1e6 / D tps, D being
+ordering.leader_demand_us: 3,517 us and 284.3 tps for the 16-peer,
+16-broker topology the figures sweep, between 250 and 400 offered tps. To
+recalibrate, solve D for service_us.leader_order.
 
 Figure scenarios are sweep specifications mirroring the benchmark grids:
 saturation rate sweeps, orderer-count overhead, peer scaling, replication
@@ -91,14 +90,10 @@ PAPER_LIKE = {
 
 SATURATION_RATES = [200.0, 250.0, 300.0, 350.0, 400.0, 425.0]
 
-# Replication extremes are compared in the stable operating region; beyond
-# saturation the timeout cliff amplifies tiny capacity differences into
-# noise that says nothing about intra-cluster communication cost.
+# Replication extremes: 300 tps is above the capacity of both (284.3 tps at
+# RF 15, 296.1 tps at RF 1); past saturation the broadcast-timeout cliff
+# amplifies that small capacity gap as a run grows longer.
 REPLICATION_SWEEP_RATES = [150.0, 200.0, 250.0, 300.0]
-
-
-def paper_like() -> dict:
-    return copy.deepcopy(PAPER_LIKE)
 
 
 def _nck(n: int) -> dict:

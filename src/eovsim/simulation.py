@@ -102,7 +102,8 @@ def build(cfg: ExperimentConfig) -> Simulation:
     for i, cid in enumerate(client_ids):
         proposals = generate(cfg.workload, plan, client=cid)
         client = ClientNode(cid, client_cfg, proposals, peer_ids, orderer_ids,
-                            cfg.policy_threshold, cfg.sizes)
+                            cfg.policy_threshold, cfg.sizes,
+                            cfg.envelope_bytes)
         clients.append(client)
         endorsing[i % cfg.peers].home_clients.append(cid)
 

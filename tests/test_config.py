@@ -157,6 +157,19 @@ def test_resolved_echo_contains_inputs_and_derivations():
     assert echo["topology"]["peers"] == 4
     assert echo["resolved"]["policy_threshold"] == 4
     assert echo["resolved"]["total_tps"] == 300.0
+    # proposal 256 + 4 endorsements of 320; D = 2400 + 200 + 2*10 + 4*60
+    # + 1536*100 // 1000
+    assert echo["resolved"]["envelope_bytes"] == 1536
+    assert echo["resolved"]["leader_demand_us"] == 3013
+    assert echo["resolved"]["capacity_tps"] == pytest.approx(331.895, abs=5e-4)
+
+
+def test_zero_leader_demand_reports_no_capacity_bound():
+    cfg = ExperimentConfig.from_dict({"service_us": {
+        "leader_order": 0, "broker_append": 0, "leader_copy_send": 0,
+        "leader_notice_send": 0, "leader_order_per_byte_ns": 0}})
+    assert cfg.leader_demand_us == 0
+    assert cfg.resolved()["resolved"]["capacity_tps"] is None
 
 
 def test_load_json_object_and_errors(tmp_path):

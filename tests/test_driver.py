@@ -1,3 +1,5 @@
+import pytest
+
 from eovsim.committer import BlockCommitted
 from eovsim.config import ExperimentConfig
 from eovsim.driver import (ClientConfig, ClientNode, JourneyStatus, TxnJourney,
@@ -54,7 +56,8 @@ class Silent(Node):
 
 def wire_client(n_peers=3, threshold=None, rate=10.0, duration_us=200_000,
                 endorse_timeout_us=50_000, broadcast_timeout_us=80_000):
-    sim_cfg = ExperimentConfig.from_dict({})
+    sim_cfg = ExperimentConfig.from_dict({"topology": {"peers": n_peers},
+                                          "policy": {"threshold": threshold}})
     engine = Engine(LatencyModel(default_us=1000), seed=4)
     peer_ids = [f"peer{i:03d}" for i in range(n_peers)]
     proposals = [Proposal(f"c0-{i:06d}", "client000",
@@ -64,8 +67,8 @@ def wire_client(n_peers=3, threshold=None, rate=10.0, duration_us=200_000,
                         ClientConfig(rate, duration_us, endorse_timeout_us,
                                      broadcast_timeout_us),
                         proposals, peer_ids, ["orderer000"],
-                        threshold or n_peers,
-                        sim_cfg.sizes)
+                        sim_cfg.policy_threshold, sim_cfg.sizes,
+                        sim_cfg.envelope_bytes)
     engine.add_node(client)
     for pid in peer_ids:
         engine.add_node(Silent(pid, NodeClass.PEER))
@@ -123,6 +126,8 @@ def test_threshold_n_minus_one_tolerates_straggler():
     assert len(envelopes) == 1
     assert {e.peer for e in envelopes[0].body.endorsements} == \
         {"peer000", "peer001"}
+    assert envelopes[0].size_bytes == envelopes[0].body.size_bytes == \
+        client.sizes.proposal + 2 * client.sizes.endorsement
 
 
 def test_divergent_endorsements_never_satisfy_full_policy():
@@ -256,3 +261,29 @@ def test_contention_produces_invalid_committed_journeys():
     assert conflicted and all(j.commit_us is not None for j in conflicted)
     # conflicted journeys still observed a commit: latency defined for them
     assert result.report.all_peers_agree
+
+
+@pytest.mark.parametrize("threshold", [1, 2, 3, 4])
+def test_every_chain_envelope_carries_threshold_endorsements(threshold):
+    # Hot keys make endorsers on different chain tips disagree, and jitter
+    # reorders their replies; the client still sends at the arrival that
+    # brings one payload group up to the threshold, never later.
+    cfg = ExperimentConfig.from_dict({
+        "duration_s": 3.0,
+        "rate": {"total_tps": 150.0},
+        "topology": {"peers": 4, "non_endorsing": 2},
+        "policy": {"threshold": threshold},
+        "latency": {"jitter_fraction": 0.9},
+        "workload": {"n_accounts": 20,
+                     "access": {"kind": "hotspot", "fraction_hot": 0.1,
+                                "prob_hot": 0.9}},
+    })
+    result = run_simulation(cfg)
+    assert result.report.mvcc_conflicts > 0
+    envelopes = [env for block in result.sim.non_endorsing[0].ledger.blocks[1:]
+                 for env in block.txns]
+    assert envelopes
+    assert all(len(env.endorsements) == threshold for env in envelopes)
+    assert all(env.size_bytes == cfg.envelope_bytes for env in envelopes)
+    assert cfg.envelope_bytes == (cfg.sizes.proposal
+                                  + threshold * cfg.sizes.endorsement)

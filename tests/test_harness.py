@@ -43,6 +43,10 @@ def test_run_writes_report_and_journeys(tmp_path, capsys):
                  if report["window_start_us"] <= int(r[3]) < report["window_end_us"]]
     assert len(in_window) == report["submitted"]
     assert len(data) >= report["submitted"] > 0
+    # the summary line sets throughput beside the ordering capacity
+    capacity = report["config"]["resolved"]["capacity_tps"]
+    assert (f"throughput {report['throughput_tps']:.1f} tps "
+            f"(ordering capacity {capacity:.1f} tps)") in capsys.readouterr().out
 
 
 def test_run_is_deterministic_byte_for_byte(tmp_path):
@@ -200,12 +204,13 @@ def test_block_trace_dump(tmp_path):
 
 
 def test_default_profile_pre_saturation_throughput(tmp_path):
-    # 4 peers / 4 brokers / total 300 tps sits below the calibrated
-    # saturation point, so goodput tracks the offered rate
+    # 4 peers / 4 brokers / total 300 tps sits below the ordering
+    # capacity, so goodput tracks the offered rate
     cfg = write_cfg(tmp_path, {"duration_s": 10.0})
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
+    assert report["config"]["resolved"]["capacity_tps"] > 300.0
     assert report["throughput_tps"] >= 0.95 * 300.0
 
 

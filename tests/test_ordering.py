@@ -1,13 +1,16 @@
 """Ordering-service behavior: cutter thresholds, quorum commit, proxy
 counters and block fan-out, driven through small hand-wired engines."""
 
+import pytest
+
 from eovsim.config import ExperimentConfig
 from eovsim.endorser import Endorsement
 from eovsim.engine import (Engine, LatencyModel, Message, MessageKind, Node,
                            NodeClass)
 from eovsim.ledger import CutReason, GENESIS_PREV_HASH, ReadSet, WriteSet
 from eovsim.ordering import (BlockCutter, BlockCutterConfig, BrokerNode,
-                             Envelope, OrdererNode)
+                             Envelope, OrdererNode, leader_demand_us)
+from eovsim.simulation import build, run_simulation
 
 CUT_CFG = BlockCutterConfig(max_txn_count=100, timeout_us=2_000_000,
                             max_block_bytes=10 * 1024 * 1024)
@@ -394,3 +397,53 @@ def test_one_message_per_fanout_and_log_record_is_the_envelope():
     assert len(forwarded) == 3 and all(m is block_msg for m in forwarded)
     assert block_msg.size_bytes == \
         nodes[leader_id].sizes.block_header + env.size_bytes
+
+
+# --- the leader's demand per record and the capacity it implies ---------------
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"topology": {"peers": 16, "clients": 16, "brokers": 16}},
+    {"topology": {"peers": 8, "orderers": 6, "brokers": 5},
+     "policy": {"threshold": 3}, "replication": {"replication_factor": 2}},
+])
+def test_leader_demand_us_is_the_leaders_log_append_service(overrides):
+    cfg = ExperimentConfig.from_dict(overrides)
+    leader, *_, follower = build(cfg).brokers
+    env = mk_envelope("t0", size=cfg.envelope_bytes)
+    service = leader.service_us(
+        Message(MessageKind.LOG_APPEND, env.size_bytes, env))
+    assert service == leader_demand_us(cfg.service, len(leader.followers),
+                                       len(leader.orderers), env.size_bytes)
+    assert service == cfg.leader_demand_us
+    # a follower's copy costs the append alone
+    assert follower.service_us(
+        Message(MessageKind.LOG_APPEND, env.size_bytes, 0)) == \
+        cfg.service.broker_append
+
+
+@pytest.mark.parametrize("overrides,capacity", [
+    ({"topology": {"peers": 16, "clients": 16, "brokers": 16},
+      "rate": {"total_tps": 300.0}}, 284.33),
+    ({"topology": {"peers": 16, "clients": 16, "brokers": 4},
+      "rate": {"total_tps": 300.0}}, 294.38),
+    ({"topology": {"peers": 8, "clients": 8, "brokers": 16},
+      "rate": {"total_tps": 400.0}}, 306.65),
+    ({"topology": {"peers": 16, "clients": 16, "brokers": 16},
+      "replication": {"replication_factor": 1, "min_insync": 1},
+      "rate": {"total_tps": 300.0}}, 296.12),
+    ({"topology": {"peers": 16, "clients": 16, "brokers": 16},
+      "rate": {"total_tps": 250.0}}, 284.33),
+], ids=["nck16-300", "k4-300", "nc8-400", "rf1-300", "nck16-250-below-knee"])
+def test_leader_commits_at_capacity_or_offered_rate(overrides, capacity,
+                                                    commit_times):
+    # The leader is the one server every record passes: saturated, it
+    # commits at 1e6 / D per second; below the knee, at the offered rate.
+    cfg = ExperimentConfig.from_dict(overrides | {"duration_s": 5.0})
+    assert cfg.capacity_tps == pytest.approx(capacity, abs=0.005)
+    run_simulation(cfg)
+    window_s = (cfg.duration_us - cfg.warmup_us) / 1e6
+    rate = sum(cfg.warmup_us <= t < cfg.duration_us
+               for t in commit_times) / window_s
+    expected = min(cfg.capacity_tps, cfg.total_tps)
+    assert rate == pytest.approx(expected, rel=0.005)
