@@ -18,11 +18,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .endorser import endorse, policy_satisfied
 from .engine import Message, MessageKind, Node, NodeClass
 from .ledger import Block, Ledger, Version
 from .smallbank import Proposal
+
+if TYPE_CHECKING:  # config imports ordering, so only the checker sees it
+    from .config import ExperimentConfig
 
 
 class ValidationFlag(enum.Enum):
@@ -99,30 +103,27 @@ class Peer(Node):
     sends to, and has neither.
     """
 
-    def __init__(self, node_id: str, ledger: Ledger, threshold: int,
-                 service_cfg, sizes):
+    def __init__(self, node_id: str, cfg: ExperimentConfig, ledger: Ledger):
         super().__init__(node_id, NodeClass.PEER)
+        self.cfg = cfg
         self.ledger = ledger
-        self.threshold = threshold
-        self.svc = service_cfg
-        self.sizes = sizes
         self.home_clients: list[str] = []
         self.gossip_targets: list[str] = []
         self._buffered: dict[int, Message] = {}  # height -> block message
 
     def service_us(self, msg: Message) -> int:
         if msg.kind is MessageKind.PROPOSAL:
-            return self.svc.endorse
+            return self.cfg.service.endorse
         if msg.kind is MessageKind.BLOCK_DELIVER:
             block = msg.body
             if block.height == self.ledger.height + 1:
-                return len(block.txns) * self.svc.validate_per_txn
+                return len(block.txns) * self.cfg.service.validate_per_txn
         return 0
 
     def handle(self, msg: Message) -> None:
         if msg.kind is MessageKind.PROPOSAL:
             proposal: Proposal = msg.body
-            reply = Message(MessageKind.ENDORSEMENT, self.sizes.endorsement,
+            reply = Message(MessageKind.ENDORSEMENT, self.cfg.sizes.endorsement,
                             endorse(proposal, self.ledger, self.id))
             self.engine.send(self.id, proposal.client, reply)
         elif msg.kind is MessageKind.BLOCK_DELIVER:
@@ -134,12 +135,13 @@ class Peer(Node):
 
     def _commit(self, msg: Message) -> None:
         block = msg.body
-        flags = validate_block(block, self.threshold, self.ledger)
+        flags = validate_block(block, self.cfg.policy_threshold, self.ledger)
         commit_block(self.ledger, block, flags)
         if self.home_clients:
             txn_flags = tuple((txn_id, flag is ValidationFlag.VALID)
                               for txn_id, flag in zip(block.txn_ids(), flags))
-            size = self.sizes.notice + self.sizes.block_txn_summary * len(flags)
+            sizes = self.cfg.sizes
+            size = sizes.notice + sizes.block_txn_summary * len(flags)
             notice = Message(MessageKind.COMMIT_NOTICE, size,
                              BlockCommitted(self.engine.now, txn_flags))
             for client in self.home_clients:

@@ -15,12 +15,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .committer import BlockCommitted
 from .endorser import policy_satisfied
 from .engine import Message, MessageKind, Node, NodeClass, Timer, timer
 from .ordering import Envelope
 from .smallbank import Proposal
+
+if TYPE_CHECKING:  # config imports ordering, so only the checker sees it
+    from .config import ExperimentConfig
 
 
 class JourneyStatus(enum.Enum):
@@ -31,29 +35,16 @@ class JourneyStatus(enum.Enum):
     IN_FLIGHT = "InFlight"
 
 
-@dataclass
-class ClientConfig:
-    """A client's schedule and timeouts, checked by config.py."""
-
-    rate_tps: float
-    duration_us: int
-    endorse_timeout_us: int
-    broadcast_timeout_us: int
-    max_txns: int | None = None
-
-
-def submission_times(cfg: ClientConfig) -> list[int]:
-    """Submission instants in microseconds; depend only on (rate, index)."""
+def submission_times(cfg: ExperimentConfig) -> list[int]:
+    """One client's submission instants in microseconds; depend only on
+    (rate, index)."""
+    cap = cfg.total_txns_per_client
     times = []
-    i = 0
-    while True:
-        if cfg.max_txns is not None and i >= cfg.max_txns:
-            break
-        t = round(i * 1_000_000 / cfg.rate_tps)
+    while cap is None or len(times) < cap:
+        t = round(len(times) * 1_000_000 / cfg.per_client_tps)
         if t >= cfg.duration_us:
             break
         times.append(t)
-        i += 1
     return times
 
 
@@ -71,17 +62,14 @@ class TxnJourney:
 
 
 class ClientNode(Node):
-    def __init__(self, node_id: str, cfg: ClientConfig, proposals: list[Proposal],
-                 endorsing_peers: list[str], orderers: list[str],
-                 threshold: int, sizes, envelope_bytes: int):
+    def __init__(self, node_id: str, cfg: ExperimentConfig,
+                 proposals: list[Proposal], endorsing_peers: list[str],
+                 orderers: list[str]):
         super().__init__(node_id, NodeClass.CLIENT)
         self.cfg = cfg
         self.proposals = proposals
         self.peers = endorsing_peers
         self.orderers = orderers
-        self.threshold = threshold
-        self.sizes = sizes
-        self.envelope_bytes = envelope_bytes
         self.journeys: dict[str, TxnJourney] = {}
         self._collected: dict[str, dict] = {}  # txn -> {peer: Endorsement}
         self._early_commits: dict[str, tuple[int, bool]] = {}
@@ -122,7 +110,7 @@ class ClientNode(Node):
                              submit_us=self.engine.now)
         self.journeys[proposal.txn_id] = journey
         self._collected[proposal.txn_id] = {}
-        msg = Message(MessageKind.PROPOSAL, self.sizes.proposal, proposal)
+        msg = Message(MessageKind.PROPOSAL, self.cfg.sizes.proposal, proposal)
         for peer in self.peers:
             self.engine.send(self.id, peer, msg)
         self.engine.schedule(self.id, timer("endorse_to", proposal.txn_id),
@@ -137,9 +125,10 @@ class ClientNode(Node):
         if endorsement.peer in collected:
             return
         collected[endorsement.peer] = endorsement
-        if len(collected) < self.threshold:
+        if len(collected) < self.cfg.policy_threshold:
             return  # cannot possibly satisfy the policy yet
-        ok, witness = policy_satisfied(self.threshold, collected.values())
+        ok, witness = policy_satisfied(self.cfg.policy_threshold,
+                                       collected.values())
         if not ok:
             return
         journey.endorsed_us = self.engine.now
@@ -147,10 +136,10 @@ class ClientNode(Node):
         envelope = Envelope(txn_id=txn_id, endorsements=tuple(witness),
                             read_set=witness[0].read_set,
                             write_set=witness[0].write_set,
-                            client=self.id, size_bytes=self.envelope_bytes)
+                            client=self.id, size_bytes=self.cfg.envelope_bytes)
         orderer = self.orderers[journey.index % len(self.orderers)]
         self.engine.send(self.id, orderer, Message(
-            MessageKind.ENVELOPE, self.envelope_bytes, envelope))
+            MessageKind.ENVELOPE, envelope.size_bytes, envelope))
         del self._collected[txn_id]
         self.engine.schedule(self.id, timer("bcast_to", txn_id),
                              self.cfg.broadcast_timeout_us)

@@ -16,7 +16,7 @@ import enum
 import heapq
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 US_PER_SECOND = 1_000_000
@@ -113,10 +113,10 @@ class LatencyModel:
     The values are checked by config.py.
     """
 
-    base_us: dict[tuple[NodeClass, NodeClass], int] = field(default_factory=dict)
-    default_us: int = 1000
-    per_byte_ns: int = 0
-    jitter_fraction: float = 0.0
+    base_us: dict[tuple[NodeClass, NodeClass], int]
+    default_us: int
+    per_byte_ns: int
+    jitter_fraction: float
 
     def base_for(self, src: NodeClass, dst: NodeClass) -> int:
         return self.base_us.get((src, dst), self.default_us)

@@ -16,9 +16,13 @@ notice the txn id, and a block one BLOCK_DELIVER message sized at the leader.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .engine import Message, MessageKind, Node, NodeClass, timer
 from .ledger import Block, CutReason, ReadSet, WriteSet, hash_block
+
+if TYPE_CHECKING:  # config imports this module, so only the checker sees it
+    from .config import ExperimentConfig
 
 
 @dataclass(slots=True)
@@ -42,9 +46,9 @@ class Envelope:
 class BlockCutterConfig:
     """The three cut thresholds, checked by config.py."""
 
-    max_txn_count: int = 100
-    timeout_us: int = 2_000_000
-    max_block_bytes: int = 10 * 1024 * 1024
+    max_txn_count: int
+    timeout_us: int
+    max_block_bytes: int
 
 
 class BlockCutter:
@@ -103,20 +107,18 @@ class OrdererNode(Node):
     one of its own forwarded envelopes as an enqueue success, so the
     attempt/success ratio can be read off directly; window_attempts and
     window_successes count only the envelopes and commit notices handled
-    before window_end. A bounded input buffer
-    (envelopes forwarded but not yet committed) refuses further envelopes
-    when full; the client only ever observes that as a broadcast timeout.
+    before the window end, cfg.duration_us. A bounded input buffer of
+    cfg.orderer_capacity envelopes (forwarded but not yet committed)
+    refuses further envelopes when full; the client only ever observes
+    that as a broadcast timeout.
     """
 
-    def __init__(self, node_id, leader: str, endorsing_peers: list[str],
-                 capacity: int, window_end: int, service_cfg, sizes):
+    def __init__(self, node_id: str, cfg: ExperimentConfig, leader: str,
+                 endorsing_peers: list[str]):
         super().__init__(node_id, NodeClass.ORDERER)
+        self.cfg = cfg
         self.leader = leader
         self.endorsing_peers = endorsing_peers
-        self.capacity = capacity
-        self.window_end = window_end
-        self.svc = service_cfg
-        self.sizes = sizes
         self.enqueue_attempts = 0
         self.enqueue_successes = 0
         self.window_attempts = 0
@@ -126,9 +128,9 @@ class OrdererNode(Node):
 
     def service_us(self, msg: Message) -> int:
         if msg.kind is MessageKind.ENVELOPE:
-            return self.svc.orderer_forward
+            return self.cfg.service.orderer_forward
         if msg.kind is MessageKind.COMMIT_NOTICE:
-            return self.svc.orderer_notice
+            return self.cfg.service.orderer_notice
         # Block fan-out rides the dedicated delivery stream and does not
         # occupy the broadcast lane; its pacing is the per-peer stagger.
         return 0
@@ -137,29 +139,29 @@ class OrdererNode(Node):
         if msg.kind is MessageKind.ENVELOPE:
             env: Envelope = msg.body
             self.enqueue_attempts += 1
-            if self.engine.now < self.window_end:
+            if self.engine.now < self.cfg.duration_us:
                 self.window_attempts += 1
-            if len(self._awaiting_ack) >= self.capacity:
+            if len(self._awaiting_ack) >= self.cfg.orderer_capacity:
                 self.refusals += 1
                 return
             self._awaiting_ack[env.txn_id] = env.client
             record = Message(MessageKind.LOG_APPEND,
-                             env.size_bytes + self.sizes.log_overhead, env)
+                             env.size_bytes + self.cfg.sizes.log_overhead, env)
             self.engine.send(self.id, self.leader, record)
         elif msg.kind is MessageKind.COMMIT_NOTICE:
             # Every orderer hears every commit; only the forwarder awaits it.
             client = self._awaiting_ack.pop(msg.body, None)
             if client is not None:
                 self.enqueue_successes += 1
-                if self.engine.now < self.window_end:
+                if self.engine.now < self.cfg.duration_us:
                     self.window_successes += 1
-                ack = Message(MessageKind.BROADCAST_ACK, self.sizes.notice,
+                ack = Message(MessageKind.BROADCAST_ACK, self.cfg.sizes.notice,
                               msg.body)
                 self.engine.send(self.id, client, ack)
         elif msg.kind is MessageKind.BLOCK_DELIVER:
+            stagger = self.cfg.service.orderer_deliver_stagger
             for i, peer in enumerate(self.endorsing_peers):
-                self.engine.send(self.id, peer, msg,
-                                 extra_delay_us=i * self.svc.orderer_deliver_stagger)
+                self.engine.send(self.id, peer, msg, extra_delay_us=i * stagger)
 
 
 def leader_demand_us(svc, n_followers, n_orderers, record_bytes) -> int:
@@ -175,25 +177,22 @@ class BrokerNode(Node):
     """Replicated-log broker; exactly one instance acts as the static leader.
 
     The leader assigns offsets, fans copies out to replication_factor - 1
-    followers, and commits a record once min_insync copies exist, always in
-    gap-free offset order (a later offset reaching quorum first waits for
-    its predecessors). On commit it notifies every orderer and feeds the
+    followers, and commits a record once cfg.min_insync copies exist,
+    always in gap-free offset order (a later offset reaching quorum first
+    waits for its predecessors). On commit it notifies every orderer and feeds the
     block cutter; cut blocks go to the designated orderer for that height.
     """
 
-    def __init__(self, node_id, is_leader: bool, leader: str,
-                 followers: list[str], min_insync: int,
-                 orderers: list[str], cutter: BlockCutter | None,
-                 service_cfg, sizes):
+    def __init__(self, node_id: str, cfg: ExperimentConfig, leader: str,
+                 followers: list[str], orderers: list[str],
+                 cutter: BlockCutter | None):
         super().__init__(node_id, NodeClass.BROKER)
-        self.is_leader = is_leader
+        self.cfg = cfg
+        self.is_leader = node_id == leader
         self.leader = leader
         self.followers = followers
-        self.min_insync = min_insync
         self.orderers = orderers
         self.cutter = cutter
-        self.svc = service_cfg
-        self.sizes = sizes
         # leader log state: a record's offset is its index in records
         self.records: list[Envelope] = []
         self.copies_held: list[int] = []
@@ -202,8 +201,8 @@ class BrokerNode(Node):
     def service_us(self, msg: Message) -> int:
         if msg.kind is MessageKind.LOG_APPEND:
             if not self.is_leader:
-                return self.svc.broker_append
-            return leader_demand_us(self.svc, len(self.followers),
+                return self.cfg.service.broker_append
+            return leader_demand_us(self.cfg.service, len(self.followers),
                                     len(self.orderers), msg.body.size_bytes)
         return 0
 
@@ -234,7 +233,7 @@ class BrokerNode(Node):
         self.records.append(env)
         self.copies_held.append(1)
         copy = Message(MessageKind.LOG_APPEND,
-                       env.size_bytes + self.sizes.log_overhead, offset)
+                       env.size_bytes + self.cfg.sizes.log_overhead, offset)
         for follower in self.followers:
             self.engine.send(self.id, follower, copy)
         self._advance_commit()
@@ -245,12 +244,12 @@ class BrokerNode(Node):
 
     def _advance_commit(self) -> None:
         while (self.committed_count < len(self.records)
-               and self.copies_held[self.committed_count] >= self.min_insync):
+               and self.copies_held[self.committed_count] >= self.cfg.min_insync):
             self.committed_count += 1
             self._commit(self.records[self.committed_count - 1])
 
     def _commit(self, env: Envelope) -> None:
-        notice = Message(MessageKind.COMMIT_NOTICE, self.sizes.notice,
+        notice = Message(MessageKind.COMMIT_NOTICE, self.cfg.sizes.notice,
                          env.txn_id)
         for orderer in self.orderers:
             self.engine.send(self.id, orderer, notice)
@@ -263,7 +262,8 @@ class BrokerNode(Node):
 
     def _emit_block(self, block: Block) -> None:
         designated = self.orderers[block.height % len(self.orderers)]
-        size = self.sizes.block_header + sum(t.size_bytes for t in block.txns)
+        size = (self.cfg.sizes.block_header
+                + sum(t.size_bytes for t in block.txns))
         self.engine.send(self.id, designated,
                          Message(MessageKind.BLOCK_DELIVER, size, block))
 
@@ -271,5 +271,5 @@ class BrokerNode(Node):
 
     def _follower_append(self, offset: int) -> None:
         self.engine.send(self.id, self.leader,
-                         Message(MessageKind.LOG_ACK, self.sizes.log_ack,
+                         Message(MessageKind.LOG_ACK, self.cfg.sizes.log_ack,
                                  offset))

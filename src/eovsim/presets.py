@@ -112,6 +112,17 @@ def _replicas(n: int) -> dict:
     return _axis("replica", list(range(n)))
 
 
+# fig7 and fig8 plot different columns of one grid. figure_sweep copies a
+# figure's base and axes, so the two never share a mutable spec.
+PEER_SCALING = {
+    "base": {"topology": {"brokers": 16}, "rate": {"total_tps": 400.0}},
+    "axes": [
+        _paired(["topology.peers", "topology.clients"],
+                [[4, 4], [8, 8], [16, 16], [24, 24]]),
+        _replicas(3),
+    ],
+}
+
 FIGURES = {
     "fig3a": {
         "description": "Saturation sweep: throughput/latency vs offered rate, "
@@ -151,24 +162,14 @@ FIGURES = {
     },
     "fig7": {
         "description": "Peer scaling at offered 400 tps, K=16 fixed",
-        "base": {"topology": {"brokers": 16}, "rate": {"total_tps": 400.0}},
-        "axes": [
-            _paired(["topology.peers", "topology.clients"],
-                    [[4, 4], [8, 8], [16, 16], [24, 24]]),
-            _replicas(3),
-        ],
+        **PEER_SCALING,
         "x": "topology.peers",
         "y": ["throughput_tps", "dropped_endorse"],
         "series_by": None,
     },
     "fig8": {
         "description": "Peer scaling latencies (same grid as fig7)",
-        "base": {"topology": {"brokers": 16}, "rate": {"total_tps": 400.0}},
-        "axes": [
-            _paired(["topology.peers", "topology.clients"],
-                    [[4, 4], [8, 8], [16, 16], [24, 24]]),
-            _replicas(3),
-        ],
+        **PEER_SCALING,
         "x": "topology.peers",
         "y": ["avg_latency_s", "p95_s"],
         "series_by": None,

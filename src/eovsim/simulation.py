@@ -1,13 +1,13 @@
 """Builds a topology from a config, runs it to quiescence, and reports.
 
 Node naming: client000.., peer000.. (endorsing), npeer000.. (non-endorsing),
-orderer000.., broker000..; broker000 is the static log leader. Every peer is
-a committer.Peer with the config's policy threshold; the endorsing ones are
-those the clients send proposals to. Every peer starts from an identical
-genesis block: one unendorsed envelope carrying the initial account
-balances, committed through commit_block with a Valid flag (it predates the
-policy machinery, so it skips validate_block) before the peers fork the base
-ledger. collect_report builds the RunReport in one place: chain, flag and
+orderer000.., broker000..; broker000 is the static log leader. Every node
+reads its settings from the run's one ExperimentConfig. Every peer is a
+committer.Peer; the endorsing ones are those the clients send proposals to.
+Every peer starts from an identical genesis block: one unendorsed envelope
+carrying the initial account balances, committed through commit_block with
+a Valid flag (it predates the policy machinery, so it skips validate_block)
+before the peers fork the base ledger. collect_report builds the RunReport in one place: chain, flag and
 state figures from the observer peer's (peer000) ledger, whose flags from
 height 1 on give valid_txns, policy_violations and mvcc_conflicts; journey
 figures from metrics.aggregate; counters from the nodes. Peers agree when
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .committer import Peer, ValidationFlag, commit_block
 from .config import ExperimentConfig
-from .driver import (ClientConfig, ClientNode, TxnJourney, submission_times)
+from .driver import ClientNode, TxnJourney, submission_times
 from .engine import Engine, TraceSummary
 from .ledger import GENESIS_PREV_HASH, Block, CutReason, Ledger, ReadSet
 from .metrics import RunReport, aggregate
@@ -72,39 +72,27 @@ def build(cfg: ExperimentConfig) -> Simulation:
     base_ledger = Ledger()
     commit_block(base_ledger, genesis_block(cfg), [ValidationFlag.VALID])
 
-    peers = [Peer(pid, base_ledger.fork(), cfg.policy_threshold, cfg.service,
-                  cfg.sizes) for pid in peer_ids + npeer_ids]
+    peers = [Peer(pid, cfg, base_ledger.fork()) for pid in peer_ids + npeer_ids]
     endorsing, non_endorsing = peers[:cfg.peers], peers[cfg.peers:]
     for i, npeer in enumerate(non_endorsing):
         endorsing[i % cfg.peers].gossip_targets.append(npeer.id)
 
-    orderers = [OrdererNode(oid, leader_id, peer_ids, cfg.orderer_capacity,
-                            cfg.duration_us, cfg.service, cfg.sizes)
+    orderers = [OrdererNode(oid, cfg, leader_id, peer_ids)
                 for oid in orderer_ids]
 
     cutter = BlockCutter(cfg.cutter, next_height=1,
                          prev_hash=base_ledger.tip_hash)
     followers = broker_ids[1:cfg.replication_factor]
-    brokers = [BrokerNode(leader_id, True, leader_id, followers,
-                          cfg.min_insync, orderer_ids, cutter,
-                          cfg.service, cfg.sizes)]
-    brokers += [BrokerNode(bid, False, leader_id, [], cfg.min_insync,
-                           orderer_ids, None, cfg.service, cfg.sizes)
+    brokers = [BrokerNode(leader_id, cfg, leader_id, followers, orderer_ids,
+                          cutter)]
+    brokers += [BrokerNode(bid, cfg, leader_id, [], orderer_ids, None)
                 for bid in broker_ids[1:]]
 
-    client_cfg = ClientConfig(rate_tps=cfg.per_client_tps,
-                              duration_us=cfg.duration_us,
-                              endorse_timeout_us=cfg.endorse_timeout_us,
-                              broadcast_timeout_us=cfg.broadcast_timeout_us,
-                              max_txns=cfg.total_txns_per_client)
-    plan = len(submission_times(client_cfg))
+    plan = len(submission_times(cfg))
     clients = []
     for i, cid in enumerate(client_ids):
         proposals = generate(cfg.workload, plan, client=cid)
-        client = ClientNode(cid, client_cfg, proposals, peer_ids, orderer_ids,
-                            cfg.policy_threshold, cfg.sizes,
-                            cfg.envelope_bytes)
-        clients.append(client)
+        clients.append(ClientNode(cid, cfg, proposals, peer_ids, orderer_ids))
         endorsing[i % cfg.peers].home_clients.append(cid)
 
     for node in peers + orderers + brokers + clients:

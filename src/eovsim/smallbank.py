@@ -163,31 +163,21 @@ def execute(op: SmallbankOp, snapshot) -> tuple[ReadSet, WriteSet, int | None]:
 
 @dataclass
 class AccessPattern:
-    kind: str = "uniform"  # "uniform" | "hotspot"
-    fraction_hot: float = 0.01
-    prob_hot: float = 0.5
+    kind: str  # "uniform" | "hotspot"
+    fraction_hot: float
+    prob_hot: float
 
 
 @dataclass
 class WorkloadConfig:
     """What generate() draws from, checked by config.py."""
 
-    n_accounts: int = 10000
-    op_mix: dict = field(default_factory=lambda: dict(DEFAULT_OP_MIX))
-    access: AccessPattern = field(default_factory=AccessPattern)
-    seed: int | str = 0
-    max_amount: int = 200
-    initial_balance: int = 10000
-
-
-DEFAULT_OP_MIX = {
-    OpKind.TRANSACT_SAVINGS.value: 0.15,
-    OpKind.DEPOSIT_CHECKING.value: 0.15,
-    OpKind.SEND_PAYMENT.value: 0.25,
-    OpKind.WRITE_CHECK.value: 0.15,
-    OpKind.AMALGAMATE.value: 0.15,
-    OpKind.QUERY.value: 0.15,
-}
+    n_accounts: int
+    op_mix: dict  # op name -> weight
+    access: AccessPattern
+    seed: int | str
+    max_amount: int
+    initial_balance: int
 
 
 # A hotspot side picked with a probability below this counts as unreachable.

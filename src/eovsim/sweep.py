@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import presets
-from .config import ConfigError, ExperimentConfig, _deep_merge, set_param
+from .config import (ConfigError, ExperimentConfig, _as_int, _deep_merge,
+                     set_param)
 from .metrics import journeys_to_csv
 from .simulation import run_simulation
 
@@ -106,7 +107,7 @@ def _cell_config(spec: SweepSpec, assignment: dict, base_seed: int | None,
         set_param(layer, path, value)
     try:
         raw = layer_configs(spec.base, layer)
-        seed = base_seed if base_seed is not None else raw["seed"]
+        seed = base_seed if base_seed is not None else _as_int(raw, "seed")
         raw["seed"] = seed + index
         return ExperimentConfig.from_dict(raw)
     except ConfigError as exc:
@@ -143,8 +144,11 @@ def _run_cell_task(args):
 
 def run_sweep(spec: SweepSpec, out_dir, base_seed: int | None = None,
               workers: int = 1) -> list[dict]:
-    """Run every cell, then write cells.csv; a cell that fails at run time
-    is a row with its error. A bad cell config raises before any cell runs."""
+    """Run every cell on at most `workers` processes, then write cells.csv;
+    a cell that fails at run time is a row with its error. A bad cell
+    config, or workers < 1, raises before any cell runs."""
+    if workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {workers}")
     cells = spec.cells()
     configs = [_cell_config(spec, assignment, base_seed, index)
                for index, assignment in enumerate(cells)]
@@ -153,7 +157,8 @@ def run_sweep(spec: SweepSpec, out_dir, base_seed: int | None = None,
     tasks = [(index, cfg, str(out / "cells" / f"cell_{index:03d}"), assignment)
              for index, (cfg, assignment) in enumerate(zip(configs, cells))]
 
-    if workers > 1:
+    workers = min(workers, len(tasks))
+    if workers > 1:  # the pool starts all its processes at the first submit
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_cell_task, tasks))
     else:

@@ -203,11 +203,14 @@ def test_randomized_blocks_match_serial_oracle_on_two_peers():
 # --- peers as nodes: gossip and buffering --------------------------------------
 
 def wire_peers(n_non_endorsing=2):
-    cfg = ExperimentConfig.from_dict({})
-    engine = Engine(LatencyModel(default_us=500), seed=9)
-    anchor = Peer("peer000", Ledger(), THRESHOLD, cfg.service, cfg.sizes)
-    npeers = [Peer(f"npeer{i:03d}", Ledger(), THRESHOLD, cfg.service,
-                   cfg.sizes) for i in range(n_non_endorsing)]
+    cfg = ExperimentConfig.from_dict({
+        "topology": {"non_endorsing": n_non_endorsing},
+        "policy": {"threshold": THRESHOLD}})
+    engine = Engine(LatencyModel(base_us={}, default_us=500, per_byte_ns=0,
+                                 jitter_fraction=0.0), seed=9)
+    anchor = Peer("peer000", cfg, Ledger())
+    npeers = [Peer(f"npeer{i:03d}", cfg, Ledger())
+              for i in range(n_non_endorsing)]
     anchor.gossip_targets = [p.id for p in npeers]
     engine.add_node(anchor)
     for p in npeers:
@@ -286,7 +289,7 @@ def test_buffered_blocks_reenter_and_pay_validation_once(monkeypatch):
     deliver_block(engine, target.id, b0, at=100)
     summary = engine.run_until_quiescent()
     # each block pays its validation service once, back to back after b0
-    cost = 3 * target.svc.validate_per_txn
+    cost = 3 * target.cfg.service.validate_per_txn
     assert commits == [(0, 100 + cost), (1, 100 + 2 * cost),
                        (2, 100 + 3 * cost)]
     # three arrivals, two re-deliveries, three service completions

@@ -207,6 +207,15 @@ def test_figure_presets_are_valid_sweeps():
             _cell_config(spec, cell, None, index)
 
 
+def test_every_node_reads_the_runs_one_config():
+    from eovsim.simulation import build
+    cfg = ExperimentConfig.from_dict({"topology": {"non_endorsing": 2},
+                                      "duration_s": 1.0})
+    nodes = list(build(cfg).engine.nodes.values())
+    assert len(nodes) == 4 + 2 + 4 + 4 + 4
+    assert all(node.cfg is cfg for node in nodes)
+
+
 def test_repo_sample_config_matches_packaged_profile():
     from pathlib import Path
     sample = Path(__file__).resolve().parents[1] / "configs" / "paper_like.json"

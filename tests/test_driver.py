@@ -2,7 +2,7 @@ import pytest
 
 from eovsim.committer import BlockCommitted
 from eovsim.config import ExperimentConfig
-from eovsim.driver import (ClientConfig, ClientNode, JourneyStatus, TxnJourney,
+from eovsim.driver import (ClientNode, JourneyStatus, TxnJourney,
                            submission_times)
 from eovsim.endorser import Endorsement
 from eovsim.engine import (Engine, LatencyModel, Message, MessageKind, Node,
@@ -12,30 +12,35 @@ from eovsim.simulation import run_simulation
 from eovsim.smallbank import OpKind, Proposal, SmallbankOp
 
 
+def client_cfg(rate, duration_us, max_txns=None, **overrides):
+    """A config whose one client submits at `rate` for `duration_us`."""
+    cfg = ExperimentConfig.from_dict({
+        "rate": {"total_tps": None, "per_client_tps": rate,
+                 "total_txns_per_client": max_txns},
+        "duration_s": duration_us / 1e6} | overrides)
+    assert cfg.duration_us == duration_us
+    return cfg
+
+
 def test_rate_30_schedule_rounding():
-    cfg = ClientConfig(rate_tps=30, duration_us=200_000,
-                       endorse_timeout_us=1, broadcast_timeout_us=1)
+    cfg = client_cfg(rate=30, duration_us=200_000)
     assert submission_times(cfg)[:6] == [0, 33333, 66667, 100000, 133333,
                                          166667]
 
 
 def test_rate_1_five_second_run_has_five_submissions():
-    cfg = ClientConfig(rate_tps=1, duration_us=5_000_000,
-                       endorse_timeout_us=1, broadcast_timeout_us=1)
+    cfg = client_cfg(rate=1, duration_us=5_000_000)
     assert submission_times(cfg) == [0, 1_000_000, 2_000_000, 3_000_000,
                                      4_000_000]
 
 
 def test_max_txns_caps_schedule():
-    cfg = ClientConfig(rate_tps=100, duration_us=10_000_000,
-                       endorse_timeout_us=1, broadcast_timeout_us=1,
-                       max_txns=7)
+    cfg = client_cfg(rate=100, duration_us=10_000_000, max_txns=7)
     assert len(submission_times(cfg)) == 7
 
 
 def test_fractional_rate_is_deterministic():
-    cfg = ClientConfig(rate_tps=18.75, duration_us=1_000_000,
-                       endorse_timeout_us=1, broadcast_timeout_us=1)
+    cfg = client_cfg(rate=18.75, duration_us=1_000_000)
     times = submission_times(cfg)
     assert times == submission_times(cfg)
     assert times[0] == 0 and all(b > a for a, b in zip(times, times[1:]))
@@ -56,19 +61,20 @@ class Silent(Node):
 
 def wire_client(n_peers=3, threshold=None, rate=10.0, duration_us=200_000,
                 endorse_timeout_us=50_000, broadcast_timeout_us=80_000):
-    sim_cfg = ExperimentConfig.from_dict({"topology": {"peers": n_peers},
-                                          "policy": {"threshold": threshold}})
-    engine = Engine(LatencyModel(default_us=1000), seed=4)
+    cfg = client_cfg(rate, duration_us,
+                     topology={"peers": n_peers},
+                     policy={"threshold": threshold},
+                     timeouts={"endorse_s": endorse_timeout_us / 1e6,
+                               "broadcast_s": broadcast_timeout_us / 1e6})
+    assert (cfg.endorse_timeout_us, cfg.broadcast_timeout_us) == \
+        (endorse_timeout_us, broadcast_timeout_us)
+    engine = Engine(LatencyModel(base_us={}, default_us=1000, per_byte_ns=0,
+                                 jitter_fraction=0.0), seed=4)
     peer_ids = [f"peer{i:03d}" for i in range(n_peers)]
     proposals = [Proposal(f"c0-{i:06d}", "client000",
                           SmallbankOp(OpKind.QUERY, (i,)))
                  for i in range(10)]
-    client = ClientNode("client000",
-                        ClientConfig(rate, duration_us, endorse_timeout_us,
-                                     broadcast_timeout_us),
-                        proposals, peer_ids, ["orderer000"],
-                        sim_cfg.policy_threshold, sim_cfg.sizes,
-                        sim_cfg.envelope_bytes)
+    client = ClientNode("client000", cfg, proposals, peer_ids, ["orderer000"])
     engine.add_node(client)
     for pid in peer_ids:
         engine.add_node(Silent(pid, NodeClass.PEER))
@@ -127,7 +133,7 @@ def test_threshold_n_minus_one_tolerates_straggler():
     assert {e.peer for e in envelopes[0].body.endorsements} == \
         {"peer000", "peer001"}
     assert envelopes[0].size_bytes == envelopes[0].body.size_bytes == \
-        client.sizes.proposal + 2 * client.sizes.endorsement
+        client.cfg.sizes.proposal + 2 * client.cfg.sizes.endorsement
 
 
 def test_divergent_endorsements_never_satisfy_full_policy():

@@ -4,17 +4,23 @@ import random
 import pytest
 
 from eovsim.committer import ValidationFlag, commit_block
+from eovsim.config import ExperimentConfig
 from eovsim.endorser import Endorsement, endorse, policy_satisfied
 from eovsim.ledger import Block, CutReason, Ledger, ReadSet, WriteSet
 from eovsim.ordering import Envelope
-from eovsim.smallbank import (OpKind, Proposal, SmallbankOp, WorkloadConfig,
-                              checking_key, execute, generate,
-                              initial_write_set)
+from eovsim.smallbank import (OpKind, Proposal, SmallbankOp, checking_key,
+                              execute, generate, initial_write_set)
+
+
+def workload(seed, n_accounts=4):
+    """The checked workload of a config with `seed` and `n_accounts`."""
+    return ExperimentConfig.from_dict({
+        "seed": seed, "workload": {"n_accounts": n_accounts}}).workload
 
 
 def seeded_ledger(n_accounts=4):
     ledger = Ledger()
-    cfg = WorkloadConfig(n_accounts=n_accounts, seed=0)
+    cfg = workload(n_accounts=n_accounts, seed=0)
     ledger.apply_write_set(initial_write_set(cfg), (0, 0))
     return ledger
 
@@ -63,7 +69,7 @@ def committed(ledger, write_set, txn_id):
 
 
 def genesis_ledger():
-    cfg = WorkloadConfig(n_accounts=4, seed=0)
+    cfg = workload(n_accounts=4, seed=0)
     return committed(Ledger(), initial_write_set(cfg), "genesis")
 
 
@@ -98,7 +104,7 @@ def test_a_committed_block_gives_a_fresh_execution(executions):
 
 
 def test_memo_leaves_proposal_equality_and_repr_alone():
-    cfg = WorkloadConfig(n_accounts=4, seed=3)
+    cfg = workload(n_accounts=4, seed=3)
     used, fresh = generate(cfg, 3, "c"), generate(cfg, 3, "c")
     ledger = genesis_ledger()
     for proposal in used:

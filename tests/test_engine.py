@@ -141,7 +141,7 @@ def test_class_pair_latency_lookup():
     client, peer, broker = NodeClass.CLIENT, NodeClass.PEER, NodeClass.BROKER
     model = LatencyModel(base_us={(client, peer): 250, (peer, client): 250,
                                   (broker, broker): 10},
-                         default_us=1000)
+                         default_us=1000, per_byte_ns=0, jitter_fraction=0.0)
     assert model.base_for(NodeClass.CLIENT, NodeClass.PEER) == 250
     assert model.base_for(NodeClass.PEER, NodeClass.CLIENT) == 250
     assert model.base_for(NodeClass.BROKER, NodeClass.BROKER) == 10

@@ -135,6 +135,14 @@ def test_invalid_config_exits_1_with_field_name(tmp_path, capsys):
         assert main(["sweep", "--spec", path,
                      "--out", str(tmp_path / "o")]) == 1, doc
         assert "config error: sweep spec" in capsys.readouterr().err
+    # a sweep checks the seed before it adds each cell's index to it
+    for seed in ("x", True):
+        path = write_cfg(tmp_path, {"seed": seed})
+        out = tmp_path / "seeded"
+        assert main(["sweep", "--figure", "fig4", "--config", path,
+                     "--out", str(out)]) == 1, seed
+        assert "field 'seed'" in capsys.readouterr().err, seed
+        assert not out.exists()
 
 
 def test_schedule_guard_buffered_reentry_cell(tmp_path):
@@ -358,6 +366,51 @@ def test_parallel_sweep_matches_serial(tmp_path):
     assert serial == parallel
     assert (tmp_path / "ser" / "cells.csv").read_bytes() == \
         (tmp_path / "par" / "cells.csv").read_bytes()
+
+
+def recording_pool(monkeypatch):
+    """Put a fake in place of the sweep's process pool; returns the list of
+    pool sizes asked for. The fake maps its tasks in this process."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_pool_is_no_larger_than_the_cell_count(tmp_path, monkeypatch):
+    sizes = recording_pool(monkeypatch)
+    spec = sweep_spec([{"param": "replica", "values": [0, 1, 2]}])
+    rows = run_sweep(spec, tmp_path / "three", workers=64)
+    assert sizes == [3]
+    assert [r["error"] for r in rows] == ["", "", ""]
+    # one cell runs in this process, without a pool
+    assert len(run_sweep(sweep_spec([]), tmp_path / "one", workers=64)) == 1
+    assert sizes == [3]
+
+
+def test_workers_below_one_exit_1_before_any_cell_runs(
+        tmp_path, monkeypatch, capsys):
+    sizes = recording_pool(monkeypatch)
+    for workers in ("0", "-3"):
+        out = tmp_path / f"w{workers}"
+        assert main(["sweep", "--figure", "fig4", "--workers", workers,
+                     "--out", str(out)]) == 1, workers
+        assert "--workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+    assert sizes == []
 
 
 def test_cli_sweep_and_report_figure(tmp_path):

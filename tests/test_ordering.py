@@ -111,8 +111,16 @@ class Sink(Node):
 def wire_service(n_brokers=4, replication_factor=3, min_insync=2,
                  orderer_capacity=5000, n_peers=2, cutter_cfg=None,
                  orderers=1, window_end=10**12):
-    cfg = ExperimentConfig.from_dict({})
-    engine = Engine(LatencyModel(default_us=1000), seed=1)
+    cfg = ExperimentConfig.from_dict({
+        "topology": {"peers": n_peers, "orderers": orderers,
+                     "brokers": n_brokers},
+        "replication": {"replication_factor": replication_factor,
+                        "min_insync": min_insync},
+        "queues": {"orderer_capacity": orderer_capacity},
+        "duration_s": window_end / 1e6})
+    assert cfg.duration_us == window_end
+    engine = Engine(LatencyModel(base_us={}, default_us=1000, per_byte_ns=0,
+                                 jitter_fraction=0.0), seed=1)
     peer_ids = [f"peer{i:03d}" for i in range(n_peers)]
     orderer_ids = [f"orderer{i:03d}" for i in range(orderers)]
     broker_ids = [f"broker{i:03d}" for i in range(n_brokers)]
@@ -121,15 +129,12 @@ def wire_service(n_brokers=4, replication_factor=3, min_insync=2,
                          prev_hash=GENESIS_PREV_HASH)
     nodes = {}
     for oid in orderer_ids:
-        nodes[oid] = OrdererNode(oid, leader_id, peer_ids, orderer_capacity,
-                                 window_end, cfg.service, cfg.sizes)
+        nodes[oid] = OrdererNode(oid, cfg, leader_id, peer_ids)
     followers = broker_ids[1:replication_factor]
-    nodes[leader_id] = BrokerNode(leader_id, True, leader_id, followers,
-                                  min_insync, orderer_ids, cutter,
-                                  cfg.service, cfg.sizes)
+    nodes[leader_id] = BrokerNode(leader_id, cfg, leader_id, followers,
+                                  orderer_ids, cutter)
     for bid in broker_ids[1:]:
-        nodes[bid] = BrokerNode(bid, False, leader_id, [], min_insync,
-                                orderer_ids, None, cfg.service, cfg.sizes)
+        nodes[bid] = BrokerNode(bid, cfg, leader_id, [], orderer_ids, None)
     for pid in peer_ids:
         nodes[pid] = Sink(pid, NodeClass.PEER)
     nodes["client000"] = Sink("client000", NodeClass.CLIENT)
@@ -247,7 +252,7 @@ def test_window_counters_count_only_envelopes_handled_before_window_end():
     window_end = 50_000
     engine, nodes, [oid], _ = wire_service(window_end=window_end)
     orderer = nodes[oid]
-    forward = orderer.svc.orderer_forward
+    forward = orderer.cfg.service.orderer_forward
     for i in range(3):  # handled and committed well inside the window
         inject_envelope(engine, oid, mk_envelope(f"early{i}"), at=0)
     # handled at window_end - forward - 1, committed after window_end
@@ -349,7 +354,8 @@ def test_commit_notice_for_another_orderers_txn_changes_nothing():
     engine, nodes, orderer_ids, _ = wire_service(orderers=2)
     orderer = nodes[orderer_ids[1]]
     inject_envelope(engine, orderer.id, mk_envelope("mine"))
-    engine.run_until_quiescent(time_limit_us=orderer.svc.orderer_forward)
+    engine.run_until_quiescent(
+        time_limit_us=orderer.cfg.service.orderer_forward)
     assert orderer.sent_msgs == 1  # "mine" is forwarded and awaits commit
 
     def counters():
@@ -396,7 +402,7 @@ def test_one_message_per_fanout_and_log_record_is_the_envelope():
     forwarded = by_kind[designated, MessageKind.BLOCK_DELIVER]
     assert len(forwarded) == 3 and all(m is block_msg for m in forwarded)
     assert block_msg.size_bytes == \
-        nodes[leader_id].sizes.block_header + env.size_bytes
+        nodes[leader_id].cfg.sizes.block_header + env.size_bytes
 
 
 # --- the leader's demand per record and the capacity it implies ---------------

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eovsim.config import ExperimentConfig
 from eovsim.ledger import Ledger, WriteSet
-from eovsim.smallbank import (AccessPattern, OpKind, Proposal, REJECTED,
-                              SmallbankOp, WorkloadConfig, checking_key,
-                              execute, generate, initial_write_set,
-                              reachable_accounts, savings_key, total_balance)
+from eovsim.smallbank import (OpKind, Proposal, REJECTED, SmallbankOp,
+                              checking_key, execute, generate,
+                              initial_write_set, reachable_accounts,
+                              savings_key, total_balance)
 
 
 def seeded_state(balances):
@@ -178,19 +179,25 @@ def test_transfer_ops_match_oracle_and_conserve(raw_ops):
 
 # --- workload generator ------------------------------------------------------
 
+def workload(seed, **fields):
+    """The checked workload of a config with `seed` and these fields."""
+    return ExperimentConfig.from_dict({"seed": seed,
+                                       "workload": fields}).workload
+
+
 def test_generate_zero_count():
-    assert generate(WorkloadConfig(seed=1), 0) == []
+    assert generate(workload(seed=1), 0) == []
 
 
 def test_generate_pure_deposit_mix():
-    cfg = WorkloadConfig(op_mix={"deposit_checking": 1.0}, seed=2)
+    cfg = workload(op_mix={"deposit_checking": 1.0}, seed=2)
     proposals = generate(cfg, 1000)
     assert len(proposals) == 1000
     assert all(p.op.kind is OpKind.DEPOSIT_CHECKING for p in proposals)
 
 
 def test_generate_deterministic_per_seed_and_client():
-    cfg = WorkloadConfig(seed=3)
+    cfg = workload(seed=3)
     a = generate(cfg, 50, client="c0")
     b = generate(cfg, 50, client="c0")
     c = generate(cfg, 50, client="c1")
@@ -204,8 +211,8 @@ def test_generate_deterministic_per_seed_and_client():
 def test_uniform_access_hit_counts_within_four_sigma():
     accounts = 100
     count = 100_000
-    cfg = WorkloadConfig(n_accounts=accounts,
-                         op_mix={"deposit_checking": 1.0}, seed=4)
+    cfg = workload(n_accounts=accounts, op_mix={"deposit_checking": 1.0},
+                   seed=4)
     proposals = generate(cfg, count)
     hits = [0] * accounts
     for p in proposals:
@@ -217,18 +224,17 @@ def test_uniform_access_hit_counts_within_four_sigma():
 
 
 def test_hotspot_access_skews_toward_hot_accounts():
-    cfg = WorkloadConfig(n_accounts=1000,
-                         op_mix={"deposit_checking": 1.0},
-                         access=AccessPattern("hotspot", fraction_hot=0.01,
-                                              prob_hot=0.5),
-                         seed=5)
+    cfg = workload(n_accounts=1000, op_mix={"deposit_checking": 1.0},
+                   access={"kind": "hotspot", "fraction_hot": 0.01,
+                           "prob_hot": 0.5},
+                   seed=5)
     proposals = generate(cfg, 20_000)
     hot = sum(1 for p in proposals if p.op.accounts[0] < 10)
     assert 0.45 <= hot / len(proposals) <= 0.55
 
 
 def test_op_frequencies_converge_to_mix():
-    cfg = WorkloadConfig(seed=6)
+    cfg = workload(seed=6)
     proposals = generate(cfg, 50_000)
     freq = {}
     for p in proposals:
@@ -238,7 +244,7 @@ def test_op_frequencies_converge_to_mix():
 
 
 def test_initial_write_set_covers_every_account():
-    cfg = WorkloadConfig(n_accounts=7, initial_balance=123, seed=0)
+    cfg = workload(n_accounts=7, initial_balance=123, seed=0)
     ws = initial_write_set(cfg)
     assert len(ws.writes) == 14
     assert all(v == 123 for _, v in ws.writes)
@@ -257,8 +263,9 @@ def test_initial_write_set_covers_every_account():
 ])
 def test_reachable_accounts_counts_the_accounts_generate_draws(
         n, kind, fraction_hot, prob_hot, reach):
-    cfg = WorkloadConfig(n_accounts=n, op_mix={"deposit_checking": 1.0},
-                         access=AccessPattern(kind, fraction_hot, prob_hot),
-                         seed=8)
+    cfg = workload(n_accounts=n, op_mix={"deposit_checking": 1.0},
+                   access={"kind": kind, "fraction_hot": fraction_hot,
+                           "prob_hot": prob_hot},
+                   seed=8)
     drawn = {p.op.accounts[0] for p in generate(cfg, 2000)}
     assert len(drawn) == reachable_accounts(cfg) == reach
