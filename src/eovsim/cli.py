@@ -31,8 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", help="JSON config file (defaults inside)")
     run_p.add_argument("--out", default="out", help="output directory")
     run_p.add_argument("--seed", type=int, help="override the config seed")
-    run_p.add_argument("--duration", type=float,
-                       help="override duration in seconds")
     run_p.add_argument("--block-trace", action="store_true",
                        help="also dump one JSON line per block")
 
@@ -59,8 +57,6 @@ def cmd_run(args) -> int:
     overrides = load_json_object(args.config) if args.config else {}
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.duration is not None:
-        overrides["duration_s"] = args.duration
     cfg = ExperimentConfig.from_dict(overrides)
     result = run_simulation(cfg)
     out = Path(args.out)

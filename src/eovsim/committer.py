@@ -18,15 +18,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+from .config import ExperimentConfig
 from .endorser import endorse, policy_satisfied
 from .engine import Message, MessageKind, Node, NodeClass
 from .ledger import Block, Ledger, Version
 from .smallbank import Proposal
-
-if TYPE_CHECKING:  # config imports ordering, so only the checker sees it
-    from .config import ExperimentConfig
 
 
 class ValidationFlag(enum.Enum):

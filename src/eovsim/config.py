@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from . import presets
 from .engine import US_PER_SECOND, LatencyModel, NodeClass
-from .ordering import BlockCutterConfig, leader_demand_us
 from .smallbank import (TWO_ACCOUNT_OPS, AccessPattern, OpKind,
                         WorkloadConfig, reachable_accounts)
 
@@ -46,6 +45,13 @@ class MessageSizes:
     log_overhead: int
     block_header: int
     block_txn_summary: int
+
+
+@dataclass(frozen=True)
+class BlockCutterConfig:
+    max_txn_count: int
+    timeout_us: int
+    max_block_bytes: int
 
 
 def _deep_merge(base: dict, overrides: dict, path: str = "") -> dict:
@@ -220,14 +226,19 @@ class ExperimentConfig:
             jitter_fraction=jitter,
         )
 
-        svc = {k: _as_int(raw, f"service_us.{k}", 0) for k in raw["service_us"]}
-        self.service = ServiceTimes(**svc)
+        svc = self.service = ServiceTimes(**{
+            k: _as_int(raw, f"service_us.{k}", 0) for k in raw["service_us"]})
         self.sizes = MessageSizes(**{k: _as_int(raw, f"sizes_bytes.{k}", 1)
                                      for k in raw["sizes_bytes"]})
         self.envelope_bytes = (self.sizes.proposal
                                + threshold * self.sizes.endorsement)
-        self.leader_demand_us = leader_demand_us(
-            self.service, rf - 1, self.orderers, self.envelope_bytes)
+        # The leader broker's service time per record, in us. Commit notices
+        # are pre-charged: every accepted record commits exactly once.
+        self.leader_demand_us = (
+            svc.leader_order + svc.broker_append
+            + (rf - 1) * svc.leader_copy_send
+            + self.orderers * svc.leader_notice_send
+            + self.envelope_bytes * svc.leader_order_per_byte_ns // 1000)
         self.capacity_tps = (US_PER_SECOND / self.leader_demand_us
                              if self.leader_demand_us else None)
 

@@ -15,16 +15,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .committer import BlockCommitted
+from .config import ExperimentConfig
 from .endorser import policy_satisfied
 from .engine import Message, MessageKind, Node, NodeClass, Timer, timer
 from .ordering import Envelope
 from .smallbank import Proposal
-
-if TYPE_CHECKING:  # config imports ordering, so only the checker sees it
-    from .config import ExperimentConfig
 
 
 class JourneyStatus(enum.Enum):
@@ -136,10 +133,10 @@ class ClientNode(Node):
         envelope = Envelope(txn_id=txn_id, endorsements=tuple(witness),
                             read_set=witness[0].read_set,
                             write_set=witness[0].write_set,
-                            client=self.id, size_bytes=self.cfg.envelope_bytes)
+                            client=self.id)
         orderer = self.orderers[journey.index % len(self.orderers)]
         self.engine.send(self.id, orderer, Message(
-            MessageKind.ENVELOPE, envelope.size_bytes, envelope))
+            MessageKind.ENVELOPE, self.cfg.envelope_bytes, envelope))
         del self._collected[txn_id]
         self.engine.schedule(self.id, timer("bcast_to", txn_id),
                              self.cfg.broadcast_timeout_us)

@@ -60,9 +60,7 @@ def endorse(proposal: Proposal, ledger, peer_id: str) -> Endorsement:
     """Execute the proposal against the peer's committed state; the
     endorsement is its read and write sets, stamped with the peer's identity.
 
-    Every client's proposal is endorsed: there is no authorization. The
-    contract's response value is dropped, as nothing after endorsement
-    reads it.
+    Every client's proposal is endorsed: there is no authorization.
 
     The sets are memoized on the proposal by ledger.tip_hash. Premise:
     state changes only through commit_block, which appends the block before
@@ -71,7 +69,6 @@ def endorse(proposal: Proposal, ledger, peer_id: str) -> Endorsement:
     """
     sets = proposal.executed.get(ledger.tip_hash)
     if sets is None:
-        read_set, write_set, _response = execute(proposal.op, ledger)
-        sets = proposal.executed[ledger.tip_hash] = (read_set, write_set)
+        sets = proposal.executed[ledger.tip_hash] = execute(proposal.op, ledger)
     return Endorsement(txn_id=proposal.txn_id, peer=peer_id,
                        read_set=sets[0], write_set=sets[1])

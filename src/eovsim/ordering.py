@@ -11,18 +11,17 @@ fan-out.
 
 A log record is the client's Envelope, a replica copy its offset, a commit
 notice the txn id, and a block one BLOCK_DELIVER message sized at the leader.
+Every envelope of a run has the one size cfg.envelope_bytes, so each message
+that carries envelopes, and the cutter's size test, is sized from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+from .config import ExperimentConfig
 from .engine import Message, MessageKind, Node, NodeClass, timer
 from .ledger import Block, CutReason, ReadSet, WriteSet, hash_block
-
-if TYPE_CHECKING:  # config imports this module, so only the checker sees it
-    from .config import ExperimentConfig
 
 
 @dataclass(slots=True)
@@ -35,39 +34,28 @@ class Envelope:
     read_set: ReadSet
     write_set: WriteSet
     client: str
-    size_bytes: int
     # Policy evaluation is a pure function of the endorsement set and the
     # threshold, which every peer of a run shares, so peers share one
     # memoized verdict instead of re-deriving it N times.
     policy_memo: bool | None = None
 
 
-@dataclass
-class BlockCutterConfig:
-    """The three cut thresholds, checked by config.py."""
-
-    max_txn_count: int
-    timeout_us: int
-    max_block_bytes: int
-
-
 class BlockCutter:
     """Batches committed envelopes into blocks.
 
-    A block is cut when the pending count reaches max_txn_count, when the
-    cumulative pending bytes reach max_block_bytes, or when the oldest
-    pending envelope has aged timeout_us; the count condition is checked
-    before size, and size before timeout. Timer epochs make stale timeout
-    fires harmless.
+    A block is cut when the pending count reaches cfg.cutter.max_txn_count,
+    when the pending envelopes' bytes reach cfg.cutter.max_block_bytes, or
+    when the oldest pending envelope has aged cfg.cutter.timeout_us; the
+    count condition is checked before size, and size before timeout. Timer
+    epochs make stale timeout fires harmless.
     """
 
-    def __init__(self, cfg: BlockCutterConfig, next_height: int, prev_hash: str):
+    def __init__(self, cfg: ExperimentConfig, next_height: int, prev_hash: str):
         self.cfg = cfg
         self.next_height = next_height
         self.prev_hash = prev_hash
         self.epoch = 0
         self._pending: list = []
-        self._pending_bytes = 0
 
     def add(self, env, now: int) -> tuple[Block | None, bool]:
         """Append a committed envelope; returns (block or None, arm_timer).
@@ -77,10 +65,10 @@ class BlockCutter:
         """
         arm = not self._pending
         self._pending.append(env)
-        self._pending_bytes += env.size_bytes
-        if len(self._pending) >= self.cfg.max_txn_count:
+        pending, cut = len(self._pending), self.cfg.cutter
+        if pending >= cut.max_txn_count:
             return self._cut(CutReason.COUNT_THRESHOLD, now), False
-        if self._pending_bytes >= self.cfg.max_block_bytes:
+        if pending * self.cfg.envelope_bytes >= cut.max_block_bytes:
             return self._cut(CutReason.SIZE_THRESHOLD, now), False
         return None, arm
 
@@ -96,7 +84,6 @@ class BlockCutter:
         self.next_height += 1
         self.epoch += 1
         self._pending = []
-        self._pending_bytes = 0
         return block
 
 
@@ -145,8 +132,8 @@ class OrdererNode(Node):
                 self.refusals += 1
                 return
             self._awaiting_ack[env.txn_id] = env.client
-            record = Message(MessageKind.LOG_APPEND,
-                             env.size_bytes + self.cfg.sizes.log_overhead, env)
+            record = Message(MessageKind.LOG_APPEND, self.cfg.envelope_bytes
+                             + self.cfg.sizes.log_overhead, env)
             self.engine.send(self.id, self.leader, record)
         elif msg.kind is MessageKind.COMMIT_NOTICE:
             # Every orderer hears every commit; only the forwarder awaits it.
@@ -162,15 +149,6 @@ class OrdererNode(Node):
             stagger = self.cfg.service.orderer_deliver_stagger
             for i, peer in enumerate(self.endorsing_peers):
                 self.engine.send(self.id, peer, msg, extra_delay_us=i * stagger)
-
-
-def leader_demand_us(svc, n_followers, n_orderers, record_bytes) -> int:
-    """The leader broker's service time per record, in us. Commit notices
-    are pre-charged: every accepted record commits exactly once."""
-    return (svc.leader_order + svc.broker_append
-            + n_followers * svc.leader_copy_send
-            + n_orderers * svc.leader_notice_send
-            + (record_bytes * svc.leader_order_per_byte_ns) // 1000)
 
 
 class BrokerNode(Node):
@@ -200,10 +178,8 @@ class BrokerNode(Node):
 
     def service_us(self, msg: Message) -> int:
         if msg.kind is MessageKind.LOG_APPEND:
-            if not self.is_leader:
-                return self.cfg.service.broker_append
-            return leader_demand_us(self.cfg.service, len(self.followers),
-                                    len(self.orderers), msg.body.size_bytes)
+            return (self.cfg.leader_demand_us if self.is_leader
+                    else self.cfg.service.broker_append)
         return 0
 
     def is_control(self, msg: Message) -> bool:
@@ -232,8 +208,8 @@ class BrokerNode(Node):
         offset = len(self.records)
         self.records.append(env)
         self.copies_held.append(1)
-        copy = Message(MessageKind.LOG_APPEND,
-                       env.size_bytes + self.cfg.sizes.log_overhead, offset)
+        copy = Message(MessageKind.LOG_APPEND, self.cfg.envelope_bytes
+                       + self.cfg.sizes.log_overhead, offset)
         for follower in self.followers:
             self.engine.send(self.id, follower, copy)
         self._advance_commit()
@@ -258,12 +234,12 @@ class BrokerNode(Node):
             self._emit_block(block)
         elif arm:
             self.engine.schedule(self.id, timer("cut", self.cutter.epoch),
-                                 self.cutter.cfg.timeout_us)
+                                 self.cfg.cutter.timeout_us)
 
     def _emit_block(self, block: Block) -> None:
         designated = self.orderers[block.height % len(self.orderers)]
         size = (self.cfg.sizes.block_header
-                + sum(t.size_bytes for t in block.txns))
+                + len(block.txns) * self.cfg.envelope_bytes)
         self.engine.send(self.id, designated,
                          Message(MessageKind.BLOCK_DELIVER, size, block))
 

@@ -2,7 +2,7 @@
 
 PAPER_LIKE is the desk-scale profile; its numbers are calibration data, not
 physical measurements. A config's ordering capacity is 1e6 / D tps, D being
-ordering.leader_demand_us: 3,517 us and 284.3 tps for the 16-peer,
+ExperimentConfig.leader_demand_us: 3,517 us and 284.3 tps for the 16-peer,
 16-broker topology the figures sweep, between 250 and 400 offered tps. To
 recalibrate, solve D for service_us.leader_order.
 

@@ -51,10 +51,8 @@ class Simulation:
 
 
 def genesis_block(cfg: ExperimentConfig) -> Block:
-    ws = initial_write_set(cfg.workload)
-    load = Envelope(txn_id=GENESIS_TXN_ID, endorsements=(),
-                    read_set=ReadSet(), write_set=ws, client="",
-                    size_bytes=max(1, 16 * len(ws.writes)))
+    load = Envelope(txn_id=GENESIS_TXN_ID, endorsements=(), read_set=ReadSet(),
+                    write_set=initial_write_set(cfg.workload), client="")
     return Block(height=0, prev_hash=GENESIS_PREV_HASH, txns=[load],
                  cut_reason=CutReason.COUNT_THRESHOLD, created_at=0)
 
@@ -80,8 +78,7 @@ def build(cfg: ExperimentConfig) -> Simulation:
     orderers = [OrdererNode(oid, cfg, leader_id, peer_ids)
                 for oid in orderer_ids]
 
-    cutter = BlockCutter(cfg.cutter, next_height=1,
-                         prev_hash=base_ledger.tip_hash)
+    cutter = BlockCutter(cfg, next_height=1, prev_hash=base_ledger.tip_hash)
     followers = broker_ids[1:cfg.replication_factor]
     brokers = [BrokerNode(leader_id, cfg, leader_id, followers, orderer_ids,
                           cutter)]

@@ -10,7 +10,7 @@ the exact semantics implemented (and tested against a serial oracle):
   write_check(c, amt)        checking -= amt, with an extra 1 overdraft
                              penalty when checking + savings < amt
   amalgamate(c1, c2)         move all of c1's funds into c2.checking
-  query(c)                   returns checking + savings, writes nothing
+  query(c)                   reads both balances, writes nothing
 
 Execution is a pure function of (op, snapshot): it records every key read
 with the version observed, never mutates the snapshot, and a rejection
@@ -39,8 +39,6 @@ class OpKind(enum.Enum):
 TWO_ACCOUNT_OPS = (OpKind.SEND_PAYMENT, OpKind.AMALGAMATE)
 AMOUNT_OPS = (OpKind.TRANSACT_SAVINGS, OpKind.DEPOSIT_CHECKING,
               OpKind.SEND_PAYMENT, OpKind.WRITE_CHECK)
-
-REJECTED = None  # execute() response for an application-level refusal
 
 
 @dataclass(slots=True)
@@ -76,7 +74,7 @@ def savings_key(customer: int) -> str:
     return f"cust/{customer}/savings"
 
 
-def execute(op: SmallbankOp, snapshot) -> tuple[ReadSet, WriteSet, int | None]:
+def execute(op: SmallbankOp, snapshot) -> tuple[ReadSet, WriteSet]:
     """Run op against a read-only state view, producing its read/write sets.
 
     snapshot only needs read_state(key) -> (value, version) | None.
@@ -96,54 +94,46 @@ def execute(op: SmallbankOp, snapshot) -> tuple[ReadSet, WriteSet, int | None]:
     kind = op.kind
     if kind is OpKind.QUERY:
         c, = op.accounts
-        checking = read(checking_key(c))
-        savings = read(savings_key(c))
-        if checking is None or savings is None:
-            return rs, ws, REJECTED
-        return rs, ws, checking + savings
+        read(checking_key(c))
+        read(savings_key(c))
+        return rs, ws
 
     if kind is OpKind.DEPOSIT_CHECKING:
         c, = op.accounts
         checking = read(checking_key(c))
         if checking is None:
-            return rs, ws, REJECTED
-        new = checking + op.amount
-        ws.writes.append((checking_key(c), new))
-        return rs, ws, new
+            return rs, ws
+        ws.writes.append((checking_key(c), checking + op.amount))
+        return rs, ws
 
     if kind is OpKind.TRANSACT_SAVINGS:
         c, = op.accounts
         savings = read(savings_key(c))
-        if savings is None:
-            return rs, ws, REJECTED
-        new = savings + op.amount
-        if new < 0:
-            return rs, ws, REJECTED
-        ws.writes.append((savings_key(c), new))
-        return rs, ws, new
+        if savings is None or savings + op.amount < 0:
+            return rs, ws
+        ws.writes.append((savings_key(c), savings + op.amount))
+        return rs, ws
 
     if kind is OpKind.WRITE_CHECK:
         c, = op.accounts
         checking = read(checking_key(c))
         savings = read(savings_key(c))
         if checking is None or savings is None:
-            return rs, ws, REJECTED
+            return rs, ws
         penalty = 1 if checking + savings < op.amount else 0
-        new = checking - op.amount - penalty
-        ws.writes.append((checking_key(c), new))
-        return rs, ws, new
+        ws.writes.append((checking_key(c), checking - op.amount - penalty))
+        return rs, ws
 
     if kind is OpKind.SEND_PAYMENT:
         src, dst = op.accounts
         src_checking = read(checking_key(src))
         dst_checking = read(checking_key(dst))
-        if src_checking is None or dst_checking is None:
-            return rs, ws, REJECTED
-        if src_checking < op.amount:
-            return rs, ws, REJECTED
+        if (src_checking is None or dst_checking is None
+                or src_checking < op.amount):
+            return rs, ws
         ws.writes.append((checking_key(src), src_checking - op.amount))
         ws.writes.append((checking_key(dst), dst_checking + op.amount))
-        return rs, ws, src_checking - op.amount
+        return rs, ws
 
     if kind is OpKind.AMALGAMATE:
         src, dst = op.accounts
@@ -151,12 +141,12 @@ def execute(op: SmallbankOp, snapshot) -> tuple[ReadSet, WriteSet, int | None]:
         src_savings = read(savings_key(src))
         dst_checking = read(checking_key(dst))
         if src_checking is None or src_savings is None or dst_checking is None:
-            return rs, ws, REJECTED
-        moved = src_checking + src_savings
+            return rs, ws
         ws.writes.append((checking_key(src), 0))
         ws.writes.append((savings_key(src), 0))
-        ws.writes.append((checking_key(dst), dst_checking + moved))
-        return rs, ws, moved
+        ws.writes.append((checking_key(dst),
+                          dst_checking + src_checking + src_savings))
+        return rs, ws
 
     raise ValueError(f"unhandled op kind {kind!r}")
 

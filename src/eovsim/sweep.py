@@ -65,7 +65,18 @@ class SweepSpec:
                     raise ConfigError(
                         f"axis row {row!r} does not match params {params!r}")
             groups.append({"params": params, "values": values})
-        return cls(base=base, groups=groups)
+        spec = cls(base=base, groups=groups)
+        paths = spec.varied_params()
+        if "seed" in paths:
+            raise ConfigError("sweep spec cannot vary 'seed': cell i runs base "
+                              "seed + i; vary 'replica' to repeat a cell")
+        for i, a in enumerate(paths):
+            for b in paths[i + 1:]:
+                # equal, or one is a dotted prefix of the other
+                if f"{a}.".startswith(f"{b}.") or f"{b}.".startswith(f"{a}."):
+                    raise ConfigError(f"sweep spec parameters {a!r} and {b!r} "
+                                      "overlap")
+        return spec
 
     def varied_params(self) -> list[str]:
         return [path for group in self.groups for path in group["params"]]

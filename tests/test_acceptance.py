@@ -5,8 +5,11 @@ agreement and journey-conservation checks.
 """
 
 import json
+import multiprocessing
+import os
 import random
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -30,13 +33,20 @@ def gate(num, description, cond, detail=""):
     assert cond, f"criterion {num}: {description} {detail}"
 
 
+def _report(overrides):
+    return run_simulation(ExperimentConfig.from_dict(overrides)).report
+
+
 def run_cells(cells):
-    """cells: {key: overrides} -> {key: report}; also pools the reports."""
-    out = {}
-    for key, overrides in cells.items():
-        report = run_simulation(ExperimentConfig.from_dict(overrides)).report
-        out[key] = report
-        ALL_REPORTS.append((key, report))
+    """cells: {key: overrides} -> {key: report}; also pools the reports.
+
+    Cells are independent, deterministic runs, so they run on up to two
+    worker processes; the reports come back in key order."""
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(min(2, os.cpu_count() or 1),
+                             mp_context=spawn) as pool:
+        out = dict(zip(cells, pool.map(_report, cells.values())))
+    ALL_REPORTS.extend(out.items())
     return out
 
 
@@ -183,7 +193,7 @@ def test_c02_mvcc_serial_oracle_equivalence():
             rs, ws = ReadSet(reads), WriteSet(writes)
             ends = tuple(Endorsement(f"t{height}.{i}", p, rs, ws)
                          for p in stamp)
-            txns.append(Envelope(f"t{height}.{i}", ends, rs, ws, "c", 64))
+            txns.append(Envelope(f"t{height}.{i}", ends, rs, ws, "c"))
         block = Block(height, prev, txns, CutReason.COUNT_THRESHOLD, height)
         expected = oracle_block(oracle_state, block, threshold)
         for ledger in peers:

@@ -24,7 +24,7 @@ def mk_env(txn_id, reads, writes, peers=("p0", "p1")):
         Endorsement(txn_id=txn_id, peer=p, read_set=rs, write_set=ws)
         for p in peers)
     return Envelope(txn_id=txn_id, endorsements=endorsements,
-                    read_set=rs, write_set=ws, client="c", size_bytes=64)
+                    read_set=rs, write_set=ws, client="c")
 
 
 def mk_block(height, prev, envs, created=0):

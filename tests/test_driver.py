@@ -132,7 +132,7 @@ def test_threshold_n_minus_one_tolerates_straggler():
     assert len(envelopes) == 1
     assert {e.peer for e in envelopes[0].body.endorsements} == \
         {"peer000", "peer001"}
-    assert envelopes[0].size_bytes == envelopes[0].body.size_bytes == \
+    assert envelopes[0].size_bytes == \
         client.cfg.sizes.proposal + 2 * client.cfg.sizes.endorsement
 
 
@@ -290,6 +290,13 @@ def test_every_chain_envelope_carries_threshold_endorsements(threshold):
                  for env in block.txns]
     assert envelopes
     assert all(len(env.endorsements) == threshold for env in envelopes)
-    assert all(env.size_bytes == cfg.envelope_bytes for env in envelopes)
     assert cfg.envelope_bytes == (cfg.sizes.proposal
                                   + threshold * cfg.sizes.endorsement)
+    # a client sends one proposal per endorsing peer per txn, and one
+    # envelope of envelope_bytes per endorsed txn
+    for client in result.sim.clients:
+        journeys = client.journeys.values()
+        endorsed = sum(j.endorsed_us is not None for j in journeys)
+        assert client.sent_bytes == (
+            len(journeys) * cfg.peers * cfg.sizes.proposal
+            + endorsed * cfg.envelope_bytes)

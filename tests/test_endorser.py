@@ -51,7 +51,7 @@ def test_endorsement_reflects_state_at_issuance():
     ledger = seeded_ledger()
     proposal = Proposal("t3", "c", SmallbankOp(OpKind.DEPOSIT_CHECKING, (2,), 3))
     result = endorse(proposal, ledger, "peer000")
-    rs, ws, _resp = execute(proposal.op, ledger)
+    rs, ws = execute(proposal.op, ledger)
     assert (tuple(rs.reads), tuple(ws.writes)) == result.payload_key()
 
 
@@ -60,7 +60,7 @@ def test_endorsement_reflects_state_at_issuance():
 def committed(ledger, write_set, txn_id):
     """Commit a one-txn block carrying write_set, the way peers change state."""
     env = Envelope(txn_id=txn_id, endorsements=(), read_set=ReadSet(),
-                   write_set=write_set, client="", size_bytes=1)
+                   write_set=write_set, client="")
     block = Block(height=ledger.height + 1, prev_hash=ledger.tip_hash,
                   txns=[env], cut_reason=CutReason.COUNT_THRESHOLD,
                   created_at=0)

@@ -330,6 +330,27 @@ def test_sweep_cells_checked_before_any_runs_and_exit_codes(
     assert [bool(r["error"]) for r in rows] == [False, True, False]
 
 
+@pytest.mark.parametrize("axes,named", [
+    ([{"param": "seed", "values": [1, 2, 3]}], "'seed'"),
+    ([{"param": "topology.peers", "values": [2, 3]},
+      {"param": "topology.peers", "values": [4]}],
+     "'topology.peers' and 'topology.peers'"),
+    ([{"param": "topology", "values": [{"peers": 2}]},
+      {"param": "topology.peers", "values": [3]}],
+     "'topology' and 'topology.peers'"),
+], ids=["seed", "repeated", "prefix"])
+def test_colliding_sweep_parameters_exit_1_before_any_cell_runs(
+        tmp_path, capsys, axes, named):
+    # the sweep owns the seed (base + cell index), and two axes that set
+    # one field would leave cells.csv naming values no cell ran
+    spec = write_cfg(tmp_path, {"base": SMALL, "axes": axes}, name="spec.json")
+    out = tmp_path / "out"
+    assert main(["sweep", "--spec", spec, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: sweep spec" in err and named in err, err
+    assert not out.exists()
+
+
 def test_spec_base_op_mix_replaces_config_mix(tmp_path):
     # every layer merges as one config override does: a mix is replaced
     # whole, never merged key by key into a mix that sums past 1

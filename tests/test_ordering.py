@@ -8,29 +8,33 @@ from eovsim.endorser import Endorsement
 from eovsim.engine import (Engine, LatencyModel, Message, MessageKind, Node,
                            NodeClass)
 from eovsim.ledger import CutReason, GENESIS_PREV_HASH, ReadSet, WriteSet
-from eovsim.ordering import (BlockCutter, BlockCutterConfig, BrokerNode,
-                             Envelope, OrdererNode, leader_demand_us)
+from eovsim.ordering import BlockCutter, BrokerNode, Envelope, OrdererNode
 from eovsim.simulation import build, run_simulation
 
-CUT_CFG = BlockCutterConfig(max_txn_count=100, timeout_us=2_000_000,
-                            max_block_bytes=10 * 1024 * 1024)
 
-
-def mk_envelope(txn_id, size=500, client="client000"):
-    return Envelope(txn_id=txn_id, endorsements=(),
-                    read_set=ReadSet(), write_set=WriteSet(), client=client,
-                    size_bytes=size)
-
-
-def base_cfg(**over):
-    cfg = ExperimentConfig.from_dict(over)
+def ordering_cfg(count=100, max_bytes=10 * 1024 * 1024, envelope=500, **over):
+    """A run config with these cut thresholds, a 2-s cut timeout, and
+    envelopes of `envelope` bytes: one endorsement, of half of them."""
+    cfg = ExperimentConfig.from_dict(over | {
+        "cutter": {"max_txn_count": count, "timeout_s": 2.0,
+                   "max_block_bytes": max_bytes},
+        "policy": {"threshold": 1},
+        "sizes_bytes": {"proposal": envelope // 2,
+                        "endorsement": envelope - envelope // 2}})
+    assert cfg.envelope_bytes == envelope
     return cfg
+
+
+def mk_envelope(txn_id, client="client000"):
+    return Envelope(txn_id=txn_id, endorsements=(),
+                    read_set=ReadSet(), write_set=WriteSet(), client=client)
 
 
 # --- block cutter ------------------------------------------------------------
 
-def fresh_cutter(cfg=CUT_CFG):
-    return BlockCutter(cfg, next_height=1, prev_hash=GENESIS_PREV_HASH)
+def fresh_cutter(cfg=None):
+    return BlockCutter(cfg or ordering_cfg(), next_height=1,
+                       prev_hash=GENESIS_PREV_HASH)
 
 
 def test_cutter_count_threshold_exact_fill():
@@ -66,33 +70,58 @@ def test_cutter_timeout_with_nothing_pending():
 
 
 def test_cutter_size_threshold():
-    cfg = BlockCutterConfig(max_txn_count=100, timeout_us=2_000_000,
-                            max_block_bytes=1000)
-    cutter = fresh_cutter(cfg)
-    block, _ = cutter.add(mk_envelope("a", size=600), now=0)
+    cutter = fresh_cutter(ordering_cfg(100, 1000, envelope=600))
+    block, _ = cutter.add(mk_envelope("a"), now=0)
     assert block is None
-    block, _ = cutter.add(mk_envelope("b", size=600), now=1)
+    block, _ = cutter.add(mk_envelope("b"), now=1)
     assert block is not None
     assert block.cut_reason is CutReason.SIZE_THRESHOLD
     assert len(block.txns) == 2
 
 
 def test_cutter_count_wins_over_size_on_same_envelope():
-    cfg = BlockCutterConfig(max_txn_count=2, timeout_us=2_000_000,
-                            max_block_bytes=100)
-    cutter = fresh_cutter(cfg)
-    cutter.add(mk_envelope("a", size=60), now=0)
-    block, _ = cutter.add(mk_envelope("b", size=60), now=1)
+    cutter = fresh_cutter(ordering_cfg(2, 100, envelope=60))
+    cutter.add(mk_envelope("a"), now=0)
+    block, _ = cutter.add(mk_envelope("b"), now=1)
     assert block.cut_reason is CutReason.COUNT_THRESHOLD
 
 
 def test_cutter_chains_prev_hashes():
     from eovsim.ledger import hash_block
-    cutter = fresh_cutter(BlockCutterConfig(2, 2_000_000, 10**9))
+    cutter = fresh_cutter(ordering_cfg(2, 10**9))
     b1, _ = [cutter.add(mk_envelope(f"a{i}"), 0) for i in range(2)][-1]
     b2, _ = [cutter.add(mk_envelope(f"b{i}"), 1) for i in range(2)][-1]
     assert b1.height == 1 and b2.height == 2
     assert b2.prev_hash == hash_block(b1)
+
+
+def test_full_run_cuts_size_blocks_of_exactly_three_envelopes(monkeypatch):
+    envelope = ExperimentConfig.from_dict({}).envelope_bytes
+    cfg = ExperimentConfig.from_dict({
+        "duration_s": 2.0, "cutter": {"max_block_bytes": 3 * envelope}})
+    assert cfg.cutter.max_txn_count == 100
+    delivered = []  # (height, bytes) of every BLOCK_DELIVER sent
+    send = Engine.send
+
+    def spy(self, src, dst, msg, extra_delay_us=0):
+        if msg.kind is MessageKind.BLOCK_DELIVER:
+            delivered.append((msg.body.height, msg.size_bytes))
+        send(self, src, dst, msg, extra_delay_us)
+    monkeypatch.setattr(Engine, "send", spy)
+    blocks = run_simulation(cfg).sim.endorsing[0].ledger.blocks[1:]
+    *size_cut, last = blocks
+    assert size_cut and all(b.cut_reason is CutReason.SIZE_THRESHOLD
+                            and len(b.txns) == 3 for b in size_cut)
+    # what is left pending at the end goes out in one timeout block
+    assert (last.cut_reason, len(last.txns)) in (
+        (CutReason.SIZE_THRESHOLD, 3), (CutReason.TIMEOUT, 1),
+        (CutReason.TIMEOUT, 2))
+    header = cfg.sizes.block_header
+    assert {h for h, _ in delivered} == {b.height for b in blocks}
+    assert all(size == header + 3 * envelope for h, size in delivered
+               if h != last.height)
+    assert all(size == header + len(last.txns) * envelope
+               for h, size in delivered if h == last.height)
 
 
 # --- wired ordering service --------------------------------------------------
@@ -109,15 +138,16 @@ class Sink(Node):
 
 
 def wire_service(n_brokers=4, replication_factor=3, min_insync=2,
-                 orderer_capacity=5000, n_peers=2, cutter_cfg=None,
+                 orderer_capacity=5000, n_peers=2, cut=(100, 10 * 1024 * 1024),
                  orderers=1, window_end=10**12):
-    cfg = ExperimentConfig.from_dict({
-        "topology": {"peers": n_peers, "orderers": orderers,
-                     "brokers": n_brokers},
-        "replication": {"replication_factor": replication_factor,
-                        "min_insync": min_insync},
-        "queues": {"orderer_capacity": orderer_capacity},
-        "duration_s": window_end / 1e6})
+    cfg = ordering_cfg(
+        *cut,
+        topology={"peers": n_peers, "orderers": orderers,
+                  "brokers": n_brokers},
+        replication={"replication_factor": replication_factor,
+                     "min_insync": min_insync},
+        queues={"orderer_capacity": orderer_capacity},
+        duration_s=window_end / 1e6)
     assert cfg.duration_us == window_end
     engine = Engine(LatencyModel(base_us={}, default_us=1000, per_byte_ns=0,
                                  jitter_fraction=0.0), seed=1)
@@ -125,8 +155,7 @@ def wire_service(n_brokers=4, replication_factor=3, min_insync=2,
     orderer_ids = [f"orderer{i:03d}" for i in range(orderers)]
     broker_ids = [f"broker{i:03d}" for i in range(n_brokers)]
     leader_id = broker_ids[0]
-    cutter = BlockCutter(cutter_cfg or CUT_CFG, next_height=1,
-                         prev_hash=GENESIS_PREV_HASH)
+    cutter = BlockCutter(cfg, next_height=1, prev_hash=GENESIS_PREV_HASH)
     nodes = {}
     for oid in orderer_ids:
         nodes[oid] = OrdererNode(oid, cfg, leader_id, peer_ids)
@@ -144,8 +173,8 @@ def wire_service(n_brokers=4, replication_factor=3, min_insync=2,
 
 
 def inject_envelope(engine, orderer_id, env, at=0):
-    engine.schedule(orderer_id, Message(MessageKind.ENVELOPE, env.size_bytes,
-                                        env), at)
+    size = engine.nodes[orderer_id].cfg.envelope_bytes
+    engine.schedule(orderer_id, Message(MessageKind.ENVELOPE, size, env), at)
 
 
 def test_single_envelope_acked_counters_balanced():
@@ -233,7 +262,7 @@ def test_high_min_insync_waits_for_follower_acks(commit_times):
 def test_commit_order_is_offset_order_even_with_jitter():
     engine, nodes, [oid], leader_id = wire_service(
         n_brokers=8, replication_factor=7, min_insync=4,
-        cutter_cfg=BlockCutterConfig(7, 2_000_000, 10**9))
+        cut=(7, 10**9))
     engine.latency.jitter_fraction = 0.3
     for i in range(30):
         inject_envelope(engine, oid, mk_envelope(f"t{i}"), at=i * 50)
@@ -271,7 +300,7 @@ def test_window_counters_count_only_envelopes_handled_before_window_end():
 
 def test_block_fanout_one_message_per_peer():
     engine, nodes, [oid], leader_id = wire_service(
-        n_peers=4, cutter_cfg=BlockCutterConfig(3, 2_000_000, 10**9))
+        n_peers=4, cut=(3, 10**9))
     for i in range(3):
         inject_envelope(engine, oid, mk_envelope(f"t{i}"), at=i * 10)
     engine.run_until_quiescent()
@@ -284,7 +313,7 @@ def test_block_fanout_one_message_per_peer():
 
 def test_peers_receive_consecutive_blocks_in_height_order():
     engine, nodes, [oid], _ = wire_service(
-        n_peers=3, cutter_cfg=BlockCutterConfig(2, 2_000_000, 10**9))
+        n_peers=3, cut=(2, 10**9))
     for i in range(8):
         inject_envelope(engine, oid, mk_envelope(f"t{i}"), at=i * 2000)
     engine.run_until_quiescent()
@@ -309,7 +338,7 @@ def test_fanout_stagger_makes_wide_fanout_cost_more():
 
 def test_wide_fanout_sends_one_message_per_peer_24():
     engine, nodes, [oid], _ = wire_service(
-        n_peers=24, cutter_cfg=BlockCutterConfig(1, 2_000_000, 10**9))
+        n_peers=24, cut=(1, 10**9))
     inject_envelope(engine, oid, mk_envelope("t0"))
     engine.run_until_quiescent()
     delivered = [pid for pid in nodes
@@ -336,7 +365,7 @@ def test_proxy_neutrality_orderer_count_does_not_change_committed_set():
 
 def test_designated_orderer_rotates_by_height():
     engine, nodes, orderer_ids, leader_id = wire_service(
-        orderers=3, n_peers=1, cutter_cfg=BlockCutterConfig(1, 2_000_000, 10**9))
+        orderers=3, n_peers=1, cut=(1, 10**9))
     # block heights 1..4 -> designated orderer index height % 3
     for i in range(4):
         inject_envelope(engine, orderer_ids[0], mk_envelope(f"t{i}"),
@@ -373,7 +402,7 @@ def test_commit_notice_for_another_orderers_txn_changes_nothing():
 def test_one_message_per_fanout_and_log_record_is_the_envelope():
     engine, nodes, [oid, designated], leader_id = wire_service(
         n_brokers=4, replication_factor=4, min_insync=4, n_peers=3,
-        orderers=2, cutter_cfg=BlockCutterConfig(1, 2_000_000, 10**9))
+        orderers=2, cut=(1, 10**9))
     sent = []  # (src, dst, message) per send
     send = engine.send
 
@@ -401,8 +430,8 @@ def test_one_message_per_fanout_and_log_record_is_the_envelope():
     [block_msg] = by_kind[leader_id, MessageKind.BLOCK_DELIVER]
     forwarded = by_kind[designated, MessageKind.BLOCK_DELIVER]
     assert len(forwarded) == 3 and all(m is block_msg for m in forwarded)
-    assert block_msg.size_bytes == \
-        nodes[leader_id].cfg.sizes.block_header + env.size_bytes
+    cfg = nodes[leader_id].cfg
+    assert block_msg.size_bytes == cfg.sizes.block_header + cfg.envelope_bytes
 
 
 # --- the leader's demand per record and the capacity it implies ---------------
@@ -416,15 +445,20 @@ def test_one_message_per_fanout_and_log_record_is_the_envelope():
 def test_leader_demand_us_is_the_leaders_log_append_service(overrides):
     cfg = ExperimentConfig.from_dict(overrides)
     leader, *_, follower = build(cfg).brokers
-    env = mk_envelope("t0", size=cfg.envelope_bytes)
+    size = cfg.envelope_bytes + cfg.sizes.log_overhead
     service = leader.service_us(
-        Message(MessageKind.LOG_APPEND, env.size_bytes, env))
-    assert service == leader_demand_us(cfg.service, len(leader.followers),
-                                       len(leader.orderers), env.size_bytes)
-    assert service == cfg.leader_demand_us
+        Message(MessageKind.LOG_APPEND, size, mk_envelope("t0")))
+    # D, from the leader's own wiring: one copy send per follower, one
+    # notice per orderer, and the per-byte cost of the envelope it orders
+    svc = cfg.service
+    envelope = cfg.sizes.proposal + cfg.policy_threshold * cfg.sizes.endorsement
+    demand = (svc.leader_order + svc.broker_append
+              + len(leader.followers) * svc.leader_copy_send
+              + len(leader.orderers) * svc.leader_notice_send
+              + envelope * svc.leader_order_per_byte_ns // 1000)
+    assert service == demand == cfg.leader_demand_us
     # a follower's copy costs the append alone
-    assert follower.service_us(
-        Message(MessageKind.LOG_APPEND, env.size_bytes, 0)) == \
+    assert follower.service_us(Message(MessageKind.LOG_APPEND, size, 0)) == \
         cfg.service.broker_append
 
 
