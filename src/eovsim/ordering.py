@@ -17,7 +17,7 @@ that carries envelopes, and the cutter's size test, is sized from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .config import ExperimentConfig
 from .engine import Message, MessageKind, Node, NodeClass, timer
@@ -36,8 +36,9 @@ class Envelope:
     client: str
     # Policy evaluation is a pure function of the endorsement set and the
     # threshold, which every peer of a run shares, so peers share one
-    # memoized verdict instead of re-deriving it N times.
-    policy_memo: bool | None = None
+    # memoized verdict instead of re-deriving it N times. Keyword-only, so a
+    # surplus positional argument raises instead of skipping the check.
+    policy_memo: bool | None = field(default=None, kw_only=True)
 
 
 class BlockCutter:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -284,3 +286,81 @@ def test_causality_delivery_never_precedes_send(delays, seed):
     engine.run_until_quiescent()
     assert len(b.seen) == len(delays)
     assert all(delivered >= sent for delivered, sent in b.seen)
+
+
+def test_jitter_stream_is_randint_in_send_order():
+    client, peer, broker = NodeClass.CLIENT, NodeClass.PEER, NodeClass.BROKER
+    # client -> orderer falls back to default_us: its small spreads are where
+    # a draw of the wrong width most often differs from randint's
+    model = LatencyModel(base_us={(client, peer): 300, (client, broker): 5000},
+                         default_us=5, per_byte_ns=250, jitter_fraction=0.4)
+    seed = 5
+    engine = Engine(model, seed=seed)
+    engine.add_node(Recorder("a", client))
+    receivers = {"b": Recorder("b", peer), "c": Recorder("c", broker),
+                 "d": Recorder("d", NodeClass.ORDERER)}
+    for node in receivers.values():
+        engine.add_node(node)
+    sizes = [1, 40, 333, 1000, 4096]
+    plan = [("bcd"[i % 3], sizes[i % len(sizes)]) for i in range(200)]
+    for i, (dst, size) in enumerate(plan):
+        engine.send("a", dst, Message(MessageKind.PROPOSAL, size, i))
+    engine.run_until_quiescent()
+
+    r = random.Random(f"{seed}:net")
+    expected = {}
+    for i, (dst, size) in enumerate(plan):
+        delay = model.base_for(client, receivers[dst].klass) + size * 250 // 1000
+        spread = int(delay * 0.4)
+        expected[i] = delay + r.randint(-spread, spread)
+    got = {body: t for node in receivers.values() for t, body in node.seen}
+    assert got == expected, \
+        "the engine's jitter draw no longer matches random.randint"
+
+
+class Relay(Recorder):
+    """Busy for 7 us per message, then passes it on until its hops run out."""
+
+    def __init__(self, node_id, peer):
+        super().__init__(node_id, NodeClass.PEER, service=7)
+        self.peer = peer
+
+    def handle(self, msg):
+        super().handle(msg)
+        if msg.body > 0:
+            self.engine.send(self.id, self.peer,
+                             Message(MessageKind.PROPOSAL, 50, msg.body - 1))
+
+
+def relay_engine():
+    engine = Engine(flat_latency(base=100, per_byte_ns=20, jitter=0.5), seed=9)
+    engine.add_node(Relay("a", "b"))
+    engine.add_node(Relay("b", "a"))
+    for i in range(30):
+        engine.send("a", "b", Message(MessageKind.PROPOSAL, 10 + i, 8),
+                    extra_delay_us=13 * i)
+    return engine
+
+
+def test_run_split_by_time_limit_equals_one_run():
+    whole = relay_engine().run_until_quiescent()
+    assert not whole.truncated and whole.events_dispatched > 300
+
+    engine = relay_engine()
+    for limit in (0, 150, 400, whole.end_time_us // 2):
+        assert engine.run_until_quiescent(time_limit_us=limit).truncated
+    rest = engine.run_until_quiescent()
+    assert not rest.truncated
+    assert (rest.events_dispatched, rest.dispatch_digest, rest.end_time_us) == \
+        (whole.events_dispatched, whole.dispatch_digest, whole.end_time_us)
+
+
+def test_send_with_negative_total_delay_changes_nothing():
+    engine, a, b = make_engine(base=1000)
+    with pytest.raises(SimError):
+        engine.send("a", "b", Message(MessageKind.PROPOSAL, 10, "x"),
+                    extra_delay_us=-10**9)
+    for node in (a, b):
+        assert (node.sent_msgs, node.sent_bytes,
+                node.recv_msgs, node.recv_bytes) == (0, 0, 0, 0)
+    assert engine.run_until_quiescent().events_dispatched == 0
