@@ -12,6 +12,14 @@ blocks from the ordering service; each non-endorsing peer is assigned one
 endorsing anchor peer that forwards each committed block to it as the
 BLOCK_DELIVER message it received, so every peer commits a height from the
 one message the leader built.
+
+Every peer validates and commits every block, and pays validate_per_txn for
+it in simulated time. On the host, peers on one chain tip share one
+validation: the first to commit a block at a tip runs validate_block and
+stores the outcome in block.validated[tip] (flags, the valid writes as
+(key, (value, version)) pairs, and the commit notice's (txn_id, valid)
+pairs). Premise, as for endorse(): state changes only through commit_block,
+which appends the block before it applies writes, so the tip names the state.
 """
 
 from __future__ import annotations
@@ -43,10 +51,7 @@ def validate_block(block: Block, threshold: int,
     flags = []
     overlay: dict[str, Version] = {}
     for idx, env in enumerate(block.txns):
-        ok = env.policy_memo
-        if ok is None:
-            ok, _witness = policy_satisfied(threshold, env.endorsements)
-            env.policy_memo = ok
+        ok, _witness = policy_satisfied(threshold, env.endorsements)
         if not ok:
             flags.append(ValidationFlag.POLICY_VIOLATION)
             continue
@@ -70,8 +75,17 @@ def validate_block(block: Block, threshold: int,
 
 def commit_block(ledger: Ledger, block: Block,
                  flags: list[ValidationFlag]) -> None:
-    """Append the block and apply only the valid write sets, in block order."""
+    """Append the block and apply only the valid write sets, in block order.
+
+    Flags that are the block's shared validation at this ledger's tip apply
+    its valid writes in one update; other flags, such as the genesis
+    block's, apply them write set by write set.
+    """
+    shared = block.validated.get(ledger.tip_hash)
     ledger.append_block(block, flags)
+    if shared is not None and shared[0] is flags:
+        ledger.apply_writes(shared[1])
+        return
     for idx, (env, flag) in enumerate(zip(block.txns, flags)):
         if flag is ValidationFlag.VALID:
             ledger.apply_write_set(env.write_set, block.versions[idx])
@@ -132,11 +146,21 @@ class Peer(Node):
 
     def _commit(self, msg: Message) -> None:
         block = msg.body
-        flags = validate_block(block, self.cfg.policy_threshold, self.ledger)
-        commit_block(self.ledger, block, flags)
-        if self.home_clients:
-            txn_flags = tuple((txn_id, flag is ValidationFlag.VALID)
+        ledger = self.ledger
+        shared = block.validated.get(ledger.tip_hash)
+        if shared is None:
+            flags = validate_block(block, self.cfg.policy_threshold, ledger)
+            versions, valid = block.versions, ValidationFlag.VALID
+            writes = [(key, (value, versions[idx]))
+                      for idx, (env, flag) in enumerate(zip(block.txns, flags))
+                      if flag is valid for key, value in env.write_set.writes]
+            txn_flags = tuple((txn_id, flag is valid)
                               for txn_id, flag in zip(block.txn_ids(), flags))
+            shared = block.validated[ledger.tip_hash] = (flags, writes,
+                                                         txn_flags)
+        flags, _writes, txn_flags = shared
+        commit_block(ledger, block, flags)
+        if self.home_clients:
             sizes = self.cfg.sizes
             size = sizes.notice + sizes.block_txn_summary * len(flags)
             notice = Message(MessageKind.COMMIT_NOTICE, size,

@@ -43,7 +43,8 @@ class SimError(Exception):
 
 
 class UnknownTargetError(SimError):
-    """Scheduling or sending to a node id that is not in the topology."""
+    """Scheduling, sending to or sending from a node id that is not in the
+    topology."""
 
 
 class MessageKind(enum.Enum):
@@ -224,7 +225,9 @@ class Engine:
         if pair is None:
             if src == dst:
                 raise SimError(f"loopback send on {src!r}")
-            src_node = self.nodes[src]
+            src_node = self.nodes.get(src)
+            if src_node is None:
+                raise UnknownTargetError(f"unknown source node {src!r}")
             dst_node = self.nodes.get(dst)
             if dst_node is None:
                 raise UnknownTargetError(f"unknown destination node {dst!r}")

@@ -7,6 +7,12 @@ strength is irrelevant here (no adversaries), only determinism matters.
 State values are signed 64-bit integers keyed by short strings such as
 "cust/17/checking". A version is the (block height, txn index) pair that last
 wrote the key; comparison is lexicographic.
+
+A Block's `validated` maps the tip hash a ledger had before appending it to
+the block's validation outcome on that state; the committer fills it once per
+chain state. State changes only through committer.commit_block, so the tip
+names the state, and peers on one tip apply the outcome's shared
+(key, (value, version)) writes with apply_writes.
 """
 
 from __future__ import annotations
@@ -70,6 +76,10 @@ class Block:
     created_at: int
     # (height, txn index) per txn, built once and shared by every peer
     versions: list[Version] = field(init=False, repr=False)
+    # tip hash -> (flags, valid (key, (value, version)) writes in block
+    # order, commit notice's (txn_id, valid) pairs); see committer.Peer
+    validated: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         self.versions = [(self.height, i) for i in range(len(self.txns))]
@@ -134,6 +144,11 @@ class Ledger:
     def apply_write_set(self, ws: WriteSet, at: Version) -> None:
         for key, value in ws.writes:
             self._state[key] = (value, at)
+
+    def apply_writes(self, writes: list[tuple[str, tuple[int, Version]]]) -> None:
+        """Apply (key, (value, version)) pairs in order; a later pair for a
+        key wins, as with one apply_write_set per txn."""
+        self._state.update(writes)
 
     def state_digest(self) -> str:
         """Order-independent fold over all entries, taken on each call; equal

@@ -17,7 +17,7 @@ that carries envelopes, and the cutter's size test, is sized from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import ExperimentConfig
 from .engine import Message, MessageKind, Node, NodeClass, timer
@@ -34,11 +34,6 @@ class Envelope:
     read_set: ReadSet
     write_set: WriteSet
     client: str
-    # Policy evaluation is a pure function of the endorsement set and the
-    # threshold, which every peer of a run shares, so peers share one
-    # memoized verdict instead of re-deriving it N times. Keyword-only, so a
-    # surplus positional argument raises instead of skipping the check.
-    policy_memo: bool | None = field(default=None, kw_only=True)
 
 
 class BlockCutter:

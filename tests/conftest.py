@@ -1,6 +1,6 @@
 import pytest
 
-from eovsim import endorser
+from eovsim import committer, endorser
 from eovsim.ordering import BlockCutter
 
 
@@ -31,3 +31,17 @@ def executions(monkeypatch):
 
     monkeypatch.setattr(endorser, "execute", spy)
     return ops
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """The height of every block validate_block flags, in call order."""
+    heights = []
+    validate_block = committer.validate_block
+
+    def spy(block, threshold, ledger):
+        heights.append(block.height)
+        return validate_block(block, threshold, ledger)
+
+    monkeypatch.setattr(committer, "validate_block", spy)
+    return heights

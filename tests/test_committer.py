@@ -10,8 +10,9 @@ from eovsim.committer import Peer, ValidationFlag, commit_block, validate_block
 from eovsim.config import ExperimentConfig
 from eovsim.endorser import Endorsement
 from eovsim.engine import Engine, LatencyModel, Message, MessageKind
-from eovsim.ledger import (Block, CutReason, GENESIS_PREV_HASH, Ledger,
-                           ReadSet, WriteSet, hash_block)
+from eovsim.ledger import (Block, ChainIntegrityError, CutReason,
+                           GENESIS_PREV_HASH, Ledger, ReadSet, WriteSet,
+                           hash_block)
 from eovsim.ordering import Envelope
 
 THRESHOLD = 2
@@ -295,6 +296,53 @@ def test_buffered_blocks_reenter_and_pay_validation_once(monkeypatch):
     # three arrivals, two re-deliveries, three service completions
     assert summary.events_dispatched == 8
     assert target.ledger.tip_hash == hash_block(b2)
+
+
+def test_peers_on_one_tip_share_one_validation(validations):
+    engine, anchor, npeers = wire_peers(n_non_endorsing=1)
+    anchor.gossip_targets = []
+    other = npeers[0]
+    b0 = mk_block(0, GENESIS_PREV_HASH, [
+        mk_env("t0", reads=[], writes=[("k", 1), ("j", 1)]),
+        mk_env("t1", reads=[("k", (9, 9))], writes=[("k", 2)]),
+        mk_env("t2", reads=[], writes=[("k", 3)]),
+    ])
+    for peer in (anchor, other):
+        deliver_block(engine, peer.id, b0, at=0)
+    engine.run_until_quiescent()
+    assert validations == [0]
+    assert dict(anchor.ledger.state_items()) == dict(other.ledger.state_items())
+    assert anchor.ledger.read_state("k") == (3, (0, 2))
+    # equal flag lists, but each peer holds its own: a peer's flags can be
+    # altered without touching another's
+    mine, theirs = anchor.ledger.flags[0], other.ledger.flags[0]
+    assert mine == theirs == [ValidationFlag.VALID,
+                              ValidationFlag.MVCC_CONFLICT,
+                              ValidationFlag.VALID]
+    assert mine is not theirs
+    mine[0] = ValidationFlag.MVCC_CONFLICT
+    assert theirs[0] is ValidationFlag.VALID
+    assert not anchor.ledger.agrees_with(other.ledger)
+
+
+def test_ledger_at_another_tip_does_not_reuse_a_validation(validations):
+    engine, anchor, npeers = wire_peers(n_non_endorsing=1)
+    anchor.gossip_targets = []
+    stray = npeers[0]
+    b0, b1 = chain_blocks(2)
+    deliver_block(engine, anchor.id, b0, at=0)
+    deliver_block(engine, anchor.id, b1, at=10)
+    engine.run_until_quiescent()
+    # the stray peer holds a different block 0, so its tip differs
+    fork = mk_block(0, GENESIS_PREV_HASH, [mk_env("x0", [], [("k0", 7)])])
+    commit_block(stray.ledger, fork, [ValidationFlag.VALID])
+    assert stray.ledger.tip_hash != hash_block(b0)
+    deliver_block(engine, stray.id, b1, at=0)
+    with pytest.raises(ChainIntegrityError):
+        engine.run_until_quiescent()
+    # b1 was validated afresh on the stray peer's state
+    assert validations == [0, 1, 1]
+    assert stray.ledger.height == 0
 
 
 def test_duplicate_blocks_committed_exactly_once():

@@ -76,6 +76,12 @@ def test_schedule_unknown_target():
         engine.schedule("nobody", timer("x"), 0)
 
 
+def test_send_from_unknown_source():
+    engine, _, _ = make_engine()
+    with pytest.raises(UnknownTargetError, match="ghost"):
+        engine.send("ghost", "a", Message(MessageKind.PROPOSAL, 100, None))
+
+
 def test_schedule_negative_delay():
     engine, _, _ = make_engine()
     with pytest.raises(SimError):

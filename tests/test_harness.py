@@ -186,15 +186,18 @@ PINNED_EXECUTES = {"default": 6_221, "order-saturated": 4_335,
     ("validate-wide", 1, 116_534, "1ad02e770a621e9c"),
 ])
 def test_schedule_guard_pinned_cell(workload, seed, events, digest,
-                                    executions):
+                                    executions, validations):
     # The default profile and the benchmark's two workloads; the events and
     # digest change only if the event schedule does.
     overrides = ({} if workload == "default"
                  else copy.deepcopy(bench_workloads()[workload]))
-    trace = run_simulation(ExperimentConfig.from_dict(
-        overrides | {"seed": seed})).trace
+    result = run_simulation(ExperimentConfig.from_dict(
+        overrides | {"seed": seed}))
+    trace = result.trace
     assert (trace.events_dispatched, trace.dispatch_digest) == (events, digest)
     assert len(executions) == PINNED_EXECUTES[workload]
+    # peers on one chain tip share one validation: one per committed height
+    assert validations == list(range(1, result.report.blocks + 1))
 
 
 def test_block_trace_dump(tmp_path):

@@ -30,14 +30,6 @@ def mk_envelope(txn_id, client="client000"):
                     read_set=ReadSet(), write_set=WriteSet(), client=client)
 
 
-def test_envelope_policy_memo_is_keyword_only():
-    # a surplus positional argument must fail, not set the memo and so make
-    # every peer skip the policy check for this envelope
-    with pytest.raises(TypeError):
-        Envelope("t", (), ReadSet(), WriteSet(), "c", True)
-    assert Envelope("t", (), ReadSet(), WriteSet(), "c").policy_memo is None
-
-
 # --- block cutter ------------------------------------------------------------
 
 def fresh_cutter(cfg=None):
