@@ -16,8 +16,7 @@ from . import presets
 from .config import ConfigError, ExperimentConfig, load_json_object
 from .metrics import journeys_to_csv
 from .simulation import run_simulation
-from .sweep import (SweepSpec, extract_figure, layer_configs,
-                    read_cells_csv, run_sweep)
+from .sweep import SweepSpec, extract_figure, read_cells_csv, run_sweep
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,10 +53,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args) -> int:
-    overrides = load_json_object(args.config) if args.config else {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    cfg = ExperimentConfig.from_dict(overrides)
+    config = load_json_object(args.config) if args.config else {}
+    seed = {} if args.seed is None else {"seed": args.seed}
+    cfg = ExperimentConfig.from_dict(config, seed)
     result = run_simulation(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -81,12 +79,10 @@ def cmd_sweep(args) -> int:
     config = load_json_object(args.config) if args.config else {}
     if args.spec:
         spec = SweepSpec.from_dict(load_json_object(args.spec))
-        # file spec's own base wins over the shared base config
-        spec.base = layer_configs(config, spec.base)
+        spec.layers.insert(0, config)  # under the spec's own base
     else:
         spec = SweepSpec.from_dict(presets.figure_sweep(args.figure))
-        # explicit user overrides win over the scenario's pinned base
-        spec.base = layer_configs(spec.base, config)
+        spec.layers.append(config)  # over the figure's pinned base
     rows = run_sweep(spec, args.out, base_seed=args.seed, workers=args.workers)
     failed = sum(1 for row in rows if row.get("error"))
     print(f"{len(rows)} cells -> {Path(args.out) / 'cells.csv'}"

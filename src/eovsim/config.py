@@ -105,11 +105,15 @@ def _as_number(raw: dict, path: str, minimum: float | None = None,
 
 
 def _as_us(raw: dict, path: str, minimum: int) -> int:
-    """A seconds field as whole microseconds, refused below minimum us."""
-    us = int(_as_number(raw, path, 0.0) * US_PER_SECOND)
+    """A seconds field rounded to whole us, refused below minimum us."""
+    us = round(_as_number(raw, path, 0.0) * US_PER_SECOND)
     _require(us >= minimum,
              f"field {path!r} must be >= {minimum / US_PER_SECOND} s")
     return us
+
+
+def _ids(role: str, count: int) -> tuple[str, ...]:
+    return tuple(f"{role}{i:03d}" for i in range(count))
 
 
 def _lookup(raw: dict, path: str):
@@ -120,7 +124,10 @@ def _lookup(raw: dict, path: str):
 
 
 class ExperimentConfig:
-    """Validated, fully resolved experiment description."""
+    """Validated, fully resolved experiment description. It names the run's
+    nodes: client000.., peer000.. (endorsing), npeer000.. (non-endorsing),
+    orderer000.. and broker000..; broker000 is the static log leader and
+    the next replication_factor - 1 brokers are its followers."""
 
     def __init__(self, raw: dict):
         self.raw = raw
@@ -129,6 +136,12 @@ class ExperimentConfig:
         self.orderers = _as_int(raw, "topology.orderers", 1)
         self.brokers = _as_int(raw, "topology.brokers", 1)
         self.non_endorsing = _as_int(raw, "topology.non_endorsing", 0)
+        self.peer_ids = _ids("peer", self.peers)
+        self.npeer_ids = _ids("npeer", self.non_endorsing)
+        self.client_ids = _ids("client", self.clients)
+        self.orderer_ids = _ids("orderer", self.orderers)
+        self.broker_ids = _ids("broker", self.brokers)
+        self.leader_id = self.broker_ids[0]
 
         rate = raw["rate"]
         _require((rate["total_tps"] is None) != (rate["per_client_tps"] is None),
@@ -199,6 +212,7 @@ class ExperimentConfig:
         _require(1 <= rf <= self.brokers,
                  "field 'replication.replication_factor' must be in 1..topology.brokers")
         self.replication_factor = rf
+        self.follower_ids = self.broker_ids[1:rf]
         insync = _as_int(raw, "replication.min_insync", 1)
         _require(insync <= rf,
                  "field 'replication.min_insync' must be <= replication_factor")
@@ -236,7 +250,7 @@ class ExperimentConfig:
         # are pre-charged: every accepted record commits exactly once.
         self.leader_demand_us = (
             svc.leader_order + svc.broker_append
-            + (rf - 1) * svc.leader_copy_send
+            + len(self.follower_ids) * svc.leader_copy_send
             + self.orderers * svc.leader_notice_send
             + self.envelope_bytes * svc.leader_order_per_byte_ns // 1000)
         self.capacity_tps = (US_PER_SECOND / self.leader_demand_us
@@ -249,8 +263,12 @@ class ExperimentConfig:
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def from_dict(cls, overrides: dict | None = None) -> "ExperimentConfig":
-        raw = _deep_merge(presets.PAPER_LIKE, overrides or {})
+    def from_dict(cls, *layers: dict) -> "ExperimentConfig":
+        """PAPER_LIKE with each layer merged over it in turn; later layers
+        win. An op_mix replaces the whole mix; unknown fields fail."""
+        raw = copy.deepcopy(presets.PAPER_LIKE)
+        for layer in layers:
+            raw = _deep_merge(raw, layer)
         return cls(raw)
 
     def resolved(self) -> dict:

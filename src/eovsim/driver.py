@@ -60,13 +60,12 @@ class TxnJourney:
 
 class ClientNode(Node):
     def __init__(self, node_id: str, cfg: ExperimentConfig,
-                 proposals: list[Proposal], endorsing_peers: list[str],
-                 orderers: list[str]):
+                 proposals: list[Proposal]):
         super().__init__(node_id, NodeClass.CLIENT)
         self.cfg = cfg
         self.proposals = proposals
-        self.peers = endorsing_peers
-        self.orderers = orderers
+        self.peers = cfg.peer_ids  # the endorsing peers
+        self.orderers = cfg.orderer_ids
         self.journeys: dict[str, TxnJourney] = {}
         self._collected: dict[str, dict] = {}  # txn -> {peer: Endorsement}
         self._early_commits: dict[str, tuple[int, bool]] = {}

@@ -96,12 +96,11 @@ class OrdererNode(Node):
     that as a broadcast timeout.
     """
 
-    def __init__(self, node_id: str, cfg: ExperimentConfig, leader: str,
-                 endorsing_peers: list[str]):
+    def __init__(self, node_id: str, cfg: ExperimentConfig):
         super().__init__(node_id, NodeClass.ORDERER)
         self.cfg = cfg
-        self.leader = leader
-        self.endorsing_peers = endorsing_peers
+        self.leader = cfg.leader_id
+        self.peers = cfg.peer_ids  # the endorsing peers a block goes to
         self.enqueue_attempts = 0
         self.enqueue_successes = 0
         self.window_attempts = 0
@@ -114,8 +113,9 @@ class OrdererNode(Node):
             return self.cfg.service.orderer_forward
         if msg.kind is MessageKind.COMMIT_NOTICE:
             return self.cfg.service.orderer_notice
-        # Block fan-out rides the dedicated delivery stream and does not
-        # occupy the broadcast lane; its pacing is the per-peer stagger.
+        # Block fan-out costs no service time; its pacing is the per-peer
+        # stagger. A block that finds the orderer busy still waits in its
+        # FIFO behind envelopes and notices.
         return 0
 
     def handle(self, msg: Message) -> None:
@@ -143,7 +143,7 @@ class OrdererNode(Node):
                 self.engine.send(self.id, client, ack)
         elif msg.kind is MessageKind.BLOCK_DELIVER:
             stagger = self.cfg.service.orderer_deliver_stagger
-            for i, peer in enumerate(self.endorsing_peers):
+            for i, peer in enumerate(self.peers):
                 self.engine.send(self.id, peer, msg, extra_delay_us=i * stagger)
 
 
@@ -157,16 +157,15 @@ class BrokerNode(Node):
     block cutter; cut blocks go to the designated orderer for that height.
     """
 
-    def __init__(self, node_id: str, cfg: ExperimentConfig, leader: str,
-                 followers: list[str], orderers: list[str],
+    def __init__(self, node_id: str, cfg: ExperimentConfig,
                  cutter: BlockCutter | None):
         super().__init__(node_id, NodeClass.BROKER)
         self.cfg = cfg
-        self.is_leader = node_id == leader
-        self.leader = leader
-        self.followers = followers
-        self.orderers = orderers
-        self.cutter = cutter
+        self.leader = cfg.leader_id
+        self.is_leader = node_id == self.leader
+        self.followers = cfg.follower_ids
+        self.orderers = cfg.orderer_ids
+        self.cutter = cutter  # the leader's; None on every other broker
         # leader log state: a record's offset is its index in records
         self.records: list[Envelope] = []
         self.copies_held: list[int] = []

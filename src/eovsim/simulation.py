@@ -1,22 +1,21 @@
 """Builds a topology from a config, runs it to quiescence, and reports.
 
-Node naming: client000.., peer000.. (endorsing), npeer000.. (non-endorsing),
-orderer000.., broker000..; broker000 is the static log leader. Every node
-reads its settings from the run's one ExperimentConfig. Every peer is a
-committer.Peer; the endorsing ones are those the clients send proposals to.
-Every peer starts from an identical genesis block: one unendorsed envelope
-carrying the initial account balances, committed through commit_block with
-a Valid flag (it predates the policy machinery, so it skips validate_block)
-before the peers fork the base ledger. collect_report builds the RunReport in one place: chain, flag and
-state figures from the observer peer's (peer000) ledger, whose flags from
-height 1 on give valid_txns, policy_violations and mvcc_conflicts; journey
-figures from metrics.aggregate; counters from the nodes. Peers agree when
-their chains, per-txn flags and world states are equal to the observer's,
-compared exactly.
-Clients spray envelopes over orderers round-robin by submission index and
-observe commits through their round-robin home peer. Each orderer counts the
-enqueue attempts and successes it handles before the window end; there is no
-monitor node.
+The config names the nodes (ExperimentConfig.peer_ids and the rest); every
+node reads its settings and the ids it sends to from the run's one
+ExperimentConfig. Every peer is a committer.Peer; the endorsing ones are
+those the clients send proposals to. Every peer starts from an identical
+genesis block: one unendorsed envelope carrying the initial account
+balances, committed through commit_block with a Valid flag (it predates the
+policy machinery, so it skips validate_block) before the peers fork the
+base ledger. collect_report builds the RunReport in one place: chain, flag
+and state figures from the observer peer's (peer000) ledger, whose flags
+from height 1 on give valid_txns, policy_violations and mvcc_conflicts;
+journey figures from metrics.aggregate; counters from the nodes. Peers
+agree when their chains, per-txn flags and world states are equal to the
+observer's, compared exactly. Clients spray envelopes over orderers
+round-robin by submission index and observe commits through their
+round-robin home peer. Each orderer counts the enqueue attempts and
+successes it handles before the window end; there is no monitor node.
 """
 
 from __future__ import annotations
@@ -59,37 +58,24 @@ def genesis_block(cfg: ExperimentConfig) -> Block:
 
 def build(cfg: ExperimentConfig) -> Simulation:
     engine = Engine(cfg.latency, seed=cfg.seed)
-
-    peer_ids = [f"peer{i:03d}" for i in range(cfg.peers)]
-    npeer_ids = [f"npeer{i:03d}" for i in range(cfg.non_endorsing)]
-    client_ids = [f"client{i:03d}" for i in range(cfg.clients)]
-    orderer_ids = [f"orderer{i:03d}" for i in range(cfg.orderers)]
-    broker_ids = [f"broker{i:03d}" for i in range(cfg.brokers)]
-    leader_id = broker_ids[0]
-
     base_ledger = Ledger()
     commit_block(base_ledger, genesis_block(cfg), [ValidationFlag.VALID])
 
-    peers = [Peer(pid, cfg, base_ledger.fork()) for pid in peer_ids + npeer_ids]
+    peers = [Peer(pid, cfg, base_ledger.fork())
+             for pid in cfg.peer_ids + cfg.npeer_ids]
     endorsing, non_endorsing = peers[:cfg.peers], peers[cfg.peers:]
     for i, npeer in enumerate(non_endorsing):
         endorsing[i % cfg.peers].gossip_targets.append(npeer.id)
 
-    orderers = [OrdererNode(oid, cfg, leader_id, peer_ids)
-                for oid in orderer_ids]
-
+    orderers = [OrdererNode(oid, cfg) for oid in cfg.orderer_ids]
     cutter = BlockCutter(cfg, next_height=1, prev_hash=base_ledger.tip_hash)
-    followers = broker_ids[1:cfg.replication_factor]
-    brokers = [BrokerNode(leader_id, cfg, leader_id, followers, orderer_ids,
-                          cutter)]
-    brokers += [BrokerNode(bid, cfg, leader_id, [], orderer_ids, None)
-                for bid in broker_ids[1:]]
+    brokers = [BrokerNode(bid, cfg, cutter if bid == cfg.leader_id else None)
+               for bid in cfg.broker_ids]
 
     plan = len(submission_times(cfg))
-    clients = []
-    for i, cid in enumerate(client_ids):
-        proposals = generate(cfg.workload, plan, client=cid)
-        clients.append(ClientNode(cid, cfg, proposals, peer_ids, orderer_ids))
+    clients = [ClientNode(cid, cfg, generate(cfg.workload, plan, client=cid))
+               for cid in cfg.client_ids]
+    for i, cid in enumerate(cfg.client_ids):
         endorsing[i % cfg.peers].home_clients.append(cid)
 
     for node in peers + orderers + brokers + clients:

@@ -1,10 +1,10 @@
 """Parameter sweeps and plot-ready figure extraction.
 
-A sweep spec holds a base config plus axis groups. Values inside one group
+A sweep spec holds config layers plus axis groups. Values inside one group
 advance together (paired parameters like peers/clients); the groups
-themselves combine as a cross product. A cell's config is the base with
-the cell's assignment merged over it by the config merge rule, so an axis
-on workload.op_mix must give whole mixes. Every cell's config is built and
+themselves combine as a cross product. A cell's config is
+ExperimentConfig.from_dict(*layers, cell's assignment), so an axis on
+workload.op_mix must give whole mixes. Every cell's config is built and
 checked before any cell runs. Cells are fully isolated runs, so they can
 execute on parallel workers without changing any result; each cell's seed
 is base seed + cell index and is recorded in its row.
@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import presets
-from .config import (ConfigError, ExperimentConfig, _as_int, _deep_merge,
-                     set_param)
+from .config import ConfigError, ExperimentConfig, set_param
 from .metrics import journeys_to_csv
 from .simulation import run_simulation
 
@@ -31,7 +30,7 @@ CELL_SCALARS = ["throughput_tps", "avg_latency_s", "p50_s", "p95_s", "r_ratio",
 
 @dataclass
 class SweepSpec:
-    base: dict
+    layers: list[dict]  # config layers under every cell, lowest first
     groups: list[dict]  # {"params": [...], "values": [[...], ...]}
 
     @classmethod
@@ -65,7 +64,7 @@ class SweepSpec:
                     raise ConfigError(
                         f"axis row {row!r} does not match params {params!r}")
             groups.append({"params": params, "values": values})
-        spec = cls(base=base, groups=groups)
+        spec = cls(layers=[base], groups=groups)
         paths = spec.varied_params()
         if "seed" in paths:
             raise ConfigError("sweep spec cannot vary 'seed': cell i runs base "
@@ -98,18 +97,6 @@ def _list_field(axis: dict, key: str, where: str) -> list:
     return value
 
 
-def layer_configs(*layers: dict) -> dict:
-    """PAPER_LIKE with each layer merged over it in turn; later layers win.
-
-    Every layer merges by the rule ExperimentConfig.from_dict applies to one
-    override (an op_mix replaces the whole mix), and unknown fields fail.
-    """
-    raw = presets.PAPER_LIKE
-    for layer in layers:
-        raw = _deep_merge(raw, layer)
-    return raw
-
-
 def _cell_config(spec: SweepSpec, assignment: dict, base_seed: int | None,
                  index: int) -> ExperimentConfig:
     """The cell's checked config; a bad cell raises ConfigError naming it."""
@@ -117,10 +104,10 @@ def _cell_config(spec: SweepSpec, assignment: dict, base_seed: int | None,
     for path, value in assignment.items():
         set_param(layer, path, value)
     try:
-        raw = layer_configs(spec.base, layer)
-        seed = base_seed if base_seed is not None else _as_int(raw, "seed")
-        raw["seed"] = seed + index
-        return ExperimentConfig.from_dict(raw)
+        if base_seed is None:
+            base_seed = ExperimentConfig.from_dict(*spec.layers, layer).seed
+        return ExperimentConfig.from_dict(*spec.layers, layer,
+                                          {"seed": base_seed + index})
     except ConfigError as exc:
         raise ConfigError(f"sweep cell {index} {assignment}: {exc}") from exc
 

@@ -1,11 +1,13 @@
+import ast
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 from eovsim import presets
-from eovsim.config import (ConfigError, ExperimentConfig, load_json_object,
-                           set_param)
+from eovsim.config import (ConfigError, ExperimentConfig, _as_us,
+                           load_json_object, set_param)
 
 
 def test_defaults_load_and_resolve():
@@ -104,6 +106,21 @@ def test_every_field_names_itself_when_refused(path, value):
         ExperimentConfig.from_dict(overrides)
 
 
+@pytest.mark.parametrize("path,seconds,attr,us", [
+    ("duration_s", 1.001, "duration_us", 1_001_000),
+    ("timeouts.broadcast_s", 0.000251, "broadcast_timeout_us", 251),
+])
+def test_seconds_fields_round_to_the_nearest_us(path, seconds, attr, us):
+    overrides = {}
+    set_param(overrides, path, seconds)
+    assert getattr(ExperimentConfig.from_dict(overrides), attr) == us
+
+
+def test_every_millisecond_value_converts_exactly():
+    for ms in range(1, 100_001):  # 0.001 s to 100 s
+        assert _as_us({"t": ms / 1000}, "t", 1) == ms * 1000
+
+
 def test_two_account_ops_need_two_accounts():
     with pytest.raises(ConfigError, match="workload.n_accounts"):
         ExperimentConfig.from_dict({"workload": {"n_accounts": 1}})
@@ -148,6 +165,41 @@ def test_op_mix_override_replaces_whole_mix():
     cfg = ExperimentConfig.from_dict(
         {"workload": {"op_mix": {"send_payment": 0.5, "amalgamate": 0.5}}})
     assert set(cfg.workload.op_mix) == {"send_payment", "amalgamate"}
+
+
+def test_from_dict_merges_its_layers_in_turn():
+    a = {"topology": {"peers": 8, "clients": 8}, "seed": 3,
+         "workload": {"op_mix": {"query": 0.5, "amalgamate": 0.5}}}
+    b = {"topology": {"peers": 6}, "workload": {"op_mix": {"query": 1.0}}}
+    cfg = ExperimentConfig.from_dict(a, b)
+    assert (cfg.peers, cfg.clients, cfg.seed) == (6, 8, 3)  # field by field
+    assert cfg.workload.op_mix == {"query": 1.0}  # the later mix, whole
+    assert cfg.raw["workload"]["n_accounts"] == \
+        presets.PAPER_LIKE["workload"]["n_accounts"]
+    # one layer is the one-argument call it always was
+    assert ExperimentConfig.from_dict(b).peers == 6
+
+
+@pytest.mark.parametrize("layers", [
+    ({"topology": {"bogus": 1}}, {"seed": 1}),
+    ({"seed": 1}, {"topology": {"bogus": 1}}),
+    ({}, {"seed": 1}, {"topology": {"bogus": 1}}),
+])
+def test_an_unknown_field_in_any_layer_is_named(layers):
+    with pytest.raises(ConfigError, match=re.escape("'topology.bogus'")):
+        ExperimentConfig.from_dict(*layers)
+
+
+def test_from_dict_with_no_layers_shares_no_dict_with_the_defaults():
+    def dict_ids(tree):
+        yield id(tree)
+        for value in tree.values():
+            if isinstance(value, dict):
+                yield from dict_ids(value)
+
+    raw = ExperimentConfig.from_dict().raw
+    assert raw == presets.PAPER_LIKE
+    assert not set(dict_ids(raw)) & set(dict_ids(presets.PAPER_LIKE))
 
 
 def test_resolved_echo_contains_inputs_and_derivations():
@@ -196,15 +248,22 @@ def test_set_param_nested():
 
 
 def test_figure_presets_are_valid_sweeps():
-    from eovsim.sweep import SweepSpec
+    from eovsim.sweep import SweepSpec, _cell_config
     for name in presets.FIGURES:
-        spec = SweepSpec.from_dict(presets.figure_sweep(name))
+        sweep = presets.figure_sweep(name)
+        spec = SweepSpec.from_dict(sweep)
         cells = spec.cells()
         assert cells, name
-        # base + every cell of each figure must produce a valid config
-        from eovsim.sweep import _cell_config
+        # base + every cell of each figure must produce a valid config: the
+        # figure's base, the cell's layer, and the seed 42 + cell index
         for index, cell in enumerate(cells):
-            _cell_config(spec, cell, None, index)
+            layer = {}
+            for path, value in cell.items():
+                set_param(layer, path, value)
+            expected = ExperimentConfig.from_dict(sweep["base"], layer,
+                                                  {"seed": 42 + index})
+            assert _cell_config(spec, cell, None, index).resolved() == \
+                expected.resolved(), (name, index)
 
 
 def test_every_node_reads_the_runs_one_config():
@@ -214,6 +273,41 @@ def test_every_node_reads_the_runs_one_config():
     nodes = list(build(cfg).engine.nodes.values())
     assert len(nodes) == 4 + 2 + 4 + 4 + 4
     assert all(node.cfg is cfg for node in nodes)
+
+
+def test_build_registers_the_nodes_the_config_names_in_order():
+    from eovsim.simulation import build
+    cfg = ExperimentConfig.from_dict({
+        "topology": {"peers": 3, "non_endorsing": 2, "clients": 2,
+                     "orderers": 2, "brokers": 5},
+        "replication": {"replication_factor": 3}, "duration_s": 1.0})
+    assert cfg.npeer_ids == ("npeer000", "npeer001")
+    assert cfg.broker_ids == tuple(f"broker{i:03d}" for i in range(5))
+    assert (cfg.leader_id, cfg.follower_ids) == \
+        ("broker000", ("broker001", "broker002"))
+    sim = build(cfg)
+    assert list(sim.engine.nodes) == [*cfg.peer_ids, *cfg.npeer_ids,
+                                      *cfg.orderer_ids, *cfg.broker_ids,
+                                      *cfg.client_ids]
+    assert [b.cutter is not None for b in sim.brokers] == \
+        [True, False, False, False, False]
+    leader = sim.brokers[0]
+    assert (leader.followers, leader.orderers) == \
+        (cfg.follower_ids, cfg.orderer_ids)
+
+
+def test_no_module_imports_another_modules_private_name():
+    # Each module's _-prefixed names are its own; sharing one means the
+    # thing it does belongs behind a public name of its module.
+    src = Path(__file__).resolve().parents[1] / "src" / "eovsim"
+    private = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                private += [f"{path.name}: {alias.name}" for alias in node.names
+                            if any(part.startswith("_") for part
+                                   in alias.name.split("."))]
+    assert not private
 
 
 def test_repo_sample_config_matches_packaged_profile():

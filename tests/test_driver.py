@@ -62,7 +62,7 @@ class Silent(Node):
 def wire_client(n_peers=3, threshold=None, rate=10.0, duration_us=200_000,
                 endorse_timeout_us=50_000, broadcast_timeout_us=80_000):
     cfg = client_cfg(rate, duration_us,
-                     topology={"peers": n_peers},
+                     topology={"peers": n_peers, "orderers": 1},
                      policy={"threshold": threshold},
                      timeouts={"endorse_s": endorse_timeout_us / 1e6,
                                "broadcast_s": broadcast_timeout_us / 1e6})
@@ -70,15 +70,14 @@ def wire_client(n_peers=3, threshold=None, rate=10.0, duration_us=200_000,
         (endorse_timeout_us, broadcast_timeout_us)
     engine = Engine(LatencyModel(base_us={}, default_us=1000, per_byte_ns=0,
                                  jitter_fraction=0.0), seed=4)
-    peer_ids = [f"peer{i:03d}" for i in range(n_peers)]
     proposals = [Proposal(f"c0-{i:06d}", "client000",
                           SmallbankOp(OpKind.QUERY, (i,)))
                  for i in range(10)]
-    client = ClientNode("client000", cfg, proposals, peer_ids, ["orderer000"])
+    client = ClientNode("client000", cfg, proposals)
     engine.add_node(client)
-    for pid in peer_ids:
+    for pid in cfg.peer_ids:
         engine.add_node(Silent(pid, NodeClass.PEER))
-    orderer = Silent("orderer000", NodeClass.ORDERER)
+    orderer = Silent(cfg.orderer_ids[0], NodeClass.ORDERER)
     engine.add_node(orderer)
     return engine, client, orderer
 

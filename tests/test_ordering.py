@@ -151,25 +151,20 @@ def wire_service(n_brokers=4, replication_factor=3, min_insync=2,
     assert cfg.duration_us == window_end
     engine = Engine(LatencyModel(base_us={}, default_us=1000, per_byte_ns=0,
                                  jitter_fraction=0.0), seed=1)
-    peer_ids = [f"peer{i:03d}" for i in range(n_peers)]
-    orderer_ids = [f"orderer{i:03d}" for i in range(orderers)]
-    broker_ids = [f"broker{i:03d}" for i in range(n_brokers)]
-    leader_id = broker_ids[0]
+    assert len(cfg.follower_ids) == replication_factor - 1
     cutter = BlockCutter(cfg, next_height=1, prev_hash=GENESIS_PREV_HASH)
     nodes = {}
-    for oid in orderer_ids:
-        nodes[oid] = OrdererNode(oid, cfg, leader_id, peer_ids)
-    followers = broker_ids[1:replication_factor]
-    nodes[leader_id] = BrokerNode(leader_id, cfg, leader_id, followers,
-                                  orderer_ids, cutter)
-    for bid in broker_ids[1:]:
-        nodes[bid] = BrokerNode(bid, cfg, leader_id, [], orderer_ids, None)
-    for pid in peer_ids:
+    for oid in cfg.orderer_ids:
+        nodes[oid] = OrdererNode(oid, cfg)
+    for bid in cfg.broker_ids:
+        nodes[bid] = BrokerNode(bid, cfg,
+                                cutter if bid == cfg.leader_id else None)
+    for pid in cfg.peer_ids:
         nodes[pid] = Sink(pid, NodeClass.PEER)
     nodes["client000"] = Sink("client000", NodeClass.CLIENT)
     for node in nodes.values():
         engine.add_node(node)
-    return engine, nodes, orderer_ids, leader_id
+    return engine, nodes, list(cfg.orderer_ids), cfg.leader_id
 
 
 def inject_envelope(engine, orderer_id, env, at=0):
