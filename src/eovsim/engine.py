@@ -3,8 +3,11 @@
 Simulated time is integer microseconds. A single heap-ordered event queue
 drives every node state machine; ties on fire time are broken by a global
 monotonically increasing sequence number, so a run is an exact function of
-(configuration, seed). Jitter comes from one engine-owned generator; nodes
-never own randomness.
+(configuration, seed). Jitter is drawn by the engine, never by a node, from
+one stream per directed link (src, dst): a 64-bit linear congruential
+generator seeded from fnv1a(f"{seed}:{src}:{dst}") and advanced only by that
+link's sends. So a message's delay depends on the link's own send history
+alone, and adding or removing traffic on one link re-times no other link.
 
 A Message is delivered by reference and never mutated: its body is the object
 it carries, a fan-out sends one Message to all, and a forward resends it.
@@ -17,7 +20,6 @@ the Node, which has no ordering.
 from __future__ import annotations
 
 import enum
-import random
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -30,6 +32,10 @@ US_PER_SECOND = 1_000_000
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+
+# Knuth's MMIX multiplier and increment for the per-link jitter streams.
+_LCG_MUL = 6364136223846793005
+_LCG_INC = 1442695040888963407
 
 
 def fnv1a(data: bytes, h: int = _FNV_OFFSET) -> int:
@@ -184,19 +190,17 @@ class Node:
 class Engine:
     def __init__(self, latency: LatencyModel, seed: int | str = 0):
         self.latency = latency
-        self.rng = random.Random(f"{seed}:net")
-        # randint(-s, s) is -s + _randbelow(2s + 1): the same draw, two
-        # Python frames fewer per send.
-        self._randbelow = self.rng._randbelow
+        self._seed = seed
         self.now = 0
         self.nodes: dict[str, Node] = {}
         self._heap: list[tuple[int, int, Node, Message]] = []
         self._seq = 0
         self._events_dispatched = 0
         self._digest = _FNV_OFFSET
-        # (src id, dst id) -> (src node, dst node, base): base_us is fixed for
-        # a run, while the per-byte and jitter terms are read on every send.
-        self._pairs: dict[tuple[str, str], tuple[Node, Node, int]] = {}
+        # (src id, dst id) -> [src node, dst node, base, jitter state]: base_us
+        # is fixed for a run, while the per-byte and jitter terms are read on
+        # every send; the state is the link's LCG value, one int per link.
+        self._pairs: dict[tuple[str, str], list] = {}
 
     def add_node(self, node: Node) -> None:
         if node.id in self.nodes:
@@ -231,17 +235,21 @@ class Engine:
             dst_node = self.nodes.get(dst)
             if dst_node is None:
                 raise UnknownTargetError(f"unknown destination node {dst!r}")
-            pair = self._pairs[src, dst] = (
+            pair = self._pairs[src, dst] = [
                 src_node, dst_node,
-                self.latency.base_for(src_node.klass, dst_node.klass))
-        src_node, dst_node, base = pair
+                self.latency.base_for(src_node.klass, dst_node.klass),
+                fnv1a(f"{self._seed}:{src}:{dst}".encode())]
+        src_node, dst_node, base, state = pair
         latency = self.latency
         size = msg.size_bytes
         delay = base + size * latency.per_byte_ns // 1000
         if latency.jitter_fraction > 0.0:
             spread = int(delay * latency.jitter_fraction)
             if spread > 0:
-                delay += self._randbelow(2 * spread + 1) - spread
+                # the high 32 bits of the next state, scaled onto
+                # [-spread, spread]
+                state = pair[3] = (state * _LCG_MUL + _LCG_INC) & _MASK64
+                delay += ((state >> 32) * (2 * spread + 1) >> 32) - spread
         delay += extra_delay_us
         if delay < 0:
             raise SimError(f"negative delay {delay}")

@@ -1,11 +1,10 @@
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eovsim.engine import (Engine, LatencyModel, Message, MessageKind, Node,
-                           NodeClass, SimError, UnknownTargetError, timer)
+                           NodeClass, SimError, UnknownTargetError, fnv1a,
+                           timer)
 
 
 class Recorder(Node):
@@ -294,34 +293,73 @@ def test_causality_delivery_never_precedes_send(delays, seed):
     assert all(delivered >= sent for delivered, sent in b.seen)
 
 
-def test_jitter_stream_is_randint_in_send_order():
+def link_stream(seed, src, dst):
+    """Reference for one link's jitter: the LCG seeded from the link's key,
+    mapped onto [-spread, spread] by its high 32 bits."""
+    state = fnv1a(f"{seed}:{src}:{dst}".encode())
+
+    def draw(spread):
+        nonlocal state
+        state = (state * 6364136223846793005 + 1442695040888963407) % 2**64
+        return (state >> 32) * (2 * spread + 1) // 2**32 - spread
+    return draw
+
+
+def test_each_link_draws_its_own_stream_in_its_send_order():
     client, peer, broker = NodeClass.CLIENT, NodeClass.PEER, NodeClass.BROKER
     # client -> orderer falls back to default_us: its small spreads are where
-    # a draw of the wrong width most often differs from randint's
+    # a draw of the wrong width most often differs
     model = LatencyModel(base_us={(client, peer): 300, (client, broker): 5000},
                          default_us=5, per_byte_ns=250, jitter_fraction=0.4)
     seed = 5
     engine = Engine(model, seed=seed)
-    engine.add_node(Recorder("a", client))
+    senders = {"a": Recorder("a", client), "e": Recorder("e", client)}
     receivers = {"b": Recorder("b", peer), "c": Recorder("c", broker),
                  "d": Recorder("d", NodeClass.ORDERER)}
-    for node in receivers.values():
+    for node in (senders | receivers).values():
         engine.add_node(node)
     sizes = [1, 40, 333, 1000, 4096]
-    plan = [("bcd"[i % 3], sizes[i % len(sizes)]) for i in range(200)]
-    for i, (dst, size) in enumerate(plan):
-        engine.send("a", dst, Message(MessageKind.PROPOSAL, size, i))
+    plan = [("ae"[i % 7 % 2], "bcd"[i % 3], sizes[i % len(sizes)])
+            for i in range(300)]
+    for i, (src, dst, size) in enumerate(plan):
+        engine.send(src, dst, Message(MessageKind.PROPOSAL, size, i))
     engine.run_until_quiescent()
 
-    r = random.Random(f"{seed}:net")
+    streams = {}
     expected = {}
-    for i, (dst, size) in enumerate(plan):
+    for i, (src, dst, size) in enumerate(plan):
+        draw = streams.setdefault((src, dst), link_stream(seed, src, dst))
         delay = model.base_for(client, receivers[dst].klass) + size * 250 // 1000
-        spread = int(delay * 0.4)
-        expected[i] = delay + r.randint(-spread, spread)
+        expected[i] = delay + draw(int(delay * 0.4))
+    assert len(streams) == 6
     got = {body: t for node in receivers.values() for t, body in node.seen}
     assert got == expected, \
-        "the engine's jitter draw no longer matches random.randint"
+        "a link's delays no longer follow its own stream in its send order"
+
+
+def test_an_extra_send_on_one_link_retimes_no_other_link():
+    def arrivals(extra):
+        engine = Engine(flat_latency(base=1000, per_byte_ns=100, jitter=0.3),
+                        seed=3)
+        for node_id in "abcd":
+            engine.add_node(Recorder(node_id))
+        links = [("a", "b"), ("a", "c"), ("b", "c"), ("c", "a"), ("d", "a")]
+        for i in range(120):
+            src, dst = links[i % len(links)]
+            engine.send(src, dst, Message(MessageKind.PROPOSAL, 10 + i,
+                                          (src, dst, i)))
+            if i == extra:
+                engine.send("a", "c", Message(MessageKind.PROPOSAL, 77,
+                                              ("a", "c", "extra")))
+        engine.run_until_quiescent()
+        return {body: t for node in engine.nodes.values()
+                for t, body in node.seen}
+
+    plain, with_extra = arrivals(None), arrivals(40)
+    assert len(with_extra) == len(plain) + 1
+    changed = {body[:2] for body in plain if plain[body] != with_extra[body]}
+    # later sends on a -> c draw later values of its stream; nothing else moves
+    assert changed == {("a", "c")}
 
 
 class Relay(Recorder):
