@@ -58,7 +58,6 @@ class MessageKind(enum.Enum):
     ENDORSEMENT = "Endorsement"
     ENVELOPE = "Envelope"
     LOG_APPEND = "LogAppend"
-    LOG_ACK = "LogAck"
     BLOCK_DELIVER = "BlockDeliver"
     COMMIT_NOTICE = "CommitNotice"
     BROADCAST_ACK = "BcastAck"
@@ -156,7 +155,7 @@ class Node:
 
     def is_control(self, msg: Message) -> bool:
         """Control messages bypass the work queue and are handled on arrival
-        (out-of-band bookkeeping such as replication acks); they must not
+        (out-of-band bookkeeping such as a broker's timers); they must not
         charge busy time."""
         return False
 
@@ -218,11 +217,14 @@ class Engine:
         self._seq += 1
         heappush(self._heap, (self.now + delay_us, self._seq, node, payload))
 
-    def send(self, src: str, dst: str, msg: Message,
-             extra_delay_us: int = 0) -> None:
-        """Deliver msg from src to dst under the latency model.
+    def transit_us(self, src: str, dst: str, size_bytes: int,
+                   extra_delay_us: int = 0) -> int:
+        """The delay of a size_bytes message sent now from src to dst.
 
-        The network is lossless; drops only ever appear as timeouts at the
+        Draws the link's jitter and counts the message as sent by src and
+        received by dst, but schedules nothing: send schedules the message,
+        and a node that models its receiver itself calls this alone. The
+        network is lossless; drops only ever appear as timeouts at the
         application layer.
         """
         pair = self._pairs.get((src, dst))
@@ -241,10 +243,10 @@ class Engine:
                 fnv1a(f"{self._seed}:{src}:{dst}".encode())]
         src_node, dst_node, base, state = pair
         latency = self.latency
-        size = msg.size_bytes
-        delay = base + size * latency.per_byte_ns // 1000
-        if latency.jitter_fraction > 0.0:
-            spread = int(delay * latency.jitter_fraction)
+        delay = base + size_bytes * latency.per_byte_ns // 1000
+        jitter = latency.jitter_fraction
+        if jitter > 0.0:
+            spread = int(delay * jitter)
             if spread > 0:
                 # the high 32 bits of the next state, scaled onto
                 # [-spread, spread]
@@ -253,12 +255,18 @@ class Engine:
         delay += extra_delay_us
         if delay < 0:
             raise SimError(f"negative delay {delay}")
-        self._seq += 1
-        heappush(self._heap, (self.now + delay, self._seq, dst_node, msg))
         src_node.sent_msgs += 1
-        src_node.sent_bytes += size
+        src_node.sent_bytes += size_bytes
         dst_node.recv_msgs += 1
-        dst_node.recv_bytes += size
+        dst_node.recv_bytes += size_bytes
+        return delay
+
+    def send(self, src: str, dst: str, msg: Message,
+             extra_delay_us: int = 0) -> None:
+        """Deliver msg from src to dst after transit_us."""
+        delay = self.transit_us(src, dst, msg.size_bytes, extra_delay_us)
+        self._seq += 1
+        heappush(self._heap, (self.now + delay, self._seq, self.nodes[dst], msg))
 
     def run_until_quiescent(self, time_limit_us: int | None = None) -> TraceSummary:
         """Dispatch events in (fire_time, seq) order until empty or the limit.

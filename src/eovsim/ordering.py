@@ -4,13 +4,15 @@ Orderers are proxies: they forward client envelopes to the log leader and
 ack the client once the record has committed (held by at least min_insync
 brokers, the leader counting as one copy). A single static leader assigns
 gap-free offsets; remaining replica copies continue in the background
-without blocking commit. The block cutter runs on the leader so every
-orderer and peer observes one authoritative block sequence; a deterministic
-designated orderer per block (round-robin by height) performs the peer
-fan-out.
+without blocking commit. The followers are a queue recursion at the leader,
+not event-driven nodes (see BrokerNode). The block cutter runs on the leader
+so every orderer and peer observes one authoritative block sequence; a
+deterministic designated orderer per block (round-robin by height) performs
+the peer fan-out.
 
-A log record is the client's Envelope, a replica copy its offset, a commit
-notice the txn id, and a block one BLOCK_DELIVER message sized at the leader.
+A log record is the client's Envelope, a commit notice the txn id, and a
+block one BLOCK_DELIVER message sized at the leader; a replica copy and its
+ack are sized but never sent as messages.
 Every envelope of a run has the one size cfg.envelope_bytes, so each message
 that carries envelopes, and the cutter's size test, is sized from it.
 """
@@ -150,72 +152,104 @@ class OrdererNode(Node):
 class BrokerNode(Node):
     """Replicated-log broker; exactly one instance acts as the static leader.
 
-    The leader assigns offsets, fans copies out to replication_factor - 1
-    followers, and commits a record once cfg.min_insync copies exist,
-    always in gap-free offset order (a later offset reaching quorum first
-    waits for its predecessors). On commit it notifies every orderer and feeds the
-    block cutter; cut blocks go to the designated orderer for that height.
+    The leader assigns offsets and commits a record once cfg.min_insync
+    copies exist, its own counting as one, always in gap-free offset order
+    (a later offset reaching quorum first waits for its predecessors). On
+    commit it notifies every orderer and feeds the block cutter; cut blocks
+    go to the designated orderer for that height.
+
+    The replication_factor - 1 followers are a queue recursion at the
+    leader and receive no events. A follower serves only the leader's
+    copies, one at a time for broker_append each, so at append the leader
+    computes, per follower, the copy's arrival, the follower's completion
+    done_k = max(arrive_k, done_k-1) + broker_append (Lindley's recursion)
+    and the ack's arrival, each link drawing its own jitter through
+    Engine.transit_us, which also moves both nodes' message counters. It
+    then schedules one control timer per record, at the (min_insync - 1)-th
+    earliest ack, and none when min_insync is 1.
+
+    A follower serves its copies in send order, as Kafka's replica fetch
+    does: that is a model statement. It equals an event-driven FIFO follower
+    whenever copies reach it in send order, which holds when the leader's
+    gap between appends, at least leader_demand_us, is at least twice a
+    copy's jitter spread, as in every shipped config. A follower's copy and
+    ack are counted at append, so a run cut by its time limit counts acks
+    that the follower would not yet have sent.
     """
 
     def __init__(self, node_id: str, cfg: ExperimentConfig,
                  cutter: BlockCutter | None):
         super().__init__(node_id, NodeClass.BROKER)
         self.cfg = cfg
-        self.leader = cfg.leader_id
-        self.is_leader = node_id == self.leader
         self.followers = cfg.follower_ids
         self.orderers = cfg.orderer_ids
         self.cutter = cutter  # the leader's; None on every other broker
         # leader log state: a record's offset is its index in records
         self.records: list[Envelope] = []
-        self.copies_held: list[int] = []
+        self.in_sync: list[bool] = []  # offset -> has min_insync copies
         self.committed_count = 0
+        # follower -> when it finishes the last copy the leader sent it
+        self._follower_free = dict.fromkeys(self.followers, 0)
 
     def service_us(self, msg: Message) -> int:
+        # Only the leader is sent log records.
         if msg.kind is MessageKind.LOG_APPEND:
-            return (self.cfg.leader_demand_us if self.is_leader
-                    else self.cfg.service.broker_append)
+            return self.cfg.leader_demand_us
         return 0
 
     def is_control(self, msg: Message) -> bool:
-        # Replication acks and cut timers are handled like the replication
-        # and timer threads of a real broker: they never wait behind queued
-        # produce work. Service completions never get past deliver, so every
-        # timer a broker handles is a cut timer.
-        return msg.kind in (MessageKind.LOG_ACK, MessageKind.TIMER_FIRE)
+        # Quorum and cut timers are handled like the replication and timer
+        # threads of a real broker: they never wait behind queued produce
+        # work. Service completions never get past deliver.
+        return msg.kind is MessageKind.TIMER_FIRE
 
     def handle(self, msg: Message) -> None:
         if msg.kind is MessageKind.LOG_APPEND:
-            if self.is_leader:
-                self._leader_append(msg.body)
-            else:
-                self._follower_append(msg.body)
-        elif msg.kind is MessageKind.LOG_ACK:
-            self._on_ack(msg.body)
+            self._leader_append(msg.body)
         elif msg.kind is MessageKind.TIMER_FIRE:
-            block = self.cutter.on_timeout(msg.body.arg, self.engine.now)
-            if block is not None:
-                self._emit_block(block)
+            tag, arg = msg.body
+            if tag == "quorum":
+                self.in_sync[arg] = True
+                self._advance_commit()
+            else:
+                block = self.cutter.on_timeout(arg, self.engine.now)
+                if block is not None:
+                    self._emit_block(block)
 
     # -- leader ------------------------------------------------------------
 
     def _leader_append(self, env: Envelope) -> None:
         offset = len(self.records)
         self.records.append(env)
-        self.copies_held.append(1)
-        copy = Message(MessageKind.LOG_APPEND, self.cfg.envelope_bytes
-                       + self.cfg.sizes.log_overhead, offset)
-        for follower in self.followers:
-            self.engine.send(self.id, follower, copy)
-        self._advance_commit()
+        quorum_at = self._replicate()
+        self.in_sync.append(quorum_at is None)
+        if quorum_at is None:
+            self._advance_commit()
+        else:
+            self.engine.schedule(self.id, timer("quorum", offset),
+                                 quorum_at - self.engine.now)
 
-    def _on_ack(self, offset: int) -> None:
-        self.copies_held[offset] += 1
-        self._advance_commit()
+    def _replicate(self) -> int | None:
+        """Copy the record just appended to every follower; return when the
+        leader holds its (min_insync - 1)-th follower ack, or None when it
+        needs none."""
+        now, transit, me = self.engine.now, self.engine.transit_us, self.id
+        cfg = self.cfg
+        copy_bytes = cfg.envelope_bytes + cfg.sizes.log_overhead
+        ack_bytes, append = cfg.sizes.log_ack, cfg.service.broker_append
+        free_at = self._follower_free
+        acks = []
+        for follower, free in free_at.items():
+            done = max(now + transit(me, follower, copy_bytes), free) + append
+            free_at[follower] = done
+            acks.append(done + transit(follower, me, ack_bytes))
+        if cfg.min_insync == 1:
+            return None
+        return sorted(acks)[cfg.min_insync - 2]
 
     def _advance_commit(self) -> None:
         while (self.committed_count < len(self.records)
-               and self.copies_held[self.committed_count] >= self.cfg.min_insync):
+               and self.in_sync[self.committed_count]):
             self.committed_count += 1
             self._commit(self.records[self.committed_count - 1])
 
@@ -237,10 +271,3 @@ class BrokerNode(Node):
                 + len(block.txns) * self.cfg.envelope_bytes)
         self.engine.send(self.id, designated,
                          Message(MessageKind.BLOCK_DELIVER, size, block))
-
-    # -- follower ----------------------------------------------------------
-
-    def _follower_append(self, offset: int) -> None:
-        self.engine.send(self.id, self.leader,
-                         Message(MessageKind.LOG_ACK, self.cfg.sizes.log_ack,
-                                 offset))

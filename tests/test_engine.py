@@ -201,14 +201,14 @@ def test_fifo_service_queue():
 def test_control_message_handled_on_arrival_while_busy():
     class AckBypass(Recorder):
         def is_control(self, msg):
-            return msg.kind is MessageKind.LOG_ACK
+            return msg.kind is MessageKind.BROADCAST_ACK
 
     engine = Engine(flat_latency(), seed=0)
     worker = AckBypass("w", NodeClass.BROKER, service=100)
     engine.add_node(worker)
     engine.schedule("w", Message(MessageKind.LOG_APPEND, 1, "first"), 0)
     engine.schedule("w", Message(MessageKind.LOG_APPEND, 1, "queued"), 10)
-    engine.schedule("w", Message(MessageKind.LOG_ACK, 1, "ack"), 30)
+    engine.schedule("w", Message(MessageKind.BROADCAST_ACK, 1, "ack"), 30)
     summary = engine.run_until_quiescent()
     # the ack neither waits for nor delays the work in service
     assert worker.seen == [(30, "ack"), (100, "first"), (200, "queued")]

@@ -159,8 +159,8 @@ def test_schedule_guard_buffered_reentry_cell(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["events_dispatched"] == 19_081
-    assert report["dispatch_digest"] == "04fcf8912f50eb22"
+    assert report["events_dispatched"] == 18_281
+    assert report["dispatch_digest"] == "ed2b7163458b21d0"
     assert report["all_peers_agree"] is True
 
 
@@ -181,9 +181,9 @@ PINNED_EXECUTES = {"default": 6_220, "order-saturated": 4_320,
 
 
 @pytest.mark.parametrize("workload,seed,events,digest", [
-    ("default", 42, 204_820, "bd044166fb6d6cd8"),
-    ("order-saturated", 1, 425_608, "b553baff08b73bb1"),
-    ("validate-wide", 1, 116_534, "770ee6acf6526c7e"),
+    ("default", 42, 174_825, "2dc30f27a12e195d"),
+    ("order-saturated", 1, 261_895, "101b9b5f994dfbb9"),
+    ("validate-wide", 1, 104_039, "65a4885755428c12"),
 ], ids=["default", "order-saturated", "validate-wide"])
 def test_schedule_guard_pinned_cell(workload, seed, events, digest,
                                     executions, validations):

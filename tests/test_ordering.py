@@ -137,9 +137,65 @@ class Sink(Node):
         self.got.append((self.engine.now, msg))
 
 
+# The reference followers' ack: any kind the leader is otherwise never sent.
+REFERENCE_ACK = MessageKind.BROADCAST_ACK
+
+
+class EventLeader(BrokerNode):
+    """Reference leader: sends each replica copy as a message and counts the
+    follower acks as they arrive, as control messages."""
+
+    def __init__(self, node_id, cfg, cutter):
+        super().__init__(node_id, cfg, cutter)
+        self.acks = []
+
+    def _leader_append(self, env):
+        offset = len(self.records)
+        self.records.append(env)
+        self.in_sync.append(self.cfg.min_insync == 1)
+        self.acks.append(0)
+        copy = Message(MessageKind.LOG_APPEND, self.cfg.envelope_bytes
+                       + self.cfg.sizes.log_overhead, offset)
+        for follower in self.followers:
+            self.engine.send(self.id, follower, copy)
+        self._advance_commit()
+
+    def is_control(self, msg):
+        return msg.kind is REFERENCE_ACK or super().is_control(msg)
+
+    def handle(self, msg):
+        if msg.kind is not REFERENCE_ACK:
+            return super().handle(msg)
+        self.acks[msg.body] += 1
+        if self.acks[msg.body] == self.cfg.min_insync - 1:
+            self.in_sync[msg.body] = True
+            self._advance_commit()
+
+
+class EventFollower(Node):
+    """Reference follower: an event-driven FIFO node that serves each copy
+    for broker_append and then acks it to the leader."""
+
+    def __init__(self, node_id, cfg):
+        super().__init__(node_id, NodeClass.BROKER)
+        self.cfg = cfg
+        self.served = []  # offsets, in service order
+
+    def service_us(self, msg):
+        return self.cfg.service.broker_append
+
+    def handle(self, msg):
+        self.served.append(msg.body)
+        self.engine.send(self.id, self.cfg.leader_id,
+                         Message(REFERENCE_ACK, self.cfg.sizes.log_ack,
+                                 msg.body))
+
+
 def wire_service(n_brokers=4, replication_factor=3, min_insync=2,
                  orderer_capacity=5000, n_peers=2, cut=(100, 10 * 1024 * 1024),
-                 orderers=1, window_end=10**12):
+                 orderers=1, window_end=10**12, reference=False, **over):
+    """An ordering service on a 1-ms jitter-free network; with reference,
+    the leader and its followers are the event-driven reference nodes."""
     cfg = ordering_cfg(
         *cut,
         topology={"peers": n_peers, "orderers": orderers,
@@ -147,7 +203,7 @@ def wire_service(n_brokers=4, replication_factor=3, min_insync=2,
         replication={"replication_factor": replication_factor,
                      "min_insync": min_insync},
         queues={"orderer_capacity": orderer_capacity},
-        duration_s=window_end / 1e6)
+        duration_s=window_end / 1e6, **over)
     assert cfg.duration_us == window_end
     engine = Engine(LatencyModel(base_us={}, default_us=1000, per_byte_ns=0,
                                  jitter_fraction=0.0), seed=1)
@@ -157,8 +213,13 @@ def wire_service(n_brokers=4, replication_factor=3, min_insync=2,
     for oid in cfg.orderer_ids:
         nodes[oid] = OrdererNode(oid, cfg)
     for bid in cfg.broker_ids:
-        nodes[bid] = BrokerNode(bid, cfg,
-                                cutter if bid == cfg.leader_id else None)
+        if not reference:
+            nodes[bid] = BrokerNode(bid, cfg,
+                                    cutter if bid == cfg.leader_id else None)
+        elif bid == cfg.leader_id:
+            nodes[bid] = EventLeader(bid, cfg, cutter)
+        else:
+            nodes[bid] = EventFollower(bid, cfg)
     for pid in cfg.peer_ids:
         nodes[pid] = Sink(pid, NodeClass.PEER)
     nodes["client000"] = Sink("client000", NodeClass.CLIENT)
@@ -228,7 +289,7 @@ def test_min_insync_one_commits_at_append():
     assert leader.committed_count == 1
     # no followers were involved at all
     others = [n for n in nodes.values()
-              if isinstance(n, BrokerNode) and not n.is_leader]
+              if isinstance(n, BrokerNode) and n.id != leader_id]
     assert others and all(n.recv_msgs == n.sent_msgs == 0 for n in others)
 
 
@@ -241,7 +302,7 @@ def test_high_min_insync_waits_for_follower_acks(commit_times):
     leader = nodes[leader_id]
     assert leader.committed_count == 1
     followers = [n for n in nodes.values()
-                 if isinstance(n, BrokerNode) and not n.is_leader]
+                 if isinstance(n, BrokerNode) and n.id != leader_id]
     # each of the replication_factor - 1 followers received the copy and
     # acked it once; the 16th broker is outside the replica set
     assert sorted(f.sent_msgs for f in followers) == [0] + [1] * 14
@@ -398,6 +459,12 @@ def test_one_message_per_fanout_and_log_record_is_the_envelope():
     engine, nodes, [oid, designated], leader_id = wire_service(
         n_brokers=4, replication_factor=4, min_insync=4, n_peers=3,
         orderers=2, cut=(1, 10**9))
+    cfg = nodes[leader_id].cfg
+    followers = [nodes[f] for f in cfg.follower_ids]
+    events = []  # (follower id, message) of every event a follower gets
+    for follower in followers:
+        follower.deliver = (lambda msg, fid=follower.id:
+                            events.append((fid, msg)))
     sent = []  # (src, dst, message) per send
     send = engine.send
 
@@ -415,18 +482,149 @@ def test_one_message_per_fanout_and_log_record_is_the_envelope():
     [record] = by_kind[oid, MessageKind.LOG_APPEND]
     assert record.body is env
     assert nodes[leader_id].records == [env]
-    # one copy message for all followers, one notice for all orderers, and
-    # the designated orderer forwards the leader's block message as is
-    for kind, receivers in ((MessageKind.LOG_APPEND, 3),
-                            (MessageKind.COMMIT_NOTICE, 2),
+    assert nodes[leader_id].committed_count == 1
+    # the followers are a recursion at the leader: no copy or ack is an
+    # event, yet each follower's counters show the one copy in and the one
+    # ack out, and the leader's the three acks in
+    assert events == [] and (leader_id, MessageKind.LOG_APPEND) not in by_kind
+    copy_bytes = cfg.envelope_bytes + cfg.sizes.log_overhead
+    for follower in followers:
+        assert (follower.recv_msgs, follower.recv_bytes, follower.sent_msgs,
+                follower.sent_bytes) == (1, copy_bytes, 1, cfg.sizes.log_ack)
+    assert nodes[leader_id].recv_msgs == 1 + 3
+    # one notice message for all orderers, and the designated orderer
+    # forwards the leader's block message as is
+    for kind, receivers in ((MessageKind.COMMIT_NOTICE, 2),
                             (MessageKind.BLOCK_DELIVER, 1)):
         msgs = by_kind[leader_id, kind]
         assert len(msgs) == receivers and len({id(m) for m in msgs}) == 1
     [block_msg] = by_kind[leader_id, MessageKind.BLOCK_DELIVER]
     forwarded = by_kind[designated, MessageKind.BLOCK_DELIVER]
     assert len(forwarded) == 3 and all(m is block_msg for m in forwarded)
-    cfg = nodes[leader_id].cfg
     assert block_msg.size_bytes == cfg.sizes.block_header + cfg.envelope_bytes
+
+
+# --- followers: the queue recursion against event-driven followers ----------
+
+def broker_counters(nodes, cfg):
+    return {bid: (nodes[bid].sent_msgs, nodes[bid].sent_bytes,
+                  nodes[bid].recv_msgs, nodes[bid].recv_bytes)
+            for bid in cfg.broker_ids}
+
+
+def run_replication(reference, envelopes, gap_us, jitter, commit_times,
+                    **wiring):
+    """Commit times and broker counters of one jittered run."""
+    engine, nodes, orderer_ids, leader_id = wire_service(
+        reference=reference, **wiring)
+    engine.latency.jitter_fraction = jitter
+    for i in range(envelopes):
+        inject_envelope(engine, orderer_ids[i % len(orderer_ids)],
+                        mk_envelope(f"t{i}"), at=i * gap_us)
+    engine.run_until_quiescent()
+    assert nodes[leader_id].committed_count == envelopes
+    times = list(commit_times)
+    commit_times.clear()
+    return times, broker_counters(nodes, nodes[leader_id].cfg), nodes
+
+
+# D is broker_append alone: the leader appends every 700 us, and a copy that
+# arrives early finds its follower still serving the one before.
+BUSY_FOLLOWERS = {"leader_order": 0, "leader_copy_send": 0,
+                  "leader_notice_send": 0, "leader_order_per_byte_ns": 0,
+                  "broker_append": 700}
+
+
+@pytest.mark.parametrize("replication_factor,min_insync,service", [
+    (5, 3, {}), (7, 7, {}), (4, 1, {}), (5, 2, BUSY_FOLLOWERS)],
+    ids=["rf5-insync3", "rf7-insync7", "rf4-insync1", "busy-followers"])
+def test_follower_recursion_equals_event_driven_followers(
+        replication_factor, min_insync, service, commit_times):
+    # Copies cross a 1,000-us broker link with a spread of 300 us, while the
+    # leader appends at most once per D; D > 2 * 300, so every copy reaches
+    # its follower in send order and the recursion is exact.
+    wiring = dict(n_brokers=8, replication_factor=replication_factor,
+                  min_insync=min_insync, orderers=2, cut=(5, 10**9),
+                  service_us=service)
+    runs = [run_replication(reference, 60, 100, 0.3, commit_times, **wiring)
+            for reference in (False, True)]
+    (times, counters, nodes), (ref_times, ref_counters, ref_nodes) = runs
+    leader = nodes["broker000"]
+    assert leader.cfg.leader_demand_us > 2 * 300
+    assert times == ref_times and len(times) == 60
+    assert counters == ref_counters
+    for follower in leader.followers:
+        assert ref_nodes[follower].served == list(range(60))
+        assert counters[follower][0] == counters[follower][2] == 60
+
+
+def test_the_recursion_serves_a_followers_copies_in_send_order(
+        monkeypatch, commit_times):
+    # A tiny D (broker_append alone, 5 us) under a 300-us spread: copies
+    # reach the follower out of send order. The event-driven follower serves
+    # them in arrival order; the recursion serves them in send order, as
+    # Kafka's in-order replica fetch does. That is a model statement.
+    wiring = dict(n_brokers=2, replication_factor=2, min_insync=2,
+                  cut=(5, 10**9),
+                  service_us={"leader_order": 0, "leader_copy_send": 0,
+                              "leader_notice_send": 0,
+                              "leader_order_per_byte_ns": 0,
+                              "broker_append": 5, "orderer_forward": 0})
+    timeline = []  # (now, src, dst, delay) of every transit the leader takes
+    transit = Engine.transit_us
+
+    def spy(self, src, dst, size_bytes, extra_delay_us=0):
+        delay = transit(self, src, dst, size_bytes, extra_delay_us)
+        if "broker001" in (src, dst):
+            timeline.append((self.now, src, delay))
+        return delay
+    monkeypatch.setattr(Engine, "transit_us", spy)
+    times, _, nodes = run_replication(False, 30, 0, 0.3, commit_times,
+                                      **wiring)
+    monkeypatch.undo()
+    ref_times, _, ref_nodes = run_replication(True, 30, 0, 0.3, commit_times,
+                                              **wiring)
+    assert nodes["broker000"].cfg.leader_demand_us == 5
+    assert ref_nodes["broker001"].served != list(range(30))
+
+    # the recursion's timeline: copy k arrives at a_k, is served in offset
+    # order from max(a_k, done_k-1), and its ack arrives at done_k + ack
+    copies = [(now + delay) for now, src, delay in timeline
+              if src == "broker000"]
+    acks = [delay for _, src, delay in timeline if src == "broker001"]
+    assert len(copies) == len(acks) == 30
+    assert copies != sorted(copies)  # arrivals out of send order
+    done, quorum = 0, []
+    for arrive, ack in zip(copies, acks):
+        done = max(arrive, done) + 5
+        quorum.append(done + ack)
+    # with one follower a record is in sync at its ack; commits then follow
+    # in offset order, each at the latest ack up to and including its own
+    expected = [max(quorum[:k + 1]) for k in range(30)]
+    assert times == expected
+    assert times != ref_times
+
+
+def test_a_truncated_run_counts_follower_acks_at_append():
+    # A follower's copy and ack are counted when the leader appends, not
+    # when the follower would serve the copy and send the ack: a run cut in
+    # between counts an ack that an event-driven follower has not yet sent.
+    engine, nodes, [oid], leader_id = wire_service(
+        n_brokers=2, replication_factor=2, min_insync=2)
+    leader, follower = nodes[leader_id], nodes["broker001"]
+    cfg = leader.cfg
+    inject_envelope(engine, oid, mk_envelope("t0"))
+    append_at = cfg.service.orderer_forward + 1000 + cfg.leader_demand_us
+    assert engine.run_until_quiescent(time_limit_us=append_at).truncated
+    assert len(leader.records) == 1 and leader.committed_count == 0
+    # the copy reaches the follower 1,000 us after the append, and its ack
+    # the leader 1,000 us after the follower's broker_append
+    assert (follower.recv_msgs, follower.sent_msgs) == (1, 1)
+    assert leader.recv_msgs == 2  # the record and the follower's ack
+    engine.run_until_quiescent()
+    assert leader.committed_count == 1
+    assert (follower.recv_msgs, follower.sent_msgs, leader.recv_msgs) == \
+        (1, 1, 2)
 
 
 # --- the leader's demand per record and the capacity it implies ---------------
@@ -439,7 +637,7 @@ def test_one_message_per_fanout_and_log_record_is_the_envelope():
 ])
 def test_leader_demand_us_is_the_leaders_log_append_service(overrides):
     cfg = ExperimentConfig.from_dict(overrides)
-    leader, *_, follower = build(cfg).brokers
+    leader = build(cfg).brokers[0]
     size = cfg.envelope_bytes + cfg.sizes.log_overhead
     service = leader.service_us(
         Message(MessageKind.LOG_APPEND, size, mk_envelope("t0")))
@@ -452,9 +650,6 @@ def test_leader_demand_us_is_the_leaders_log_append_service(overrides):
               + len(leader.orderers) * svc.leader_notice_send
               + envelope * svc.leader_order_per_byte_ns // 1000)
     assert service == demand == cfg.leader_demand_us
-    # a follower's copy costs the append alone
-    assert follower.service_us(Message(MessageKind.LOG_APPEND, size, 0)) == \
-        cfg.service.broker_append
 
 
 @pytest.mark.parametrize("overrides,capacity", [
