@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import struct
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -34,13 +35,9 @@ class ChainIntegrityError(RuntimeError):
 
 def _entry_hash(key: str, entry: tuple[int, Version]) -> int:
     value, (bh, ti) = entry
-    h = hashlib.blake2b(digest_size=16)
-    h.update(key.encode())
-    h.update(b"=")
-    h.update(value.to_bytes(8, "big", signed=True))
-    h.update(bh.to_bytes(8, "big"))
-    h.update(ti.to_bytes(8, "big"))
-    return int.from_bytes(h.digest(), "big")
+    data = key.encode() + b"=" + struct.pack(">qQQ", value, bh, ti)
+    return int.from_bytes(hashlib.blake2b(data, digest_size=16).digest(),
+                          "big")
 
 
 class CutReason(enum.Enum):
@@ -101,12 +98,22 @@ def hash_block(block: Block) -> str:
 
 
 class Ledger:
-    """Per-peer chain plus committed world state. Never shared between peers."""
+    """Per-peer chain plus committed world state.
+
+    The world state has two layers: the base is shared read-only; the
+    overlay is the peer's own. Every write goes to the overlay, and a read
+    tries the overlay before the base. fork() freezes the overlay into the
+    base it then shares with the new ledger, so N peers forked from one
+    genesis ledger hold one copy of the genesis state between them (path
+    copying: Driscoll, Sarnak, Sleator and Tarjan, JCSS 1989).
+    """
 
     def __init__(self):
         self.blocks: list[Block] = []
         self.flags: list[list] = []  # validity flags per block, same order
         self.tip_hash = GENESIS_PREV_HASH
+        # the shared base, never written once shared, and the own overlay
+        self._base: dict[str, tuple[int, Version]] = {}
         self._state: dict[str, tuple[int, Version]] = {}
 
     @property
@@ -130,15 +137,22 @@ class Ledger:
 
     def read_state(self, key: str) -> tuple[int, Version] | None:
         """Committed (value, version), or None; absence is a normal outcome."""
-        return self._state.get(key)
+        entry = self._state.get(key)
+        return self._base.get(key) if entry is None else entry
 
     def fork(self) -> "Ledger":
-        """Independent copy; blocks are shared (peers never mutate them)."""
+        """Independent ledger sharing this one's state as its base; blocks
+        are shared too (peers never mutate them). Later writes to either
+        ledger go to its own overlay and never reach the other."""
+        if self._state:
+            self._base = ({**self._base, **self._state} if self._base
+                          else self._state)
+            self._state = {}
         other = Ledger()
         other.blocks = list(self.blocks)
         other.flags = [list(f) for f in self.flags]
         other.tip_hash = self.tip_hash
-        other._state = dict(self._state)
+        other._base = self._base
         return other
 
     def apply_write_set(self, ws: WriteSet, at: Version) -> None:
@@ -151,20 +165,41 @@ class Ledger:
         self._state.update(writes)
 
     def state_digest(self) -> str:
-        """Order-independent fold over all entries, taken on each call; equal
-        maps give equal digests."""
+        """Order-independent XOR fold over all effective entries, taken on
+        each call; equal states give equal digests. The base is folded
+        whole, then each overlay entry XORs out the base entry it shadows."""
+        base = self._base
         acc = 0
+        for key, entry in base.items():
+            acc ^= _entry_hash(key, entry)
         for key, entry in self._state.items():
+            shadowed = base.get(key)
+            if shadowed is not None:
+                acc ^= _entry_hash(key, shadowed)
             acc ^= _entry_hash(key, entry)
         return f"{acc:032x}"
 
     def agrees_with(self, other: "Ledger") -> bool:
-        """Same chain, the same flag for every txn, and the same world state."""
-        return (self.tip_hash == other.tip_hash and self.flags == other.flags
-                and self._state == other._state)
+        """Same chain, the same flag for every txn, and the same world state,
+        compared exactly. On a shared base only the overlays' keys can
+        differ."""
+        if self.tip_hash != other.tip_hash or self.flags != other.flags:
+            return False
+        mine, theirs = self._state, other._state
+        if self._base is other._base:
+            return mine == theirs or all(
+                self.read_state(key) == other.read_state(key)
+                for key in mine.keys() | theirs.keys())
+        return dict(self.state_items()) == dict(other.state_items())
 
     def state_items(self) -> Iterator[tuple[str, tuple[int, Version]]]:
-        return iter(self._state.items())
+        """Every effective (key, entry): unshadowed base entries, then the
+        overlay's."""
+        overlay = self._state
+        for key, entry in self._base.items():
+            if key not in overlay:
+                yield key, entry
+        yield from overlay.items()
 
     def trace_lines(self) -> Iterator[str]:
         """One JSON line per block: height, cut reason, txn ids, validity flags."""

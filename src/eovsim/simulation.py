@@ -7,15 +7,18 @@ those the clients send proposals to. Every peer starts from an identical
 genesis block: one unendorsed envelope carrying the initial account
 balances, committed through commit_block with a Valid flag (it predates the
 policy machinery, so it skips validate_block) before the peers fork the
-base ledger. collect_report builds the RunReport in one place: chain, flag
-and state figures from the observer peer's (peer000) ledger, whose flags
-from height 1 on give valid_txns, policy_violations and mvcc_conflicts;
-journey figures from metrics.aggregate; counters from the nodes. Peers
-agree when their chains, per-txn flags and world states are equal to the
-observer's, compared exactly. Clients spray envelopes over orderers
-round-robin by submission index and observe commits through their
-round-robin home peer. Each orderer counts the enqueue attempts and
-successes it handles before the window end; there is no monitor node.
+genesis ledger. The fork copies no state: the genesis world state becomes
+the one read-only base every peer shares, and each peer's overlay holds
+only the writes it applied since (ledger.Ledger). collect_report builds the
+RunReport in one place: chain, flag and state figures from the observer
+peer's (peer000) ledger, whose flags from height 1 on give valid_txns,
+policy_violations and mvcc_conflicts; journey figures from
+metrics.aggregate; counters from the nodes. Peers agree when their chains,
+per-txn flags and world states are equal to the observer's, compared
+exactly. Clients spray envelopes over orderers round-robin by submission
+index and observe commits through their round-robin home peer. Each
+orderer counts the enqueue attempts and successes it handles before the
+window end; there is no monitor node.
 """
 
 from __future__ import annotations
@@ -58,17 +61,17 @@ def genesis_block(cfg: ExperimentConfig) -> Block:
 
 def build(cfg: ExperimentConfig) -> Simulation:
     engine = Engine(cfg.latency, seed=cfg.seed)
-    base_ledger = Ledger()
-    commit_block(base_ledger, genesis_block(cfg), [ValidationFlag.VALID])
+    genesis_ledger = Ledger()
+    commit_block(genesis_ledger, genesis_block(cfg), [ValidationFlag.VALID])
 
-    peers = [Peer(pid, cfg, base_ledger.fork())
+    peers = [Peer(pid, cfg, genesis_ledger.fork())
              for pid in cfg.peer_ids + cfg.npeer_ids]
     endorsing, non_endorsing = peers[:cfg.peers], peers[cfg.peers:]
     for i, npeer in enumerate(non_endorsing):
         endorsing[i % cfg.peers].gossip_targets.append(npeer.id)
 
     orderers = [OrdererNode(oid, cfg) for oid in cfg.orderer_ids]
-    cutter = BlockCutter(cfg, next_height=1, prev_hash=base_ledger.tip_hash)
+    cutter = BlockCutter(cfg, next_height=1, prev_hash=genesis_ledger.tip_hash)
     brokers = [BrokerNode(bid, cfg, cutter if bid == cfg.leader_id else None)
                for bid in cfg.broker_ids]
 

@@ -419,6 +419,36 @@ def test_agreement_compares_world_state_values():
     assert report.state_digest == result.report.state_digest
 
 
+def test_agreement_compares_world_state_through_a_different_base():
+    from eovsim.simulation import collect_report
+    result = contended_run()
+    peer = result.sim.all_peers()[2]
+    observer = result.sim.all_peers()[0].ledger
+    assert peer.ledger._base is observer._base
+
+    def rebased(state):
+        """The peer's chain over `state`, held as the base of a new ledger
+        that shares no layer with the observer's."""
+        flat = Ledger()
+        flat.blocks, flat.flags = peer.ledger.blocks, peer.ledger.flags
+        flat.tip_hash = peer.ledger.tip_hash
+        flat.apply_writes(list(state.items()))
+        ledger = flat.fork()
+        assert ledger._base is not observer._base and not ledger._state
+        return ledger
+
+    state = dict(observer.state_items())
+    peer.ledger = rebased(state)
+    assert collect_report(result.sim, result.trace,
+                          result.journeys).all_peers_agree is True
+    value, version = state["cust/1/savings"]
+    peer.ledger = rebased(state | {"cust/1/savings": (value, (version[0] + 1,
+                                                               version[1]))})
+    report = collect_report(result.sim, result.trace, result.journeys)
+    assert report.all_peers_agree is False
+    assert report.state_digest == result.report.state_digest
+
+
 def test_every_peer_commits_each_height_from_the_leaders_message():
     from eovsim.simulation import build
     cfg = ExperimentConfig.from_dict({

@@ -380,16 +380,23 @@ def test_peers_receive_consecutive_blocks_in_height_order():
 
 
 def test_fanout_stagger_makes_wide_fanout_cost_more():
-    # last scheduled delivery grows with the peer count under any positive
-    # per-peer stagger and latency
-    cfg = ExperimentConfig.from_dict({})
-    stagger = cfg.service.orderer_deliver_stagger
-    base = cfg.latency.base_for(NodeClass.ORDERER, NodeClass.PEER)
-
-    def last_delivery(n_peers):
-        return base + (n_peers - 1) * stagger
-
-    assert last_delivery(24) > last_delivery(4)
+    # on the jitter-free network, peer i's copy of one block arrives
+    # exactly i staggers after peer000's: a fan-out to n peers spans
+    # (n - 1) staggers
+    for n_peers in (4, 24):
+        engine, nodes, [oid], _ = wire_service(n_peers=n_peers, cut=(1, 10**9))
+        stagger = nodes[oid].cfg.service.orderer_deliver_stagger
+        assert stagger > 0
+        inject_envelope(engine, oid, mk_envelope("t0"))
+        engine.run_until_quiescent()
+        arrivals = []
+        for pid in nodes[oid].cfg.peer_ids:
+            [at] = [at for at, m in nodes[pid].got
+                    if m.kind is MessageKind.BLOCK_DELIVER]
+            arrivals.append(at)
+        assert len(arrivals) == n_peers
+        assert [at - arrivals[0] for at in arrivals] == [
+            i * stagger for i in range(n_peers)]
 
 
 def test_wide_fanout_sends_one_message_per_peer_24():
