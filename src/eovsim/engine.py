@@ -250,11 +250,12 @@ class Engine:
             if spread > 0:
                 # the high 32 bits of the next state, scaled onto
                 # [-spread, spread]
-                state = pair[3] = (state * _LCG_MUL + _LCG_INC) & _MASK64
+                state = (state * _LCG_MUL + _LCG_INC) & _MASK64
                 delay += ((state >> 32) * (2 * spread + 1) >> 32) - spread
         delay += extra_delay_us
         if delay < 0:
             raise SimError(f"negative delay {delay}")
+        pair[3] = state  # a refused send leaves the link's stream as it was
         src_node.sent_msgs += 1
         src_node.sent_bytes += size_bytes
         dst_node.recv_msgs += 1

@@ -1,14 +1,15 @@
-"""Ordering service: orderer front-ends, a replicated log, and the block cutter.
+"""Ordering service: orderer front-ends, the log leader, and the block cutter.
 
 Orderers are proxies: they forward client envelopes to the log leader and
 ack the client once the record has committed (held by at least min_insync
-brokers, the leader counting as one copy). A single static leader assigns
-gap-free offsets; remaining replica copies continue in the background
-without blocking commit. The followers are a queue recursion at the leader,
-not event-driven nodes (see BrokerNode). The block cutter runs on the leader
-so every orderer and peer observes one authoritative block sequence; a
-deterministic designated orderer per block (round-robin by height) performs
-the peer fan-out.
+brokers, the leader counting as one copy). The one static leader, the only
+BrokerNode, commits records in the order it appends them; the remaining
+replica copies continue in the background without blocking commit. The
+followers are a queue recursion at the leader (see BrokerNode), and every
+other broker is a bare Node kept only for its message counters. The block
+cutter runs on the leader so every orderer and peer observes one
+authoritative block sequence; a deterministic designated orderer per block
+(round-robin by height) performs the peer fan-out.
 
 A log record is the client's Envelope, a commit notice the txn id, and a
 block one BLOCK_DELIVER message sized at the leader; a replica copy and its
@@ -150,13 +151,16 @@ class OrdererNode(Node):
 
 
 class BrokerNode(Node):
-    """Replicated-log broker; exactly one instance acts as the static leader.
+    """The replicated log's static leader, the run's only BrokerNode.
 
-    The leader assigns offsets and commits a record once cfg.min_insync
-    copies exist, its own counting as one, always in gap-free offset order
-    (a later offset reaching quorum first waits for its predecessors). On
-    commit it notifies every orderer and feeds the block cutter; cut blocks
-    go to the designated orderer for that height.
+    The leader keeps no log. A record commits once cfg.min_insync copies
+    exist, its own counting as one, and never before the record appended
+    ahead of it, since a partition's high watermark only moves forward. So
+    at append the leader knows record k's commit instant,
+    commit_k = max(quorum_k, commit_k-1), and schedules one control timer
+    for it; with min_insync 1 it commits at append. On commit it notifies
+    every orderer and feeds the block cutter; cut blocks go to the
+    designated orderer for that height.
 
     The replication_factor - 1 followers are a queue recursion at the
     leader and receive no events. A follower serves only the leader's
@@ -164,9 +168,8 @@ class BrokerNode(Node):
     computes, per follower, the copy's arrival, the follower's completion
     done_k = max(arrive_k, done_k-1) + broker_append (Lindley's recursion)
     and the ack's arrival, each link drawing its own jitter through
-    Engine.transit_us, which also moves both nodes' message counters. It
-    then schedules one control timer per record, at the (min_insync - 1)-th
-    earliest ack, and none when min_insync is 1.
+    Engine.transit_us, which also moves both nodes' message counters.
+    quorum_k is the (min_insync - 1)-th earliest of those acks.
 
     A follower serves its copies in send order, as Kafka's replica fetch
     does: that is a model statement. It equals an event-driven FIFO follower
@@ -174,31 +177,27 @@ class BrokerNode(Node):
     gap between appends, at least leader_demand_us, is at least twice a
     copy's jitter spread, as in every shipped config. A follower's copy and
     ack are counted at append, so a run cut by its time limit counts acks
-    that the follower would not yet have sent.
+    that the follower would not yet have sent. No other broker, follower
+    or not, receives an event, so the run registers each as a bare Node.
     """
 
-    def __init__(self, node_id: str, cfg: ExperimentConfig,
-                 cutter: BlockCutter | None):
-        super().__init__(node_id, NodeClass.BROKER)
+    def __init__(self, cfg: ExperimentConfig, cutter: BlockCutter):
+        super().__init__(cfg.leader_id, NodeClass.BROKER)
         self.cfg = cfg
         self.followers = cfg.follower_ids
         self.orderers = cfg.orderer_ids
-        self.cutter = cutter  # the leader's; None on every other broker
-        # leader log state: a record's offset is its index in records
-        self.records: list[Envelope] = []
-        self.in_sync: list[bool] = []  # offset -> has min_insync copies
-        self.committed_count = 0
+        self.cutter = cutter
+        self._last_commit_at = 0  # when the latest scheduled commit fires
         # follower -> when it finishes the last copy the leader sent it
         self._follower_free = dict.fromkeys(self.followers, 0)
 
     def service_us(self, msg: Message) -> int:
-        # Only the leader is sent log records.
         if msg.kind is MessageKind.LOG_APPEND:
             return self.cfg.leader_demand_us
         return 0
 
     def is_control(self, msg: Message) -> bool:
-        # Quorum and cut timers are handled like the replication and timer
+        # Commit and cut timers are handled like the replication and timer
         # threads of a real broker: they never wait behind queued produce
         # work. Service completions never get past deliver.
         return msg.kind is MessageKind.TIMER_FIRE
@@ -208,26 +207,21 @@ class BrokerNode(Node):
             self._leader_append(msg.body)
         elif msg.kind is MessageKind.TIMER_FIRE:
             tag, arg = msg.body
-            if tag == "quorum":
-                self.in_sync[arg] = True
-                self._advance_commit()
+            if tag == "commit":
+                self._commit(arg)
             else:
                 block = self.cutter.on_timeout(arg, self.engine.now)
                 if block is not None:
                     self._emit_block(block)
 
-    # -- leader ------------------------------------------------------------
-
     def _leader_append(self, env: Envelope) -> None:
-        offset = len(self.records)
-        self.records.append(env)
         quorum_at = self._replicate()
-        self.in_sync.append(quorum_at is None)
         if quorum_at is None:
-            self._advance_commit()
-        else:
-            self.engine.schedule(self.id, timer("quorum", offset),
-                                 quorum_at - self.engine.now)
+            self._commit(env)
+            return
+        commit_at = self._last_commit_at = max(quorum_at, self._last_commit_at)
+        self.engine.schedule(self.id, timer("commit", env),
+                             commit_at - self.engine.now)
 
     def _replicate(self) -> int | None:
         """Copy the record just appended to every follower; return when the
@@ -246,12 +240,6 @@ class BrokerNode(Node):
         if cfg.min_insync == 1:
             return None
         return sorted(acks)[cfg.min_insync - 2]
-
-    def _advance_commit(self) -> None:
-        while (self.committed_count < len(self.records)
-               and self.in_sync[self.committed_count]):
-            self.committed_count += 1
-            self._commit(self.records[self.committed_count - 1])
 
     def _commit(self, env: Envelope) -> None:
         notice = Message(MessageKind.COMMIT_NOTICE, self.cfg.sizes.notice,

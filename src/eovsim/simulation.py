@@ -3,22 +3,23 @@
 The config names the nodes (ExperimentConfig.peer_ids and the rest); every
 node reads its settings and the ids it sends to from the run's one
 ExperimentConfig. Every peer is a committer.Peer; the endorsing ones are
-those the clients send proposals to. Every peer starts from an identical
-genesis block: one unendorsed envelope carrying the initial account
-balances, committed through commit_block with a Valid flag (it predates the
-policy machinery, so it skips validate_block) before the peers fork the
-genesis ledger. The fork copies no state: the genesis world state becomes
-the one read-only base every peer shares, and each peer's overlay holds
-only the writes it applied since (ledger.Ledger). collect_report builds the
-RunReport in one place: chain, flag and state figures from the observer
-peer's (peer000) ledger, whose flags from height 1 on give valid_txns,
-policy_violations and mvcc_conflicts; journey figures from
-metrics.aggregate; counters from the nodes. Peers agree when their chains,
-per-txn flags and world states are equal to the observer's, compared
+those the clients send proposals to. Only the log leader is a BrokerNode:
+the other brokers receive no event and are bare Nodes holding counters.
+Every peer starts from an identical genesis block: one unendorsed envelope
+carrying the initial account balances, committed through commit_block with a
+Valid flag (it predates the policy machinery, so it skips validate_block)
+before the peers fork the genesis ledger. The fork copies no state: the
+genesis world state becomes the one read-only base every peer shares, and
+each peer's overlay holds only the writes it applied since (ledger.Ledger).
+collect_report builds the RunReport in one place: chain, flag and state
+figures from the observer peer's (peer000) ledger, whose flags from height 1
+on give valid_txns, policy_violations and mvcc_conflicts; journey figures
+from metrics.aggregate; counters from the nodes. Peers agree when their
+chains, per-txn flags and world states are equal to the observer's, compared
 exactly. Clients spray envelopes over orderers round-robin by submission
-index and observe commits through their round-robin home peer. Each
-orderer counts the enqueue attempts and successes it handles before the
-window end; there is no monitor node.
+index and observe commits through their round-robin home peer. Each orderer
+counts the enqueue attempts and successes it handles before the window end;
+there is no monitor node.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from .committer import Peer, ValidationFlag, commit_block
 from .config import ExperimentConfig
 from .driver import ClientNode, TxnJourney, submission_times
-from .engine import Engine, TraceSummary
+from .engine import Engine, Node, NodeClass, TraceSummary
 from .ledger import GENESIS_PREV_HASH, Block, CutReason, Ledger, ReadSet
 from .metrics import RunReport, aggregate
 from .ordering import BlockCutter, BrokerNode, Envelope, OrdererNode
@@ -46,7 +47,7 @@ class Simulation:
     endorsing: list[Peer]
     non_endorsing: list[Peer]
     orderers: list[OrdererNode]
-    brokers: list[BrokerNode]
+    brokers: list[Node]  # the leader's BrokerNode, then bare Nodes
 
     def all_peers(self):
         return self.endorsing + self.non_endorsing
@@ -72,8 +73,8 @@ def build(cfg: ExperimentConfig) -> Simulation:
 
     orderers = [OrdererNode(oid, cfg) for oid in cfg.orderer_ids]
     cutter = BlockCutter(cfg, next_height=1, prev_hash=genesis_ledger.tip_hash)
-    brokers = [BrokerNode(bid, cfg, cutter if bid == cfg.leader_id else None)
-               for bid in cfg.broker_ids]
+    brokers = [BrokerNode(cfg, cutter) if bid == cfg.leader_id
+               else Node(bid, NodeClass.BROKER) for bid in cfg.broker_ids]
 
     plan = len(submission_times(cfg))
     clients = [ClientNode(cid, cfg, generate(cfg.workload, plan, client=cid))

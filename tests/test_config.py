@@ -267,15 +267,21 @@ def test_figure_presets_are_valid_sweeps():
 
 
 def test_every_node_reads_the_runs_one_config():
+    from eovsim.engine import Node
     from eovsim.simulation import build
     cfg = ExperimentConfig.from_dict({"topology": {"non_endorsing": 2},
                                       "duration_s": 1.0})
-    nodes = list(build(cfg).engine.nodes.values())
+    sim = build(cfg)
+    nodes = list(sim.engine.nodes.values())
     assert len(nodes) == 4 + 2 + 4 + 4 + 4
-    assert all(node.cfg is cfg for node in nodes)
+    # the brokers other than the leader receive no event and read nothing
+    bare = sim.brokers[1:]
+    assert all(type(node) is Node for node in bare)
+    assert all(node.cfg is cfg for node in nodes if node not in bare)
 
 
 def test_build_registers_the_nodes_the_config_names_in_order():
+    from eovsim.ordering import BrokerNode
     from eovsim.simulation import build
     cfg = ExperimentConfig.from_dict({
         "topology": {"peers": 3, "non_endorsing": 2, "clients": 2,
@@ -289,7 +295,7 @@ def test_build_registers_the_nodes_the_config_names_in_order():
     assert list(sim.engine.nodes) == [*cfg.peer_ids, *cfg.npeer_ids,
                                       *cfg.orderer_ids, *cfg.broker_ids,
                                       *cfg.client_ids]
-    assert [b.cutter is not None for b in sim.brokers] == \
+    assert [isinstance(b, BrokerNode) for b in sim.brokers] == \
         [True, False, False, False, False]
     leader = sim.brokers[0]
     assert (leader.followers, leader.orderers) == \

@@ -400,11 +400,16 @@ def test_run_split_by_time_limit_equals_one_run():
 
 
 def test_send_with_negative_total_delay_changes_nothing():
-    engine, a, b = make_engine(base=1000)
-    with pytest.raises(SimError):
-        engine.send("a", "b", Message(MessageKind.PROPOSAL, 10, "x"),
-                    extra_delay_us=-10**9)
-    for node in (a, b):
-        assert (node.sent_msgs, node.sent_bytes,
-                node.recv_msgs, node.recv_bytes) == (0, 0, 0, 0)
-    assert engine.run_until_quiescent().events_dispatched == 0
+    for jitter in (0.0, 0.3):
+        engine, a, b = make_engine(base=1000, jitter=jitter)
+        with pytest.raises(SimError):
+            engine.send("a", "b", Message(MessageKind.PROPOSAL, 10, "x"),
+                        extra_delay_us=-10**9)
+        for node in (a, b):
+            assert (node.sent_msgs, node.sent_bytes,
+                    node.recv_msgs, node.recv_bytes) == (0, 0, 0, 0)
+        assert engine.run_until_quiescent().events_dispatched == 0
+        # nor does the refused send advance the link's jitter stream
+        fresh, _, _ = make_engine(base=1000, jitter=jitter)
+        assert (engine.transit_us("a", "b", 10)
+                == fresh.transit_us("a", "b", 10))

@@ -142,12 +142,17 @@ REFERENCE_ACK = MessageKind.BROADCAST_ACK
 
 
 class EventLeader(BrokerNode):
-    """Reference leader: sends each replica copy as a message and counts the
-    follower acks as they arrive, as control messages."""
+    """Reference leader with an explicit offset log: a record's offset is its
+    index in records. It sends each replica copy as a message, counts the
+    follower acks as they arrive, as control messages, and commits the
+    in-sync prefix of its log in offset order."""
 
-    def __init__(self, node_id, cfg, cutter):
-        super().__init__(node_id, cfg, cutter)
+    def __init__(self, cfg, cutter):
+        super().__init__(cfg, cutter)
+        self.records = []
+        self.in_sync = []  # offset -> has min_insync copies
         self.acks = []
+        self.committed_count = 0
 
     def _leader_append(self, env):
         offset = len(self.records)
@@ -159,6 +164,12 @@ class EventLeader(BrokerNode):
         for follower in self.followers:
             self.engine.send(self.id, follower, copy)
         self._advance_commit()
+
+    def _advance_commit(self):
+        while (self.committed_count < len(self.records)
+               and self.in_sync[self.committed_count]):
+            self.committed_count += 1
+            self._commit(self.records[self.committed_count - 1])
 
     def is_control(self, msg):
         return msg.kind is REFERENCE_ACK or super().is_control(msg)
@@ -213,13 +224,12 @@ def wire_service(n_brokers=4, replication_factor=3, min_insync=2,
     for oid in cfg.orderer_ids:
         nodes[oid] = OrdererNode(oid, cfg)
     for bid in cfg.broker_ids:
-        if not reference:
-            nodes[bid] = BrokerNode(bid, cfg,
-                                    cutter if bid == cfg.leader_id else None)
-        elif bid == cfg.leader_id:
-            nodes[bid] = EventLeader(bid, cfg, cutter)
-        else:
+        if bid == cfg.leader_id:
+            nodes[bid] = (EventLeader if reference else BrokerNode)(cfg, cutter)
+        elif reference:
             nodes[bid] = EventFollower(bid, cfg)
+        else:
+            nodes[bid] = Node(bid, NodeClass.BROKER)
     for pid in cfg.peer_ids:
         nodes[pid] = Sink(pid, NodeClass.PEER)
     nodes["client000"] = Sink("client000", NodeClass.CLIENT)
@@ -231,6 +241,27 @@ def wire_service(n_brokers=4, replication_factor=3, min_insync=2,
 def inject_envelope(engine, orderer_id, env, at=0):
     size = engine.nodes[orderer_id].cfg.envelope_bytes
     engine.schedule(orderer_id, Message(MessageKind.ENVELOPE, size, env), at)
+
+
+def spy_appends(monkeypatch):
+    """The txn ids the leader appends, in offset order."""
+    appended = []
+    handle = BrokerNode.handle
+
+    def spy(self, msg):
+        if msg.kind is MessageKind.LOG_APPEND:
+            appended.append(msg.body.txn_id)
+        handle(self, msg)
+    monkeypatch.setattr(BrokerNode, "handle", spy)
+    return appended
+
+
+def delivered_txn_ids(sink):
+    """The txn ids of the blocks a sink peer received, in height order."""
+    blocks = sorted((m.body for _, m in sink.got
+                     if m.kind is MessageKind.BLOCK_DELIVER),
+                    key=lambda b: b.height)
+    return [txn_id for b in blocks for txn_id in b.txn_ids()]
 
 
 def test_single_envelope_acked_counters_balanced():
@@ -269,27 +300,24 @@ def test_saturating_burst_attempts_lead_successes_then_drain_equalizes():
     assert orderer.enqueue_successes == 50  # full drain, no refusals: r == 1
 
 
-def test_offsets_are_gap_free_in_arrival_order():
-    engine, nodes, [oid], leader_id = wire_service()
+def test_offsets_are_gap_free_in_arrival_order(commit_times):
+    engine, nodes, [oid], _ = wire_service()
     for i in range(25):
         inject_envelope(engine, oid, mk_envelope(f"t{i}"), at=i * 100)
     engine.run_until_quiescent()
-    leader = nodes[leader_id]
-    assert leader.committed_count == 25
-    assert [env.txn_id for env in leader.records] == \
-        [f"t{i}" for i in range(25)]
+    assert len(commit_times) == nodes[oid].enqueue_successes == 25
+    assert delivered_txn_ids(nodes["peer000"]) == [f"t{i}" for i in range(25)]
 
 
-def test_min_insync_one_commits_at_append():
+def test_min_insync_one_commits_at_append(commit_times):
     engine, nodes, [oid], leader_id = wire_service(replication_factor=1,
                                                    min_insync=1)
     inject_envelope(engine, oid, mk_envelope("t0"))
     engine.run_until_quiescent()
-    leader = nodes[leader_id]
-    assert leader.committed_count == 1
+    assert len(commit_times) == nodes[oid].enqueue_successes == 1
     # no followers were involved at all
     others = [n for n in nodes.values()
-              if isinstance(n, BrokerNode) and n.id != leader_id]
+              if n.klass is NodeClass.BROKER and n.id != leader_id]
     assert others and all(n.recv_msgs == n.sent_msgs == 0 for n in others)
 
 
@@ -299,10 +327,9 @@ def test_high_min_insync_waits_for_follower_acks(commit_times):
                                                    min_insync=14)
     inject_envelope(engine, oid, mk_envelope("t0"))
     engine.run_until_quiescent()
-    leader = nodes[leader_id]
-    assert leader.committed_count == 1
+    assert nodes[oid].enqueue_successes == 1
     followers = [n for n in nodes.values()
-                 if isinstance(n, BrokerNode) and n.id != leader_id]
+                 if n.klass is NodeClass.BROKER and n.id != leader_id]
     # each of the replication_factor - 1 followers received the copy and
     # acked it once; the 16th broker is outside the replica set
     assert sorted(f.sent_msgs for f in followers) == [0] + [1] * 14
@@ -315,22 +342,21 @@ def test_high_min_insync_waits_for_follower_acks(commit_times):
     assert commit_time > append_done
 
 
-def test_commit_order_is_offset_order_even_with_jitter():
-    engine, nodes, [oid], leader_id = wire_service(
+def test_commit_order_is_offset_order_even_with_jitter(monkeypatch,
+                                                      commit_times):
+    engine, nodes, [oid], _ = wire_service(
         n_brokers=8, replication_factor=7, min_insync=4,
         cut=(7, 10**9))
     engine.latency.jitter_fraction = 0.3
+    appended = spy_appends(monkeypatch)
     for i in range(30):
         inject_envelope(engine, oid, mk_envelope(f"t{i}"), at=i * 50)
     engine.run_until_quiescent()
-    leader = nodes[leader_id]
-    assert leader.committed_count == 30
-    blocks = sorted((m.body for _, m in nodes["peer000"].got
-                     if m.kind is MessageKind.BLOCK_DELIVER),
-                    key=lambda b: b.height)
-    assert [b.height for b in blocks] == [1, 2, 3, 4, 5]
-    assert [txn_id for b in blocks for txn_id in b.txn_ids()] == \
-        [env.txn_id for env in leader.records]
+    assert len(commit_times) == nodes[oid].enqueue_successes == 30
+    heights = [m.body.height for _, m in nodes["peer000"].got
+               if m.kind is MessageKind.BLOCK_DELIVER]
+    assert sorted(heights) == [1, 2, 3, 4, 5]
+    assert delivered_txn_ids(nodes["peer000"]) == appended
 
 
 def test_window_counters_count_only_envelopes_handled_before_window_end():
@@ -488,8 +514,7 @@ def test_one_message_per_fanout_and_log_record_is_the_envelope():
     # the orderer forwards the client's envelope itself as the log record
     [record] = by_kind[oid, MessageKind.LOG_APPEND]
     assert record.body is env
-    assert nodes[leader_id].records == [env]
-    assert nodes[leader_id].committed_count == 1
+    assert nodes[oid].enqueue_successes == 1
     # the followers are a recursion at the leader: no copy or ack is an
     # event, yet each follower's counters show the one copy in and the one
     # ack out, and the leader's the three acks in
@@ -506,6 +531,7 @@ def test_one_message_per_fanout_and_log_record_is_the_envelope():
         msgs = by_kind[leader_id, kind]
         assert len(msgs) == receivers and len({id(m) for m in msgs}) == 1
     [block_msg] = by_kind[leader_id, MessageKind.BLOCK_DELIVER]
+    assert block_msg.body.txns == [env] and block_msg.body.txns[0] is env
     forwarded = by_kind[designated, MessageKind.BLOCK_DELIVER]
     assert len(forwarded) == 3 and all(m is block_msg for m in forwarded)
     assert block_msg.size_bytes == cfg.sizes.block_header + cfg.envelope_bytes
@@ -529,7 +555,8 @@ def run_replication(reference, envelopes, gap_us, jitter, commit_times,
         inject_envelope(engine, orderer_ids[i % len(orderer_ids)],
                         mk_envelope(f"t{i}"), at=i * gap_us)
     engine.run_until_quiescent()
-    assert nodes[leader_id].committed_count == envelopes
+    assert sum(nodes[oid].enqueue_successes for oid in orderer_ids) == \
+        len(commit_times) == envelopes
     times = list(commit_times)
     commit_times.clear()
     return times, broker_counters(nodes, nodes[leader_id].cfg), nodes
@@ -560,6 +587,10 @@ def test_follower_recursion_equals_event_driven_followers(
     assert leader.cfg.leader_demand_us > 2 * 300
     assert times == ref_times and len(times) == 60
     assert counters == ref_counters
+    # both leaders commit in the reference's offset order
+    offsets = [env.txn_id for env in ref_nodes["broker000"].records]
+    assert delivered_txn_ids(nodes["peer000"]) == \
+        delivered_txn_ids(ref_nodes["peer000"]) == offsets
     for follower in leader.followers:
         assert ref_nodes[follower].served == list(range(60))
         assert counters[follower][0] == counters[follower][2] == 60
@@ -585,10 +616,11 @@ def test_the_recursion_serves_a_followers_copies_in_send_order(
         if "broker001" in (src, dst):
             timeline.append((self.now, src, delay))
         return delay
-    monkeypatch.setattr(Engine, "transit_us", spy)
-    times, _, nodes = run_replication(False, 30, 0, 0.3, commit_times,
-                                      **wiring)
-    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        patch.setattr(Engine, "transit_us", spy)
+        appended = spy_appends(patch)
+        times, _, nodes = run_replication(False, 30, 0, 0.3, commit_times,
+                                          **wiring)
     ref_times, _, ref_nodes = run_replication(True, 30, 0, 0.3, commit_times,
                                               **wiring)
     assert nodes["broker000"].cfg.leader_demand_us == 5
@@ -605,14 +637,19 @@ def test_the_recursion_serves_a_followers_copies_in_send_order(
     for arrive, ack in zip(copies, acks):
         done = max(arrive, done) + 5
         quorum.append(done + ack)
-    # with one follower a record is in sync at its ack; commits then follow
-    # in offset order, each at the latest ack up to and including its own
+    # with one follower a record is in sync at its ack; some records reach
+    # quorum before the record ahead of them, yet commits follow in offset
+    # order, each at the latest ack up to and including its own
+    assert any(quorum[k] < quorum[k - 1] for k in range(1, 30))
     expected = [max(quorum[:k + 1]) for k in range(30)]
     assert times == expected
     assert times != ref_times
+    assert len(appended) == 30
+    assert delivered_txn_ids(nodes["peer000"]) == appended
 
 
-def test_a_truncated_run_counts_follower_acks_at_append():
+def test_a_truncated_run_counts_follower_acks_at_append(monkeypatch,
+                                                       commit_times):
     # A follower's copy and ack are counted when the leader appends, not
     # when the follower would serve the copy and send the ack: a run cut in
     # between counts an ack that an event-driven follower has not yet sent.
@@ -620,18 +657,39 @@ def test_a_truncated_run_counts_follower_acks_at_append():
         n_brokers=2, replication_factor=2, min_insync=2)
     leader, follower = nodes[leader_id], nodes["broker001"]
     cfg = leader.cfg
+    appended = spy_appends(monkeypatch)
     inject_envelope(engine, oid, mk_envelope("t0"))
     append_at = cfg.service.orderer_forward + 1000 + cfg.leader_demand_us
     assert engine.run_until_quiescent(time_limit_us=append_at).truncated
-    assert len(leader.records) == 1 and leader.committed_count == 0
+    assert appended == ["t0"] and commit_times == []
     # the copy reaches the follower 1,000 us after the append, and its ack
     # the leader 1,000 us after the follower's broker_append
     assert (follower.recv_msgs, follower.sent_msgs) == (1, 1)
     assert leader.recv_msgs == 2  # the record and the follower's ack
     engine.run_until_quiescent()
-    assert leader.committed_count == 1
+    assert len(commit_times) == nodes[oid].enqueue_successes == 1
     assert (follower.recv_msgs, follower.sent_msgs, leader.recv_msgs) == \
         (1, 1, 2)
+
+
+def test_the_leaders_state_does_not_grow_with_the_record_count():
+    # The leader keeps no log: each record's commit instant is known at
+    # append, so no attribute of the leader holds one entry per record.
+    engine, nodes, [oid], leader_id = wire_service(cut=(5, 10**9))
+    leader = nodes[leader_id]
+
+    def sizes_after(total):
+        """Run to total records committed; the size of every sized
+        attribute of the leader."""
+        for i in range(nodes[oid].enqueue_attempts, total):
+            inject_envelope(engine, oid, mk_envelope(f"t{i}"), at=i * 100)
+        engine.run_until_quiescent()
+        assert nodes[oid].enqueue_successes == total
+        return {name: len(value) for name, value in vars(leader).items()
+                if hasattr(value, "__len__")}
+    after_five = sizes_after(5)
+    assert "_follower_free" in after_five
+    assert sizes_after(50) == after_five
 
 
 # --- the leader's demand per record and the capacity it implies ---------------
