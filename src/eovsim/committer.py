@@ -5,21 +5,22 @@ peers only; the policy is a threshold of endorsements that agree.
 
 Transactions in a block are processed in order; the conflict check for txn i
 sees the writes of valid txns 0..i-1 of the same block (first writer wins).
-Only valid write sets are applied, versioned (height, txn index). The
-ledger keeps each txn's flag beside its block; it is the one record of
-validation outcomes, which the run report counts. Endorsing peers receive
-blocks from the ordering service; each non-endorsing peer is assigned one
-endorsing anchor peer that forwards each committed block to it as the
-BLOCK_DELIVER message it received, so every peer commits a height from the
-one message the leader built.
+Only valid write sets are applied, versioned (height, txn index). A
+block's flags are one list, written once per chain tip and held by every
+peer's ledger beside the block; it is the one record of validation
+outcomes, which the run report counts and the commit notice carries to the
+clients. Endorsing peers receive blocks from the ordering service; each
+non-endorsing peer is assigned one endorsing anchor peer that forwards each
+committed block to it as the BLOCK_DELIVER message it received, so every
+peer commits a height from the one message the leader built.
 
 Every peer validates and commits every block, and pays validate_per_txn for
 it in simulated time. On the host, peers on one chain tip share one
 validation: the first to commit a block at a tip runs validate_block and
-stores the outcome in block.validated[tip] (flags, the valid writes as
-(key, (value, version)) pairs, and the commit notice's (txn_id, valid)
-pairs). Premise, as for endorse(): state changes only through commit_block,
-which appends the block before it applies writes, so the tip names the state.
+stores the outcome in block.validated[tip] (the flags and the valid writes
+as (key, (value, version)) pairs). Premise, as for endorse(): state changes
+only through commit_block, which appends the block before it applies
+writes, so the tip names the state.
 """
 
 from __future__ import annotations
@@ -93,10 +94,11 @@ def commit_block(ledger: Ledger, block: Block,
 
 @dataclass(slots=True)
 class BlockCommitted:
-    """Peer -> client commit notice: which txns landed, and whether valid."""
+    """Peer -> client commit notice: the block's txns and their flags."""
 
     committed_at: int
-    txn_flags: tuple  # (txn_id, valid: bool) pairs
+    block: Block
+    flags: list[ValidationFlag]
 
 
 class Peer(Node):
@@ -154,17 +156,14 @@ class Peer(Node):
             writes = [(key, (value, versions[idx]))
                       for idx, (env, flag) in enumerate(zip(block.txns, flags))
                       if flag is valid for key, value in env.write_set.writes]
-            txn_flags = tuple((txn_id, flag is valid)
-                              for txn_id, flag in zip(block.txn_ids(), flags))
-            shared = block.validated[ledger.tip_hash] = (flags, writes,
-                                                         txn_flags)
-        flags, _writes, txn_flags = shared
+            shared = block.validated[ledger.tip_hash] = (flags, writes)
+        flags = shared[0]
         commit_block(ledger, block, flags)
         if self.home_clients:
             sizes = self.cfg.sizes
             size = sizes.notice + sizes.block_txn_summary * len(flags)
             notice = Message(MessageKind.COMMIT_NOTICE, size,
-                             BlockCommitted(self.engine.now, txn_flags))
+                             BlockCommitted(self.engine.now, block, flags))
             for client in self.home_clients:
                 self.engine.send(self.id, client, notice)
         for target in self.gossip_targets:

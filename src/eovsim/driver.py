@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .committer import BlockCommitted
+from .committer import BlockCommitted, ValidationFlag
 from .config import ExperimentConfig
 from .endorser import policy_satisfied
 from .engine import Message, MessageKind, Node, NodeClass, Timer, timer
@@ -150,10 +150,12 @@ class ClientNode(Node):
             self._finalize(journey, committed_at, valid)
 
     def _on_block_committed(self, body: BlockCommitted) -> None:
-        for txn_id, valid in body.txn_flags:
+        for env, flag in zip(body.block.txns, body.flags):
+            txn_id = env.txn_id
             journey = self.journeys.get(txn_id)  # None: another client's txn
             if journey is None or journey.status is not None:
                 continue
+            valid = flag is ValidationFlag.VALID
             if journey.bcast_ack_us is not None:
                 self._finalize(journey, body.committed_at, valid)
             else:

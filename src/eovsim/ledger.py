@@ -74,7 +74,7 @@ class Block:
     # (height, txn index) per txn, built once and shared by every peer
     versions: list[Version] = field(init=False, repr=False)
     # tip hash -> (flags, valid (key, (value, version)) writes in block
-    # order, commit notice's (txn_id, valid) pairs); see committer.Peer
+    # order); see committer.Peer
     validated: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
@@ -110,7 +110,7 @@ class Ledger:
 
     def __init__(self):
         self.blocks: list[Block] = []
-        self.flags: list[list] = []  # validity flags per block, same order
+        self.flags: list[list] = []  # per block, its flags list as committed
         self.tip_hash = GENESIS_PREV_HASH
         # the shared base, never written once shared, and the own overlay
         self._base: dict[str, tuple[int, Version]] = {}
@@ -132,7 +132,7 @@ class Ledger:
         if len(flags) != len(block.txns):
             raise ChainIntegrityError("append_block needs one flag per txn")
         self.blocks.append(block)
-        self.flags.append(list(flags))
+        self.flags.append(flags)
         self.tip_hash = hash_block(block)
 
     def read_state(self, key: str) -> tuple[int, Version] | None:
@@ -150,7 +150,7 @@ class Ledger:
             self._state = {}
         other = Ledger()
         other.blocks = list(self.blocks)
-        other.flags = [list(f) for f in self.flags]
+        other.flags = list(self.flags)
         other.tip_hash = self.tip_hash
         other._base = self._base
         return other
@@ -166,16 +166,9 @@ class Ledger:
 
     def state_digest(self) -> str:
         """Order-independent XOR fold over all effective entries, taken on
-        each call; equal states give equal digests. The base is folded
-        whole, then each overlay entry XORs out the base entry it shadows."""
-        base = self._base
+        each call; equal states give equal digests."""
         acc = 0
-        for key, entry in base.items():
-            acc ^= _entry_hash(key, entry)
-        for key, entry in self._state.items():
-            shadowed = base.get(key)
-            if shadowed is not None:
-                acc ^= _entry_hash(key, shadowed)
+        for key, entry in self.state_items():
             acc ^= _entry_hash(key, entry)
         return f"{acc:032x}"
 

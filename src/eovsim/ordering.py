@@ -2,14 +2,14 @@
 
 Orderers are proxies: they forward client envelopes to the log leader and
 ack the client once the record has committed (held by at least min_insync
-brokers, the leader counting as one copy). The one static leader, the only
-BrokerNode, commits records in the order it appends them; the remaining
-replica copies continue in the background without blocking commit. The
-followers are a queue recursion at the leader (see BrokerNode), and every
-other broker is a bare Node kept only for its message counters. The block
-cutter runs on the leader so every orderer and peer observes one
-authoritative block sequence; a deterministic designated orderer per block
-(round-robin by height) performs the peer fan-out.
+brokers, the leader's own copy the first of them). The one static leader,
+the only BrokerNode, commits records in the order it appends them, each at
+a "commit" timer; the remaining replica copies continue in the background
+without blocking commit. The followers are a queue recursion at the leader
+(see BrokerNode), and every other broker is a bare Node kept only for its
+message counters. The block cutter runs on the leader so every orderer and
+peer observes one authoritative block sequence; a deterministic designated
+orderer per block (round-robin by height) performs the peer fan-out.
 
 A log record is the client's Envelope, a commit notice the txn id, and a
 block one BLOCK_DELIVER message sized at the leader; a replica copy and its
@@ -154,13 +154,13 @@ class BrokerNode(Node):
     """The replicated log's static leader, the run's only BrokerNode.
 
     The leader keeps no log. A record commits once cfg.min_insync copies
-    exist, its own counting as one, and never before the record appended
-    ahead of it, since a partition's high watermark only moves forward. So
-    at append the leader knows record k's commit instant,
-    commit_k = max(quorum_k, commit_k-1), and schedules one control timer
-    for it; with min_insync 1 it commits at append. On commit it notifies
-    every orderer and feeds the block cutter; cut blocks go to the
-    designated orderer for that height.
+    exist, the leader's own, held at append, the first of them, and never
+    before the record appended ahead of it, since a partition's high
+    watermark only moves forward. So at append the leader knows record k's
+    commit instant, commit_k = max(quorum_k, commit_k-1), and schedules one
+    "commit" control timer for it, with min_insync 1 as with any other.
+    On commit it notifies every orderer and feeds the block cutter; cut
+    blocks go to the designated orderer for that height.
 
     The replication_factor - 1 followers are a queue recursion at the
     leader and receive no events. A follower serves only the leader's
@@ -169,7 +169,7 @@ class BrokerNode(Node):
     done_k = max(arrive_k, done_k-1) + broker_append (Lindley's recursion)
     and the ack's arrival, each link drawing its own jitter through
     Engine.transit_us, which also moves both nodes' message counters.
-    quorum_k is the (min_insync - 1)-th earliest of those acks.
+    quorum_k is the min_insync-th earliest copy, the leader's own included.
 
     A follower serves its copies in send order, as Kafka's replica fetch
     does: that is a model statement. It equals an event-driven FIFO follower
@@ -215,31 +215,25 @@ class BrokerNode(Node):
                     self._emit_block(block)
 
     def _leader_append(self, env: Envelope) -> None:
-        quorum_at = self._replicate()
-        if quorum_at is None:
-            self._commit(env)
-            return
-        commit_at = self._last_commit_at = max(quorum_at, self._last_commit_at)
+        commit_at = self._last_commit_at = max(self._replicate(),
+                                               self._last_commit_at)
         self.engine.schedule(self.id, timer("commit", env),
                              commit_at - self.engine.now)
 
-    def _replicate(self) -> int | None:
+    def _replicate(self) -> int:
         """Copy the record just appended to every follower; return when the
-        leader holds its (min_insync - 1)-th follower ack, or None when it
-        needs none."""
+        leader holds min_insync copies of it, its own, held now, among them."""
         now, transit, me = self.engine.now, self.engine.transit_us, self.id
         cfg = self.cfg
         copy_bytes = cfg.envelope_bytes + cfg.sizes.log_overhead
         ack_bytes, append = cfg.sizes.log_ack, cfg.service.broker_append
         free_at = self._follower_free
-        acks = []
+        copies = [now]
         for follower, free in free_at.items():
             done = max(now + transit(me, follower, copy_bytes), free) + append
             free_at[follower] = done
-            acks.append(done + transit(follower, me, ack_bytes))
-        if cfg.min_insync == 1:
-            return None
-        return sorted(acks)[cfg.min_insync - 2]
+            copies.append(done + transit(follower, me, ack_bytes))
+        return sorted(copies)[cfg.min_insync - 1]
 
     def _commit(self, env: Envelope) -> None:
         notice = Message(MessageKind.COMMIT_NOTICE, self.cfg.sizes.notice,

@@ -313,16 +313,11 @@ def test_peers_on_one_tip_share_one_validation(validations):
     assert validations == [0]
     assert dict(anchor.ledger.state_items()) == dict(other.ledger.state_items())
     assert anchor.ledger.read_state("k") == (3, (0, 2))
-    # equal flag lists, but each peer holds its own: a peer's flags can be
-    # altered without touching another's
+    # the height's one flags list, held by both peers
     mine, theirs = anchor.ledger.flags[0], other.ledger.flags[0]
-    assert mine == theirs == [ValidationFlag.VALID,
-                              ValidationFlag.MVCC_CONFLICT,
-                              ValidationFlag.VALID]
-    assert mine is not theirs
-    mine[0] = ValidationFlag.MVCC_CONFLICT
-    assert theirs[0] is ValidationFlag.VALID
-    assert not anchor.ledger.agrees_with(other.ledger)
+    assert mine == [ValidationFlag.VALID, ValidationFlag.MVCC_CONFLICT,
+                    ValidationFlag.VALID]
+    assert mine is theirs
 
 
 def test_ledger_at_another_tip_does_not_reuse_a_validation(validations):
@@ -391,13 +386,18 @@ def test_agreement_compares_every_txn_flag_not_totals():
     from eovsim.simulation import collect_report
     result = contended_run()
     # swap one Valid and one MVCCConflict flag in one peer: its flag totals,
-    # chain and state are unchanged, but two txns now disagree
-    flags = result.sim.all_peers()[1].ledger.flags
+    # chain and state are unchanged, but two txns now disagree. Peers share
+    # each height's flags list, so the peer gets its own copies to swap in.
+    observer, peer = (p.ledger for p in result.sim.all_peers()[:2])
+    flags = peer.flags
     slots = {flag: (h, i) for h in range(1, len(flags))
              for i, flag in enumerate(flags[h])}
     (hv, iv) = slots[ValidationFlag.VALID]
     (hm, im) = slots[ValidationFlag.MVCC_CONFLICT]
+    for h in {hv, hm}:
+        flags[h] = list(flags[h])
     flags[hv][iv], flags[hm][im] = flags[hm][im], flags[hv][iv]
+    assert observer.flags[hv][iv] is ValidationFlag.VALID
     report = collect_report(result.sim, result.trace, result.journeys)
     assert report.valid_txns == result.report.valid_txns
     assert report.all_peers_agree is False

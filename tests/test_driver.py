@@ -1,13 +1,15 @@
 import pytest
 
-from eovsim.committer import BlockCommitted
+from eovsim.committer import BlockCommitted, ValidationFlag
 from eovsim.config import ExperimentConfig
 from eovsim.driver import (ClientNode, JourneyStatus, TxnJourney,
                            submission_times)
 from eovsim.endorser import Endorsement
 from eovsim.engine import (Engine, LatencyModel, Message, MessageKind, Node,
                            NodeClass)
-from eovsim.ledger import ReadSet, WriteSet
+from eovsim.ledger import (GENESIS_PREV_HASH, Block, CutReason, ReadSet,
+                           WriteSet)
+from eovsim.ordering import Envelope
 from eovsim.simulation import run_simulation
 from eovsim.smallbank import OpKind, Proposal, SmallbankOp
 
@@ -172,6 +174,16 @@ def test_broadcast_timeout_drops_journey():
     assert journey.bcast_ack_us is None
 
 
+def commit_notice(committed_at, txn_id, flag):
+    """A peer's commit notice for a one-txn block holding txn_id."""
+    env = Envelope(txn_id=txn_id, endorsements=(), read_set=ReadSet(),
+                   write_set=WriteSet(), client="client000")
+    block = Block(height=1, prev_hash=GENESIS_PREV_HASH, txns=[env],
+                  cut_reason=CutReason.COUNT_THRESHOLD, created_at=0)
+    return Message(MessageKind.COMMIT_NOTICE, 64,
+                   BlockCommitted(committed_at, block, [flag]))
+
+
 def test_ack_then_commit_notice_completes_journey():
     engine, client, _ = wire_client()
     client.arm()
@@ -180,9 +192,8 @@ def test_ack_then_commit_notice_completes_journey():
         feed_endorsement(engine, client, txn, peer, delay=1000)
     engine.schedule(client.id, Message(MessageKind.BROADCAST_ACK, 64, txn),
                     5000)
-    engine.schedule(client.id,
-                    Message(MessageKind.COMMIT_NOTICE, 64,
-                            BlockCommitted(9000, ((txn, True),))), 12_000)
+    engine.schedule(client.id, commit_notice(9000, txn, ValidationFlag.VALID),
+                    12_000)
     engine.run_until_quiescent()
     journey = client.journeys[txn]
     assert journey.status is JourneyStatus.COMMITTED
@@ -197,8 +208,8 @@ def test_commit_notice_before_ack_is_stashed():
     for peer in ("peer000", "peer001", "peer002"):
         feed_endorsement(engine, client, txn, peer, delay=1000)
     engine.schedule(client.id,
-                    Message(MessageKind.COMMIT_NOTICE, 64,
-                            BlockCommitted(4000, ((txn, False),))), 5000)
+                    commit_notice(4000, txn, ValidationFlag.MVCC_CONFLICT),
+                    5000)
     engine.schedule(client.id, Message(MessageKind.BROADCAST_ACK, 64, txn),
                     8000)
     engine.run_until_quiescent()

@@ -164,6 +164,19 @@ def test_schedule_guard_buffered_reentry_cell(tmp_path):
     assert report["all_peers_agree"] is True
 
 
+def test_schedule_guard_min_insync_one_cell():
+    # With replication factor 1 the leader's own copy is each record's
+    # quorum, and the record commits at its "commit" timer all the same. The
+    # values pin the event schedule; they change only if the schedule does.
+    result = run_simulation(ExperimentConfig.from_dict({
+        "replication": {"replication_factor": 1, "min_insync": 1},
+        "duration_s": 2.0, "seed": 5}))
+    trace = result.trace
+    assert (trace.events_dispatched, trace.dispatch_digest) == \
+        (17_484, "b6cb1483fabe1bd0")
+    assert result.report.all_peers_agree is True
+
+
 def bench_workloads() -> dict:
     """The benchmark's workload overrides, read from bench/workloads.py."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"

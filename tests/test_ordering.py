@@ -321,6 +321,38 @@ def test_min_insync_one_commits_at_append(commit_times):
     assert others and all(n.recv_msgs == n.sent_msgs == 0 for n in others)
 
 
+@pytest.mark.parametrize("min_insync", [1, 2, 3],
+                         ids=["insync1", "insync2", "insync-rf"])
+def test_every_record_commits_at_one_commit_timer(monkeypatch, commit_times,
+                                                  min_insync):
+    # The leader's own copy is the first of min_insync copies, so every
+    # record, min_insync 1 included, commits at the one "commit" timer its
+    # append schedules; with min_insync 1 that timer fires at the append.
+    engine, nodes, [oid], _ = wire_service(replication_factor=3,
+                                           min_insync=min_insync)
+    engine.latency.jitter_fraction = 0.3
+    appends, commits = [], []  # (txn id, instant) the leader handles
+    handle = BrokerNode.handle
+
+    def spy(self, msg):
+        if msg.kind is MessageKind.LOG_APPEND:
+            appends.append((msg.body.txn_id, self.engine.now))
+        elif msg.kind is MessageKind.TIMER_FIRE and msg.body.tag == "commit":
+            commits.append((msg.body.arg.txn_id, self.engine.now))
+        handle(self, msg)
+    monkeypatch.setattr(BrokerNode, "handle", spy)
+    for i in range(20):
+        inject_envelope(engine, oid, mk_envelope(f"t{i}"), at=i * 100)
+    engine.run_until_quiescent()
+    assert len(appends) == nodes[oid].enqueue_successes == 20
+    assert [txn for txn, _ in commits] == [txn for txn, _ in appends]
+    assert [now for _, now in commits] == commit_times
+    if min_insync == 1:
+        assert commit_times == [now for _, now in appends]
+    else:
+        assert all(c > a for (_, a), c in zip(appends, commit_times))
+
+
 def test_high_min_insync_waits_for_follower_acks(commit_times):
     engine, nodes, [oid], leader_id = wire_service(n_brokers=16,
                                                    replication_factor=15,
