@@ -67,10 +67,11 @@ def cmd_run(args) -> int:
             for line in ledger.trace_lines():
                 fh.write(line + "\n")
     report = result.report
+    latency = report.avg_latency_s
     print(f"committed {report.committed} txns, "
           f"throughput {report.throughput_tps:.1f} tps "
           f"(ordering capacity {cfg.capacity_tps or float('inf'):.1f} tps), "
-          f"avg latency {report.avg_latency_s if report.avg_latency_s is not None else 'n/a'} s")
+          f"avg latency {'n/a' if latency is None else f'{latency:.3f}'} s")
     print(f"wrote {out / 'report.json'} and {out / 'journeys.csv'}")
     return 0
 

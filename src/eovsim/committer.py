@@ -6,21 +6,22 @@ peers only; the policy is a threshold of endorsements that agree.
 Transactions in a block are processed in order; the conflict check for txn i
 sees the writes of valid txns 0..i-1 of the same block (first writer wins).
 Only valid write sets are applied, versioned (height, txn index). A
-block's flags are one list, written once per chain tip and held by every
-peer's ledger beside the block; it is the one record of validation
-outcomes, which the run report counts and the commit notice carries to the
-clients. Endorsing peers receive blocks from the ordering service; each
-non-endorsing peer is assigned one endorsing anchor peer that forwards each
-committed block to it as the BLOCK_DELIVER message it received, so every
-peer commits a height from the one message the leader built.
+block's flags, held on the block itself, are the one record of validation
+outcomes, which the run report counts and the clients read from the block
+a commit notice carries. Endorsing peers receive blocks from the ordering
+service; each non-endorsing peer is assigned one endorsing anchor peer that
+forwards each committed block to it as the BLOCK_DELIVER message it
+received, so every peer commits a height from the one message the leader
+built.
 
 Every peer validates and commits every block, and pays validate_per_txn for
-it in simulated time. On the host, peers on one chain tip share one
-validation: the first to commit a block at a tip runs validate_block and
-stores the outcome in block.validated[tip] (the flags and the valid writes
-as (key, (value, version)) pairs). Premise, as for endorse(): state changes
+it in simulated time. On the host, the peers share one validation: the
+first to commit a block runs validate_block and stores the outcome on the
+block (block.flags, and block.writes, the valid writes as
+(key, (value, version)) pairs). Premise, as for endorse(): state changes
 only through commit_block, which appends the block before it applies
-writes, so the tip names the state.
+writes, so the tip names the state, and a block appends only on its
+prev_hash.
 """
 
 from __future__ import annotations
@@ -42,14 +43,16 @@ class ValidationFlag(enum.Enum):
 
 
 def validate_block(block: Block, threshold: int,
-                   ledger: Ledger) -> list[ValidationFlag]:
-    """Flag every transaction in the block, in order.
+                   ledger: Ledger) -> tuple[list[ValidationFlag], list]:
+    """Flag every transaction in the block, in order, and collect the
+    writes of the valid ones as (key, (value, version)) pairs.
 
     A txn is Valid iff at least `threshold` of its endorsements agree on
     one payload and every read version matches the running state (committed
     state plus writes of earlier valid txns in this block).
     """
     flags = []
+    writes = []
     overlay: dict[str, Version] = {}
     for idx, env in enumerate(block.txns):
         ok, _witness = policy_satisfied(threshold, env.endorsements)
@@ -68,37 +71,37 @@ def validate_block(block: Block, threshold: int,
         if conflict:
             flags.append(ValidationFlag.MVCC_CONFLICT)
             continue
-        for key, _value in env.write_set.writes:
-            overlay[key] = block.versions[idx]
+        version = (block.height, idx)
+        for key, value in env.write_set.writes:
+            overlay[key] = version
+            writes.append((key, (value, version)))
         flags.append(ValidationFlag.VALID)
-    return flags
+    return flags, writes
 
 
-def commit_block(ledger: Ledger, block: Block,
-                 flags: list[ValidationFlag]) -> None:
+def commit_block(ledger: Ledger, block: Block) -> None:
     """Append the block and apply only the valid write sets, in block order.
 
-    Flags that are the block's shared validation at this ledger's tip apply
-    its valid writes in one update; other flags, such as the genesis
-    block's, apply them write set by write set.
+    A validated block carries its valid writes and applies them in one
+    update; a block with flags only, such as genesis, applies them write
+    set by write set.
     """
-    shared = block.validated.get(ledger.tip_hash)
-    ledger.append_block(block, flags)
-    if shared is not None and shared[0] is flags:
-        ledger.apply_writes(shared[1])
+    ledger.append_block(block)
+    if block.writes is not None:
+        ledger.apply_writes(block.writes)
         return
-    for idx, (env, flag) in enumerate(zip(block.txns, flags)):
+    for idx, (env, flag) in enumerate(zip(block.txns, block.flags)):
         if flag is ValidationFlag.VALID:
-            ledger.apply_write_set(env.write_set, block.versions[idx])
+            ledger.apply_write_set(env.write_set, (block.height, idx))
 
 
 @dataclass(slots=True)
 class BlockCommitted:
-    """Peer -> client commit notice: the block's txns and their flags."""
+    """Peer -> client commit notice: the block, whose flags give each of
+    its txns' outcome."""
 
     committed_at: int
     block: Block
-    flags: list[ValidationFlag]
 
 
 class Peer(Node):
@@ -148,22 +151,15 @@ class Peer(Node):
 
     def _commit(self, msg: Message) -> None:
         block = msg.body
-        ledger = self.ledger
-        shared = block.validated.get(ledger.tip_hash)
-        if shared is None:
-            flags = validate_block(block, self.cfg.policy_threshold, ledger)
-            versions, valid = block.versions, ValidationFlag.VALID
-            writes = [(key, (value, versions[idx]))
-                      for idx, (env, flag) in enumerate(zip(block.txns, flags))
-                      if flag is valid for key, value in env.write_set.writes]
-            shared = block.validated[ledger.tip_hash] = (flags, writes)
-        flags = shared[0]
-        commit_block(ledger, block, flags)
+        if block.flags is None:
+            block.flags, block.writes = validate_block(
+                block, self.cfg.policy_threshold, self.ledger)
+        commit_block(self.ledger, block)
         if self.home_clients:
             sizes = self.cfg.sizes
-            size = sizes.notice + sizes.block_txn_summary * len(flags)
+            size = sizes.notice + sizes.block_txn_summary * len(block.txns)
             notice = Message(MessageKind.COMMIT_NOTICE, size,
-                             BlockCommitted(self.engine.now, block, flags))
+                             BlockCommitted(self.engine.now, block))
             for client in self.home_clients:
                 self.engine.send(self.id, client, notice)
         for target in self.gossip_targets:

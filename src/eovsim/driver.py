@@ -150,7 +150,7 @@ class ClientNode(Node):
             self._finalize(journey, committed_at, valid)
 
     def _on_block_committed(self, body: BlockCommitted) -> None:
-        for env, flag in zip(body.block.txns, body.flags):
+        for env, flag in zip(body.block.txns, body.block.flags):
             txn_id = env.txn_id
             journey = self.journeys.get(txn_id)  # None: another client's txn
             if journey is None or journey.status is not None:

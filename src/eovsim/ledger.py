@@ -8,11 +8,11 @@ State values are signed 64-bit integers keyed by short strings such as
 "cust/17/checking". A version is the (block height, txn index) pair that last
 wrote the key; comparison is lexicographic.
 
-A Block's `validated` maps the tip hash a ledger had before appending it to
-the block's validation outcome on that state; the committer fills it once per
-chain state. State changes only through committer.commit_block, so the tip
-names the state, and peers on one tip apply the outcome's shared
-(key, (value, version)) writes with apply_writes.
+A Block carries its validation outcome, as a Fabric block carries its
+transactions filter in its metadata: `flags`, one per txn, and `writes`, the
+valid (key, (value, version)) pairs in block order. The first peer to commit
+the block fills both (committer.Peer); every later peer appends the block on
+the same prev_hash, so on the same state, and applies the same writes.
 """
 
 from __future__ import annotations
@@ -71,15 +71,11 @@ class Block:
     txns: list  # ordered Envelopes
     cut_reason: CutReason
     created_at: int
-    # (height, txn index) per txn, built once and shared by every peer
-    versions: list[Version] = field(init=False, repr=False)
-    # tip hash -> (flags, valid (key, (value, version)) writes in block
-    # order); see committer.Peer
-    validated: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
-
-    def __post_init__(self):
-        self.versions = [(self.height, i) for i in range(len(self.txns))]
+    # the validation outcome: one flag per txn, and the valid writes as
+    # (key, (value, version)) pairs. The first peer to commit the block
+    # fills both; genesis is built with its flags and no writes.
+    flags: list | None = field(default=None, repr=False, compare=False)
+    writes: list | None = field(default=None, repr=False, compare=False)
 
     def txn_ids(self) -> list[str]:
         return [t.txn_id for t in self.txns]
@@ -110,7 +106,6 @@ class Ledger:
 
     def __init__(self):
         self.blocks: list[Block] = []
-        self.flags: list[list] = []  # per block, its flags list as committed
         self.tip_hash = GENESIS_PREV_HASH
         # the shared base, never written once shared, and the own overlay
         self._base: dict[str, tuple[int, Version]] = {}
@@ -120,7 +115,7 @@ class Ledger:
     def height(self) -> int:
         return len(self.blocks) - 1
 
-    def append_block(self, block: Block, flags: list) -> None:
+    def append_block(self, block: Block) -> None:
         if block.height != self.height + 1:
             raise ChainIntegrityError(
                 f"append height {block.height}, expected {self.height + 1}")
@@ -129,10 +124,9 @@ class Ledger:
                 f"prev_hash mismatch at height {block.height}")
         if not block.txns:
             raise ChainIntegrityError("blocks must carry at least one txn")
-        if len(flags) != len(block.txns):
+        if block.flags is None or len(block.flags) != len(block.txns):
             raise ChainIntegrityError("append_block needs one flag per txn")
         self.blocks.append(block)
-        self.flags.append(flags)
         self.tip_hash = hash_block(block)
 
     def read_state(self, key: str) -> tuple[int, Version] | None:
@@ -142,15 +136,15 @@ class Ledger:
 
     def fork(self) -> "Ledger":
         """Independent ledger sharing this one's state as its base; blocks
-        are shared too (peers never mutate them). Later writes to either
-        ledger go to its own overlay and never reach the other."""
+        are shared too, and a block's outcome is filled before any ledger
+        appends it. Later writes to either ledger go to its own overlay and
+        never reach the other."""
         if self._state:
             self._base = ({**self._base, **self._state} if self._base
                           else self._state)
             self._state = {}
         other = Ledger()
         other.blocks = list(self.blocks)
-        other.flags = list(self.flags)
         other.tip_hash = self.tip_hash
         other._base = self._base
         return other
@@ -173,10 +167,12 @@ class Ledger:
         return f"{acc:032x}"
 
     def agrees_with(self, other: "Ledger") -> bool:
-        """Same chain, the same flag for every txn, and the same world state,
-        compared exactly. On a shared base only the overlays' keys can
-        differ."""
-        if self.tip_hash != other.tip_hash or self.flags != other.flags:
+        """Same chain, the same flag for every txn, block by block, and the
+        same world state, compared exactly. On a shared base only the
+        overlays' keys can differ."""
+        if self.tip_hash != other.tip_hash or any(
+                mine.flags != theirs.flags
+                for mine, theirs in zip(self.blocks, other.blocks)):
             return False
         mine, theirs = self._state, other._state
         if self._base is other._base:
@@ -196,11 +192,11 @@ class Ledger:
 
     def trace_lines(self) -> Iterator[str]:
         """One JSON line per block: height, cut reason, txn ids, validity flags."""
-        for block, flags in zip(self.blocks, self.flags):
+        for block in self.blocks:
             yield json.dumps({
                 "height": block.height,
                 "cut_reason": block.cut_reason.value,
                 "created_at_us": block.created_at,
                 "txn_ids": block.txn_ids(),
-                "valid": [f.value for f in flags],
+                "valid": [f.value for f in block.flags],
             }, sort_keys=True)

@@ -6,20 +6,20 @@ ExperimentConfig. Every peer is a committer.Peer; the endorsing ones are
 those the clients send proposals to. Only the log leader is a BrokerNode:
 the other brokers receive no event and are bare Nodes holding counters.
 Every peer starts from an identical genesis block: one unendorsed envelope
-carrying the initial account balances, committed through commit_block with a
-Valid flag (it predates the policy machinery, so it skips validate_block)
-before the peers fork the genesis ledger. The fork copies no state: the
-genesis world state becomes the one read-only base every peer shares, and
-each peer's overlay holds only the writes it applied since (ledger.Ledger).
-collect_report builds the RunReport in one place: chain, flag and state
-figures from the observer peer's (peer000) ledger, whose flags from height 1
-on give valid_txns, policy_violations and mvcc_conflicts; journey figures
-from metrics.aggregate; counters from the nodes. Peers agree when their
-chains, per-txn flags and world states are equal to the observer's, compared
-exactly. Clients spray envelopes over orderers round-robin by submission
-index and observe commits through their round-robin home peer. Each orderer
-counts the enqueue attempts and successes it handles before the window end;
-there is no monitor node.
+carrying the initial account balances, built with a Valid flag (it predates
+the policy machinery, so it skips validate_block) and committed through
+commit_block before the peers fork the genesis ledger. The fork copies no
+state: the genesis world state becomes the one read-only base every peer
+shares, and each peer's overlay holds only the writes it applied since
+(ledger.Ledger). collect_report builds the RunReport in one place: chain,
+flag and state figures from the observer peer's (peer000) ledger, whose
+blocks' flags from height 1 on give valid_txns, policy_violations and
+mvcc_conflicts; journey figures from metrics.aggregate; counters from the
+nodes. Peers agree when their chains, per-txn flags and world states are
+equal to the observer's, compared exactly. Clients spray envelopes over
+orderers round-robin by submission index and observe commits through their
+round-robin home peer. Each orderer counts the enqueue attempts and
+successes it handles before the window end; there is no monitor node.
 """
 
 from __future__ import annotations
@@ -57,13 +57,14 @@ def genesis_block(cfg: ExperimentConfig) -> Block:
     load = Envelope(txn_id=GENESIS_TXN_ID, endorsements=(), read_set=ReadSet(),
                     write_set=initial_write_set(cfg.workload), client="")
     return Block(height=0, prev_hash=GENESIS_PREV_HASH, txns=[load],
-                 cut_reason=CutReason.COUNT_THRESHOLD, created_at=0)
+                 cut_reason=CutReason.COUNT_THRESHOLD, created_at=0,
+                 flags=[ValidationFlag.VALID])
 
 
 def build(cfg: ExperimentConfig) -> Simulation:
     engine = Engine(cfg.latency, seed=cfg.seed)
     genesis_ledger = Ledger()
-    commit_block(genesis_ledger, genesis_block(cfg), [ValidationFlag.VALID])
+    commit_block(genesis_ledger, genesis_block(cfg))
 
     peers = [Peer(pid, cfg, genesis_ledger.fork())
              for pid in cfg.peer_ids + cfg.npeer_ids]
@@ -121,8 +122,8 @@ def collect_report(sim: Simulation, trace: TraceSummary,
     peers = sim.all_peers()
     ledger = peers[0].ledger  # the observer peer's
     workload_blocks = ledger.blocks[1:]  # exclude genesis
-    flag_totals = Counter(flag for block_flags in ledger.flags[1:]
-                          for flag in block_flags)
+    flag_totals = Counter(flag for block in workload_blocks
+                          for flag in block.flags)
     reasons = {reason.value: 0 for reason in CutReason}
     for block in workload_blocks:
         reasons[block.cut_reason.value] += 1

@@ -197,10 +197,11 @@ def test_c02_mvcc_serial_oracle_equivalence():
         block = Block(height, prev, txns, CutReason.COUNT_THRESHOLD, height)
         expected = oracle_block(oracle_state, block, threshold)
         for ledger in peers:
-            flags = validate_block(block, threshold, ledger)
-            if flags != expected:
+            block.flags, block.writes = validate_block(block, threshold,
+                                                       ledger)
+            if block.flags != expected:
                 mismatches += 1
-            commit_block(ledger, block, flags)
+            commit_block(ledger, block)
         state_now = dict(peers[0].state_items())
         if state_now != oracle_state or \
                 len({p.state_digest() for p in peers}) != 1:

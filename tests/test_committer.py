@@ -1,6 +1,8 @@
 """Validation/commit behavior checked against a brute-force serial oracle
 that replays endorsement-time reads with first-writer-wins conflicts."""
 
+import copy
+import dataclasses
 import random
 
 import pytest
@@ -28,9 +30,17 @@ def mk_env(txn_id, reads, writes, peers=("p0", "p1")):
                     read_set=rs, write_set=ws, client="c")
 
 
-def mk_block(height, prev, envs, created=0):
+def mk_block(height, prev, envs, created=0, flags=None):
     return Block(height=height, prev_hash=prev, txns=list(envs),
-                 cut_reason=CutReason.COUNT_THRESHOLD, created_at=created)
+                 cut_reason=CutReason.COUNT_THRESHOLD, created_at=created,
+                 flags=flags)
+
+
+def validated(block, ledger):
+    """The block carrying its validation outcome on the ledger's state, as
+    the first peer to commit it leaves it."""
+    block.flags, block.writes = validate_block(block, THRESHOLD, ledger)
+    return block
 
 
 # --- independent serial oracle ----------------------------------------------
@@ -68,8 +78,9 @@ def oracle_state_of(ledger_like_state):
 def committed_ledger(writes):
     """Ledger holding a genesis stub block with `writes` applied at (0, 0)."""
     ledger = Ledger()
-    stub = mk_block(0, GENESIS_PREV_HASH, [mk_env("genesis", [], writes)])
-    commit_block(ledger, stub, [ValidationFlag.VALID])
+    stub = mk_block(0, GENESIS_PREV_HASH, [mk_env("genesis", [], writes)],
+                    flags=[ValidationFlag.VALID])
+    commit_block(ledger, stub)
     return ledger
 
 
@@ -81,7 +92,7 @@ def test_double_write_same_key_first_wins():
         mk_env("t1", reads=[("k", v)], writes=[("k", 3)]),
         mk_env("t2", reads=[("k", (1, 0))], writes=[]),
     ])
-    flags = validate_block(block, THRESHOLD, ledger)
+    flags, _writes = validate_block(block, THRESHOLD, ledger)
     # t1 conflicts with t0's in-block write; t2, which expects exactly that
     # write's version (1, 0), is valid, so reads go through the overlay
     assert flags == [ValidationFlag.VALID, ValidationFlag.MVCC_CONFLICT,
@@ -93,7 +104,7 @@ def test_policy_violation_flag():
     block = mk_block(1, ledger.tip_hash, [
         mk_env("t0", reads=[], writes=[("k", 1)], peers=("p0",)),
     ])
-    flags = validate_block(block, THRESHOLD, ledger)
+    flags, _writes = validate_block(block, THRESHOLD, ledger)
     assert flags[0] is ValidationFlag.POLICY_VIOLATION
 
 
@@ -101,8 +112,9 @@ def test_read_only_block_all_valid():
     ledger = committed_ledger([("a", 1), ("b", 2)])
     envs = [mk_env(f"q{i}", reads=[("a", (0, 0)), ("b", (0, 0))], writes=[])
             for i in range(10)]
-    flags = validate_block(mk_block(1, ledger.tip_hash, envs), THRESHOLD,
-                           ledger)
+    flags, writes = validate_block(mk_block(1, ledger.tip_hash, envs),
+                                   THRESHOLD, ledger)
+    assert writes == []
     assert all(flag is ValidationFlag.VALID for flag in flags)
 
 
@@ -112,7 +124,7 @@ def test_absent_key_reads_match_none():
         mk_env("t0", reads=[("nope", None)], writes=[("nope", 1)]),
         mk_env("t1", reads=[("nope", None)], writes=[]),
     ])
-    flags = validate_block(block, THRESHOLD, ledger)
+    flags, _writes = validate_block(block, THRESHOLD, ledger)
     assert flags[0] is ValidationFlag.VALID
     assert flags[1] is ValidationFlag.MVCC_CONFLICT  # t0 bumped it
 
@@ -123,9 +135,9 @@ def test_commit_applies_only_valid_writes():
         mk_env("t0", reads=[("k", (0, 0))], writes=[("k", 5)]),
         mk_env("t1", reads=[("k", (0, 0))], writes=[("k", 9), ("j", 9)]),
     ])
-    flags = validate_block(block, THRESHOLD, ledger)
-    assert flags == [ValidationFlag.VALID, ValidationFlag.MVCC_CONFLICT]
-    commit_block(ledger, block, flags)
+    commit_block(ledger, validated(block, ledger))
+    assert block.flags == [ValidationFlag.VALID, ValidationFlag.MVCC_CONFLICT]
+    assert block.writes == [("k", (5, (1, 0)))]  # only t0's
     assert ledger.height == 1
     assert ledger.read_state("k") == (5, (1, 0))
     assert ledger.read_state("j") == (1, (0, 0))
@@ -138,7 +150,7 @@ def test_all_invalid_block_leaves_state_unchanged():
         mk_env("t0", reads=[("k", (9, 9))], writes=[("k", 5)]),
         mk_env("t1", reads=[], writes=[("k", 6)], peers=("p0",)),
     ])
-    commit_block(ledger, block, validate_block(block, THRESHOLD, ledger))
+    commit_block(ledger, validated(block, ledger))
     assert ledger.state_digest() == before
     assert ledger.height == 1  # block still appended
 
@@ -150,10 +162,9 @@ def test_rollback_completeness_no_version_points_at_invalid_txn():
     flags_per_block = []
     for h in range(30):
         envs = random_envs(rng, ledger, h)
-        block = mk_block(h, prev, envs)
-        flags = validate_block(block, THRESHOLD, ledger)
-        commit_block(ledger, block, flags)
-        flags_per_block.append(flags)
+        block = validated(mk_block(h, prev, envs), ledger)
+        commit_block(ledger, block)
+        flags_per_block.append(block.flags)
         prev = ledger.tip_hash
     for key, (value, (bh, ti)) in ledger.state_items():
         if (bh, ti) == (0, 0) and not flags_per_block:
@@ -183,6 +194,8 @@ def random_envs(rng, ledger, height, max_txns=20, keys=8):
 
 
 def test_randomized_blocks_match_serial_oracle_on_two_peers():
+    # ledger_a commits each block through its shared writes, ledger_b
+    # through its flags alone, write set by write set, as genesis commits
     rng = random.Random(1234)
     ledger_a, ledger_b = Ledger(), Ledger()
     oracle_state: dict = {}
@@ -192,12 +205,14 @@ def test_randomized_blocks_match_serial_oracle_on_two_peers():
         block = mk_block(h, prev, envs)
         expected_flags, oracle_state = oracle_block(oracle_state, block,
                                                     THRESHOLD)
-        for ledger in (ledger_a, ledger_b):
-            flags = validate_block(block, THRESHOLD, ledger)
-            assert flags == expected_flags
-            commit_block(ledger, block, flags)
-        assert ledger_a.state_digest() == ledger_b.state_digest()
+        assert validate_block(block, THRESHOLD, ledger_b)[0] == expected_flags
+        validated(block, ledger_a)
+        assert block.flags == expected_flags
+        commit_block(ledger_a, block)
+        commit_block(ledger_b, dataclasses.replace(block, writes=None))
         assert dict(ledger_a.state_items()) == oracle_state
+        assert dict(ledger_b.state_items()) == oracle_state
+        assert ledger_a.state_digest() == ledger_b.state_digest()
         prev = ledger_a.tip_hash
 
 
@@ -279,10 +294,10 @@ def test_buffered_blocks_reenter_and_pay_validation_once(monkeypatch):
     commits = []
     inner = committer.commit_block
 
-    def spy(ledger, block, flags):
+    def spy(ledger, block):
         if ledger is target.ledger:
             commits.append((block.height, engine.now))
-        inner(ledger, block, flags)
+        inner(ledger, block)
     monkeypatch.setattr(committer, "commit_block", spy)
     b0, b1, b2 = chain_blocks(3, txns_per_block=3)
     deliver_block(engine, target.id, b2, at=0)   # buffered
@@ -313,11 +328,10 @@ def test_peers_on_one_tip_share_one_validation(validations):
     assert validations == [0]
     assert dict(anchor.ledger.state_items()) == dict(other.ledger.state_items())
     assert anchor.ledger.read_state("k") == (3, (0, 2))
-    # the height's one flags list, held by both peers
-    mine, theirs = anchor.ledger.flags[0], other.ledger.flags[0]
-    assert mine == [ValidationFlag.VALID, ValidationFlag.MVCC_CONFLICT,
-                    ValidationFlag.VALID]
-    assert mine is theirs
+    # both peers hold the one block, and with it its one outcome
+    assert anchor.ledger.blocks[0] is other.ledger.blocks[0] is b0
+    assert b0.flags == [ValidationFlag.VALID, ValidationFlag.MVCC_CONFLICT,
+                        ValidationFlag.VALID]
 
 
 def test_ledger_at_another_tip_does_not_reuse_a_validation(validations):
@@ -329,15 +343,20 @@ def test_ledger_at_another_tip_does_not_reuse_a_validation(validations):
     deliver_block(engine, anchor.id, b1, at=10)
     engine.run_until_quiescent()
     # the stray peer holds a different block 0, so its tip differs
-    fork = mk_block(0, GENESIS_PREV_HASH, [mk_env("x0", [], [("k0", 7)])])
-    commit_block(stray.ledger, fork, [ValidationFlag.VALID])
+    fork = mk_block(0, GENESIS_PREV_HASH, [mk_env("x0", [], [("k0", 7)])],
+                    flags=[ValidationFlag.VALID])
+    commit_block(stray.ledger, fork)
     assert stray.ledger.tip_hash != hash_block(b0)
+    state = dict(stray.ledger.state_items())
     deliver_block(engine, stray.id, b1, at=0)
     with pytest.raises(ChainIntegrityError):
         engine.run_until_quiescent()
-    # b1 was validated afresh on the stray peer's state
-    assert validations == [0, 1, 1]
-    assert stray.ledger.height == 0
+    # b1 carries the anchor's outcome: the stray peer validates nothing,
+    # and its chain and state are as they were
+    assert validations == [0, 1]
+    assert stray.ledger.blocks == [fork]
+    assert stray.ledger.tip_hash == hash_block(fork)
+    assert dict(stray.ledger.state_items()) == state
 
 
 def test_duplicate_blocks_committed_exactly_once():
@@ -362,9 +381,9 @@ def test_flags_recorded_per_txn_in_peer_ledger():
     ])
     deliver_block(engine, anchor.id, b0, at=0)
     engine.run_until_quiescent()
-    assert anchor.ledger.flags == [[ValidationFlag.VALID,
-                                    ValidationFlag.MVCC_CONFLICT,
-                                    ValidationFlag.POLICY_VIOLATION]]
+    assert anchor.ledger.blocks == [b0]
+    assert b0.flags == [ValidationFlag.VALID, ValidationFlag.MVCC_CONFLICT,
+                        ValidationFlag.POLICY_VIOLATION]
 
 
 def contended_run():
@@ -387,17 +406,21 @@ def test_agreement_compares_every_txn_flag_not_totals():
     result = contended_run()
     # swap one Valid and one MVCCConflict flag in one peer: its flag totals,
     # chain and state are unchanged, but two txns now disagree. Peers share
-    # each height's flags list, so the peer gets its own copies to swap in.
+    # each block and its flags, so the peer gets its own copies of the two
+    # blocks, each with its own flags list, to swap in.
     observer, peer = (p.ledger for p in result.sim.all_peers()[:2])
-    flags = peer.flags
-    slots = {flag: (h, i) for h in range(1, len(flags))
-             for i, flag in enumerate(flags[h])}
+    blocks = peer.blocks
+    slots = {flag: (h, i) for h in range(1, len(blocks))
+             for i, flag in enumerate(blocks[h].flags)}
     (hv, iv) = slots[ValidationFlag.VALID]
     (hm, im) = slots[ValidationFlag.MVCC_CONFLICT]
     for h in {hv, hm}:
-        flags[h] = list(flags[h])
-    flags[hv][iv], flags[hm][im] = flags[hm][im], flags[hv][iv]
-    assert observer.flags[hv][iv] is ValidationFlag.VALID
+        blocks[h] = copy.copy(blocks[h])
+        blocks[h].flags = list(blocks[h].flags)
+    (blocks[hv].flags[iv], blocks[hm].flags[im]) = (blocks[hm].flags[im],
+                                                    blocks[hv].flags[iv])
+    assert observer.blocks[hv].flags[iv] is ValidationFlag.VALID
+    assert peer.tip_hash == observer.tip_hash
     report = collect_report(result.sim, result.trace, result.journeys)
     assert report.valid_txns == result.report.valid_txns
     assert report.all_peers_agree is False
@@ -413,7 +436,8 @@ def test_agreement_compares_world_state_values():
     value, version = other.read_state("cust/0/checking")
     other.apply_write_set(WriteSet([("cust/0/checking", value + 1)]), version)
     assert other.tip_hash == observer.tip_hash
-    assert other.flags == observer.flags
+    assert ([b.flags for b in other.blocks]
+            == [b.flags for b in observer.blocks])
     report = collect_report(result.sim, result.trace, result.journeys)
     assert report.all_peers_agree is False
     assert report.state_digest == result.report.state_digest
@@ -430,7 +454,7 @@ def test_agreement_compares_world_state_through_a_different_base():
         """The peer's chain over `state`, held as the base of a new ledger
         that shares no layer with the observer's."""
         flat = Ledger()
-        flat.blocks, flat.flags = peer.ledger.blocks, peer.ledger.flags
+        flat.blocks = peer.ledger.blocks
         flat.tip_hash = peer.ledger.tip_hash
         flat.apply_writes(list(state.items()))
         ledger = flat.fork()

@@ -179,9 +179,10 @@ def commit_notice(committed_at, txn_id, flag):
     env = Envelope(txn_id=txn_id, endorsements=(), read_set=ReadSet(),
                    write_set=WriteSet(), client="client000")
     block = Block(height=1, prev_hash=GENESIS_PREV_HASH, txns=[env],
-                  cut_reason=CutReason.COUNT_THRESHOLD, created_at=0)
+                  cut_reason=CutReason.COUNT_THRESHOLD, created_at=0,
+                  flags=[flag])
     return Message(MessageKind.COMMIT_NOTICE, 64,
-                   BlockCommitted(committed_at, block, [flag]))
+                   BlockCommitted(committed_at, block))
 
 
 def test_ack_then_commit_notice_completes_journey():

@@ -63,8 +63,8 @@ def committed(ledger, write_set, txn_id):
                    write_set=write_set, client="")
     block = Block(height=ledger.height + 1, prev_hash=ledger.tip_hash,
                   txns=[env], cut_reason=CutReason.COUNT_THRESHOLD,
-                  created_at=0)
-    commit_block(ledger, block, [ValidationFlag.VALID])
+                  created_at=0, flags=[ValidationFlag.VALID])
+    commit_block(ledger, block)
     return ledger
 
 

@@ -43,10 +43,23 @@ def test_run_writes_report_and_journeys(tmp_path, capsys):
                  if report["window_start_us"] <= int(r[3]) < report["window_end_us"]]
     assert len(in_window) == report["submitted"]
     assert len(data) >= report["submitted"] > 0
-    # the summary line sets throughput beside the ordering capacity
+    # the summary line sets throughput beside the ordering capacity, and
+    # gives the average latency to the millisecond
     capacity = report["config"]["resolved"]["capacity_tps"]
+    summary = capsys.readouterr().out
     assert (f"throughput {report['throughput_tps']:.1f} tps "
-            f"(ordering capacity {capacity:.1f} tps)") in capsys.readouterr().out
+            f"(ordering capacity {capacity:.1f} tps), "
+            f"avg latency {report['avg_latency_s']:.3f} s\n") in summary
+
+
+def test_run_summary_without_a_commit_gives_no_latency(tmp_path, capsys):
+    # a 1-ms endorsement timeout drops every txn before it is ordered
+    cfg = write_cfg(tmp_path, SMALL | {"duration_s": 1.0,
+                                       "timeouts": {"endorse_s": 0.001}})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    summary = capsys.readouterr().out
+    assert "committed 0 txns, " in summary
+    assert "avg latency n/a s\n" in summary
 
 
 def test_run_is_deterministic_byte_for_byte(tmp_path):

@@ -19,8 +19,10 @@ def stub_txns(*ids):
 
 
 def valid(block):
-    """One Valid flag per txn: the flags append_block requires."""
-    return [ValidationFlag.VALID] * len(block.txns)
+    """The block with one Valid flag per txn: the flags append_block
+    requires."""
+    block.flags = [ValidationFlag.VALID] * len(block.txns)
+    return block
 
 
 def fixture_block():
@@ -59,31 +61,31 @@ def test_digest_sensitive_to_height_prev_and_reason():
 def test_append_genesis_then_chain():
     ledger = Ledger()
     genesis = fixture_block()
-    ledger.append_block(genesis, valid(genesis))
+    ledger.append_block(valid(genesis))
     assert ledger.height == 0
     nxt = Block(height=1, prev_hash=hash_block(genesis), txns=stub_txns("d"),
                 cut_reason=CutReason.TIMEOUT, created_at=5)
-    ledger.append_block(nxt, valid(nxt))
+    ledger.append_block(valid(nxt))
     assert ledger.height == 1
     assert ledger.tip_hash == hash_block(nxt)
 
 
 def test_append_height_gap_fails():
     ledger = Ledger()
-    ledger.append_block(fixture_block(), valid(fixture_block()))
+    ledger.append_block(valid(fixture_block()))
     far = Block(height=2, prev_hash=ledger.tip_hash, txns=stub_txns("x"),
                 cut_reason=CutReason.TIMEOUT, created_at=1)
     with pytest.raises(ChainIntegrityError):
-        ledger.append_block(far, valid(far))
+        ledger.append_block(valid(far))
 
 
 def test_append_prev_hash_mismatch_fails():
     ledger = Ledger()
-    ledger.append_block(fixture_block(), valid(fixture_block()))
+    ledger.append_block(valid(fixture_block()))
     bad = Block(height=1, prev_hash="0" * 32, txns=stub_txns("x"),
                 cut_reason=CutReason.TIMEOUT, created_at=1)
     with pytest.raises(ChainIntegrityError):
-        ledger.append_block(bad, valid(bad))
+        ledger.append_block(valid(bad))
 
 
 def test_append_rejects_empty_block():
@@ -91,20 +93,21 @@ def test_append_rejects_empty_block():
     empty = Block(height=0, prev_hash=GENESIS_PREV_HASH, txns=[],
                   cut_reason=CutReason.TIMEOUT, created_at=0)
     with pytest.raises(ChainIntegrityError):
-        ledger.append_block(empty, [])
+        ledger.append_block(valid(empty))
 
 
 def test_append_requires_one_flag_per_txn():
     ledger = Ledger()
     block = fixture_block()
-    with pytest.raises(TypeError):
-        ledger.append_block(block)  # flags are required
-    for flags in ([], valid(block)[:-1], valid(block) + [ValidationFlag.VALID]):
+    one_each = [ValidationFlag.VALID] * len(block.txns)
+    for flags in (None, [], one_each[:-1], one_each + [ValidationFlag.VALID]):
+        block.flags = flags
         with pytest.raises(ChainIntegrityError, match="one flag per txn"):
-            ledger.append_block(block, flags)
-    assert ledger.blocks == [] and ledger.flags == []
-    ledger.append_block(block, valid(block))
-    assert ledger.flags == [valid(block)]
+            ledger.append_block(block)
+    assert ledger.blocks == [] and ledger.tip_hash == GENESIS_PREV_HASH
+    block.flags = one_each
+    ledger.append_block(block)
+    assert ledger.blocks == [block] and ledger.blocks[0].flags is one_each
 
 
 def test_read_state_fresh_is_absent():
@@ -180,7 +183,7 @@ def random_chain(rng, blocks=10, keys=6):
 def replay(chain):
     ledger = Ledger()
     for block in chain:
-        ledger.append_block(block, valid(block))
+        ledger.append_block(valid(block))
         for idx, t in enumerate(block.txns):
             ledger.apply_write_set(t.write_set, (block.height, idx))
     return ledger
@@ -409,7 +412,7 @@ def test_trace_lines_schema():
     chain = random_chain(random.Random(3), blocks=3)
     ledger = Ledger()
     for block in chain:
-        ledger.append_block(block, valid(block))
+        ledger.append_block(valid(block))
     lines = list(ledger.trace_lines())
     assert len(lines) == 3
     for line, block in zip(lines, chain):
