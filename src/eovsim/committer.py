@@ -1,7 +1,9 @@
 """The peer: it endorses what it is sent, then runs the validation phase
 (policy check, version conflict check, commit with rollback of invalid
 transactions) and gossips blocks. Clients send proposals to the endorsing
-peers only; the policy is a threshold of endorsements that agree.
+peers only; the policy is a threshold of endorsements that agree, and
+validation re-checks it by counting the distinct endorser ids an envelope
+carries beside its one payload.
 
 Transactions in a block are processed in order; the conflict check for txn i
 sees the writes of valid txns 0..i-1 of the same block (first writer wins).
@@ -30,7 +32,7 @@ import enum
 from dataclasses import dataclass
 
 from .config import ExperimentConfig
-from .endorser import endorse, policy_satisfied
+from .endorser import endorse
 from .engine import Message, MessageKind, Node, NodeClass
 from .ledger import Block, Ledger, Version
 from .smallbank import Proposal
@@ -47,16 +49,15 @@ def validate_block(block: Block, threshold: int,
     """Flag every transaction in the block, in order, and collect the
     writes of the valid ones as (key, (value, version)) pairs.
 
-    A txn is Valid iff at least `threshold` of its endorsements agree on
-    one payload and every read version matches the running state (committed
-    state plus writes of earlier valid txns in this block).
+    A txn is Valid iff its envelope names at least `threshold` distinct
+    endorsers of its one payload and every read version matches the running
+    state (committed state plus writes of earlier valid txns in this block).
     """
     flags = []
     writes = []
     overlay: dict[str, Version] = {}
     for idx, env in enumerate(block.txns):
-        ok, _witness = policy_satisfied(threshold, env.endorsements)
-        if not ok:
+        if len(set(env.endorsers)) < threshold:
             flags.append(ValidationFlag.POLICY_VIOLATION)
             continue
         conflict = False

@@ -129,7 +129,8 @@ class ClientNode(Node):
             return
         journey.endorsed_us = self.engine.now
         # This arrival brought the witness up to exactly `threshold`.
-        envelope = Envelope(txn_id=txn_id, endorsements=tuple(witness),
+        envelope = Envelope(txn_id=txn_id,
+                            endorsers=tuple(e.peer for e in witness),
                             read_set=witness[0].read_set,
                             write_set=witness[0].write_set,
                             client=self.id)

@@ -3,9 +3,10 @@
 Signatures are modeled as identity stamps: an endorsement names the peer
 that produced it, and policy evaluation trusts the stamp. A peer endorses
 what it is sent, so the policy is a threshold: it is satisfied by at least
-`threshold` endorsements whose (read set, write set) payloads are pairwise
-equal. Peers on one chain tip share one execution of a proposal, and so one
-ReadSet and WriteSet.
+`threshold` distinct peers whose (read set, write set) payloads are
+pairwise equal; as in Fabric, each identity counts once. Peers on one chain
+tip share one execution of a proposal, and so one ReadSet and WriteSet. An
+envelope keeps the witness's payload and peer ids, not its Endorsements.
 """
 
 from __future__ import annotations
@@ -32,22 +33,23 @@ def policy_satisfied(threshold: int,
     """Check a threshold policy; returns (satisfied, witnessing subset).
 
     The witnessing subset is the largest group of payload-identical
-    endorsements with size >= threshold; ties between equally large groups
-    break on lexicographic peer identity. Adding an endorsement can never
-    turn a satisfied policy unsatisfied.
+    endorsements from distinct peers with size >= threshold; a peer counts
+    at most once per group, by its first endorsement. Ties between equally
+    large groups break on lexicographic peer identity. Adding an
+    endorsement can never turn a satisfied policy unsatisfied.
     """
     endorsements = list(endorsements)
     txn_ids = {e.txn_id for e in endorsements}
     if len(txn_ids) > 1:
         raise ValueError(f"mixed txn ids in policy check: {sorted(txn_ids)}")
-    groups: dict[tuple, list[Endorsement]] = {}
+    groups: dict[tuple, dict[str, Endorsement]] = {}
     for e in endorsements:
-        groups.setdefault(e.payload_key(), []).append(e)
+        groups.setdefault(e.payload_key(), {}).setdefault(e.peer, e)
     best = None
-    for group in groups.values():
-        if len(group) < threshold:
+    for by_peer in groups.values():
+        if len(by_peer) < threshold:
             continue
-        group = sorted(group, key=lambda e: e.peer)
+        group = sorted(by_peer.values(), key=lambda e: e.peer)
         peers = tuple(e.peer for e in group)
         if best is None or (-len(group), peers) < (-len(best), tuple(e.peer for e in best)):
             best = group

@@ -150,8 +150,16 @@ class Ledger:
         return other
 
     def apply_write_set(self, ws: WriteSet, at: Version) -> None:
+        """Write every (key, value) at version `at`. The entries are
+        immutable, so every key written with one value shares one
+        (value, at) entry: a genesis load of equal balances stores one."""
+        state = self._state
+        entries: dict[int, tuple[int, Version]] = {}
         for key, value in ws.writes:
-            self._state[key] = (value, at)
+            entry = entries.get(value)
+            if entry is None:
+                entry = entries[value] = (value, at)
+            state[key] = entry
 
     def apply_writes(self, writes: list[tuple[str, tuple[int, Version]]]) -> None:
         """Apply (key, (value, version)) pairs in order; a later pair for a

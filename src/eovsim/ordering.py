@@ -29,11 +29,13 @@ from .ledger import Block, CutReason, ReadSet, WriteSet, hash_block
 
 @dataclass(slots=True)
 class Envelope:
-    """Endorsed transaction: the read/write sets a policy-satisfying
-    endorsement set agrees on, plus that set."""
+    """Endorsed transaction: the one read/write set payload that a
+    policy-satisfying set of endorsements agrees on, and the ids of the
+    peers that endorsed it, as a Fabric envelope carries one proposal
+    response payload and its endorsers' signatures."""
 
     txn_id: str
-    endorsements: tuple
+    endorsers: tuple
     read_set: ReadSet
     write_set: WriteSet
     client: str

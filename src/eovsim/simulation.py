@@ -54,7 +54,7 @@ class Simulation:
 
 
 def genesis_block(cfg: ExperimentConfig) -> Block:
-    load = Envelope(txn_id=GENESIS_TXN_ID, endorsements=(), read_set=ReadSet(),
+    load = Envelope(txn_id=GENESIS_TXN_ID, endorsers=(), read_set=ReadSet(),
                     write_set=initial_write_set(cfg.workload), client="")
     return Block(height=0, prev_hash=GENESIS_PREV_HASH, txns=[load],
                  cut_reason=CutReason.COUNT_THRESHOLD, created_at=0,

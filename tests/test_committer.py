@@ -10,7 +10,6 @@ import pytest
 from eovsim import committer
 from eovsim.committer import Peer, ValidationFlag, commit_block, validate_block
 from eovsim.config import ExperimentConfig
-from eovsim.endorser import Endorsement
 from eovsim.engine import Engine, LatencyModel, Message, MessageKind
 from eovsim.ledger import (Block, ChainIntegrityError, CutReason,
                            GENESIS_PREV_HASH, Ledger, ReadSet, WriteSet,
@@ -21,13 +20,10 @@ THRESHOLD = 2
 
 
 def mk_env(txn_id, reads, writes, peers=("p0", "p1")):
-    """Envelope whose endorsements trivially satisfy THRESHOLD (or not)."""
-    rs, ws = ReadSet(list(reads)), WriteSet(list(writes))
-    endorsements = tuple(
-        Endorsement(txn_id=txn_id, peer=p, read_set=rs, write_set=ws)
-        for p in peers)
-    return Envelope(txn_id=txn_id, endorsements=endorsements,
-                    read_set=rs, write_set=ws, client="c")
+    """Envelope whose endorser ids trivially satisfy THRESHOLD (or not)."""
+    return Envelope(txn_id=txn_id, endorsers=tuple(peers),
+                    read_set=ReadSet(list(reads)),
+                    write_set=WriteSet(list(writes)), client="c")
 
 
 def mk_block(height, prev, envs, created=0, flags=None):
@@ -49,13 +45,7 @@ def oracle_block(state, block, threshold):
     """state: {key: (value, version)}; returns (flags, new state)."""
     flags = []
     for idx, env in enumerate(block.txns):
-        usable = {}
-        for e in env.endorsements:
-            usable.setdefault((tuple(e.read_set.reads),
-                               tuple(e.write_set.writes)), set()).add(e.peer)
-        policy_ok = any(len(peers) >= threshold
-                        for peers in usable.values())
-        if not policy_ok:
+        if len(set(env.endorsers)) < threshold:
             flags.append(ValidationFlag.POLICY_VIOLATION)
             continue
         ok = all((state[k][1] if k in state else None) == ver
@@ -100,12 +90,17 @@ def test_double_write_same_key_first_wins():
 
 
 def test_policy_violation_flag():
+    # too few ids, and a repeated id, which counts once
     ledger = committed_ledger([])
     block = mk_block(1, ledger.tip_hash, [
         mk_env("t0", reads=[], writes=[("k", 1)], peers=("p0",)),
+        mk_env("t1", reads=[], writes=[("k", 2)], peers=("p0", "p0")),
+        mk_env("t2", reads=[], writes=[("k", 3)], peers=("p1", "p0", "p1")),
     ])
-    flags, _writes = validate_block(block, THRESHOLD, ledger)
-    assert flags[0] is ValidationFlag.POLICY_VIOLATION
+    flags, writes = validate_block(block, THRESHOLD, ledger)
+    assert flags == [ValidationFlag.POLICY_VIOLATION,
+                     ValidationFlag.POLICY_VIOLATION, ValidationFlag.VALID]
+    assert writes == [("k", (3, (1, 2)))]
 
 
 def test_read_only_block_all_valid():
@@ -188,7 +183,9 @@ def random_envs(rng, ledger, height, max_txns=20, keys=8):
             reads.append((key, version))
         writes = [(f"k{rng.randrange(keys)}", rng.randint(-50, 50))
                   for _ in range(rng.randint(0, 2))]
-        peers = ("p0", "p1") if rng.random() > 0.1 else ("p0",)
+        draw = rng.random()
+        peers = (("p0", "p1") if draw > 0.1 else ("p0",) if draw > 0.05
+                 else ("p1", "p1"))
         envs.append(mk_env(f"b{height}x{i}", reads, writes, peers))
     return envs
 

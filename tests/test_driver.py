@@ -131,8 +131,7 @@ def test_threshold_n_minus_one_tolerates_straggler():
     assert journey.endorsed_us == 20_000
     envelopes = [m for _, m in orderer.got if m.kind is MessageKind.ENVELOPE]
     assert len(envelopes) == 1
-    assert {e.peer for e in envelopes[0].body.endorsements} == \
-        {"peer000", "peer001"}
+    assert envelopes[0].body.endorsers == ("peer000", "peer001")
     assert envelopes[0].size_bytes == \
         client.cfg.sizes.proposal + 2 * client.cfg.sizes.endorsement
 
@@ -176,7 +175,7 @@ def test_broadcast_timeout_drops_journey():
 
 def commit_notice(committed_at, txn_id, flag):
     """A peer's commit notice for a one-txn block holding txn_id."""
-    env = Envelope(txn_id=txn_id, endorsements=(), read_set=ReadSet(),
+    env = Envelope(txn_id=txn_id, endorsers=(), read_set=ReadSet(),
                    write_set=WriteSet(), client="client000")
     block = Block(height=1, prev_hash=GENESIS_PREV_HASH, txns=[env],
                   cut_reason=CutReason.COUNT_THRESHOLD, created_at=0,
@@ -300,7 +299,9 @@ def test_every_chain_envelope_carries_threshold_endorsements(threshold):
     envelopes = [env for block in result.sim.non_endorsing[0].ledger.blocks[1:]
                  for env in block.txns]
     assert envelopes
-    assert all(len(env.endorsements) == threshold for env in envelopes)
+    assert all(len(set(env.endorsers)) == len(env.endorsers) == threshold
+               and set(env.endorsers) <= set(cfg.peer_ids)
+               for env in envelopes)
     assert cfg.envelope_bytes == (cfg.sizes.proposal
                                   + threshold * cfg.sizes.endorsement)
     # a client sends one proposal per endorsing peer per txn, and one

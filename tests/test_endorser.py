@@ -59,7 +59,7 @@ def test_endorsement_reflects_state_at_issuance():
 
 def committed(ledger, write_set, txn_id):
     """Commit a one-txn block carrying write_set, the way peers change state."""
-    env = Envelope(txn_id=txn_id, endorsements=(), read_set=ReadSet(),
+    env = Envelope(txn_id=txn_id, endorsers=(), read_set=ReadSet(),
                    write_set=write_set, client="")
     block = Block(height=ledger.height + 1, prev_hash=ledger.tip_hash,
                   txns=[env], cut_reason=CutReason.COUNT_THRESHOLD,
@@ -149,26 +149,39 @@ def test_policy_tie_breaks_on_lexicographic_peers():
     assert [e.peer for e in witness] == ["p0", "p2"]
 
 
+def test_policy_counts_each_peer_once():
+    first = mk_endorsement("p0")
+    ok, witness = policy_satisfied(2, [first, mk_endorsement("p0")])
+    assert not ok and witness == []
+
+    again = [mk_endorsement("p1"), first, mk_endorsement("p0"),
+             mk_endorsement("p1")]
+    ok, witness = policy_satisfied(2, again)
+    assert ok
+    assert [e.peer for e in witness] == ["p0", "p1"]
+    assert witness[0] is first and witness[1] is again[0]
+    ok, _ = policy_satisfied(3, again)
+    assert not ok
+    ok, witness = policy_satisfied(3, again + [mk_endorsement("p2")])
+    assert ok and [e.peer for e in witness] == ["p0", "p1", "p2"]
+
+
 def oracle_satisfiable(threshold, endorsements):
-    """Brute force: any subset of size >= threshold, all payloads equal."""
+    """Brute force: any subset of >= threshold distinct peers, all payloads
+    equal."""
     for size in range(threshold, len(endorsements) + 1):
         for subset in itertools.combinations(endorsements, size):
-            if len({e.payload_key() for e in subset}) == 1:
+            if (len({e.payload_key() for e in subset}) == 1
+                    and len({e.peer for e in subset}) >= threshold):
                 return True
     return False
 
 
 def random_endorsements(rng, peers=5):
-    out = []
-    for i in range(rng.randint(0, 6)):
-        out.append(mk_endorsement(f"p{rng.randrange(peers)}",
-                                  payload=rng.randrange(3)))
-    # policy evaluation deduplicates nothing; the client dedupes by peer,
-    # so feed unique peers here
-    unique = {}
-    for e in out:
-        unique[e.peer] = e
-    return list(unique.values())
+    """Up to 6 endorsements; a peer may repeat, with any payload."""
+    return [mk_endorsement(f"p{rng.randrange(peers)}",
+                           payload=rng.randrange(3))
+            for _ in range(rng.randint(0, 6))]
 
 
 def test_policy_matches_brute_force_oracle():
@@ -179,7 +192,7 @@ def test_policy_matches_brute_force_oracle():
         ok, witness = policy_satisfied(threshold, endorsements)
         assert ok == oracle_satisfiable(threshold, endorsements)
         if ok:
-            assert len(witness) >= threshold
+            assert len({e.peer for e in witness}) == len(witness) >= threshold
             assert len({e.payload_key() for e in witness}) == 1
             assert all(e in endorsements for e in witness)
 

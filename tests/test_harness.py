@@ -1,5 +1,6 @@
 import copy
 import csv
+import gc
 import importlib.util
 import json
 import os
@@ -12,7 +13,8 @@ import pytest
 from eovsim import sweep
 from eovsim.cli import main
 from eovsim.config import ConfigError, ExperimentConfig
-from eovsim.simulation import run_simulation
+from eovsim.endorser import Endorsement
+from eovsim.simulation import build, run_simulation
 from eovsim.sweep import SweepSpec, extract_figure, read_cells_csv, run_sweep
 
 SMALL = {"duration_s": 3.0, "rate": {"total_tps": 60.0},
@@ -224,6 +226,25 @@ def test_schedule_guard_pinned_cell(workload, seed, events, digest,
     assert len(executions) == PINNED_EXECUTES[workload]
     # peers on one chain tip share one validation: one per committed height
     assert validations == list(range(1, result.report.blocks + 1))
+
+
+def test_a_run_keeps_one_genesis_entry_and_no_endorsement():
+    # memory guards, counted in objects: all genesis balances are equal, so
+    # the shared genesis state holds one entry; a chain envelope keeps its
+    # endorsers' ids, so no Endorsement outlives the run
+    cfg = ExperimentConfig.from_dict(SMALL)
+    base = build(cfg).endorsing[0].ledger._base
+    assert len(base) == 2 * cfg.workload.n_accounts
+    assert len({id(entry) for entry in base.values()}) == 1
+
+    def endorsements():
+        gc.collect()
+        return {id(o) for o in gc.get_objects() if isinstance(o, Endorsement)}
+
+    before = endorsements()
+    result = run_simulation(cfg)
+    assert result.report.valid_txns > 0
+    assert not endorsements() - before
 
 
 def test_block_trace_dump(tmp_path):

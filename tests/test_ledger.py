@@ -160,6 +160,23 @@ def test_digest_differs_on_value_and_version():
     assert len({a.state_digest(), b.state_digest(), c.state_digest()}) == 3
 
 
+def test_apply_write_set_stores_one_entry_per_distinct_value():
+    # entries are immutable, so every key written with one value shares one
+    # (value, version) entry; the state equals a write-by-write reference
+    ws = WriteSet([("a", 7), ("c", -1), ("b", 7), ("e", -1), ("c", 7),
+                   ("d", 7), ("f", 0)])
+    shared, reference = Ledger(), Ledger()
+    shared.apply_write_set(ws, (2, 3))
+    for write in ws.writes:
+        reference.apply_write_set(WriteSet([write]), (2, 3))
+    state = dict(shared.state_items())
+    assert state["a"] is state["b"] is state["c"] is state["d"]
+    assert len({id(entry) for entry in state.values()}) == 3
+    assert state == dict(reference.state_items())
+    assert shared.state_digest() == reference.state_digest()
+    assert shared.agrees_with(reference)
+
+
 def random_chain(rng, blocks=10, keys=6):
     """A random but well-formed chain with per-txn write sets."""
     chain = []

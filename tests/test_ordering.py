@@ -4,7 +4,6 @@ counters and block fan-out, driven through small hand-wired engines."""
 import pytest
 
 from eovsim.config import ExperimentConfig
-from eovsim.endorser import Endorsement
 from eovsim.engine import (Engine, LatencyModel, Message, MessageKind, Node,
                            NodeClass)
 from eovsim.ledger import CutReason, GENESIS_PREV_HASH, ReadSet, WriteSet
@@ -26,7 +25,7 @@ def ordering_cfg(count=100, max_bytes=10 * 1024 * 1024, envelope=500, **over):
 
 
 def mk_envelope(txn_id, client="client000"):
-    return Envelope(txn_id=txn_id, endorsements=(),
+    return Envelope(txn_id=txn_id, endorsers=(),
                     read_set=ReadSet(), write_set=WriteSet(), client=client)
 
 
