@@ -17,13 +17,10 @@ received, so every peer commits a height from the one message the leader
 built.
 
 Every peer validates and commits every block, and pays validate_per_txn for
-it in simulated time. On the host, the peers share one validation: the
-first to commit a block runs validate_block and stores the outcome on the
-block (block.flags, and block.writes, the valid writes as
-(key, (value, version)) pairs). Premise, as for endorse(): state changes
-only through commit_block, which appends the block before it applies
-writes, so the tip names the state, and a block appends only on its
-prev_hash.
+it in simulated time. On the host, every peer's ledger is a height on the
+run's one chain (ledger.Ledger): the first to commit a block appends it,
+validates it and writes its valid write sets into the chain's state; every
+later peer checks that the chain holds that very block and moves its height.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from dataclasses import dataclass
 from .config import ExperimentConfig
 from .endorser import endorse
 from .engine import Message, MessageKind, Node, NodeClass
-from .ledger import Block, Ledger, Version
+from .ledger import Block, Ledger
 from .smallbank import Proposal
 
 
@@ -45,55 +42,42 @@ class ValidationFlag(enum.Enum):
 
 
 def validate_block(block: Block, threshold: int,
-                   ledger: Ledger) -> tuple[list[ValidationFlag], list]:
-    """Flag every transaction in the block, in order, and collect the
-    writes of the valid ones as (key, (value, version)) pairs.
+                   ledger: Ledger) -> list[ValidationFlag]:
+    """Flag every transaction in the block, in order, and write each valid
+    write set into the ledger's state at version (height, txn index). The
+    ledger has just appended the block (commit_block), so it is at the
+    chain's tip and reads the newest state.
 
     A txn is Valid iff its envelope names at least `threshold` distinct
     endorsers of its one payload and every read version matches the running
-    state (committed state plus writes of earlier valid txns in this block).
+    state: the committed state, which holds the writes of earlier valid txns
+    in this block.
     """
     flags = []
-    writes = []
-    overlay: dict[str, Version] = {}
     for idx, env in enumerate(block.txns):
         if len(set(env.endorsers)) < threshold:
             flags.append(ValidationFlag.POLICY_VIOLATION)
             continue
         conflict = False
         for key, expected in env.read_set.reads:
-            if key in overlay:
-                found = overlay[key]
-            else:
-                entry = ledger.read_state(key)
-                found = entry[1] if entry is not None else None
-            if found != expected:
+            entry = ledger.read_state(key)
+            if (entry[1] if entry is not None else None) != expected:
                 conflict = True
         if conflict:
             flags.append(ValidationFlag.MVCC_CONFLICT)
             continue
-        version = (block.height, idx)
-        for key, value in env.write_set.writes:
-            overlay[key] = version
-            writes.append((key, (value, version)))
+        ledger.apply_write_set(env.write_set, (block.height, idx))
         flags.append(ValidationFlag.VALID)
-    return flags, writes
+    return flags
 
 
-def commit_block(ledger: Ledger, block: Block) -> None:
-    """Append the block and apply only the valid write sets, in block order.
-
-    A validated block carries its valid writes and applies them in one
-    update; a block with flags only, such as genesis, applies them write
-    set by write set.
-    """
-    ledger.append_block(block)
-    if block.writes is not None:
-        ledger.apply_writes(block.writes)
-        return
-    for idx, (env, flag) in enumerate(zip(block.txns, block.flags)):
-        if flag is ValidationFlag.VALID:
-            ledger.apply_write_set(env.write_set, (block.height, idx))
+def commit_block(ledger: Ledger, block: Block, threshold: int) -> None:
+    """Advance the ledger to the block. The first ledger to reach the
+    block's height appends it to the chain and validates it, writing its
+    valid write sets into the chain's one state; every later ledger only
+    moves its height."""
+    if ledger.append_block(block):
+        block.flags = validate_block(block, threshold, ledger)
 
 
 @dataclass(slots=True)
@@ -152,10 +136,7 @@ class Peer(Node):
 
     def _commit(self, msg: Message) -> None:
         block = msg.body
-        if block.flags is None:
-            block.flags, block.writes = validate_block(
-                block, self.cfg.policy_threshold, self.ledger)
-        commit_block(self.ledger, block)
+        commit_block(self.ledger, block, self.cfg.policy_threshold)
         if self.home_clients:
             sizes = self.cfg.sizes
             size = sizes.notice + sizes.block_txn_summary * len(block.txns)

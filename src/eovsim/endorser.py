@@ -64,9 +64,9 @@ def endorse(proposal: Proposal, ledger, peer_id: str) -> Endorsement:
 
     Every client's proposal is endorsed: there is no authorization.
 
-    The sets are memoized on the proposal by ledger.tip_hash. Premise:
-    state changes only through commit_block, which appends the block before
-    it applies writes, so the tip names the state. Ledgers seeded with
+    The sets are memoized on the proposal by ledger.tip_hash. A ledger's
+    state is a function of its chain and height, and the tip hash names the
+    chain up to that height, so the key is exact. Ledgers seeded with
     apply_write_set and no block must not share a Proposal across states.
     """
     sets = proposal.executed.get(ledger.tip_hash)

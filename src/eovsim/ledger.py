@@ -1,4 +1,4 @@
-"""Hash-chained block store and versioned world state, one instance per peer.
+"""Hash-chained block store and multiversion world state, one per run.
 
 Digests are truncated blake2b over a canonical byte encoding: stable across
 processes and platforms, collision-safe at simulation scale. Cryptographic
@@ -8,11 +8,12 @@ State values are signed 64-bit integers keyed by short strings such as
 "cust/17/checking". A version is the (block height, txn index) pair that last
 wrote the key; comparison is lexicographic.
 
-A Block carries its validation outcome, as a Fabric block carries its
-transactions filter in its metadata: `flags`, one per txn, and `writes`, the
-valid (key, (value, version)) pairs in block order. The first peer to commit
-the block fills both (committer.Peer); every later peer appends the block on
-the same prev_hash, so on the same state, and applies the same writes.
+A Chain is the run's one record of blocks, block hashes and committed state.
+A Ledger is a peer's height on a chain, and reads the state as of that
+height (multiversion reads: Bernstein and Goodman, "Multiversion Concurrency
+Control", ACM TODS 1983). A Block carries its validation outcome, as a
+Fabric block carries its transactions filter in its metadata: `flags`, one
+per txn, filled by the first ledger to commit the block (committer.Peer).
 """
 
 from __future__ import annotations
@@ -25,15 +26,17 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 Version = tuple[int, int]
+Entry = tuple[int, Version]
 
 GENESIS_PREV_HASH = "0" * 32
 
 
 class ChainIntegrityError(RuntimeError):
-    """Height gap or prev-hash mismatch: a simulation bug, fail fast."""
+    """Height gap, prev-hash mismatch or another block at a height: a
+    simulation bug, fail fast."""
 
 
-def _entry_hash(key: str, entry: tuple[int, Version]) -> int:
+def _entry_hash(key: str, entry: Entry) -> int:
     value, (bh, ti) = entry
     data = key.encode() + b"=" + struct.pack(">qQQ", value, bh, ti)
     return int.from_bytes(hashlib.blake2b(data, digest_size=16).digest(),
@@ -71,11 +74,9 @@ class Block:
     txns: list  # ordered Envelopes
     cut_reason: CutReason
     created_at: int
-    # the validation outcome: one flag per txn, and the valid writes as
-    # (key, (value, version)) pairs. The first peer to commit the block
-    # fills both; genesis is built with its flags and no writes.
+    # the validation outcome, one flag per txn, filled by the first ledger
+    # to commit the block
     flags: list | None = field(default=None, repr=False, compare=False)
-    writes: list | None = field(default=None, repr=False, compare=False)
 
     def txn_ids(self) -> list[str]:
         return [t.txn_id for t in self.txns]
@@ -93,110 +94,117 @@ def hash_block(block: Block) -> str:
     return h.hexdigest()
 
 
-class Ledger:
-    """Per-peer chain plus committed world state.
+@dataclass(slots=True, eq=False, repr=False)
+class Chain:
+    """Blocks and their hashes by height, and the committed state.
 
-    The world state has two layers: the base is shared read-only; the
-    overlay is the peer's own. Every write goes to the overlay, and a read
-    tries the overlay before the base. fork() freezes the overlay into the
-    base it then shares with the new ledger, so N peers forked from one
-    genesis ledger hold one copy of the genesis state between them (path
-    copying: Driscoll, Sarnak, Sleator and Tarjan, JCSS 1989).
+    `state` maps each key to its newest (value, version) entry.
+    `replaced[h][key]` is the entry that block h overwrote, kept only if it
+    came from an earlier height, so the state as of any height is one walk
+    back from the newest entry.
     """
 
-    def __init__(self):
-        self.blocks: list[Block] = []
-        self.tip_hash = GENESIS_PREV_HASH
-        # the shared base, never written once shared, and the own overlay
-        self._base: dict[str, tuple[int, Version]] = {}
-        self._state: dict[str, tuple[int, Version]] = {}
+    blocks: list[Block] = field(default_factory=list)
+    hashes: list[str] = field(default_factory=list)
+    state: dict[str, Entry] = field(default_factory=dict)
+    replaced: dict[int, dict[str, Entry]] = field(default_factory=dict)
 
     @property
     def height(self) -> int:
         return len(self.blocks) - 1
 
-    def append_block(self, block: Block) -> None:
-        if block.height != self.height + 1:
+
+@dataclass(slots=True)
+class Ledger:
+    """A height on a chain. Two ledgers are equal when they share the chain
+    and the height, and so the blocks, flags and state."""
+
+    chain: Chain = field(default_factory=Chain)
+    height: int = -1
+
+    @property
+    def tip_hash(self) -> str:
+        return (self.chain.hashes[self.height] if self.height >= 0
+                else GENESIS_PREV_HASH)
+
+    @property
+    def blocks(self) -> list[Block]:
+        return self.chain.blocks[:self.height + 1]
+
+    def append_block(self, block: Block) -> bool:
+        """Advance to the block; return whether it was new to the chain.
+        The first ledger at a height appends the block; every later one
+        must bring the very block the chain holds there."""
+        chain, height = self.chain, block.height
+        if height != self.height + 1:
             raise ChainIntegrityError(
-                f"append height {block.height}, expected {self.height + 1}")
+                f"append height {height}, expected {self.height + 1}")
         if block.prev_hash != self.tip_hash:
-            raise ChainIntegrityError(
-                f"prev_hash mismatch at height {block.height}")
+            raise ChainIntegrityError(f"prev_hash mismatch at height {height}")
         if not block.txns:
             raise ChainIntegrityError("blocks must carry at least one txn")
-        if block.flags is None or len(block.flags) != len(block.txns):
-            raise ChainIntegrityError("append_block needs one flag per txn")
-        self.blocks.append(block)
-        self.tip_hash = hash_block(block)
+        new = height > chain.height
+        if new:
+            chain.blocks.append(block)
+            chain.hashes.append(hash_block(block))
+        elif chain.blocks[height] is not block:
+            raise ChainIntegrityError(f"another block at height {height}")
+        self.height = height
+        return new
 
-    def read_state(self, key: str) -> tuple[int, Version] | None:
-        """Committed (value, version), or None; absence is a normal outcome."""
-        entry = self._state.get(key)
-        return self._base.get(key) if entry is None else entry
+    def read_state(self, key: str) -> Entry | None:
+        """Committed (value, version) as of this ledger's height, or None;
+        absence is a normal outcome. A ledger at the chain's tip reads the
+        newest entry."""
+        chain = self.chain
+        entry = chain.state.get(key)
+        if self.height < chain.height:
+            while entry is not None and entry[1][0] > self.height:
+                entry = chain.replaced[entry[1][0]].get(key)
+        return entry
 
     def fork(self) -> "Ledger":
-        """Independent ledger sharing this one's state as its base; blocks
-        are shared too, and a block's outcome is filled before any ledger
-        appends it. Later writes to either ledger go to its own overlay and
-        never reach the other."""
-        if self._state:
-            self._base = ({**self._base, **self._state} if self._base
-                          else self._state)
-            self._state = {}
-        other = Ledger()
-        other.blocks = list(self.blocks)
-        other.tip_hash = self.tip_hash
-        other._base = self._base
-        return other
+        """Another ledger at this one's height on the same chain."""
+        return Ledger(self.chain, self.height)
 
     def apply_write_set(self, ws: WriteSet, at: Version) -> None:
-        """Write every (key, value) at version `at`. The entries are
-        immutable, so every key written with one value shares one
-        (value, at) entry: a genesis load of equal balances stores one."""
-        state = self._state
-        entries: dict[int, tuple[int, Version]] = {}
+        """Write every (key, value) into the chain's state at version `at`.
+        The entries are immutable, so every key written with one value
+        shares one (value, at) entry: a genesis load of equal balances
+        stores one."""
+        state = self.chain.state
+        setdefault = state.setdefault
+        height = at[0]
+        replaced = self.chain.replaced.setdefault(height, {})
+        entries: dict[int, Entry] = {}
         for key, value in ws.writes:
             entry = entries.get(value)
             if entry is None:
                 entry = entries[value] = (value, at)
-            state[key] = entry
-
-    def apply_writes(self, writes: list[tuple[str, tuple[int, Version]]]) -> None:
-        """Apply (key, (value, version)) pairs in order; a later pair for a
-        key wins, as with one apply_write_set per txn."""
-        self._state.update(writes)
+            old = setdefault(key, entry)
+            if old is not entry:
+                if old[1][0] < height:
+                    replaced[key] = old
+                state[key] = entry
 
     def state_digest(self) -> str:
-        """Order-independent XOR fold over all effective entries, taken on
-        each call; equal states give equal digests."""
+        """Order-independent XOR fold over all entries, taken on each call;
+        equal states give equal digests."""
         acc = 0
         for key, entry in self.state_items():
             acc ^= _entry_hash(key, entry)
         return f"{acc:032x}"
 
-    def agrees_with(self, other: "Ledger") -> bool:
-        """Same chain, the same flag for every txn, block by block, and the
-        same world state, compared exactly. On a shared base only the
-        overlays' keys can differ."""
-        if self.tip_hash != other.tip_hash or any(
-                mine.flags != theirs.flags
-                for mine, theirs in zip(self.blocks, other.blocks)):
-            return False
-        mine, theirs = self._state, other._state
-        if self._base is other._base:
-            return mine == theirs or all(
-                self.read_state(key) == other.read_state(key)
-                for key in mine.keys() | theirs.keys())
-        return dict(self.state_items()) == dict(other.state_items())
-
-    def state_items(self) -> Iterator[tuple[str, tuple[int, Version]]]:
-        """Every effective (key, entry): unshadowed base entries, then the
-        overlay's."""
-        overlay = self._state
-        for key, entry in self._base.items():
-            if key not in overlay:
+    def state_items(self) -> Iterator[tuple[str, Entry]]:
+        """Every (key, entry) as of this ledger's height."""
+        state = self.chain.state
+        if self.height >= self.chain.height:
+            yield from state.items()
+            return
+        for key in state:
+            entry = self.read_state(key)
+            if entry is not None:
                 yield key, entry
-        yield from overlay.items()
 
     def trace_lines(self) -> Iterator[str]:
         """One JSON line per block: height, cut reason, txn ids, validity flags."""

@@ -5,21 +5,19 @@ node reads its settings and the ids it sends to from the run's one
 ExperimentConfig. Every peer is a committer.Peer; the endorsing ones are
 those the clients send proposals to. Only the log leader is a BrokerNode:
 the other brokers receive no event and are bare Nodes holding counters.
-Every peer starts from an identical genesis block: one unendorsed envelope
-carrying the initial account balances, built with a Valid flag (it predates
-the policy machinery, so it skips validate_block) and committed through
-commit_block before the peers fork the genesis ledger. The fork copies no
-state: the genesis world state becomes the one read-only base every peer
-shares, and each peer's overlay holds only the writes it applied since
-(ledger.Ledger). collect_report builds the RunReport in one place: chain,
-flag and state figures from the observer peer's (peer000) ledger, whose
-blocks' flags from height 1 on give valid_txns, policy_violations and
-mvcc_conflicts; journey figures from metrics.aggregate; counters from the
-nodes. Peers agree when their chains, per-txn flags and world states are
-equal to the observer's, compared exactly. Clients spray envelopes over
-orderers round-robin by submission index and observe commits through their
-round-robin home peer. Each orderer counts the enqueue attempts and
-successes it handles before the window end; there is no monitor node.
+The genesis block is one unendorsed envelope carrying the initial account
+balances; it commits through commit_block, validated at threshold 0, and
+every peer's ledger is then a fork of the genesis ledger: height 0 on the
+run's one chain (ledger.Ledger). collect_report builds the RunReport in one
+place: chain, flag and state figures from the observer peer's (peer000)
+ledger, whose blocks' flags from height 1 on give valid_txns,
+policy_violations and mvcc_conflicts; journey figures from
+metrics.aggregate; counters from the nodes. Peers agree when their ledgers
+equal the observer's: the same chain at the same height. Clients spray
+envelopes over orderers round-robin by submission index and observe commits
+through their round-robin home peer. Each orderer counts the enqueue
+attempts and successes it handles before the window end; there is no
+monitor node.
 """
 
 from __future__ import annotations
@@ -57,14 +55,13 @@ def genesis_block(cfg: ExperimentConfig) -> Block:
     load = Envelope(txn_id=GENESIS_TXN_ID, endorsers=(), read_set=ReadSet(),
                     write_set=initial_write_set(cfg.workload), client="")
     return Block(height=0, prev_hash=GENESIS_PREV_HASH, txns=[load],
-                 cut_reason=CutReason.COUNT_THRESHOLD, created_at=0,
-                 flags=[ValidationFlag.VALID])
+                 cut_reason=CutReason.COUNT_THRESHOLD, created_at=0)
 
 
 def build(cfg: ExperimentConfig) -> Simulation:
     engine = Engine(cfg.latency, seed=cfg.seed)
     genesis_ledger = Ledger()
-    commit_block(genesis_ledger, genesis_block(cfg))
+    commit_block(genesis_ledger, genesis_block(cfg), 0)
 
     peers = [Peer(pid, cfg, genesis_ledger.fork())
              for pid in cfg.peer_ids + cfg.npeer_ids]
@@ -169,7 +166,7 @@ def collect_report(sim: Simulation, trace: TraceSummary,
         final_height=ledger.height,
         tip_hash=ledger.tip_hash,
         state_digest=ledger.state_digest(),
-        all_peers_agree=all(p.ledger.agrees_with(ledger) for p in peers[1:]),
+        all_peers_agree=all(p.ledger == ledger for p in peers[1:]),
         total_balance=total_balance(ledger.state_items()),
         events_dispatched=trace.events_dispatched,
         dispatch_digest=trace.dispatch_digest,

@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from eovsim.cli import main
-from eovsim.committer import ValidationFlag, commit_block, validate_block
+from eovsim.committer import ValidationFlag, commit_block
 from eovsim.config import ExperimentConfig
 from eovsim.ledger import (Block, CutReason, GENESIS_PREV_HASH, Ledger,
                            ReadSet, WriteSet)
@@ -190,12 +190,10 @@ def test_c02_mvcc_serial_oracle_equivalence():
                                  WriteSet(writes), "c"))
         block = Block(height, prev, txns, CutReason.COUNT_THRESHOLD, height)
         expected = oracle_block(oracle_state, block, threshold)
-        for ledger in peers:
-            block.flags, block.writes = validate_block(block, threshold,
-                                                       ledger)
+        for ledger in peers:  # each on its own chain, so each validates
+            commit_block(ledger, block, threshold)
             if block.flags != expected:
                 mismatches += 1
-            commit_block(ledger, block)
         state_now = dict(peers[0].state_items())
         if state_now != oracle_state or \
                 len({p.state_digest() for p in peers}) != 1:

@@ -1,17 +1,15 @@
 """Validation/commit behavior checked against a brute-force serial oracle
 that replays endorsement-time reads with first-writer-wins conflicts."""
 
-import copy
-import dataclasses
 import random
 
 import pytest
 
 from eovsim import committer
-from eovsim.committer import Peer, ValidationFlag, commit_block, validate_block
+from eovsim.committer import Peer, ValidationFlag, commit_block
 from eovsim.config import ExperimentConfig
 from eovsim.engine import Engine, LatencyModel, Message, MessageKind
-from eovsim.ledger import (Block, ChainIntegrityError, CutReason,
+from eovsim.ledger import (Block, Chain, ChainIntegrityError, CutReason,
                            GENESIS_PREV_HASH, Ledger, ReadSet, WriteSet,
                            hash_block)
 from eovsim.ordering import Envelope
@@ -26,16 +24,14 @@ def mk_env(txn_id, reads, writes, peers=("p0", "p1")):
                     write_set=WriteSet(list(writes)), client="c")
 
 
-def mk_block(height, prev, envs, created=0, flags=None):
+def mk_block(height, prev, envs, created=0):
     return Block(height=height, prev_hash=prev, txns=list(envs),
-                 cut_reason=CutReason.COUNT_THRESHOLD, created_at=created,
-                 flags=flags)
+                 cut_reason=CutReason.COUNT_THRESHOLD, created_at=created)
 
 
-def validated(block, ledger):
-    """The block carrying its validation outcome on the ledger's state, as
-    the first peer to commit it leaves it."""
-    block.flags, block.writes = validate_block(block, THRESHOLD, ledger)
+def committed(block, ledger):
+    """The block committed on the ledger, carrying its validation outcome."""
+    commit_block(ledger, block, THRESHOLD)
     return block
 
 
@@ -68,9 +64,8 @@ def oracle_state_of(ledger_like_state):
 def committed_ledger(writes):
     """Ledger holding a genesis stub block with `writes` applied at (0, 0)."""
     ledger = Ledger()
-    stub = mk_block(0, GENESIS_PREV_HASH, [mk_env("genesis", [], writes)],
-                    flags=[ValidationFlag.VALID])
-    commit_block(ledger, stub)
+    stub = mk_block(0, GENESIS_PREV_HASH, [mk_env("genesis", [], writes)])
+    commit_block(ledger, stub, 0)
     return ledger
 
 
@@ -82,11 +77,11 @@ def test_double_write_same_key_first_wins():
         mk_env("t1", reads=[("k", v)], writes=[("k", 3)]),
         mk_env("t2", reads=[("k", (1, 0))], writes=[]),
     ])
-    flags, _writes = validate_block(block, THRESHOLD, ledger)
     # t1 conflicts with t0's in-block write; t2, which expects exactly that
-    # write's version (1, 0), is valid, so reads go through the overlay
-    assert flags == [ValidationFlag.VALID, ValidationFlag.MVCC_CONFLICT,
-                     ValidationFlag.VALID]
+    # write's version (1, 0), is valid, so reads see the running state
+    assert committed(block, ledger).flags == [
+        ValidationFlag.VALID, ValidationFlag.MVCC_CONFLICT,
+        ValidationFlag.VALID]
 
 
 def test_policy_violation_flag():
@@ -97,20 +92,20 @@ def test_policy_violation_flag():
         mk_env("t1", reads=[], writes=[("k", 2)], peers=("p0", "p0")),
         mk_env("t2", reads=[], writes=[("k", 3)], peers=("p1", "p0", "p1")),
     ])
-    flags, writes = validate_block(block, THRESHOLD, ledger)
-    assert flags == [ValidationFlag.POLICY_VIOLATION,
-                     ValidationFlag.POLICY_VIOLATION, ValidationFlag.VALID]
-    assert writes == [("k", (3, (1, 2)))]
+    assert committed(block, ledger).flags == [
+        ValidationFlag.POLICY_VIOLATION, ValidationFlag.POLICY_VIOLATION,
+        ValidationFlag.VALID]
+    assert ledger.read_state("k") == (3, (1, 2))
 
 
 def test_read_only_block_all_valid():
     ledger = committed_ledger([("a", 1), ("b", 2)])
     envs = [mk_env(f"q{i}", reads=[("a", (0, 0)), ("b", (0, 0))], writes=[])
             for i in range(10)]
-    flags, writes = validate_block(mk_block(1, ledger.tip_hash, envs),
-                                   THRESHOLD, ledger)
-    assert writes == []
-    assert all(flag is ValidationFlag.VALID for flag in flags)
+    before = dict(ledger.chain.state)
+    block = committed(mk_block(1, ledger.tip_hash, envs), ledger)
+    assert ledger.chain.state == before
+    assert all(flag is ValidationFlag.VALID for flag in block.flags)
 
 
 def test_absent_key_reads_match_none():
@@ -119,7 +114,7 @@ def test_absent_key_reads_match_none():
         mk_env("t0", reads=[("nope", None)], writes=[("nope", 1)]),
         mk_env("t1", reads=[("nope", None)], writes=[]),
     ])
-    flags, _writes = validate_block(block, THRESHOLD, ledger)
+    flags = committed(block, ledger).flags
     assert flags[0] is ValidationFlag.VALID
     assert flags[1] is ValidationFlag.MVCC_CONFLICT  # t0 bumped it
 
@@ -130,9 +125,8 @@ def test_commit_applies_only_valid_writes():
         mk_env("t0", reads=[("k", (0, 0))], writes=[("k", 5)]),
         mk_env("t1", reads=[("k", (0, 0))], writes=[("k", 9), ("j", 9)]),
     ])
-    commit_block(ledger, validated(block, ledger))
+    committed(block, ledger)
     assert block.flags == [ValidationFlag.VALID, ValidationFlag.MVCC_CONFLICT]
-    assert block.writes == [("k", (5, (1, 0)))]  # only t0's
     assert ledger.height == 1
     assert ledger.read_state("k") == (5, (1, 0))
     assert ledger.read_state("j") == (1, (0, 0))
@@ -145,7 +139,7 @@ def test_all_invalid_block_leaves_state_unchanged():
         mk_env("t0", reads=[("k", (9, 9))], writes=[("k", 5)]),
         mk_env("t1", reads=[], writes=[("k", 6)], peers=("p0",)),
     ])
-    commit_block(ledger, validated(block, ledger))
+    committed(block, ledger)
     assert ledger.state_digest() == before
     assert ledger.height == 1  # block still appended
 
@@ -157,8 +151,7 @@ def test_rollback_completeness_no_version_points_at_invalid_txn():
     flags_per_block = []
     for h in range(30):
         envs = random_envs(rng, ledger, h)
-        block = validated(mk_block(h, prev, envs), ledger)
-        commit_block(ledger, block)
+        block = committed(mk_block(h, prev, envs), ledger)
         flags_per_block.append(block.flags)
         prev = ledger.tip_hash
     for key, (value, (bh, ti)) in ledger.state_items():
@@ -191,25 +184,29 @@ def random_envs(rng, ledger, height, max_txns=20, keys=8):
 
 
 def test_randomized_blocks_match_serial_oracle_on_two_peers():
-    # ledger_a commits each block through its shared writes, ledger_b
-    # through its flags alone, write set by write set, as genesis commits
+    # ledger_a commits each block first and validates it on the chain;
+    # ledger_b, on the same chain, reads the state one block behind, then
+    # commits the block by moving its height
     rng = random.Random(1234)
-    ledger_a, ledger_b = Ledger(), Ledger()
+    ledger_a = Ledger()
+    ledger_b = ledger_a.fork()
     oracle_state: dict = {}
     prev = GENESIS_PREV_HASH
     for h in range(200):
         envs = random_envs(rng, ledger_a, h)
         block = mk_block(h, prev, envs)
+        before = dict(oracle_state)
         expected_flags, oracle_state = oracle_block(oracle_state, block,
                                                     THRESHOLD)
-        assert validate_block(block, THRESHOLD, ledger_b)[0] == expected_flags
-        validated(block, ledger_a)
-        assert block.flags == expected_flags
-        commit_block(ledger_a, block)
-        commit_block(ledger_b, dataclasses.replace(block, writes=None))
+        assert committed(block, ledger_a).flags == expected_flags
         assert dict(ledger_a.state_items()) == oracle_state
+        assert dict(ledger_b.state_items()) == before
+        assert all(ledger_b.read_state(k) == before.get(k)
+                   for k in oracle_state)
+        commit_block(ledger_b, block, THRESHOLD)
+        assert block.flags == expected_flags
+        assert ledger_b == ledger_a
         assert dict(ledger_b.state_items()) == oracle_state
-        assert ledger_a.state_digest() == ledger_b.state_digest()
         prev = ledger_a.tip_hash
 
 
@@ -221,8 +218,9 @@ def wire_peers(n_non_endorsing=2):
         "policy": {"threshold": THRESHOLD}})
     engine = Engine(LatencyModel(base_us={}, default_us=500, per_byte_ns=0,
                                  jitter_fraction=0.0), seed=9)
-    anchor = Peer("peer000", cfg, Ledger())
-    npeers = [Peer(f"npeer{i:03d}", cfg, Ledger())
+    root = Ledger()
+    anchor = Peer("peer000", cfg, root.fork())
+    npeers = [Peer(f"npeer{i:03d}", cfg, root.fork())
               for i in range(n_non_endorsing)]
     anchor.gossip_targets = [p.id for p in npeers]
     engine.add_node(anchor)
@@ -291,10 +289,10 @@ def test_buffered_blocks_reenter_and_pay_validation_once(monkeypatch):
     commits = []
     inner = committer.commit_block
 
-    def spy(ledger, block):
+    def spy(ledger, block, threshold):
         if ledger is target.ledger:
             commits.append((block.height, engine.now))
-        inner(ledger, block)
+        inner(ledger, block, threshold)
     monkeypatch.setattr(committer, "commit_block", spy)
     b0, b1, b2 = chain_blocks(3, txns_per_block=3)
     deliver_block(engine, target.id, b2, at=0)   # buffered
@@ -331,6 +329,11 @@ def test_peers_on_one_tip_share_one_validation(validations):
                         ValidationFlag.VALID]
 
 
+def shared_state(chain):
+    """Copies of the chain's state and of the entries its blocks replaced."""
+    return dict(chain.state), {h: dict(d) for h, d in chain.replaced.items()}
+
+
 def test_ledger_at_another_tip_does_not_reuse_a_validation(validations):
     engine, anchor, npeers = wire_peers(n_non_endorsing=1)
     anchor.gossip_targets = []
@@ -338,22 +341,29 @@ def test_ledger_at_another_tip_does_not_reuse_a_validation(validations):
     b0, b1 = chain_blocks(2)
     deliver_block(engine, anchor.id, b0, at=0)
     deliver_block(engine, anchor.id, b1, at=10)
+    deliver_block(engine, stray.id, b0, at=20)
     engine.run_until_quiescent()
-    # the stray peer holds a different block 0, so its tip differs
-    fork = mk_block(0, GENESIS_PREV_HASH, [mk_env("x0", [], [("k0", 7)])],
-                    flags=[ValidationFlag.VALID])
-    commit_block(stray.ledger, fork)
-    assert stray.ledger.tip_hash != hash_block(b0)
-    state = dict(stray.ledger.state_items())
-    deliver_block(engine, stray.id, b1, at=0)
-    with pytest.raises(ChainIntegrityError):
-        engine.run_until_quiescent()
-    # b1 carries the anchor's outcome: the stray peer validates nothing,
-    # and its chain and state are as they were
-    assert validations == [0, 1]
-    assert stray.ledger.blocks == [fork]
-    assert stray.ledger.tip_hash == hash_block(fork)
-    assert dict(stray.ledger.state_items()) == state
+    chain = anchor.ledger.chain
+    assert stray.ledger.chain is chain and stray.ledger.height == 0
+    before = shared_state(chain)
+    # the stray peer, one block behind on the same chain, brings another
+    # block 1 on the same prev_hash: it is refused before it writes
+    other = mk_block(1, hash_block(b0), [mk_env("x1", [], [("k0", 7)])])
+    with pytest.raises(ChainIntegrityError, match="another block"):
+        commit_block(stray.ledger, other, THRESHOLD)
+    # a ledger on another chain holds a different block 0, so its tip
+    # differs, and b1 does not append on it
+    elsewhere = Ledger()
+    fork = committed(mk_block(0, GENESIS_PREV_HASH,
+                              [mk_env("x0", [], [("k0", 7)])]), elsewhere)
+    with pytest.raises(ChainIntegrityError, match="prev_hash"):
+        commit_block(elsewhere, b1, THRESHOLD)
+    # neither validates b1 again, nor changes a chain or its state
+    assert validations == [0, 1, 0]
+    assert shared_state(chain) == before
+    assert stray.ledger.height == 0 and chain.blocks == [b0, b1]
+    assert elsewhere.blocks == [fork] and elsewhere.height == 0
+    assert dict(elsewhere.state_items()) == {"k0": (7, (0, 0))}
 
 
 def test_duplicate_blocks_committed_exactly_once():
@@ -398,76 +408,32 @@ def contended_run():
     return result
 
 
-def test_agreement_compares_every_txn_flag_not_totals():
-    from eovsim.simulation import collect_report
-    result = contended_run()
-    # swap one Valid and one MVCCConflict flag in one peer: its flag totals,
-    # chain and state are unchanged, but two txns now disagree. Peers share
-    # each block and its flags, so the peer gets its own copies of the two
-    # blocks, each with its own flags list, to swap in.
-    observer, peer = (p.ledger for p in result.sim.all_peers()[:2])
-    blocks = peer.blocks
-    slots = {flag: (h, i) for h in range(1, len(blocks))
-             for i, flag in enumerate(blocks[h].flags)}
-    (hv, iv) = slots[ValidationFlag.VALID]
-    (hm, im) = slots[ValidationFlag.MVCC_CONFLICT]
-    for h in {hv, hm}:
-        blocks[h] = copy.copy(blocks[h])
-        blocks[h].flags = list(blocks[h].flags)
-    (blocks[hv].flags[iv], blocks[hm].flags[im]) = (blocks[hm].flags[im],
-                                                    blocks[hv].flags[iv])
-    assert observer.blocks[hv].flags[iv] is ValidationFlag.VALID
-    assert peer.tip_hash == observer.tip_hash
-    report = collect_report(result.sim, result.trace, result.journeys)
-    assert report.valid_txns == result.report.valid_txns
-    assert report.all_peers_agree is False
-
-
-def test_agreement_compares_world_state_values():
-    from eovsim.simulation import collect_report
-    result = contended_run()
-    peers = result.sim.all_peers()
-    observer, other = peers[0].ledger, peers[2].ledger
-    # one different value under an unchanged version: chains and flags stay
-    # equal, only the world state differs
-    value, version = other.read_state("cust/0/checking")
-    other.apply_write_set(WriteSet([("cust/0/checking", value + 1)]), version)
-    assert other.tip_hash == observer.tip_hash
-    assert ([b.flags for b in other.blocks]
-            == [b.flags for b in observer.blocks])
-    report = collect_report(result.sim, result.trace, result.journeys)
-    assert report.all_peers_agree is False
-    assert report.state_digest == result.report.state_digest
-
-
-def test_agreement_compares_world_state_through_a_different_base():
+def test_agreement_needs_one_chain_and_one_height():
     from eovsim.simulation import collect_report
     result = contended_run()
     peer = result.sim.all_peers()[2]
     observer = result.sim.all_peers()[0].ledger
-    assert peer.ledger._base is observer._base
 
-    def rebased(state):
-        """The peer's chain over `state`, held as the base of a new ledger
-        that shares no layer with the observer's."""
-        flat = Ledger()
-        flat.blocks = peer.ledger.blocks
-        flat.tip_hash = peer.ledger.tip_hash
-        flat.apply_writes(list(state.items()))
-        ledger = flat.fork()
-        assert ledger._base is not observer._base and not ledger._state
-        return ledger
+    def report():
+        return collect_report(result.sim, result.trace, result.journeys)
 
-    state = dict(observer.state_items())
-    peer.ledger = rebased(state)
-    assert collect_report(result.sim, result.trace,
-                          result.journeys).all_peers_agree is True
-    value, version = state["cust/1/savings"]
-    peer.ledger = rebased(state | {"cust/1/savings": (value, (version[0] + 1,
-                                                               version[1]))})
-    report = collect_report(result.sim, result.trace, result.journeys)
-    assert report.all_peers_agree is False
-    assert report.state_digest == result.report.state_digest
+    # a peer left one block behind on the shared chain
+    peer.ledger = Ledger(observer.chain, observer.height - 1)
+    assert peer.ledger.state_digest() != observer.state_digest()
+    behind = report()
+    assert behind.all_peers_agree is False
+    assert behind.state_digest == result.report.state_digest
+    assert behind.valid_txns == result.report.valid_txns
+    # a ledger on another chain with equal blocks, hashes and state
+    chain = observer.chain
+    copied = Chain(list(chain.blocks), list(chain.hashes), dict(chain.state),
+                   dict(chain.replaced))
+    peer.ledger = Ledger(copied, observer.height)
+    assert peer.ledger.tip_hash == observer.tip_hash
+    assert peer.ledger.state_digest() == observer.state_digest()
+    assert report().all_peers_agree is False
+    peer.ledger = observer.fork()
+    assert report().all_peers_agree is True
 
 
 def test_every_peer_commits_each_height_from_the_leaders_message():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from eovsim.committer import ValidationFlag, commit_block
+from eovsim.committer import commit_block
 from eovsim.config import ExperimentConfig
 from eovsim.endorser import Endorsement, endorse, policy_satisfied
 from eovsim.ledger import Block, CutReason, Ledger, ReadSet, WriteSet
@@ -63,8 +63,8 @@ def committed(ledger, write_set, txn_id):
                    write_set=write_set, client="")
     block = Block(height=ledger.height + 1, prev_hash=ledger.tip_hash,
                   txns=[env], cut_reason=CutReason.COUNT_THRESHOLD,
-                  created_at=0, flags=[ValidationFlag.VALID])
-    commit_block(ledger, block)
+                  created_at=0)
+    commit_block(ledger, block, 0)
     return ledger
 
 

@@ -14,6 +14,7 @@ from eovsim import sweep
 from eovsim.cli import main
 from eovsim.config import ConfigError, ExperimentConfig
 from eovsim.endorser import Endorsement
+from eovsim.ledger import Block
 from eovsim.simulation import build, run_simulation
 from eovsim.sweep import SweepSpec, extract_figure, read_cells_csv, run_sweep
 
@@ -224,18 +225,23 @@ def test_schedule_guard_pinned_cell(workload, seed, events, digest,
     trace = result.trace
     assert (trace.events_dispatched, trace.dispatch_digest) == (events, digest)
     assert len(executions) == PINNED_EXECUTES[workload]
-    # peers on one chain tip share one validation: one per committed height
-    assert validations == list(range(1, result.report.blocks + 1))
+    # peers on one chain share one validation: one per committed height,
+    # genesis included
+    assert validations == list(range(0, result.report.blocks + 1))
 
 
 def test_a_run_keeps_one_genesis_entry_and_no_endorsement():
-    # memory guards, counted in objects: all genesis balances are equal, so
-    # the shared genesis state holds one entry; a chain envelope keeps its
-    # endorsers' ids, so no Endorsement outlives the run
+    # memory guards, counted in objects: every peer is a height on one
+    # chain, whose genesis state holds one entry, as all genesis balances are
+    # equal; a block keeps no writes; a chain envelope keeps its endorsers'
+    # ids, so no Endorsement outlives the run
     cfg = ExperimentConfig.from_dict(SMALL)
-    base = build(cfg).endorsing[0].ledger._base
-    assert len(base) == 2 * cfg.workload.n_accounts
-    assert len({id(entry) for entry in base.values()}) == 1
+    peers = build(cfg).all_peers()
+    chain = peers[0].ledger.chain
+    assert all(p.ledger.chain is chain and p.ledger.height == 0 for p in peers)
+    assert len(chain.state) == 2 * cfg.workload.n_accounts
+    assert len({id(entry) for entry in chain.state.values()}) == 1
+    assert "writes" not in Block.__slots__
 
     def endorsements():
         gc.collect()

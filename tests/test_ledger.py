@@ -1,13 +1,15 @@
+import copy
 import random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eovsim.committer import ValidationFlag
+from eovsim.committer import ValidationFlag, commit_block
 from eovsim.ledger import (GENESIS_PREV_HASH, Block, ChainIntegrityError,
                            CutReason, Ledger, ReadSet, WriteSet, hash_block)
+from eovsim.ordering import Envelope
 
 # Golden digest for the canonical fixture below, computed once from the
 # reference encoding and frozen.
@@ -19,8 +21,7 @@ def stub_txns(*ids):
 
 
 def valid(block):
-    """The block with one Valid flag per txn: the flags append_block
-    requires."""
+    """The block with one Valid flag per txn, as its validation leaves it."""
     block.flags = [ValidationFlag.VALID] * len(block.txns)
     return block
 
@@ -61,31 +62,31 @@ def test_digest_sensitive_to_height_prev_and_reason():
 def test_append_genesis_then_chain():
     ledger = Ledger()
     genesis = fixture_block()
-    ledger.append_block(valid(genesis))
+    ledger.append_block(genesis)
     assert ledger.height == 0
     nxt = Block(height=1, prev_hash=hash_block(genesis), txns=stub_txns("d"),
                 cut_reason=CutReason.TIMEOUT, created_at=5)
-    ledger.append_block(valid(nxt))
+    ledger.append_block(nxt)
     assert ledger.height == 1
     assert ledger.tip_hash == hash_block(nxt)
 
 
 def test_append_height_gap_fails():
     ledger = Ledger()
-    ledger.append_block(valid(fixture_block()))
+    ledger.append_block(fixture_block())
     far = Block(height=2, prev_hash=ledger.tip_hash, txns=stub_txns("x"),
                 cut_reason=CutReason.TIMEOUT, created_at=1)
     with pytest.raises(ChainIntegrityError):
-        ledger.append_block(valid(far))
+        ledger.append_block(far)
 
 
 def test_append_prev_hash_mismatch_fails():
     ledger = Ledger()
-    ledger.append_block(valid(fixture_block()))
+    ledger.append_block(fixture_block())
     bad = Block(height=1, prev_hash="0" * 32, txns=stub_txns("x"),
                 cut_reason=CutReason.TIMEOUT, created_at=1)
     with pytest.raises(ChainIntegrityError):
-        ledger.append_block(valid(bad))
+        ledger.append_block(bad)
 
 
 def test_append_rejects_empty_block():
@@ -93,21 +94,30 @@ def test_append_rejects_empty_block():
     empty = Block(height=0, prev_hash=GENESIS_PREV_HASH, txns=[],
                   cut_reason=CutReason.TIMEOUT, created_at=0)
     with pytest.raises(ChainIntegrityError):
-        ledger.append_block(valid(empty))
+        ledger.append_block(empty)
 
 
-def test_append_requires_one_flag_per_txn():
+def test_append_rejects_another_block_at_a_height():
     ledger = Ledger()
-    block = fixture_block()
-    one_each = [ValidationFlag.VALID] * len(block.txns)
-    for flags in (None, [], one_each[:-1], one_each + [ValidationFlag.VALID]):
-        block.flags = flags
-        with pytest.raises(ChainIntegrityError, match="one flag per txn"):
-            ledger.append_block(block)
-    assert ledger.blocks == [] and ledger.tip_hash == GENESIS_PREV_HASH
-    block.flags = one_each
-    ledger.append_block(block)
-    assert ledger.blocks == [block] and ledger.blocks[0].flags is one_each
+    genesis = fixture_block()
+    assert ledger.append_block(genesis) is True
+    behind = ledger.fork()
+    nxt = Block(height=1, prev_hash=hash_block(genesis), txns=stub_txns("d"),
+                cut_reason=CutReason.TIMEOUT, created_at=5)
+    assert ledger.append_block(nxt) is True
+    # a later ledger at the height brings the very block the chain holds,
+    # and only moves its height
+    assert behind.append_block(nxt) is False
+    assert behind.height == 1 and behind.tip_hash == ledger.tip_hash
+    # an equal copy, or another block on the same prev_hash, is refused
+    for other in (copy.copy(nxt), Block(1, hash_block(genesis), stub_txns("e"),
+                                        CutReason.TIMEOUT, 5)):
+        stray = Ledger(ledger.chain, 0)
+        with pytest.raises(ChainIntegrityError, match="another block"):
+            stray.append_block(other)
+        assert stray.height == 0
+    assert ledger.chain.blocks == [genesis, nxt]
+    assert ledger.chain.hashes == [hash_block(genesis), hash_block(nxt)]
 
 
 def test_read_state_fresh_is_absent():
@@ -174,7 +184,6 @@ def test_apply_write_set_stores_one_entry_per_distinct_value():
     assert len({id(entry) for entry in state.values()}) == 3
     assert state == dict(reference.state_items())
     assert shared.state_digest() == reference.state_digest()
-    assert shared.agrees_with(reference)
 
 
 def random_chain(rng, blocks=10, keys=6):
@@ -200,7 +209,7 @@ def random_chain(rng, blocks=10, keys=6):
 def replay(chain):
     ledger = Ledger()
     for block in chain:
-        ledger.append_block(valid(block))
+        ledger.append_block(block)
         for idx, t in enumerate(block.txns):
             ledger.apply_write_set(t.write_set, (block.height, idx))
     return ledger
@@ -234,22 +243,35 @@ def test_version_monotonicity_under_commits():
             last_seen[key] = version
 
 
+def commit(ledger, *write_sets):
+    """Commit the next block on the ledger, one txn per list of (key, value)
+    writes; the first ledger at its height validates it at threshold 0."""
+    h = ledger.height + 1
+    txns = [Envelope(txn_id=f"t{h}.{i}", endorsers=(), read_set=ReadSet(),
+                     write_set=WriteSet(list(writes)), client="")
+            for i, writes in enumerate(write_sets)]
+    block = Block(height=h, prev_hash=ledger.tip_hash, txns=txns,
+                  cut_reason=CutReason.COUNT_THRESHOLD, created_at=h)
+    commit_block(ledger, block, 0)
+    return block
+
+
 def test_fork_is_independent():
     a = Ledger()
-    a.apply_write_set(WriteSet([("k", 1)]), (0, 0))
+    commit(a, [("k", 1)])
     b = a.fork()
     assert b.state_digest() == a.state_digest()
-    b.apply_write_set(WriteSet([("k", 2)]), (1, 0))
-    assert a.read_state("k") == (1, (0, 0))
+    commit(b, [("k", 2)])
+    assert a.read_state("k") == (1, (0, 0)) and a.height == 0
+    assert b.read_state("k") == (2, (1, 0)) and b.height == 1
     assert b.state_digest() != a.state_digest()
 
 
 def test_parent_writes_after_fork_are_invisible_to_the_child():
     parent = Ledger()
-    parent.apply_write_set(WriteSet([("k", 1), ("j", 1)]), (0, 0))
+    commit(parent, [("k", 1), ("j", 1)])
     child = parent.fork()
-    parent.apply_write_set(WriteSet([("k", 2), ("new", 7)]), (1, 0))
-    parent.apply_writes([("j", (3, (1, 1)))])
+    commit(parent, [("k", 2), ("new", 7)], [("j", 3)])
     assert child.read_state("k") == (1, (0, 0))
     assert child.read_state("j") == (1, (0, 0))
     assert child.read_state("new") is None
@@ -261,54 +283,51 @@ def test_parent_writes_after_fork_are_invisible_to_the_child():
 
 def test_child_writes_are_invisible_to_the_parent_and_siblings():
     parent = Ledger()
-    parent.apply_write_set(WriteSet([("k", 1)]), (0, 0))
+    commit(parent, [("k", 1)])
     child, sibling = parent.fork(), parent.fork()
-    child.apply_writes([("k", (5, (1, 0))), ("x", (6, (1, 1)))])
+    commit(child, [("k", 5)], [("x", 6)])
     for other in (parent, sibling):
         assert other.read_state("k") == (1, (0, 0))
         assert other.read_state("x") is None
         assert dict(other.state_items()) == {"k": (1, (0, 0))}
-        assert not other.agrees_with(child)
+        assert other != child
 
 
 def test_fork_of_a_fork_sees_its_parents_writes_and_no_later_ones():
     root = Ledger()
-    root.apply_write_set(WriteSet([("a", 1), ("b", 1)]), (0, 0))
+    commit(root, [("a", 1), ("b", 1)])
     mid = root.fork()
-    mid.apply_write_set(WriteSet([("b", 2), ("c", 2)]), (1, 0))
+    commit(mid, [("b", 2), ("c", 2)])
     leaf = mid.fork()
-    mid.apply_write_set(WriteSet([("a", 3)]), (2, 0))
-    leaf.apply_write_set(WriteSet([("c", 4)]), (2, 1))
-    root.apply_write_set(WriteSet([("d", 5)]), (1, 1))
+    block = commit(mid, [("a", 3)])
     assert dict(leaf.state_items()) == {
-        "a": (1, (0, 0)), "b": (2, (1, 0)), "c": (4, (2, 1))}
+        "a": (1, (0, 0)), "b": (2, (1, 0)), "c": (2, (1, 0))}
     assert dict(mid.state_items()) == {
         "a": (3, (2, 0)), "b": (2, (1, 0)), "c": (2, (1, 0))}
-    assert dict(root.state_items()) == {
-        "a": (1, (0, 0)), "b": (1, (0, 0)), "d": (5, (1, 1))}
+    assert dict(root.state_items()) == {"a": (1, (0, 0)), "b": (1, (0, 0))}
+    commit_block(leaf, block, 0)
+    assert leaf == mid and dict(leaf.state_items()) == dict(mid.state_items())
 
 
 def flat_ledger(state):
-    """A never-forked ledger holding exactly `state`, all in one layer."""
+    """A ledger at the tip of its own chain holding exactly `state`."""
     ledger = Ledger()
-    ledger.apply_writes(list(state.items()))
+    for key, (value, version) in state.items():
+        ledger.apply_write_set(WriteSet([(key, value)]), version)
     return ledger
 
 
 def test_forked_written_ledger_digest_equals_flat_ledger():
     parent = Ledger()
-    parent.apply_write_set(WriteSet([(f"k{i}", i) for i in range(50)]), (0, 0))
+    commit(parent, [(f"k{i}", i) for i in range(50)])
+    genesis_digest = parent.state_digest()
     child = parent.fork()
-    # overwrite some base keys, add new ones, and write one twice
-    child.apply_writes([("k3", (-30, (1, 0))), ("k7", (7, (0, 0))),
-                        ("new", (1, (1, 1))), ("k3", (31, (1, 2)))])
+    # overwrite some genesis keys, add new ones, and write one twice
+    commit(child, [("k3", -30), ("k7", 7)], [("new", 1)], [("k3", 31)])
     flat = flat_ledger(dict(child.state_items()))
     assert child.state_digest() == flat.state_digest()
-    assert child.state_digest() != parent.state_digest()
-    # a key rewritten to its base entry leaves the digest as the base's
-    twin = parent.fork()
-    twin.apply_writes([("k7", (7, (0, 0)))])
-    assert twin.state_digest() == parent.state_digest()
+    # the parent, now behind the tip, keeps the genesis digest
+    assert parent.state_digest() == genesis_digest != child.state_digest()
 
 
 def test_entry_hash_is_the_five_part_encoding():
@@ -330,98 +349,70 @@ def test_entry_hash_is_the_five_part_encoding():
         assert _entry_hash(key, (value, (bh, ti))) == reference(key, value, bh, ti)
 
 
-def test_agrees_with_on_a_shared_base_compares_effective_entries():
-    parent = Ledger()
-    parent.apply_write_set(WriteSet([("k", 1), ("j", 2)]), (0, 0))
-    a, b = parent.fork(), parent.fork()
-    assert a._base is b._base
-    assert a.agrees_with(b)
-    # an overlay entry equal to the base entry it shadows changes nothing
-    a.apply_writes([("k", (1, (0, 0)))])
-    assert a.agrees_with(b) and b.agrees_with(a)
-    # one differing entry in one overlay, in value or in version
-    b.apply_writes([("j", (3, (0, 0)))])
-    assert not a.agrees_with(b) and not b.agrees_with(a)
-    a.apply_writes([("j", (3, (0, 1)))])
-    assert not a.agrees_with(b)
-    a.apply_writes([("j", (3, (0, 0)))])
-    assert a.agrees_with(b)
-    # a key only one side added
-    a.apply_writes([("new", (0, (1, 0)))])
-    assert not a.agrees_with(b) and not b.agrees_with(a)
+def test_a_block_keeps_only_the_entries_it_replaced_from_earlier_heights():
+    ledger = Ledger()
+    commit(ledger, [("k", 1), ("j", 1)])
+    # block 1 writes k twice and first writes "new"; it keeps k's genesis
+    # entry alone
+    commit(ledger, [("k", 2), ("new", 5)], [("k", 3)])
+    assert ledger.chain.replaced[1] == {"k": (1, (0, 0))}
+    assert ledger.chain.state["k"] == (3, (1, 1))
+    commit(ledger, [("new", 6)])
+    assert ledger.chain.replaced[2] == {"new": (5, (1, 0))}
+    assert Ledger(ledger.chain, 0).read_state("new") is None
+    assert Ledger(ledger.chain, 0).read_state("k") == (1, (0, 0))
+    assert Ledger(ledger.chain, 1).read_state("k") == (3, (1, 1))
 
 
-def test_agrees_with_across_different_bases_compares_effective_states():
-    state = {"k": (1, (0, 0)), "j": (2, (0, 0))}
-    layered = flat_ledger({"k": (1, (0, 0))}).fork()
-    layered.apply_writes([("j", (2, (0, 0)))])
-    flat = flat_ledger(state)
-    assert layered._base is not flat._base
-    assert layered.agrees_with(flat) and flat.agrees_with(layered)
-    other = flat_ledger({**state, "j": (2, (0, 1))}).fork()
-    assert not layered.agrees_with(other) and not other.agrees_with(layered)
-    assert not flat_ledger({"k": (1, (0, 0))}).agrees_with(flat)
+def test_ledgers_are_equal_on_one_chain_at_one_height():
+    a = Ledger()
+    commit(a, [("k", 1)])
+    b = a.fork()
+    assert a == b
+    block = commit(b, [("k", 2)])
+    assert a != b
+    commit_block(a, block, 0)
+    assert a == b
+    # equal blocks and state on another chain make another ledger
+    other = Ledger()
+    commit(other, [("k", 1)])
+    commit(other, [("k", 2)])
+    assert other.tip_hash == a.tip_hash
+    assert other.state_digest() == a.state_digest()
+    assert other != a
 
 
-def test_build_shares_one_genesis_base_across_peers():
-    # the memory property: N peers hold one genesis state between them,
-    # and a peer's overlay holds only what it applied since genesis
-    from eovsim.config import ExperimentConfig
-    from eovsim.simulation import build
-    cfg = ExperimentConfig.from_dict({
-        "topology": {"peers": 4, "non_endorsing": 2},
-        "workload": {"n_accounts": 50}})
-    peers = build(cfg).all_peers()
-    base = peers[0].ledger._base
-    assert len(base) == 2 * cfg.workload.n_accounts
-    assert len(peers) == 6
-    for peer in peers:
-        assert peer.ledger._base is base
-        assert peer.ledger._state == {}
-        assert peer.ledger.height == 0
-
-
-# Ledger operations drawn by the property test below: a write set applied
-# at a version, a list of (key, (value, version)) writes, or a fork. Each
-# names its ledger by an index into the ledgers made so far.
-KEYS = st.sampled_from(["a", "b", "c", "d"])
-ENTRY = st.tuples(st.integers(-3, 3), st.tuples(st.integers(0, 2),
-                                                st.integers(0, 2)))
-LEDGER_OPS = st.one_of(
-    st.tuples(st.just("write_set"), st.integers(0, 7),
-              st.lists(st.tuples(KEYS, st.integers(-3, 3)), max_size=3),
-              st.tuples(st.integers(0, 2), st.integers(0, 2))),
-    st.tuples(st.just("writes"), st.integers(0, 7),
-              st.lists(st.tuples(KEYS, ENTRY), max_size=3)),
-    st.tuples(st.just("fork"), st.integers(0, 7)),
-)
+# A chain drawn by the property test below: blocks of txns, each txn a list
+# of (key, value) writes. A key may be written twice in one txn or block, and
+# first written after genesis.
+KEYS = ["a", "b", "c", "d"]
+TXN_WRITES = st.lists(st.tuples(st.sampled_from(KEYS), st.integers(-3, 3)),
+                      max_size=3)
+CHAINS = st.lists(st.lists(TXN_WRITES, min_size=1, max_size=3),
+                  min_size=1, max_size=8)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(LEDGER_OPS, max_size=25))
-def test_layered_ledgers_match_a_flat_model(ops):
-    ledgers, models = [Ledger()], [{}]
-    for op in ops:
-        i = op[1] % len(ledgers)
-        ledger, model = ledgers[i], models[i]
-        if op[0] == "write_set":
-            ledger.apply_write_set(WriteSet(op[2]), op[3])
-            model.update((key, (value, op[3])) for key, value in op[2])
-        elif op[0] == "writes":
-            ledger.apply_writes(op[2])
-            model.update(op[2])
-        else:
-            ledgers.append(ledger.fork())
-            models.append(dict(model))
-    for ledger, model in zip(ledgers, models):
-        for key in ["a", "b", "c", "d"]:
-            assert ledger.read_state(key) == model.get(key)
-        items = list(ledger.state_items())
-        assert len(items) == len(model) and dict(items) == model
-        assert ledger.state_digest() == flat_ledger(model).state_digest()
-    for a, model_a in zip(ledgers, models):
-        for b, model_b in zip(ledgers, models):
-            assert a.agrees_with(b) == (model_a == model_b)
+@given(CHAINS)
+@example([[[("a", 1)]], [[("b", 2)], [("b", 3), ("a", 0)]], [[("c", 1)]],
+          [[("a", 2), ("a", 3)], [("c", 2)]], [[("d", 0)]]])
+def test_reads_behind_the_tip_match_per_height_snapshots(blocks):
+    # one ledger left at each height, including -1 before genesis, while
+    # the tip commits the whole chain; each must read its height's snapshot
+    tip = Ledger()
+    ledgers, snapshots, model = [tip.fork()], [{}], {}
+    for h, txns in enumerate(blocks):
+        commit(tip, *txns)
+        for idx, writes in enumerate(txns):
+            model.update((key, (value, (h, idx))) for key, value in writes)
+        ledgers.append(tip.fork())
+        snapshots.append(dict(model))
+    for h, (ledger, snapshot) in enumerate(zip(ledgers, snapshots), start=-1):
+        assert ledger.height == h and ledger.chain is tip.chain
+        for key in KEYS:
+            assert ledger.read_state(key) == snapshot.get(key)
+        assert dict(ledger.state_items()) == snapshot
+        assert ledger.state_digest() == flat_ledger(snapshot).state_digest()
 
 
 def test_trace_lines_schema():
