@@ -9,9 +9,12 @@ State values are signed 64-bit integers keyed by short strings such as
 wrote the key; comparison is lexicographic.
 
 A Chain is the run's one record of blocks, block hashes and committed state.
+Its genesis state is a read-only rule (smallbank.Genesis) that stores
+nothing per key; the chain stores only the entries that blocks write.
 A Ledger is a peer's height on a chain, and reads the state as of that
 height (multiversion reads: Bernstein and Goodman, "Multiversion Concurrency
-Control", ACM TODS 1983). A Block carries its validation outcome, as a
+Control", ACM TODS 1983), falling back to the genesis rule for a key not
+written by then. A Block carries its validation outcome, as a
 Fabric block carries its transactions filter in its metadata: `flags`, one
 per txn, filled by the first ledger to commit the block (committer.Peer).
 """
@@ -23,7 +26,10 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
+
+if TYPE_CHECKING:
+    from .smallbank import Genesis
 
 Version = tuple[int, int]
 Entry = tuple[int, Version]
@@ -36,11 +42,23 @@ class ChainIntegrityError(RuntimeError):
     simulation bug, fail fast."""
 
 
-def _entry_hash(key: str, entry: Entry) -> int:
+def _fold(keys, entry: Entry) -> int:
+    """XOR over the keys of the 128-bit blake2b digest of
+    key=value,height,index, for keys that share one entry: its encoding is
+    packed once, and the loop allocates no object the garbage collector
+    tracks."""
     value, (bh, ti) = entry
-    data = key.encode() + b"=" + struct.pack(">qQQ", value, bh, ti)
-    return int.from_bytes(hashlib.blake2b(data, digest_size=16).digest(),
-                          "big")
+    suffix = b"=" + struct.pack(">qQQ", value, bh, ti)
+    blake2b, from_bytes = hashlib.blake2b, int.from_bytes
+    acc = 0
+    for key in keys:
+        acc ^= from_bytes(blake2b(key.encode() + suffix,
+                                  digest_size=16).digest(), "big")
+    return acc
+
+
+def _entry_hash(key: str, entry: Entry) -> int:
+    return _fold((key,), entry)
 
 
 class CutReason(enum.Enum):
@@ -98,16 +116,21 @@ def hash_block(block: Block) -> str:
 class Chain:
     """Blocks and their hashes by height, and the committed state.
 
-    `state` maps each key to its newest (value, version) entry.
-    `replaced[h][key]` is the entry that block h overwrote, kept only if it
-    came from an earlier height, so the state as of any height is one walk
-    back from the newest entry.
+    `genesis`, if any, is the state as of height 0: a read-only rule under
+    which every key of keys() reads one shared `entry`, and get(key)
+    returns that entry for those keys and None for any other; the genesis
+    block writes nothing. `state` maps each key written since to its newest
+    (value, version) entry. `replaced[h][key]` is the entry that block h
+    overwrote, kept only if it came from an earlier height, so the state as
+    of any height is one walk back from the newest entry, and the genesis
+    entry once the walk passes the key's first write.
     """
 
     blocks: list[Block] = field(default_factory=list)
     hashes: list[str] = field(default_factory=list)
     state: dict[str, Entry] = field(default_factory=dict)
     replaced: dict[int, dict[str, Entry]] = field(default_factory=dict)
+    genesis: Genesis | None = None
 
     @property
     def height(self) -> int:
@@ -152,15 +175,24 @@ class Ledger:
         self.height = height
         return new
 
+    @property
+    def genesis(self) -> Genesis | None:
+        """The chain's genesis rule, which a ledger at height -1 (before
+        the genesis block) does not see."""
+        return self.chain.genesis if self.height >= 0 else None
+
     def read_state(self, key: str) -> Entry | None:
         """Committed (value, version) as of this ledger's height, or None;
         absence is a normal outcome. A ledger at the chain's tip reads the
-        newest entry."""
+        newest entry; a key not written by this height reads its genesis
+        entry."""
         chain = self.chain
         entry = chain.state.get(key)
         if self.height < chain.height:
             while entry is not None and entry[1][0] > self.height:
                 entry = chain.replaced[entry[1][0]].get(key)
+        if entry is None and self.height >= 0 and chain.genesis is not None:
+            return chain.genesis.get(key)
         return entry
 
     def fork(self) -> "Ledger":
@@ -168,41 +200,55 @@ class Ledger:
         return Ledger(self.chain, self.height)
 
     def apply_write_set(self, ws: WriteSet, at: Version) -> None:
-        """Write every (key, value) into the chain's state at version `at`.
-        The entries are immutable, so every key written with one value
-        shares one (value, at) entry: a genesis load of equal balances
-        stores one."""
+        """Write every (key, value) into the chain's state at version `at`."""
         state = self.chain.state
         setdefault = state.setdefault
         height = at[0]
         replaced = self.chain.replaced.setdefault(height, {})
-        entries: dict[int, Entry] = {}
         for key, value in ws.writes:
-            entry = entries.get(value)
-            if entry is None:
-                entry = entries[value] = (value, at)
+            entry = (value, at)
             old = setdefault(key, entry)
             if old is not entry:
                 if old[1][0] < height:
                     replaced[key] = old
                 state[key] = entry
 
+    def changes(self) -> Iterator[tuple[str, Entry | None, Entry | None]]:
+        """(key, genesis entry, entry as of this height) for every key the
+        chain has written since genesis, either entry None where absent.
+        The state as of this height is the genesis state with each such
+        key's genesis entry swapped for its entry as of the height. A
+        ledger at the chain's tip takes the newest entries as they are."""
+        genesis, chain = self.genesis, self.chain
+        at_tip = self.height >= chain.height
+        for key, entry in chain.state.items():
+            yield (key, None if genesis is None else genesis.get(key),
+                   entry if at_tip else self.read_state(key))
+
     def state_digest(self) -> str:
-        """Order-independent XOR fold over all entries, taken on each call;
-        equal states give equal digests."""
-        acc = 0
-        for key, entry in self.state_items():
-            acc ^= _entry_hash(key, entry)
+        """Order-independent XOR fold over all entries as of this height,
+        taken on each call; equal states give equal digests. The genesis
+        keys fold in one pass, then each key written since swaps its
+        genesis term for its entry's."""
+        genesis = self.genesis
+        acc = 0 if genesis is None else _fold(genesis.keys(), genesis.entry)
+        for key, before, after in self.changes():
+            for entry in (before, after):
+                if entry is not None:
+                    acc ^= _entry_hash(key, entry)
         return f"{acc:032x}"
 
     def state_items(self) -> Iterator[tuple[str, Entry]]:
-        """Every (key, entry) as of this ledger's height."""
+        """Every (key, entry) as of this ledger's height, the genesis keys
+        not written since included."""
         state = self.chain.state
-        if self.height >= self.chain.height:
-            yield from state.items()
-            return
-        for key in state:
-            entry = self.read_state(key)
+        genesis = self.genesis
+        if genesis is not None:
+            entry = genesis.entry
+            for key in genesis.keys():
+                if key not in state:
+                    yield key, entry
+        for key, _, entry in self.changes():
             if entry is not None:
                 yield key, entry
 

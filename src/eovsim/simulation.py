@@ -5,8 +5,9 @@ node reads its settings and the ids it sends to from the run's one
 ExperimentConfig. Every peer is a committer.Peer; the endorsing ones are
 those the clients send proposals to. Only the log leader is a BrokerNode:
 the other brokers receive no event and are bare Nodes holding counters.
-The genesis block is one unendorsed envelope carrying the initial account
-balances; it commits through commit_block, validated at threshold 0, and
+The genesis state is the workload's rule (smallbank.Genesis), held by the
+run's one chain; the genesis block is one unendorsed envelope that writes
+nothing. It commits through commit_block, validated at threshold 0, and
 every peer's ledger is then a fork of the genesis ledger: height 0 on the
 run's one chain (ledger.Ledger). collect_report builds the RunReport in one
 place: chain, flag and state figures from the observer peer's (peer000)
@@ -29,10 +30,11 @@ from .committer import Peer, ValidationFlag, commit_block
 from .config import ExperimentConfig
 from .driver import ClientNode, TxnJourney, submission_times
 from .engine import Engine, Node, NodeClass, TraceSummary
-from .ledger import GENESIS_PREV_HASH, Block, CutReason, Ledger, ReadSet
+from .ledger import (GENESIS_PREV_HASH, Block, Chain, CutReason, Ledger,
+                     ReadSet, WriteSet)
 from .metrics import RunReport, aggregate
 from .ordering import BlockCutter, BrokerNode, Envelope, OrdererNode
-from .smallbank import generate, initial_write_set, total_balance
+from .smallbank import Genesis, generate, total_balance
 
 GENESIS_TXN_ID = "genesis-load"
 
@@ -51,17 +53,19 @@ class Simulation:
         return self.endorsing + self.non_endorsing
 
 
-def genesis_block(cfg: ExperimentConfig) -> Block:
+def genesis_block() -> Block:
     load = Envelope(txn_id=GENESIS_TXN_ID, endorsers=(), read_set=ReadSet(),
-                    write_set=initial_write_set(cfg.workload), client="")
+                    write_set=WriteSet(), client="")
     return Block(height=0, prev_hash=GENESIS_PREV_HASH, txns=[load],
                  cut_reason=CutReason.COUNT_THRESHOLD, created_at=0)
 
 
 def build(cfg: ExperimentConfig) -> Simulation:
     engine = Engine(cfg.latency, seed=cfg.seed)
-    genesis_ledger = Ledger()
-    commit_block(genesis_ledger, genesis_block(cfg), 0)
+    workload = cfg.workload
+    genesis_ledger = Ledger(Chain(genesis=Genesis(workload.n_accounts,
+                                                  workload.initial_balance)))
+    commit_block(genesis_ledger, genesis_block(), 0)
 
     peers = [Peer(pid, cfg, genesis_ledger.fork())
              for pid in cfg.peer_ids + cfg.npeer_ids]
@@ -167,7 +171,7 @@ def collect_report(sim: Simulation, trace: TraceSummary,
         tip_hash=ledger.tip_hash,
         state_digest=ledger.state_digest(),
         all_peers_agree=all(p.ledger == ledger for p in peers[1:]),
-        total_balance=total_balance(ledger.state_items()),
+        total_balance=total_balance(ledger),
         events_dispatched=trace.events_dispatched,
         dispatch_digest=trace.dispatch_digest,
         end_time_us=trace.end_time_us,

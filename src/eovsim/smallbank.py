@@ -16,15 +16,21 @@ Execution is a pure function of (op, snapshot): it records every key read
 with the version observed, never mutates the snapshot, and a rejection
 yields an empty write set. Unknown accounts are rejected. Being pure, it
 runs once per proposal and chain tip (Proposal.executed, endorser.endorse).
+
+The genesis state is a rule, not a load (Genesis): every customer c with
+0 <= c < n_accounts opens both balances at initial_balance, version (0, 0),
+and no other key exists.
 """
 
 from __future__ import annotations
 
 import enum
 import random
+import re
 from dataclasses import dataclass, field
+from typing import Iterator
 
-from .ledger import ReadSet, WriteSet
+from .ledger import Entry, ReadSet, WriteSet
 
 
 class OpKind(enum.Enum):
@@ -227,16 +233,43 @@ def generate(cfg: WorkloadConfig, count: int,
     return out
 
 
-def initial_write_set(cfg: WorkloadConfig) -> WriteSet:
-    """Genesis load: every account opens both balances at initial_balance."""
-    ws = WriteSet()
-    for c in range(cfg.n_accounts):
-        ws.writes.append((checking_key(c), cfg.initial_balance))
-        ws.writes.append((savings_key(c), cfg.initial_balance))
-    return ws
+# A canonical balance key: customer numbers in decimal, without leading zeros.
+_BALANCE_KEY = re.compile(r"cust/(0|[1-9][0-9]*)/(?:checking|savings)")
 
 
-def total_balance(state_items) -> int:
-    """Sum of all committed customer balances, for conservation checks."""
-    return sum(value for key, (value, _ver) in state_items
-               if key.startswith("cust/"))
+class Genesis:
+    """The genesis world state as a read-only rule (ledger.Chain.genesis):
+    both balances of every customer below n_accounts read one shared
+    (initial_balance, (0, 0)) entry, and every other key reads None.
+    Nothing is stored per key."""
+
+    __slots__ = ("n_accounts", "entry")
+
+    def __init__(self, n_accounts: int, initial_balance: int):
+        self.n_accounts = n_accounts
+        self.entry: Entry = (initial_balance, (0, 0))
+
+    def get(self, key: str) -> Entry | None:
+        match = _BALANCE_KEY.fullmatch(key)
+        if match is not None and int(match[1]) < self.n_accounts:
+            return self.entry
+        return None
+
+    def keys(self) -> Iterator[str]:
+        """Every genesis key: 2 * n_accounts of them."""
+        for c in range(self.n_accounts):
+            yield checking_key(c)
+            yield savings_key(c)
+
+
+def total_balance(ledger) -> int:
+    """Sum of all committed customer balances as of the ledger's height, for
+    conservation checks: the genesis balances, plus what each key written
+    since genesis added to its genesis balance."""
+    genesis = ledger.genesis
+    total = 0 if genesis is None else 2 * genesis.n_accounts * genesis.entry[0]
+    for key, before, after in ledger.changes():
+        if key.startswith("cust/"):
+            total += ((0 if after is None else after[0])
+                      - (0 if before is None else before[0]))
+    return total

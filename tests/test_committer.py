@@ -427,7 +427,7 @@ def test_agreement_needs_one_chain_and_one_height():
     # a ledger on another chain with equal blocks, hashes and state
     chain = observer.chain
     copied = Chain(list(chain.blocks), list(chain.hashes), dict(chain.state),
-                   dict(chain.replaced))
+                   dict(chain.replaced), chain.genesis)
     peer.ledger = Ledger(copied, observer.height)
     assert peer.ledger.tip_hash == observer.tip_hash
     assert peer.ledger.state_digest() == observer.state_digest()

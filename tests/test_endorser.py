@@ -6,10 +6,10 @@ import pytest
 from eovsim.committer import commit_block
 from eovsim.config import ExperimentConfig
 from eovsim.endorser import Endorsement, endorse, policy_satisfied
-from eovsim.ledger import Block, CutReason, Ledger, ReadSet, WriteSet
+from eovsim.ledger import Block, Chain, CutReason, Ledger, ReadSet, WriteSet
 from eovsim.ordering import Envelope
-from eovsim.smallbank import (OpKind, Proposal, SmallbankOp, checking_key,
-                              execute, generate, initial_write_set)
+from eovsim.smallbank import (Genesis, OpKind, Proposal, SmallbankOp,
+                              checking_key, execute, generate)
 
 
 def workload(seed, n_accounts=4):
@@ -19,10 +19,11 @@ def workload(seed, n_accounts=4):
 
 
 def seeded_ledger(n_accounts=4):
-    ledger = Ledger()
+    """A ledger at height 0 on a chain that holds the workload's genesis
+    rule; the genesis block writes nothing."""
     cfg = workload(n_accounts=n_accounts, seed=0)
-    ledger.apply_write_set(initial_write_set(cfg), (0, 0))
-    return ledger
+    chain = Chain(genesis=Genesis(cfg.n_accounts, cfg.initial_balance))
+    return committed(Ledger(chain), WriteSet(), "genesis")
 
 
 def mk_endorsement(peer, txn_id="t0", payload=0):
@@ -68,13 +69,8 @@ def committed(ledger, write_set, txn_id):
     return ledger
 
 
-def genesis_ledger():
-    cfg = workload(n_accounts=4, seed=0)
-    return committed(Ledger(), initial_write_set(cfg), "genesis")
-
-
 def test_peers_on_one_tip_share_one_execution(executions):
-    a = genesis_ledger()
+    a = seeded_ledger()
     b = a.fork()
     proposal = Proposal("t4", "c", SmallbankOp(OpKind.SEND_PAYMENT, (0, 1), 7))
     ea = endorse(proposal, a, "peer000")
@@ -86,7 +82,7 @@ def test_peers_on_one_tip_share_one_execution(executions):
 
 
 def test_a_committed_block_gives_a_fresh_execution(executions):
-    a = genesis_ledger()
+    a = seeded_ledger()
     b = a.fork()
     key = checking_key(2)
     proposal = Proposal("t5", "c", SmallbankOp(OpKind.DEPOSIT_CHECKING, (2,), 3))
@@ -106,7 +102,7 @@ def test_a_committed_block_gives_a_fresh_execution(executions):
 def test_memo_leaves_proposal_equality_and_repr_alone():
     cfg = workload(n_accounts=4, seed=3)
     used, fresh = generate(cfg, 3, "c"), generate(cfg, 3, "c")
-    ledger = genesis_ledger()
+    ledger = seeded_ledger()
     for proposal in used:
         endorse(proposal, ledger, "peer000")
     assert all(p.executed for p in used)

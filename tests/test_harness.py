@@ -232,15 +232,19 @@ def test_schedule_guard_pinned_cell(workload, seed, events, digest,
 
 def test_a_run_keeps_one_genesis_entry_and_no_endorsement():
     # memory guards, counted in objects: every peer is a height on one
-    # chain, whose genesis state holds one entry, as all genesis balances are
-    # equal; a block keeps no writes; a chain envelope keeps its endorsers'
-    # ids, so no Endorsement outlives the run
+    # chain, whose genesis state is a rule that stores nothing and reads one
+    # shared entry; a block keeps no writes; a chain envelope keeps its
+    # endorsers' ids, so no Endorsement outlives the run
     cfg = ExperimentConfig.from_dict(SMALL)
     peers = build(cfg).all_peers()
     chain = peers[0].ledger.chain
     assert all(p.ledger.chain is chain and p.ledger.height == 0 for p in peers)
-    assert len(chain.state) == 2 * cfg.workload.n_accounts
-    assert len({id(entry) for entry in chain.state.values()}) == 1
+    assert len(chain.state) == 0
+    last = cfg.workload.n_accounts - 1
+    for peer in peers:
+        for key in ("cust/0/checking", f"cust/{last}/savings"):
+            assert peer.ledger.read_state(key) is chain.genesis.entry
+    assert chain.genesis.entry == (cfg.workload.initial_balance, (0, 0))
     assert "writes" not in Block.__slots__
 
     def endorsements():

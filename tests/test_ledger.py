@@ -7,9 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eovsim.committer import ValidationFlag, commit_block
-from eovsim.ledger import (GENESIS_PREV_HASH, Block, ChainIntegrityError,
-                           CutReason, Ledger, ReadSet, WriteSet, hash_block)
+from eovsim.ledger import (GENESIS_PREV_HASH, Block, Chain,
+                           ChainIntegrityError, CutReason, Ledger, ReadSet,
+                           WriteSet, hash_block)
 from eovsim.ordering import Envelope
+from eovsim.smallbank import Genesis, total_balance
 
 # Golden digest for the canonical fixture below, computed once from the
 # reference encoding and frozen.
@@ -170,20 +172,19 @@ def test_digest_differs_on_value_and_version():
     assert len({a.state_digest(), b.state_digest(), c.state_digest()}) == 3
 
 
-def test_apply_write_set_stores_one_entry_per_distinct_value():
-    # entries are immutable, so every key written with one value shares one
-    # (value, version) entry; the state equals a write-by-write reference
+def test_apply_write_set_equals_write_by_write_reference():
+    # a key written twice in one set keeps its last value; the state equals
+    # that of applying the writes one at a time
     ws = WriteSet([("a", 7), ("c", -1), ("b", 7), ("e", -1), ("c", 7),
                    ("d", 7), ("f", 0)])
-    shared, reference = Ledger(), Ledger()
-    shared.apply_write_set(ws, (2, 3))
+    whole, reference = Ledger(), Ledger()
+    whole.apply_write_set(ws, (2, 3))
     for write in ws.writes:
         reference.apply_write_set(WriteSet([write]), (2, 3))
-    state = dict(shared.state_items())
-    assert state["a"] is state["b"] is state["c"] is state["d"]
-    assert len({id(entry) for entry in state.values()}) == 3
+    state = dict(whole.state_items())
+    assert state["c"] == (7, (2, 3))
     assert state == dict(reference.state_items())
-    assert shared.state_digest() == reference.state_digest()
+    assert whole.state_digest() == reference.state_digest()
 
 
 def random_chain(rng, blocks=10, keys=6):
@@ -413,6 +414,95 @@ def test_reads_behind_the_tip_match_per_height_snapshots(blocks):
             assert ledger.read_state(key) == snapshot.get(key)
         assert dict(ledger.state_items()) == snapshot
         assert ledger.state_digest() == flat_ledger(snapshot).state_digest()
+
+
+def genesis_rule_ledger(n_accounts=5, balance=100):
+    """A ledger at height 0 on a chain holding a genesis rule; the genesis
+    block writes nothing."""
+    ledger = Ledger(Chain(genesis=Genesis(n_accounts, balance)))
+    commit(ledger, [])
+    return ledger
+
+
+def test_genesis_rule_reads_only_canonical_balance_keys():
+    ledger = genesis_rule_ledger(n_accounts=5)
+    entry = ledger.chain.genesis.entry
+    assert entry == (100, (0, 0)) and not ledger.chain.state
+    for key in ("cust/0/checking", "cust/3/savings", "cust/4/checking"):
+        assert ledger.read_state(key) is entry
+    for key in ("cust/01/checking", "cust/-1/savings", "cust/5/checking",
+                "cust/3/other", "acct/3/checking", "cust/3", "cust/ 3/savings",
+                "cust/3/checking/", "cust/\u0663/checking"):
+        assert ledger.read_state(key) is None
+
+
+def test_a_ledger_before_genesis_sees_no_genesis_state():
+    ledger = genesis_rule_ledger()
+    before = Ledger(ledger.chain, -1)
+    assert before.genesis is None and ledger.genesis is ledger.chain.genesis
+    assert before.read_state("cust/0/checking") is None
+    assert list(before.state_items()) == []
+    assert before.state_digest() == Ledger().state_digest()
+    assert total_balance(before) == 0
+    assert total_balance(ledger) == 2 * 5 * 100
+
+
+def test_a_key_first_written_at_a_height_reads_genesis_below_it():
+    ledger = genesis_rule_ledger()
+    commit(ledger, [("cust/1/checking", 7)])
+    commit(ledger, [("cust/2/savings", 9), ("cust/1/checking", 8)])
+    below = Ledger(ledger.chain, 1)
+    assert below.read_state("cust/2/savings") == (100, (0, 0))
+    assert below.read_state("cust/1/checking") == (7, (1, 0))
+    assert Ledger(ledger.chain, 0).read_state("cust/1/checking") == (100, (0, 0))
+    assert ledger.read_state("cust/2/savings") == (9, (2, 0))
+    assert ledger.read_state("cust/1/checking") == (8, (2, 0))
+
+
+# Random write sequences for the genesis rule's property test: genesis keys,
+# a balance key past the last customer and a key of another kind, so a write
+# may overwrite a genesis balance or add a key the rule does not hold.
+RULE_ACCOUNTS, RULE_BALANCE = 3, 5
+RULE_KEYS = [f"cust/{c}/{kind}" for c in range(RULE_ACCOUNTS + 1)
+             for kind in ("checking", "savings")] + ["other"]
+RULE_TXN_WRITES = st.lists(
+    st.tuples(st.sampled_from(RULE_KEYS), st.integers(-3, 3)), max_size=3)
+RULE_CHAINS = st.lists(st.lists(RULE_TXN_WRITES, min_size=1, max_size=3),
+                       max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(RULE_CHAINS)
+@example([[[("cust/0/checking", 5)]], [[("cust/3/savings", 1), ("other", 2)]],
+          [[("cust/1/savings", -3)], [("cust/1/savings", 5)]]])
+def test_genesis_rule_reads_as_a_materialised_genesis(blocks):
+    # one chain holds the rule and commits a genesis block that writes
+    # nothing; the reference writes every genesis balance at (0, 0). Both
+    # then commit the same blocks, and a ledger left at every height,
+    # -1 included, must read the same state through every path
+    rule = Genesis(RULE_ACCOUNTS, RULE_BALANCE)
+    ruled = Ledger(Chain(genesis=rule))
+    reference = Ledger()
+    pairs = [(ruled.fork(), reference.fork())]
+    commit(ruled, [])
+    commit(reference, [(key, RULE_BALANCE) for key in rule.keys()])
+    pairs.append((ruled.fork(), reference.fork()))
+    for txns in blocks:
+        commit(ruled, *txns)
+        commit(reference, *txns)
+        pairs.append((ruled.fork(), reference.fork()))
+    for ledger, expected in pairs:
+        assert ledger.height == expected.height
+        for key in RULE_KEYS:
+            assert ledger.read_state(key) == expected.read_state(key)
+        items = list(ledger.state_items())
+        state = dict(items)
+        assert len(state) == len(items)
+        assert state == dict(expected.state_items())
+        assert ledger.state_digest() == expected.state_digest()
+        assert total_balance(ledger) == total_balance(expected) == sum(
+            value for key, (value, _) in state.items()
+            if key.startswith("cust/"))
 
 
 def test_trace_lines_schema():

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from eovsim.config import ExperimentConfig
 from eovsim.ledger import Ledger, WriteSet
-from eovsim.smallbank import (OpKind, Proposal, SmallbankOp,
+from eovsim.smallbank import (Genesis, OpKind, Proposal, SmallbankOp,
                               checking_key, execute, generate,
-                              initial_write_set, reachable_accounts,
-                              savings_key, total_balance)
+                              reachable_accounts, savings_key, total_balance)
 
 
 def seeded_state(balances):
@@ -67,12 +66,12 @@ def test_write_check_overdraft_penalty():
 
 def test_amalgamate_conserves_total():
     state = seeded_state({1: (11, 22), 2: (7, 0)})
-    before = total_balance(state.state_items())
+    before = total_balance(state)
     _, ws = execute(SmallbankOp(OpKind.AMALGAMATE, (1, 2)), state)
     assert dict(ws.writes) == {checking_key(1): 0, savings_key(1): 0,
                                checking_key(2): 7 + 33}
     state.apply_write_set(ws, (1, 0))
-    assert total_balance(state.state_items()) == before
+    assert total_balance(state) == before
 
 
 def test_query_reads_only():
@@ -153,7 +152,7 @@ def test_transfer_ops_match_oracle_and_conserve(raw_ops):
     balances = {c: (30, 30) for c in range(5)}
     state = seeded_state(balances)
     expected = dict(balances)
-    total = total_balance(state.state_items())
+    total = total_balance(state)
     for idx, (is_send, a, b, amount) in enumerate(raw_ops):
         if a == b:
             continue
@@ -164,7 +163,7 @@ def test_transfer_ops_match_oracle_and_conserve(raw_ops):
         _, ws = execute(op, state)
         state.apply_write_set(ws, (1, idx))
         expected = oracle_apply(expected, op)
-    assert total_balance(state.state_items()) == total
+    assert total_balance(state) == total
     for cust, (checking, savings) in expected.items():
         assert state.read_state(checking_key(cust))[0] == checking
         assert state.read_state(savings_key(cust))[0] == savings
@@ -236,11 +235,17 @@ def test_op_frequencies_converge_to_mix():
         assert abs(freq.get(name, 0) / len(proposals) - p) < 0.01
 
 
-def test_initial_write_set_covers_every_account():
+def test_genesis_rule_covers_every_account():
     cfg = workload(n_accounts=7, initial_balance=123, seed=0)
-    ws = initial_write_set(cfg)
-    assert len(ws.writes) == 14
-    assert all(v == 123 for _, v in ws.writes)
+    genesis = Genesis(cfg.n_accounts, cfg.initial_balance)
+    keys = list(genesis.keys())
+    assert keys == [
+        key for c in range(7) for key in (checking_key(c), savings_key(c))]
+    assert genesis.entry == (123, (0, 0))
+    for key in keys:
+        assert genesis.get(key) is genesis.entry
+    assert genesis.get(checking_key(7)) is None
+    assert genesis.get(savings_key(7)) is None
 
 
 @pytest.mark.parametrize("n,kind,fraction_hot,prob_hot,reach", [
