@@ -14,9 +14,10 @@ nothing per key; the chain stores only the entries that blocks write.
 A Ledger is a peer's height on a chain, and reads the state as of that
 height (multiversion reads: Bernstein and Goodman, "Multiversion Concurrency
 Control", ACM TODS 1983), falling back to the genesis rule for a key not
-written by then. A Block carries its validation outcome, as a
-Fabric block carries its transactions filter in its metadata: `flags`, one
-per txn, filled by the first ledger to commit the block (committer.Peer).
+written by then. The state digest hashes the rule's parameters, not its
+keys. A Block carries its validation outcome, as a Fabric block carries its
+transactions filter in its metadata: `flags`, one per txn, filled by the
+first ledger to commit the block (committer.Peer).
 """
 
 from __future__ import annotations
@@ -42,23 +43,20 @@ class ChainIntegrityError(RuntimeError):
     simulation bug, fail fast."""
 
 
-def _fold(keys, entry: Entry) -> int:
-    """XOR over the keys of the 128-bit blake2b digest of
-    key=value,height,index, for keys that share one entry: its encoding is
-    packed once, and the loop allocates no object the garbage collector
-    tracks."""
-    value, (bh, ti) = entry
-    suffix = b"=" + struct.pack(">qQQ", value, bh, ti)
-    blake2b, from_bytes = hashlib.blake2b, int.from_bytes
-    acc = 0
-    for key in keys:
-        acc ^= from_bytes(blake2b(key.encode() + suffix,
-                                  digest_size=16).digest(), "big")
-    return acc
-
-
 def _entry_hash(key: str, entry: Entry) -> int:
-    return _fold((key,), entry)
+    """128-bit blake2b of key=value,height,index."""
+    value, (bh, ti) = entry
+    data = key.encode() + b"=" + struct.pack(">qQQ", value, bh, ti)
+    return int.from_bytes(hashlib.blake2b(data, digest_size=16).digest(),
+                          "big")
+
+
+def _rule_hash(genesis: Genesis) -> int:
+    """128-bit blake2b of the genesis rule's (n_accounts, initial_balance),
+    personalised so that it is no entry's hash."""
+    data = struct.pack(">Qq", genesis.n_accounts, genesis.entry[0])
+    h = hashlib.blake2b(data, digest_size=16, person=b"genesis-rule")
+    return int.from_bytes(h.digest(), "big")
 
 
 class CutReason(enum.Enum):
@@ -226,12 +224,13 @@ class Ledger:
                    entry if at_tip else self.read_state(key))
 
     def state_digest(self) -> str:
-        """Order-independent XOR fold over all entries as of this height,
-        taken on each call; equal states give equal digests. The genesis
-        keys fold in one pass, then each key written since swaps its
-        genesis term for its entry's."""
+        """Order-independent digest of the state as of this height, taken on
+        each call: the genesis rule's hash (0 without one), XOR each key
+        written since swapping its genesis entry's hash for its entry's.
+        Equal states on one rule give equal digests; a rule and a chain that
+        writes its state out do not. No genesis key is hashed."""
         genesis = self.genesis
-        acc = 0 if genesis is None else _fold(genesis.keys(), genesis.entry)
+        acc = 0 if genesis is None else _rule_hash(genesis)
         for key, before, after in self.changes():
             for entry in (before, after):
                 if entry is not None:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -157,6 +156,8 @@ def run_sweep(spec: SweepSpec, out_dir, base_seed: int | None = None,
 
     workers = min(workers, len(tasks))
     if workers > 1:  # the pool starts all its processes at the first submit
+        # imported here, so a plain run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_cell_task, tasks))
     else:

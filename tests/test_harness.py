@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import csv
 import gc
@@ -16,6 +17,7 @@ from eovsim.config import ConfigError, ExperimentConfig
 from eovsim.endorser import Endorsement
 from eovsim.ledger import Block
 from eovsim.simulation import build, run_simulation
+from eovsim.smallbank import Genesis
 from eovsim.sweep import SweepSpec, extract_figure, read_cells_csv, run_sweep
 
 SMALL = {"duration_s": 3.0, "rate": {"total_tps": 60.0},
@@ -257,6 +259,15 @@ def test_a_run_keeps_one_genesis_entry_and_no_endorsement():
     assert not endorsements() - before
 
 
+def test_a_run_and_its_report_walk_no_genesis_key(monkeypatch):
+    def walk(self):
+        raise AssertionError("a run walked the genesis keys")
+
+    monkeypatch.setattr(Genesis, "keys", walk)
+    report = run_simulation(ExperimentConfig.from_dict(SMALL)).report
+    assert report.valid_txns > 0 and report.all_peers_agree
+
+
 def test_block_trace_dump(tmp_path):
     cfg = write_cfg(tmp_path, SMALL)
     out = tmp_path / "out"
@@ -467,7 +478,8 @@ def recording_pool(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     return sizes
 
 
@@ -480,6 +492,16 @@ def test_pool_is_no_larger_than_the_cell_count(tmp_path, monkeypatch):
     # one cell runs in this process, without a pool
     assert len(run_sweep(sweep_spec([]), tmp_path / "one", workers=64)) == 1
     assert sizes == [3]
+
+
+def test_a_run_loads_no_process_pool():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, eovsim.cli; "
+         "print('multiprocessing' in sys.modules)"],
+        env=env, check=True, capture_output=True, text=True, timeout=60)
+    assert proc.stdout.strip() == "False"
 
 
 def test_workers_below_one_exit_1_before_any_cell_runs(
