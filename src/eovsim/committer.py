@@ -3,7 +3,8 @@
 transactions) and gossips blocks. Clients send proposals to the endorsing
 peers only; the policy is a threshold of endorsements that agree, and
 validation re-checks it by counting the distinct endorser ids an envelope
-carries beside its one payload.
+carries beside its one payload. A reply is no event: the peer hands its
+endorsement to the client (ClientNode.offer) at the reply's drawn key.
 
 Transactions in a block are processed in order; the conflict check for txn i
 sees the writes of valid txns 0..i-1 of the same block (first writer wins).
@@ -124,9 +125,10 @@ class Peer(Node):
     def handle(self, msg: Message) -> None:
         if msg.kind is MessageKind.PROPOSAL:
             proposal: Proposal = msg.body
-            reply = Message(MessageKind.ENDORSEMENT, self.cfg.sizes.endorsement,
-                            endorse(proposal, self.ledger, self.id))
-            self.engine.send(self.id, proposal.client, reply)
+            key = self.engine.draw(self.id, proposal.client,
+                                   self.cfg.sizes.endorsement)
+            self.engine.nodes[proposal.client].offer(
+                key, endorse(proposal, self.ledger, self.id))
         elif msg.kind is MessageKind.BLOCK_DELIVER:
             height = msg.body.height
             if height == self.ledger.height + 1:

@@ -2,13 +2,15 @@
 
 The schedule is open loop: proposal i is sent to all endorsing peers at
 round(i * 1e6 / rate) microseconds after start, never waiting for earlier
-transactions. Endorsement replies, broadcast acks and commit notices are
-handled asynchronously; a transaction whose endorsements or broadcast ack
-miss their timeout is discarded (never retried) and counted.
+transactions; each submission queues the next at a key reserved at time 0.
+Peers hand replies over at their drawn keys (offer), and a transaction takes
+one event, at the first key where a payload group reaches the threshold. A
+transaction missing its endorse or broadcast deadline (checked with >= when
+it is next touched, and at the run's end) is dropped, never retried.
 
 A transaction's journey is its only state record: while status is None the
 journey is open, and its phase is the first unset instant (endorsed_us,
-then bcast_ack_us); a closed journey ignores every later reply and timer.
+then bcast_ack_us); a closed journey ignores every later reply.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 
 from .committer import BlockCommitted, ValidationFlag
 from .config import ExperimentConfig
-from .endorser import policy_satisfied
-from .engine import Message, MessageKind, Node, NodeClass, Timer, timer
+from .endorser import Endorsement, policy_satisfied
+from .engine import Message, MessageKind, Node, NodeClass, timer
 from .ordering import Envelope
 from .smallbank import Proposal
 
@@ -67,68 +69,79 @@ class ClientNode(Node):
         self.peers = cfg.peer_ids  # the endorsing peers
         self.orderers = cfg.orderer_ids
         self.journeys: dict[str, TxnJourney] = {}
-        self._collected: dict[str, dict] = {}  # txn -> {peer: Endorsement}
+        # open, unendorsed txn -> [due key, {peer: (key, Endorsement)}]
+        self._collected: dict[str, list] = {}
         self._early_commits: dict[str, tuple[int, bool]] = {}
 
     def arm(self) -> None:
-        """Schedule the whole open-loop submission plan; call at time 0."""
-        for i, t in enumerate(submission_times(self.cfg)):
-            self.engine.schedule(self.id, timer("submit", i), t)
+        """Reserve the plan's keys and queue its first submission (time 0)."""
+        self._plan = submission_times(self.cfg)  # instants, then first seq
+        self._plan_seq = self.engine.reserve(len(self._plan))
+        self._queue_submission(0)
+
+    def _queue_submission(self, index: int) -> None:
+        if index < len(self._plan):
+            self.engine.queue_at((self._plan[index], self._plan_seq + index),
+                                 self, timer("submit", index))
 
     # -- events --------------------------------------------------------------
 
     def handle(self, msg: Message) -> None:
         if msg.kind is MessageKind.TIMER_FIRE:
-            self._on_timer(msg.body)
-        elif msg.kind is MessageKind.ENDORSEMENT:
-            self._on_endorsement(msg.body)
+            tag, arg = msg.body
+            (self._submit if tag == "submit" else self._on_endorsed)(arg)
         elif msg.kind is MessageKind.BROADCAST_ACK:
             self._on_broadcast_ack(msg.body)
         elif msg.kind is MessageKind.COMMIT_NOTICE:
             self._on_block_committed(msg.body)
 
-    def _on_timer(self, t: Timer) -> None:
-        if t.tag == "submit":
-            self._submit(t.arg)
-        elif t.tag == "endorse_to":
-            journey = self.journeys[t.arg]
-            if journey.status is None and journey.endorsed_us is None:
-                self._close(journey, JourneyStatus.DROPPED_ENDORSEMENT)
-        elif t.tag == "bcast_to":
-            journey = self.journeys[t.arg]
-            if journey.status is None and journey.bcast_ack_us is None:
-                self._close(journey, JourneyStatus.DROPPED_BROADCAST)
-
     def _submit(self, index: int) -> None:
+        now = self.engine.now
+        # Drop txns past their endorse deadline (< now: submissions go first)
+        for txn_id in list(self._collected):
+            if not self._expired(self.journeys[txn_id], now - 1):
+                break
         proposal = self.proposals[index]
         journey = TxnJourney(txn_id=proposal.txn_id, client=self.id, index=index,
-                             op_name=proposal.op.kind.value,
-                             submit_us=self.engine.now)
+                             op_name=proposal.op.kind.value, submit_us=now)
         self.journeys[proposal.txn_id] = journey
-        self._collected[proposal.txn_id] = {}
+        self._collected[proposal.txn_id] = [None, {}]
         msg = Message(MessageKind.PROPOSAL, self.cfg.sizes.proposal, proposal)
         for peer in self.peers:
             self.engine.send(self.id, peer, msg)
-        self.engine.schedule(self.id, timer("endorse_to", proposal.txn_id),
-                             self.cfg.endorse_timeout_us)
+        self._queue_submission(index + 1)
 
-    def _on_endorsement(self, endorsement) -> None:
-        txn_id = endorsement.txn_id
-        journey = self.journeys[txn_id]
-        if journey.status is not None or journey.endorsed_us is not None:
-            return  # late or duplicate reply for an endorsed or closed txn
-        collected = self._collected[txn_id]
-        if endorsement.peer in collected:
-            return
-        collected[endorsement.peer] = endorsement
-        if len(collected) < self.cfg.policy_threshold:
+    def offer(self, key: tuple[int, int], endorsement: Endorsement) -> None:
+        """Take a peer's reply, arriving at key (Engine.draw)."""
+        held = self._collected.get(endorsement.txn_id)
+        if held is None:
+            return  # a reply for an endorsed or closed txn
+        offers = held[1]
+        if endorsement.peer in offers and offers[endorsement.peer][0] < key:
+            return  # a peer counts once, by its first reply
+        offers[endorsement.peer] = (key, endorsement)
+        threshold = self.cfg.policy_threshold
+        if len(offers) < threshold:
             return  # cannot possibly satisfy the policy yet
-        ok, witness = policy_satisfied(self.cfg.policy_threshold,
-                                       collected.values())
-        if not ok:
-            return
+        groups: dict[tuple, list] = {}
+        for k, e in offers.values():
+            groups.setdefault(e.payload_key(), []).append(k)
+        due = min((sorted(keys)[threshold - 1] for keys in groups.values()
+                   if len(keys) >= threshold), default=None)
+        if due is not None and (held[0] is None or due < held[0]):
+            held[0] = due  # the event at the old due key will find held gone
+            self.engine.queue_at(due, self, timer("endorsed", endorsement.txn_id))
+
+    def _on_endorsed(self, txn_id: str) -> None:
+        held = self._collected.pop(txn_id, None)
+        journey = self.journeys[txn_id]
+        if held is None or self._expired(journey, self.engine.now):
+            return  # endorsed or closed at an earlier key, or too late
+        due, offers = held
+        _, witness = policy_satisfied(
+            self.cfg.policy_threshold,
+            (e for k, e in offers.values() if k <= due))
         journey.endorsed_us = self.engine.now
-        # This arrival brought the witness up to exactly `threshold`.
         envelope = Envelope(txn_id=txn_id,
                             endorsers=tuple(e.peer for e in witness),
                             read_set=witness[0].read_set,
@@ -137,13 +150,11 @@ class ClientNode(Node):
         orderer = self.orderers[journey.index % len(self.orderers)]
         self.engine.send(self.id, orderer, Message(
             MessageKind.ENVELOPE, self.cfg.envelope_bytes, envelope))
-        del self._collected[txn_id]
-        self.engine.schedule(self.id, timer("bcast_to", txn_id),
-                             self.cfg.broadcast_timeout_us)
 
     def _on_broadcast_ack(self, txn_id: str) -> None:
         journey = self.journeys[txn_id]
-        if journey.status is not None or journey.bcast_ack_us is not None:
+        if (journey.status is not None or journey.bcast_ack_us is not None
+                or self._expired(journey, self.engine.now)):
             return
         journey.bcast_ack_us = self.engine.now
         if txn_id in self._early_commits:
@@ -159,10 +170,25 @@ class ClientNode(Node):
             valid = flag is ValidationFlag.VALID
             if journey.bcast_ack_us is not None:
                 self._finalize(journey, body.committed_at, valid)
-            else:
+            elif not self._expired(journey, self.engine.now):
                 # Commit observed before the broadcast ack made it back;
-                # resolve once the ack lands (or the timeout drops it).
+                # resolve once the ack lands (or its deadline passes).
                 self._early_commits[txn_id] = (body.committed_at, valid)
+
+    def _expired(self, journey: TxnJourney, end: int | None) -> bool:
+        """Close the open journey if its phase's deadline, endorse and then
+        broadcast, is at most end (None: unbounded)."""
+        if journey.endorsed_us is None:
+            deadline = journey.submit_us + self.cfg.endorse_timeout_us
+            status = JourneyStatus.DROPPED_ENDORSEMENT
+        elif journey.bcast_ack_us is None:
+            deadline = journey.endorsed_us + self.cfg.broadcast_timeout_us
+            status = JourneyStatus.DROPPED_BROADCAST
+        else:
+            return False
+        if end is None or deadline <= end:
+            self._close(journey, status)
+        return journey.status is not None
 
     def _finalize(self, journey: TxnJourney, committed_at: int,
                   valid: bool) -> None:
@@ -175,8 +201,9 @@ class ClientNode(Node):
         self._collected.pop(journey.txn_id, None)
         self._early_commits.pop(journey.txn_id, None)
 
-    def finish_open_journeys(self) -> None:
-        """Mark journeys still open at run end; they count as in flight."""
+    def finish_open_journeys(self, end: int | None = None) -> None:
+        """Close the journeys open when the run ends at end (None: it ran
+        dry): past their deadline they drop, else they count as in flight."""
         for journey in self.journeys.values():
-            if journey.status is None:
+            if journey.status is None and not self._expired(journey, end):
                 journey.status = JourneyStatus.IN_FLIGHT

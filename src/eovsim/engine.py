@@ -14,7 +14,8 @@ it carries, a fan-out sends one Message to all, and a forward resends it.
 
 A heap entry is the plain tuple (fire_time, seq, node, message). seq is
 unique, so tuple comparison is decided by (fire_time, seq) and never reaches
-the Node, which has no ordering.
+the Node, which has no ordering. send draws a message's key and queues it;
+draw and reserve only take keys, which queue_at queues at later, or never.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ class UnknownTargetError(SimError):
 
 class MessageKind(enum.Enum):
     PROPOSAL = "Proposal"
-    ENDORSEMENT = "Endorsement"
     ENVELOPE = "Envelope"
     LOG_APPEND = "LogAppend"
     BLOCK_DELIVER = "BlockDeliver"
@@ -194,6 +194,7 @@ class Engine:
         self.nodes: dict[str, Node] = {}
         self._heap: list[tuple[int, int, Node, Message]] = []
         self._seq = 0
+        self._dispatch_seq = 0  # seq of the event now (or last) dispatched
         self._events_dispatched = 0
         self._digest = _FNV_OFFSET
         # (src id, dst id) -> [src node, dst node, base, jitter state]: base_us
@@ -269,6 +270,25 @@ class Engine:
         self._seq += 1
         heappush(self._heap, (self.now + delay, self._seq, self.nodes[dst], msg))
 
+    def draw(self, src: str, dst: str, size_bytes: int) -> tuple[int, int]:
+        """The key (fire_time, seq) send would give a size_bytes message from
+        src to dst now, drawn as send draws it; nothing is queued."""
+        delay = self.transit_us(src, dst, size_bytes)
+        self._seq += 1
+        return self.now + delay, self._seq
+
+    def reserve(self, count: int) -> int:
+        """Take the next count seqs for keys queued later; returns the first."""
+        self._seq += count
+        return self._seq - count + 1
+
+    def queue_at(self, key: tuple, node: Node, payload: Message) -> None:
+        """Enqueue payload for node at a key drawn earlier. A key at or
+        before the event being dispatched, or one never drawn, is refused."""
+        if key <= (self.now, self._dispatch_seq) or key[1] > self._seq:
+            raise SimError(f"key {key} is undrawn or not after the current one")
+        heappush(self._heap, (key[0], key[1], node, payload))
+
     def run_until_quiescent(self, time_limit_us: int | None = None) -> TraceSummary:
         """Dispatch events in (fire_time, seq) order until empty or the limit.
 
@@ -286,6 +306,7 @@ class Engine:
                     break
                 fire_time, seq, node, msg = pop(heap)
                 self.now = fire_time
+                self._dispatch_seq = seq
                 events += 1
                 # FNV-1a over (fire_time, seq, node id), each in [0, 2**64)
                 digest = ((digest ^ fire_time) * prime) & mask

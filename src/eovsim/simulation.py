@@ -110,7 +110,7 @@ def run_simulation(cfg: ExperimentConfig) -> RunResult:
 
     journeys: list[TxnJourney] = []
     for client in sim.clients:
-        client.finish_open_journeys()
+        client.finish_open_journeys(limit if trace.truncated else None)
         journeys.extend(client.journeys.values())
 
     report = collect_report(sim, trace, journeys)

@@ -84,11 +84,24 @@ def wire_client(n_peers=3, threshold=None, rate=10.0, duration_us=200_000,
     return engine, client, orderer
 
 
-def feed_endorsement(engine, client, txn_id, peer, payload=0, delay=0):
+def offer_endorsement(engine, client, txn_id, peer, payload=0, at=0):
+    """Hand the client peer's reply arriving at `at`, its key drawn now as a
+    peer draws its reply's key."""
     e = Endorsement(txn_id=txn_id, peer=peer,
                     read_set=ReadSet([("k", (0, payload))]),
                     write_set=WriteSet())
-    engine.schedule(client.id, Message(MessageKind.ENDORSEMENT, 64, e), delay)
+    client.offer((at, engine.reserve(1)), e)
+
+
+def submit_first(engine, client):
+    """Arm the client and run its first submission (t=0); its txn id."""
+    client.arm()
+    engine.run_until_quiescent(time_limit_us=0)
+    return client.proposals[0].txn_id
+
+
+def envelopes(orderer):
+    return [m for _, m in orderer.got if m.kind is MessageKind.ENVELOPE]
 
 
 def test_proposals_fan_out_to_all_peers_at_schedule_times():
@@ -102,71 +115,103 @@ def test_proposals_fan_out_to_all_peers_at_schedule_times():
                                                                200_000]
 
 
+def test_a_client_queues_one_submission_ahead():
+    engine, client, _ = wire_client(rate=10.0, duration_us=300_000)
+    client.arm()
+    assert len(engine._heap) == 1
+    engine.run_until_quiescent(time_limit_us=0)
+    # submission 0 is done and submission 1 is queued, at its plan key
+    assert [e[0] for e in engine._heap if e[2] is client] == [100_000]
+
+
 def test_endorse_timeout_drops_and_late_replies_are_ignored():
     engine, client, orderer = wire_client(endorse_timeout_us=50_000)
-    client.arm()
-    txn = client.proposals[0].txn_id
+    txn = submit_first(engine, client)
     # two of three endorsements arrive in time, the last after the timeout
-    feed_endorsement(engine, client, txn, "peer000", delay=10_000)
-    feed_endorsement(engine, client, txn, "peer001", delay=20_000)
-    feed_endorsement(engine, client, txn, "peer002", delay=60_000)
+    offer_endorsement(engine, client, txn, "peer000", at=10_000)
+    offer_endorsement(engine, client, txn, "peer001", at=20_000)
+    offer_endorsement(engine, client, txn, "peer002", at=60_000)
     engine.run_until_quiescent()
     journey = client.journeys[txn]
     assert journey.status is JourneyStatus.DROPPED_ENDORSEMENT
     assert journey.endorsed_us is None
-    assert not [m for _, m in orderer.got if m.kind is MessageKind.ENVELOPE]
+    assert not envelopes(orderer)
 
 
 def test_threshold_n_minus_one_tolerates_straggler():
     engine, client, orderer = wire_client(threshold=2,
                                           endorse_timeout_us=50_000)
-    client.arm()
-    txn = client.proposals[0].txn_id
-    feed_endorsement(engine, client, txn, "peer000", delay=10_000)
-    feed_endorsement(engine, client, txn, "peer001", delay=20_000)
-    feed_endorsement(engine, client, txn, "peer002", delay=60_000)
+    txn = submit_first(engine, client)
+    offer_endorsement(engine, client, txn, "peer000", at=10_000)
+    offer_endorsement(engine, client, txn, "peer001", at=20_000)
+    offer_endorsement(engine, client, txn, "peer002", at=60_000)
     engine.run_until_quiescent()
     journey = client.journeys[txn]
     # envelope produced the moment the policy turned satisfiable
     assert journey.endorsed_us == 20_000
-    envelopes = [m for _, m in orderer.got if m.kind is MessageKind.ENVELOPE]
-    assert len(envelopes) == 1
-    assert envelopes[0].body.endorsers == ("peer000", "peer001")
-    assert envelopes[0].size_bytes == \
+    sent = envelopes(orderer)
+    assert len(sent) == 1
+    assert sent[0].body.endorsers == ("peer000", "peer001")
+    assert sent[0].size_bytes == \
         client.cfg.sizes.proposal + 2 * client.cfg.sizes.endorsement
+
+
+def test_a_reply_drawn_later_but_arriving_sooner_moves_the_event_earlier():
+    engine, client, orderer = wire_client(threshold=2)
+    txn = submit_first(engine, client)
+    offer_endorsement(engine, client, txn, "peer000", at=10_000)
+    offer_endorsement(engine, client, txn, "peer001", at=30_000)
+    offer_endorsement(engine, client, txn, "peer002", at=20_000)
+    engine.run_until_quiescent()
+    # the event at 30,000 finds the txn endorsed at 20,000 and does nothing
+    assert client.journeys[txn].endorsed_us == 20_000
+    sent = envelopes(orderer)
+    assert [m.body.endorsers for m in sent] == [("peer000", "peer002")]
 
 
 def test_divergent_endorsements_never_satisfy_full_policy():
     engine, client, orderer = wire_client(endorse_timeout_us=50_000)
-    client.arm()
-    txn = client.proposals[0].txn_id
-    feed_endorsement(engine, client, txn, "peer000", payload=1, delay=1000)
-    feed_endorsement(engine, client, txn, "peer001", payload=1, delay=2000)
-    feed_endorsement(engine, client, txn, "peer002", payload=2, delay=3000)
+    txn = submit_first(engine, client)
+    offer_endorsement(engine, client, txn, "peer000", payload=1, at=1000)
+    offer_endorsement(engine, client, txn, "peer001", payload=1, at=2000)
+    offer_endorsement(engine, client, txn, "peer002", payload=2, at=3000)
     engine.run_until_quiescent()
+    client.finish_open_journeys()
     assert client.journeys[txn].status is JourneyStatus.DROPPED_ENDORSEMENT
 
 
 def test_duplicate_endorsements_from_same_peer_ignored():
     engine, client, orderer = wire_client(threshold=2)
-    client.arm()
-    txn = client.proposals[0].txn_id
-    feed_endorsement(engine, client, txn, "peer000", delay=1000)
-    feed_endorsement(engine, client, txn, "peer000", delay=2000)
+    txn = submit_first(engine, client)
+    offer_endorsement(engine, client, txn, "peer000", at=1000)
+    offer_endorsement(engine, client, txn, "peer000", at=2000)
     engine.run_until_quiescent(time_limit_us=3000)
     # one peer twice is one endorsement: threshold 2 is not met yet
     journey = client.journeys[txn]
     assert journey.status is None and journey.endorsed_us is None
-    assert not [m for _, m in orderer.got if m.kind is MessageKind.ENVELOPE]
+    assert not envelopes(orderer)
+
+
+def test_a_peer_counts_by_its_first_arriving_reply():
+    # host order is not arrival order: of one peer's two replies, the one
+    # arriving first counts, wherever it was handed over
+    engine, client, orderer = wire_client(threshold=2)
+    txn = submit_first(engine, client)
+    offer_endorsement(engine, client, txn, "peer000", at=1000)
+    offer_endorsement(engine, client, txn, "peer001", at=9000)
+    offer_endorsement(engine, client, txn, "peer001", at=4000)
+    engine.run_until_quiescent()
+    assert client.journeys[txn].endorsed_us == 4000
+    assert len(envelopes(orderer)) == 1
 
 
 def test_broadcast_timeout_drops_journey():
     engine, client, _ = wire_client(broadcast_timeout_us=30_000)
-    client.arm()
-    txn = client.proposals[0].txn_id
+    txn = submit_first(engine, client)
     for peer in ("peer000", "peer001", "peer002"):
-        feed_endorsement(engine, client, txn, peer, delay=1000)
+        offer_endorsement(engine, client, txn, peer, at=1000)
     engine.run_until_quiescent()  # orderer is silent: no ack ever
+    client.finish_open_journeys()
     journey = client.journeys[txn]
     assert journey.status is JourneyStatus.DROPPED_BROADCAST
     assert journey.endorsed_us == 1000
@@ -184,14 +229,16 @@ def commit_notice(committed_at, txn_id, flag):
                    BlockCommitted(committed_at, block))
 
 
+def broadcast_ack(txn_id):
+    return Message(MessageKind.BROADCAST_ACK, 64, txn_id)
+
+
 def test_ack_then_commit_notice_completes_journey():
     engine, client, _ = wire_client()
-    client.arm()
-    txn = client.proposals[0].txn_id
+    txn = submit_first(engine, client)
     for peer in ("peer000", "peer001", "peer002"):
-        feed_endorsement(engine, client, txn, peer, delay=1000)
-    engine.schedule(client.id, Message(MessageKind.BROADCAST_ACK, 64, txn),
-                    5000)
+        offer_endorsement(engine, client, txn, peer, at=1000)
+    engine.schedule(client.id, broadcast_ack(txn), 5000)
     engine.schedule(client.id, commit_notice(9000, txn, ValidationFlag.VALID),
                     12_000)
     engine.run_until_quiescent()
@@ -203,19 +250,98 @@ def test_ack_then_commit_notice_completes_journey():
 
 def test_commit_notice_before_ack_is_stashed():
     engine, client, _ = wire_client()
-    client.arm()
-    txn = client.proposals[0].txn_id
+    txn = submit_first(engine, client)
     for peer in ("peer000", "peer001", "peer002"):
-        feed_endorsement(engine, client, txn, peer, delay=1000)
+        offer_endorsement(engine, client, txn, peer, at=1000)
     engine.schedule(client.id,
                     commit_notice(4000, txn, ValidationFlag.MVCC_CONFLICT),
                     5000)
-    engine.schedule(client.id, Message(MessageKind.BROADCAST_ACK, 64, txn),
-                    8000)
+    engine.schedule(client.id, broadcast_ack(txn), 8000)
     engine.run_until_quiescent()
     journey = client.journeys[txn]
     assert journey.status is JourneyStatus.INVALID_COMMITTED
     assert journey.commit_us == 4000
+
+
+# --- deadlines: a timeout is decided where its timer would have fired ----------
+
+@pytest.mark.parametrize("at,status", [
+    (50_000, JourneyStatus.DROPPED_ENDORSEMENT),
+    (49_999, JourneyStatus.COMMITTED)])
+def test_a_reply_at_the_endorse_deadline_drops_the_journey(at, status):
+    # A timeout timer would be scheduled before any reply, so it would win
+    # the tie: a reply landing at the deadline is too late.
+    engine, client, orderer = wire_client(endorse_timeout_us=50_000)
+    txn = submit_first(engine, client)
+    for peer in ("peer000", "peer001", "peer002"):
+        offer_endorsement(engine, client, txn, peer, at=at)
+    engine.schedule(client.id, broadcast_ack(txn), 60_000)
+    engine.schedule(client.id, commit_notice(61_000, txn,
+                                             ValidationFlag.VALID), 62_000)
+    engine.run_until_quiescent(time_limit_us=99_999)
+    client.finish_open_journeys(99_999)
+    assert client.journeys[txn].status is status
+    assert len(envelopes(orderer)) == (status is JourneyStatus.COMMITTED)
+
+
+@pytest.mark.parametrize("notice_first", [False, True])
+@pytest.mark.parametrize("at,status", [
+    (31_000, JourneyStatus.DROPPED_BROADCAST),
+    (30_999, JourneyStatus.COMMITTED)])
+def test_a_message_at_the_broadcast_deadline_drops_the_journey(
+        at, status, notice_first):
+    # endorsed at 1,000 with a 30,000 us broadcast timeout: the deadline is
+    # 31,000, and the ack (or a commit notice ahead of it) decides there
+    engine, client, _ = wire_client(broadcast_timeout_us=30_000)
+    txn = submit_first(engine, client)
+    for peer in ("peer000", "peer001", "peer002"):
+        offer_endorsement(engine, client, txn, peer, at=1000)
+    notice = commit_notice(20_000, txn, ValidationFlag.VALID)
+    if notice_first:
+        engine.schedule(client.id, notice, at)
+        engine.schedule(client.id, broadcast_ack(txn), at)
+    else:
+        engine.schedule(client.id, broadcast_ack(txn), at)
+        engine.schedule(client.id, notice, at + 1)
+    engine.run_until_quiescent(time_limit_us=99_999)
+    client.finish_open_journeys(99_999)
+    journey = client.journeys[txn]
+    assert journey.status is status
+    assert journey.endorsed_us == 1000
+    if status is JourneyStatus.DROPPED_BROADCAST:
+        assert (journey.bcast_ack_us, journey.commit_us) == (None, None)
+
+
+@pytest.mark.parametrize("limit,status", [
+    (50_000, JourneyStatus.DROPPED_ENDORSEMENT),
+    (49_999, JourneyStatus.IN_FLIGHT)])
+def test_a_truncated_run_drops_at_an_endorse_deadline_up_to_its_limit(
+        limit, status):
+    engine, client, _ = wire_client(endorse_timeout_us=50_000)
+    txn = submit_first(engine, client)
+    offer_endorsement(engine, client, txn, "peer000", at=10_000)
+    offer_endorsement(engine, client, txn, "peer001", at=60_000)
+    offer_endorsement(engine, client, txn, "peer002", at=70_000)
+    assert engine.run_until_quiescent(time_limit_us=limit).truncated
+    client.finish_open_journeys(limit)
+    assert client.journeys[txn].status is status
+
+
+@pytest.mark.parametrize("limit,status", [
+    (31_000, JourneyStatus.DROPPED_BROADCAST),
+    (30_999, JourneyStatus.IN_FLIGHT)])
+def test_a_truncated_run_drops_at_a_broadcast_deadline_up_to_its_limit(
+        limit, status):
+    engine, client, _ = wire_client(broadcast_timeout_us=30_000)
+    txn = submit_first(engine, client)
+    for peer in ("peer000", "peer001", "peer002"):
+        offer_endorsement(engine, client, txn, peer, at=1000)
+    engine.schedule(client.id, broadcast_ack(txn), 40_000)
+    assert engine.run_until_quiescent(time_limit_us=limit).truncated
+    client.finish_open_journeys(limit)
+    journey = client.journeys[txn]
+    assert journey.status is status
+    assert (journey.endorsed_us, journey.bcast_ack_us) == (1000, None)
 
 
 # --- full simulations -----------------------------------------------------------
@@ -312,3 +438,56 @@ def test_every_chain_envelope_carries_threshold_endorsements(threshold):
         assert client.sent_bytes == (
             len(journeys) * cfg.peers * cfg.sizes.proposal
             + endorsed * cfg.envelope_bytes)
+
+
+def test_a_client_holds_no_replies_past_the_endorse_deadline(monkeypatch):
+    # Without timeout timers, nothing fires to release a dead journey's
+    # replies; each submission drops the txns past their endorse deadline,
+    # so no submission leaves replies held for a txn older than the timeout.
+    cfg = ExperimentConfig.from_dict({
+        "duration_s": 2.0, "rate": {"total_tps": 400.0},
+        "topology": {"peers": 4, "clients": 2},
+        "policy": {"threshold": 2}, "timeouts": {"endorse_s": 0.0035},
+        "latency": {"jitter_fraction": 0.5}})
+    held_ages = []
+    handle = ClientNode.handle
+
+    def spy(self, msg):
+        handle(self, msg)
+        if msg.kind is MessageKind.TIMER_FIRE and msg.body.tag == "submit":
+            held_ages.extend(self.engine.now - self.journeys[txn].submit_us
+                             for txn in self._collected)
+
+    monkeypatch.setattr(ClientNode, "handle", spy)
+    result = run_simulation(cfg)
+    assert result.report.dropped_endorse > 100
+    assert held_ages and max(held_ages) <= cfg.endorse_timeout_us
+
+
+def test_a_truncated_run_closes_each_journey_by_its_deadline():
+    # Whatever the journey's phase at the limit, it is dropped if and only if
+    # that phase's deadline is at most the limit.
+    cfg = ExperimentConfig.from_dict({
+        "duration_s": 1.0, "drain_limit_s": 0.0,
+        "rate": {"total_tps": 500.0},
+        "topology": {"orderers": 2, "brokers": 3},
+        "timeouts": {"endorse_s": 0.006, "broadcast_s": 0.05},
+        "latency": {"jitter_fraction": 0.5}})
+    result = run_simulation(cfg)
+    limit = cfg.duration_us
+    assert result.report.truncated
+    seen = set()
+    for j in result.journeys:
+        if j.endorsed_us is None:
+            deadline = j.submit_us + cfg.endorse_timeout_us
+            dropped = JourneyStatus.DROPPED_ENDORSEMENT
+        elif j.bcast_ack_us is None:
+            deadline = j.endorsed_us + cfg.broadcast_timeout_us
+            dropped = JourneyStatus.DROPPED_BROADCAST
+        else:
+            continue
+        expected = dropped if deadline <= limit else JourneyStatus.IN_FLIGHT
+        assert j.status is expected, j
+        seen.add(expected)
+    assert seen == {JourneyStatus.DROPPED_ENDORSEMENT,
+                    JourneyStatus.DROPPED_BROADCAST, JourneyStatus.IN_FLIGHT}

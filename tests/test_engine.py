@@ -413,3 +413,108 @@ def test_send_with_negative_total_delay_changes_nothing():
         fresh, _, _ = make_engine(base=1000, jitter=jitter)
         assert (engine.transit_us("a", "b", 10)
                 == fresh.transit_us("a", "b", 10))
+
+
+
+# --- keys drawn ahead: draw, reserve and queue_at ------------------------------
+
+def test_draw_moves_the_link_and_counters_exactly_as_send():
+    # Engine x draws keys and queues each later; a fresh engine y sends at
+    # once. The keys, the link's jitter stream and both nodes' counters agree.
+    def engine_pair():
+        engine, a, b = make_engine(base=1000, per_byte_ns=1000, jitter=0.5)
+        engine.add_node(Recorder("c", NodeClass.PEER))
+        return engine, a, b
+
+    x, xa, xb = engine_pair()
+    y, ya, yb = engine_pair()
+    keys = [x.draw("a", "b", 10 + i) for i in range(20)]
+    for i in range(20):
+        y.send("a", "b", Message(MessageKind.PROPOSAL, 10 + i, i))
+    for engine in (x, y):  # the link a->c is a stream of its own
+        engine.send("a", "c", Message(MessageKind.PROPOSAL, 5, "other"))
+    for i in reversed(range(20)):  # queued in any host order
+        x.queue_at(keys[i], xb, Message(MessageKind.PROPOSAL, 10 + i, i))
+    for engine in (x, y):  # and the a->b stream goes on where it was
+        engine.send("a", "b", Message(MessageKind.PROPOSAL, 1, "next"))
+    assert x.run_until_quiescent() == y.run_until_quiescent()
+    assert xb.seen == yb.seen and len(xb.seen) == 21
+    for p, q in ((xa, ya), (xb, yb)):
+        assert (p.sent_msgs, p.sent_bytes, p.recv_msgs, p.recv_bytes) == \
+            (q.sent_msgs, q.sent_bytes, q.recv_msgs, q.recv_bytes)
+    assert (xa.sent_msgs, xb.recv_msgs) == (22, 21)
+
+
+def test_a_reserved_key_dispatches_where_a_schedule_would_have():
+    def run(ahead):
+        engine, a, _ = make_engine()
+        if ahead:
+            first = engine.reserve(3)
+            for i in reversed(range(3)):
+                engine.queue_at((7, first + i), a, timer("plan", i))
+        else:
+            for i in range(3):
+                engine.schedule("a", timer("plan", i), 7)
+        engine.schedule("a", timer("later"), 7)
+        return engine.run_until_quiescent(), a.seen
+
+    summary, seen = run(ahead=True)
+    assert (summary, seen) == run(ahead=False)
+    assert [body.arg for _, body in seen] == [0, 1, 2, None]
+
+
+class KeyProbe(Node):
+    """At its "probe" event, tries to queue an event at each of its keys."""
+
+    def __init__(self, node_id, keys):
+        super().__init__(node_id, NodeClass.CLIENT)
+        self.keys = keys
+        self.refused = []
+
+    def handle(self, msg):
+        if msg.body.tag == "probe":
+            for key in self.keys:
+                try:
+                    self.engine.queue_at(key, self, timer("late", key))
+                except SimError:
+                    self.refused.append(key)
+
+
+def probe_run(make_keys):
+    """A run whose probe event has key (50, s + 1), s being a seq reserved
+    before it; make_keys(s) gives the keys the probe tries."""
+    engine = Engine(flat_latency(), seed=0)
+    early = engine.reserve(1)
+    probe = KeyProbe("p", make_keys(early))
+    engine.add_node(probe)
+    engine.schedule("p", timer("probe"), 50)
+    engine.schedule("p", timer("after"), 60)
+    return engine.run_until_quiescent(), probe.refused
+
+
+def test_queue_at_refuses_a_key_before_the_event_being_dispatched():
+    plain, refused = probe_run(lambda s: [])
+    assert refused == []
+    summary, refused = probe_run(lambda s: [
+        (49, s + 1),    # an earlier instant
+        (50, s),        # this instant, a lower seq
+        (50, s + 1),    # the event being dispatched
+        (55, s + 9),    # a seq never drawn
+    ])
+    # every key is refused, and the run is as if none had been tried
+    assert len(refused) == 4
+    assert summary == plain
+
+
+def test_queue_at_between_runs_takes_only_keys_after_the_last_event():
+    engine, a, _ = make_engine()
+    first = engine.reserve(2)
+    engine.queue_at((0, first + 1), a, timer("second"))
+    engine.queue_at((0, first), a, timer("first"))
+    engine.run_until_quiescent()
+    assert [body.tag for _, body in a.seen] == ["first", "second"]
+    with pytest.raises(SimError):  # (0, first) has been dispatched
+        engine.queue_at((0, first), a, timer("again"))
+    engine.queue_at((0, engine.reserve(1)), a, timer("third"))
+    engine.run_until_quiescent()
+    assert [body.tag for _, body in a.seen] == ["first", "second", "third"]

@@ -2,6 +2,7 @@ import concurrent.futures
 import copy
 import csv
 import gc
+import hashlib
 import importlib.util
 import json
 import os
@@ -16,6 +17,7 @@ from eovsim.cli import main
 from eovsim.config import ConfigError, ExperimentConfig
 from eovsim.endorser import Endorsement
 from eovsim.ledger import Block
+from eovsim.metrics import journeys_to_csv
 from eovsim.simulation import build, run_simulation
 from eovsim.smallbank import Genesis
 from eovsim.sweep import SweepSpec, extract_figure, read_cells_csv, run_sweep
@@ -177,8 +179,8 @@ def test_schedule_guard_buffered_reentry_cell(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["events_dispatched"] == 18_281
-    assert report["dispatch_digest"] == "ed2b7163458b21d0"
+    assert report["events_dispatched"] == 16_281
+    assert report["dispatch_digest"] == "d668ed1fb6c6255f"
     assert report["all_peers_agree"] is True
 
 
@@ -191,7 +193,7 @@ def test_schedule_guard_min_insync_one_cell():
         "duration_s": 2.0, "seed": 5}))
     trace = result.trace
     assert (trace.events_dispatched, trace.dispatch_digest) == \
-        (17_484, "b6cb1483fabe1bd0")
+        (14_484, "2932026be16b7cdf")
     assert result.report.all_peers_agree is True
 
 
@@ -210,22 +212,49 @@ def bench_workloads() -> dict:
 PINNED_EXECUTES = {"default": 6_220, "order-saturated": 4_320,
                    "validate-wide": 2_624}
 
+# sha256 of each pinned cell's journeys.csv and blocks.jsonl: what the
+# simulated system did, which a change to how the host schedules it (events
+# and digest) must leave byte-identical.
+PINNED_OUTPUTS = {
+    "default": (
+        "1533e87e9ffc54770d6ce6397e4bf5937b4b09eb46f93a31d0abdc2169c5e842",
+        "9a14f1074b4af42f24719c875ca461578419a8766455b036b913f3438eb534de"),
+    "order-saturated": (
+        "d0655026687d1ce7a80398d6ede08b7d5f7a4791568c34b629c1d55ead3e9bba",
+        "0f47551562a1bb4085a0a3a54816f4d700de2e4cf0ee1caa8c035f783bb64367"),
+    "validate-wide": (
+        "a3d65f3f4aa2587f4f6b0b43307b5e5a9e2885575c8252fb0ff0aeef9ce6773c",
+        "e7f68bf67467906bf790ece07067e557b2446c8039755741996014ab19d7e8b0"),
+}
+
+
+def output_digests(result, tmp_path) -> tuple[str, str]:
+    """sha256 of the run's journeys.csv and blocks.jsonl, as cmd_run writes
+    them."""
+    journeys_to_csv(result.journeys, tmp_path / "journeys.csv")
+    blocks = "".join(line + "\n" for line in
+                     result.sim.all_peers()[0].ledger.trace_lines())
+    return (hashlib.sha256((tmp_path / "journeys.csv").read_bytes()).hexdigest(),
+            hashlib.sha256(blocks.encode()).hexdigest())
+
 
 @pytest.mark.parametrize("workload,seed,events,digest", [
-    ("default", 42, 174_825, "2dc30f27a12e195d"),
-    ("order-saturated", 1, 261_895, "101b9b5f994dfbb9"),
-    ("validate-wide", 1, 104_039, "65a4885755428c12"),
+    ("default", 42, 144_825, "fc040e88690733dc"),
+    ("order-saturated", 1, 193_895, "f379fa110df16191"),
+    ("validate-wide", 1, 81_503, "e783cb7b00fdb740"),
 ], ids=["default", "order-saturated", "validate-wide"])
 def test_schedule_guard_pinned_cell(workload, seed, events, digest,
-                                    executions, validations):
+                                    executions, validations, tmp_path):
     # The default profile and the benchmark's two workloads; the events and
-    # digest change only if the event schedule does.
+    # digest change only if the event schedule does, the outputs only if the
+    # simulated system does.
     overrides = ({} if workload == "default"
                  else copy.deepcopy(bench_workloads()[workload]))
     result = run_simulation(ExperimentConfig.from_dict(
         overrides | {"seed": seed}))
     trace = result.trace
     assert (trace.events_dispatched, trace.dispatch_digest) == (events, digest)
+    assert output_digests(result, tmp_path) == PINNED_OUTPUTS[workload]
     assert len(executions) == PINNED_EXECUTES[workload]
     # peers on one chain share one validation: one per committed height,
     # genesis included
