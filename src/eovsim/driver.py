@@ -114,11 +114,9 @@ class ClientNode(Node):
     def offer(self, key: tuple[int, int], endorsement: Endorsement) -> None:
         """Take a peer's reply, arriving at key (Engine.draw)."""
         held = self._collected.get(endorsement.txn_id)
-        if held is None:
-            return  # a reply for an endorsed or closed txn
+        if held is None or endorsement.peer in held[1]:
+            return  # an endorsed or closed txn; a peer answers once
         offers = held[1]
-        if endorsement.peer in offers and offers[endorsement.peer][0] < key:
-            return  # a peer counts once, by its first reply
         offers[endorsement.peer] = (key, endorsement)
         threshold = self.cfg.policy_threshold
         if len(offers) < threshold:
@@ -138,9 +136,8 @@ class ClientNode(Node):
         if held is None or self._expired(journey, self.engine.now):
             return  # endorsed or closed at an earlier key, or too late
         due, offers = held
-        _, witness = policy_satisfied(
-            self.cfg.policy_threshold,
-            (e for k, e in offers.values() if k <= due))
+        _, witness = policy_satisfied(self.cfg.policy_threshold, (
+            e for k, e in offers.values() if k <= due))
         journey.endorsed_us = self.engine.now
         envelope = Envelope(txn_id=txn_id,
                             endorsers=tuple(e.peer for e in witness),
@@ -175,9 +172,8 @@ class ClientNode(Node):
                 # resolve once the ack lands (or its deadline passes).
                 self._early_commits[txn_id] = (body.committed_at, valid)
 
-    def _expired(self, journey: TxnJourney, end: int | None) -> bool:
-        """Close the open journey if its phase's deadline, endorse and then
-        broadcast, is at most end (None: unbounded)."""
+    def _expired(self, journey: TxnJourney, end: int) -> bool:
+        """Close the open journey if its phase's deadline is at most end."""
         if journey.endorsed_us is None:
             deadline = journey.submit_us + self.cfg.endorse_timeout_us
             status = JourneyStatus.DROPPED_ENDORSEMENT
@@ -186,7 +182,7 @@ class ClientNode(Node):
             status = JourneyStatus.DROPPED_BROADCAST
         else:
             return False
-        if end is None or deadline <= end:
+        if deadline <= end:
             self._close(journey, status)
         return journey.status is not None
 
@@ -201,9 +197,14 @@ class ClientNode(Node):
         self._collected.pop(journey.txn_id, None)
         self._early_commits.pop(journey.txn_id, None)
 
-    def finish_open_journeys(self, end: int | None = None) -> None:
-        """Close the journeys open when the run ends at end (None: it ran
-        dry): past their deadline they drop, else they count as in flight."""
-        for journey in self.journeys.values():
-            if journey.status is None and not self._expired(journey, end):
-                journey.status = JourneyStatus.IN_FLIGHT
+    def finish_open_journeys(self, end: int) -> bool:
+        """Close the journeys open at end: dropped past their deadline, else
+        in flight. True if a deadline this client set lies past end."""
+        cfg, late = self.cfg, False
+        for j in self.journeys.values():
+            late |= j.submit_us + cfg.endorse_timeout_us > end or (
+                j.endorsed_us is not None
+                and j.endorsed_us + cfg.broadcast_timeout_us > end)
+            if j.status is None and not self._expired(j, end):
+                j.status = JourneyStatus.IN_FLIGHT
+        return late

@@ -24,7 +24,7 @@ monitor node.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .committer import Peer, ValidationFlag, commit_block
 from .config import ExperimentConfig
@@ -108,10 +108,9 @@ def run_simulation(cfg: ExperimentConfig) -> RunResult:
     limit = cfg.duration_us + cfg.drain_limit_us
     trace = sim.engine.run_until_quiescent(limit)
 
-    journeys: list[TxnJourney] = []
-    for client in sim.clients:
-        client.finish_open_journeys(limit if trace.truncated else None)
-        journeys.extend(client.journeys.values())
+    if any([client.finish_open_journeys(limit) for client in sim.clients]):
+        trace = replace(trace, truncated=True)  # a timeout past the limit
+    journeys = [j for client in sim.clients for j in client.journeys.values()]
 
     report = collect_report(sim, trace, journeys)
     return RunResult(report=report, journeys=journeys, sim=sim, trace=trace)

@@ -175,8 +175,8 @@ def test_divergent_endorsements_never_satisfy_full_policy():
     offer_endorsement(engine, client, txn, "peer000", payload=1, at=1000)
     offer_endorsement(engine, client, txn, "peer001", payload=1, at=2000)
     offer_endorsement(engine, client, txn, "peer002", payload=2, at=3000)
-    engine.run_until_quiescent()
-    client.finish_open_journeys()
+    engine.run_until_quiescent(time_limit_us=99_999)
+    client.finish_open_journeys(99_999)
     assert client.journeys[txn].status is JourneyStatus.DROPPED_ENDORSEMENT
 
 
@@ -192,17 +192,16 @@ def test_duplicate_endorsements_from_same_peer_ignored():
     assert not envelopes(orderer)
 
 
-def test_a_peer_counts_by_its_first_arriving_reply():
-    # host order is not arrival order: of one peer's two replies, the one
-    # arriving first counts, wherever it was handed over
+def test_a_peer_second_reply_does_not_replace_its_first():
     engine, client, orderer = wire_client(threshold=2)
     txn = submit_first(engine, client)
-    offer_endorsement(engine, client, txn, "peer000", at=1000)
-    offer_endorsement(engine, client, txn, "peer001", at=9000)
-    offer_endorsement(engine, client, txn, "peer001", at=4000)
-    engine.run_until_quiescent()
-    assert client.journeys[txn].endorsed_us == 4000
-    assert len(envelopes(orderer)) == 1
+    offer_endorsement(engine, client, txn, "peer000", payload=1, at=1000)
+    offer_endorsement(engine, client, txn, "peer000", payload=2, at=2000)
+    offer_endorsement(engine, client, txn, "peer001", payload=1, at=3000)
+    engine.run_until_quiescent(time_limit_us=99_999)
+    assert client.journeys[txn].endorsed_us == 3000
+    sent = envelopes(orderer)
+    assert [m.body.endorsers for m in sent] == [("peer000", "peer001")]
 
 
 def test_broadcast_timeout_drops_journey():
@@ -210,8 +209,9 @@ def test_broadcast_timeout_drops_journey():
     txn = submit_first(engine, client)
     for peer in ("peer000", "peer001", "peer002"):
         offer_endorsement(engine, client, txn, peer, at=1000)
-    engine.run_until_quiescent()  # orderer is silent: no ack ever
-    client.finish_open_journeys()
+    # orderer is silent: no ack ever
+    engine.run_until_quiescent(time_limit_us=99_999)
+    client.finish_open_journeys(99_999)
     journey = client.journeys[txn]
     assert journey.status is JourneyStatus.DROPPED_BROADCAST
     assert journey.endorsed_us == 1000
@@ -342,6 +342,23 @@ def test_a_truncated_run_drops_at_a_broadcast_deadline_up_to_its_limit(
     journey = client.journeys[txn]
     assert journey.status is status
     assert (journey.endorsed_us, journey.bcast_ack_us) == (1000, None)
+
+
+def test_a_deadline_past_the_end_marks_the_run_cut_even_when_closed():
+    # a closed journey's timeout timer would still be queued past the end
+    engine, client, _ = wire_client(endorse_timeout_us=50_000,
+                                    broadcast_timeout_us=30_000)
+    txn = submit_first(engine, client)
+    for peer in ("peer000", "peer001", "peer002"):
+        offer_endorsement(engine, client, txn, peer, at=1000)
+    engine.schedule(client.id, broadcast_ack(txn), 5000)
+    engine.schedule(client.id, commit_notice(9000, txn, ValidationFlag.VALID),
+                    12_000)
+    engine.run_until_quiescent(time_limit_us=40_000)
+    assert client.journeys[txn].status is JourneyStatus.COMMITTED
+    # endorse deadline 50,000; broadcast deadline 31,000
+    assert client.finish_open_journeys(49_999)
+    assert not client.finish_open_journeys(50_000)
 
 
 # --- full simulations -----------------------------------------------------------
