@@ -75,13 +75,13 @@ class ClientNode(Node):
 
     def arm(self) -> None:
         """Reserve the plan's keys and queue its first submission (time 0)."""
-        self._plan = submission_times(self.cfg)  # instants, then first seq
-        self._plan_seq = self.engine.reserve(len(self._plan))
+        self._plan = submission_times(self.cfg)  # instants, then first tie
+        self._plan_tie = self.engine.reserve(self.id, len(self._plan))
         self._queue_submission(0)
 
     def _queue_submission(self, index: int) -> None:
         if index < len(self._plan):
-            self.engine.queue_at((self._plan[index], self._plan_seq + index),
+            self.engine.queue_at((self._plan[index], self._plan_tie + index),
                                  self, timer("submit", index))
 
     # -- events --------------------------------------------------------------

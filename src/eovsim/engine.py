@@ -1,9 +1,16 @@
 """Deterministic discrete-event engine and latency-modeled message fabric.
 
 Simulated time is integer microseconds. A single heap-ordered event queue
-drives every node state machine; ties on fire time are broken by a global
-monotonically increasing sequence number, so a run is an exact function of
-(configuration, seed). Jitter is drawn by the engine, never by a node, from
+drives every node state machine, so a run is an exact function of
+(configuration, seed). Ties on fire time are broken by source: each key's
+tie is (rank << 40) | count, where the source is the node that drew the key
+(the sender of a message, the node itself for a schedule or a reservation),
+its rank is its registration order, and count numbers that node's own draws
+from 1. On a tie at one node the lower-ranked source goes first, and one
+source's keys go in the order it drew them. So a tie depends on which nodes
+drew the keys, and in what order each drew its own, never on the host order
+in which different nodes ran. A run holds fewer than 2**24 nodes (add_node
+refuses more), and each node draws fewer than 2**40 keys. Jitter is drawn by the engine, never by a node, from
 one stream per directed link (src, dst): a 64-bit linear congruential
 generator seeded from fnv1a(f"{seed}:{src}:{dst}") and advanced only by that
 link's sends. So a message's delay depends on the link's own send history
@@ -12,8 +19,8 @@ alone, and adding or removing traffic on one link re-times no other link.
 A Message is delivered by reference and never mutated: its body is the object
 it carries, a fan-out sends one Message to all, and a forward resends it.
 
-A heap entry is the plain tuple (fire_time, seq, node, message). seq is
-unique, so tuple comparison is decided by (fire_time, seq) and never reaches
+A heap entry is the plain tuple (fire_time, tie, node, message). tie is
+unique, so tuple comparison is decided by (fire_time, tie) and never reaches
 the Node, which has no ordering. send draws a message's key and queues it;
 draw and reserve only take keys, which queue_at queues at later, or never.
 """
@@ -37,6 +44,10 @@ _MASK64 = (1 << 64) - 1
 # Knuth's MMIX multiplier and increment for the per-link jitter streams.
 _LCG_MUL = 6364136223846793005
 _LCG_INC = 1442695040888963407
+
+# A key's tie is (source rank << _COUNT_BITS) | the source's draw count.
+_COUNT_BITS = 40
+MAX_NODES = 1 << 24
 
 
 def fnv1a(data: bytes, h: int = _FNV_OFFSET) -> int:
@@ -141,6 +152,7 @@ class Node:
         self.klass = klass
         self.id_fnv = fnv1a(node_id.encode())
         self.engine: Engine | None = None
+        self._tie = 0  # the tie of this node's latest draw; set by add_node
         self.sent_msgs = 0
         self.sent_bytes = 0
         self.recv_msgs = 0
@@ -192,9 +204,9 @@ class Engine:
         self._seed = seed
         self.now = 0
         self.nodes: dict[str, Node] = {}
+        self._ranked: list[Node] = []  # the nodes in registration order
         self._heap: list[tuple[int, int, Node, Message]] = []
-        self._seq = 0
-        self._dispatch_seq = 0  # seq of the event now (or last) dispatched
+        self._dispatch_tie = -1  # tie of the event now (or last) dispatched
         self._events_dispatched = 0
         self._digest = _FNV_OFFSET
         # (src id, dst id) -> [src node, dst node, base, jitter state]: base_us
@@ -203,33 +215,41 @@ class Engine:
         self._pairs: dict[tuple[str, str], list] = {}
 
     def add_node(self, node: Node) -> None:
+        """Register node; its rank is the number registered before it."""
         if node.id in self.nodes:
             raise SimError(f"duplicate node id {node.id!r}")
+        if len(self._ranked) >= MAX_NODES:
+            raise SimError(f"a run holds at most {MAX_NODES} nodes")
         node.engine = self
+        node._tie = len(self._ranked) << _COUNT_BITS
         self.nodes[node.id] = node
+        self._ranked.append(node)
 
     def schedule(self, target: str, payload: Message, delay_us: int) -> None:
-        """Enqueue payload for target at now + delay_us."""
+        """Enqueue payload for target at now + delay_us; target draws the key."""
         if delay_us < 0:
             raise SimError(f"negative delay {delay_us}")
         node = self.nodes.get(target)
         if node is None:
             raise UnknownTargetError(f"unknown target node {target!r}")
-        self._seq += 1
-        heappush(self._heap, (self.now + delay_us, self._seq, node, payload))
+        node._tie += 1
+        heappush(self._heap, (self.now + delay_us, node._tie, node, payload))
 
     def transit_us(self, src: str, dst: str, size_bytes: int,
                    extra_delay_us: int = 0) -> int:
         """The delay of a size_bytes message sent now from src to dst.
 
         Draws the link's jitter and counts the message as sent by src and
-        received by dst, but schedules nothing: send schedules the message,
-        and a node that models its receiver itself calls this alone. The
-        network is lossless; drops only ever appear as timeouts at the
-        application layer.
+        received by dst, but draws no key and schedules nothing: send
+        schedules the message, and a node that models its receiver itself
+        calls this alone. The network is lossless; drops only ever appear as
+        timeouts at the application layer.
         """
-        pair = self._pairs.get((src, dst))
-        if pair is None:
+        return self._transit(self._link(src, dst), size_bytes, extra_delay_us)
+
+    def _link(self, src: str, dst: str) -> list:
+        link = self._pairs.get((src, dst))
+        if link is None:
             if src == dst:
                 raise SimError(f"loopback send on {src!r}")
             src_node = self.nodes.get(src)
@@ -238,11 +258,14 @@ class Engine:
             dst_node = self.nodes.get(dst)
             if dst_node is None:
                 raise UnknownTargetError(f"unknown destination node {dst!r}")
-            pair = self._pairs[src, dst] = [
+            link = self._pairs[src, dst] = [
                 src_node, dst_node,
                 self.latency.base_for(src_node.klass, dst_node.klass),
                 fnv1a(f"{self._seed}:{src}:{dst}".encode())]
-        src_node, dst_node, base, state = pair
+        return link
+
+    def _transit(self, link: list, size_bytes: int, extra_delay_us: int) -> int:
+        src_node, dst_node, base, state = link
         latency = self.latency
         delay = base + size_bytes * latency.per_byte_ns // 1000
         jitter = latency.jitter_fraction
@@ -256,7 +279,7 @@ class Engine:
         delay += extra_delay_us
         if delay < 0:
             raise SimError(f"negative delay {delay}")
-        pair[3] = state  # a refused send leaves the link's stream as it was
+        link[3] = state  # a refused send leaves the link's stream as it was
         src_node.sent_msgs += 1
         src_node.sent_bytes += size_bytes
         dst_node.recv_msgs += 1
@@ -265,32 +288,43 @@ class Engine:
 
     def send(self, src: str, dst: str, msg: Message,
              extra_delay_us: int = 0) -> None:
-        """Deliver msg from src to dst after transit_us."""
-        delay = self.transit_us(src, dst, msg.size_bytes, extra_delay_us)
-        self._seq += 1
-        heappush(self._heap, (self.now + delay, self._seq, self.nodes[dst], msg))
+        """Deliver msg from src to dst after transit_us; src draws the key."""
+        link = self._pairs.get((src, dst)) or self._link(src, dst)
+        delay = self._transit(link, msg.size_bytes, extra_delay_us)
+        src_node = link[0]
+        src_node._tie += 1
+        heappush(self._heap, (self.now + delay, src_node._tie, link[1], msg))
 
     def draw(self, src: str, dst: str, size_bytes: int) -> tuple[int, int]:
-        """The key (fire_time, seq) send would give a size_bytes message from
+        """The key (fire_time, tie) send would give a size_bytes message from
         src to dst now, drawn as send draws it; nothing is queued."""
-        delay = self.transit_us(src, dst, size_bytes)
-        self._seq += 1
-        return self.now + delay, self._seq
+        link = self._pairs.get((src, dst)) or self._link(src, dst)
+        delay = self._transit(link, size_bytes, 0)
+        src_node = link[0]
+        src_node._tie += 1
+        return self.now + delay, src_node._tie
 
-    def reserve(self, count: int) -> int:
-        """Take the next count seqs for keys queued later; returns the first."""
-        self._seq += count
-        return self._seq - count + 1
+    def reserve(self, node_id: str, count: int) -> int:
+        """Draw node_id's next count ties for keys queued later; returns the
+        first."""
+        node = self.nodes.get(node_id)
+        if node is None:
+            raise UnknownTargetError(f"unknown node {node_id!r}")
+        node._tie += count
+        return node._tie - count + 1
 
     def queue_at(self, key: tuple, node: Node, payload: Message) -> None:
         """Enqueue payload for node at a key drawn earlier. A key at or
-        before the event being dispatched, or one never drawn, is refused."""
-        if key <= (self.now, self._dispatch_seq) or key[1] > self._seq:
+        before the event being dispatched, or a tie its source never drew,
+        is refused."""
+        rank = key[1] >> _COUNT_BITS
+        if (key <= (self.now, self._dispatch_tie) or rank >= len(self._ranked)
+                or key[1] > self._ranked[rank]._tie):
             raise SimError(f"key {key} is undrawn or not after the current one")
         heappush(self._heap, (key[0], key[1], node, payload))
 
     def run_until_quiescent(self, time_limit_us: int | None = None) -> TraceSummary:
-        """Dispatch events in (fire_time, seq) order until empty or the limit.
+        """Dispatch events in (fire_time, tie) order until empty or the limit.
 
         Hitting the limit is not an error; the summary is flagged truncated
         and remaining events stay queued.
@@ -304,13 +338,13 @@ class Engine:
                 if time_limit_us is not None and heap[0][0] > time_limit_us:
                     truncated = True
                     break
-                fire_time, seq, node, msg = pop(heap)
+                fire_time, tie, node, msg = pop(heap)
                 self.now = fire_time
-                self._dispatch_seq = seq
+                self._dispatch_tie = tie
                 events += 1
-                # FNV-1a over (fire_time, seq, node id), each in [0, 2**64)
+                # FNV-1a over (fire_time, tie, node id), each in [0, 2**64)
                 digest = ((digest ^ fire_time) * prime) & mask
-                digest = ((digest ^ seq) * prime) & mask
+                digest = ((digest ^ tie) * prime) & mask
                 digest = ((digest ^ node.id_fnv) * prime) & mask
                 node.deliver(msg)
         finally:

@@ -90,8 +90,10 @@ class EventClient(Node):
     def _on_endorsement(self, endorsement) -> None:
         txn_id = endorsement.txn_id
         journey = self.journeys[txn_id]
-        if journey.status is not None or journey.endorsed_us is not None:
-            return
+        if (journey.status is not None or journey.endorsed_us is not None
+                or self.engine.now >= journey.submit_us
+                + self.cfg.endorse_timeout_us):
+            return  # a reply at the deadline is too late, as in production
         collected = self._collected[txn_id]
         if endorsement.peer in collected:
             return
@@ -117,8 +119,10 @@ class EventClient(Node):
 
     def _on_broadcast_ack(self, txn_id: str) -> None:
         journey = self.journeys[txn_id]
-        if journey.status is not None or journey.bcast_ack_us is not None:
-            return
+        if (journey.status is not None or journey.bcast_ack_us is not None
+                or self.engine.now >= journey.endorsed_us
+                + self.cfg.broadcast_timeout_us):
+            return  # an ack at the deadline is too late, as in production
         journey.bcast_ack_us = self.engine.now
         if txn_id in self._early_commits:
             committed_at, valid = self._early_commits.pop(txn_id)

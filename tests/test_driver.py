@@ -90,7 +90,7 @@ def offer_endorsement(engine, client, txn_id, peer, payload=0, at=0):
     e = Endorsement(txn_id=txn_id, peer=peer,
                     read_set=ReadSet([("k", (0, payload))]),
                     write_set=WriteSet())
-    client.offer((at, engine.reserve(1)), e)
+    client.offer((at, engine.reserve(peer, 1)), e)
 
 
 def submit_first(engine, client):

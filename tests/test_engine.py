@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eovsim import engine as engine_mod
 from eovsim.engine import (Engine, LatencyModel, Message, MessageKind, Node,
                            NodeClass, SimError, UnknownTargetError, fnv1a,
                            timer)
@@ -259,13 +260,49 @@ def test_dispatch_order_is_total(plan):
     engine.run_until_quiescent()
     times = [t for t, _ in order]
     assert times == sorted(times)
-    # ties preserve schedule order, so the body sequence at equal times is
-    # increasing
+    # a schedule's source is its target: at equal times a (registered first)
+    # goes before b, and each node's events keep their schedule order
+    rank = {"a": 0, "b": 1}
     by_time = {}
     for t, body in order:
-        by_time.setdefault(t, []).append(body)
+        by_time.setdefault(t, []).append((rank[plan[body][1]], body))
     for bodies in by_time.values():
         assert bodies == sorted(bodies)
+
+
+class Sender(Node):
+    """On each timer, sends its arg's (body, extra delay) to "t"."""
+
+    def handle(self, msg):
+        body, extra = msg.body.arg
+        self.engine.send(self.id, "t", Message(MessageKind.PROPOSAL, 10, body),
+                         extra_delay_us=extra)
+
+
+def test_a_tie_at_a_third_node_does_not_depend_on_host_order():
+    # p and q each send to t, arriving in the same us; either may run first
+    # on the host. The lower-ranked source goes first either way.
+    def arrivals(q_first):
+        engine = Engine(flat_latency(base=100), seed=0)
+        for node in (Sender("p", NodeClass.PEER), Sender("q", NodeClass.PEER),
+                     Recorder("t", NodeClass.CLIENT)):
+            engine.add_node(node)
+        early, late = ("q", "p") if q_first else ("p", "q")
+        engine.schedule(early, timer("go", (early, 50)), 0)
+        engine.schedule(late, timer("go", (late, 0)), 50)
+        engine.run_until_quiescent()
+        return engine.nodes["t"].seen
+
+    assert arrivals(q_first=False) == arrivals(q_first=True) == \
+        [(150, "p"), (150, "q")]
+
+
+def test_add_node_refuses_a_node_past_the_rank_bound(monkeypatch):
+    monkeypatch.setattr(engine_mod, "MAX_NODES", 2)
+    engine, _, _ = make_engine()  # two nodes, ranks 0 and 1
+    with pytest.raises(SimError, match="at most 2 nodes"):
+        engine.add_node(Recorder("c"))
+    assert list(engine.nodes) == ["a", "b"]
 
 
 class SendOnTimer(Node):
@@ -449,7 +486,7 @@ def test_a_reserved_key_dispatches_where_a_schedule_would_have():
     def run(ahead):
         engine, a, _ = make_engine()
         if ahead:
-            first = engine.reserve(3)
+            first = engine.reserve("a", 3)
             for i in reversed(range(3)):
                 engine.queue_at((7, first + i), a, timer("plan", i))
         else:
@@ -484,9 +521,9 @@ def probe_run(make_keys):
     """A run whose probe event has key (50, s + 1), s being a seq reserved
     before it; make_keys(s) gives the keys the probe tries."""
     engine = Engine(flat_latency(), seed=0)
-    early = engine.reserve(1)
-    probe = KeyProbe("p", make_keys(early))
+    probe = KeyProbe("p", [])
     engine.add_node(probe)
+    probe.keys = make_keys(engine.reserve("p", 1))
     engine.schedule("p", timer("probe"), 50)
     engine.schedule("p", timer("after"), 60)
     return engine.run_until_quiescent(), probe.refused
@@ -508,13 +545,13 @@ def test_queue_at_refuses_a_key_before_the_event_being_dispatched():
 
 def test_queue_at_between_runs_takes_only_keys_after_the_last_event():
     engine, a, _ = make_engine()
-    first = engine.reserve(2)
+    first = engine.reserve("a", 2)
     engine.queue_at((0, first + 1), a, timer("second"))
     engine.queue_at((0, first), a, timer("first"))
     engine.run_until_quiescent()
     assert [body.tag for _, body in a.seen] == ["first", "second"]
     with pytest.raises(SimError):  # (0, first) has been dispatched
         engine.queue_at((0, first), a, timer("again"))
-    engine.queue_at((0, engine.reserve(1)), a, timer("third"))
+    engine.queue_at((0, engine.reserve("a", 1)), a, timer("third"))
     engine.run_until_quiescent()
     assert [body.tag for _, body in a.seen] == ["first", "second", "third"]

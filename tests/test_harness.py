@@ -180,7 +180,7 @@ def test_schedule_guard_buffered_reentry_cell(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["events_dispatched"] == 16_281
-    assert report["dispatch_digest"] == "d668ed1fb6c6255f"
+    assert report["dispatch_digest"] == "fc12efd46d7423f6"
     assert report["all_peers_agree"] is True
 
 
@@ -193,7 +193,7 @@ def test_schedule_guard_min_insync_one_cell():
         "duration_s": 2.0, "seed": 5}))
     trace = result.trace
     assert (trace.events_dispatched, trace.dispatch_digest) == \
-        (14_484, "2932026be16b7cdf")
+        (14_484, "e6fdba0908d2c89b")
     assert result.report.all_peers_agree is True
 
 
@@ -217,14 +217,14 @@ PINNED_EXECUTES = {"default": 6_220, "order-saturated": 4_320,
 # and digest) must leave byte-identical.
 PINNED_OUTPUTS = {
     "default": (
-        "1533e87e9ffc54770d6ce6397e4bf5937b4b09eb46f93a31d0abdc2169c5e842",
-        "9a14f1074b4af42f24719c875ca461578419a8766455b036b913f3438eb534de"),
+        "086d5c0542f43b60c67f60251dc8797d914f75f7424f97407eb316e86eb2a912",
+        "bde55c6cac63c35a6ea8f26dbf8f4d993db295b1bddfa817722c53e37be76ce5"),
     "order-saturated": (
-        "d0655026687d1ce7a80398d6ede08b7d5f7a4791568c34b629c1d55ead3e9bba",
-        "0f47551562a1bb4085a0a3a54816f4d700de2e4cf0ee1caa8c035f783bb64367"),
+        "414f860b18284a278d0112493d75837d3f3854dbe5249051b3f300e6f4c019f6",
+        "15c87b5612b2d43643b3d7c60f3ae8a4af7e9992c783dce916e3bafb4605312b"),
     "validate-wide": (
-        "a3d65f3f4aa2587f4f6b0b43307b5e5a9e2885575c8252fb0ff0aeef9ce6773c",
-        "e7f68bf67467906bf790ece07067e557b2446c8039755741996014ab19d7e8b0"),
+        "eed146c6a6b18a8f1c2d7e4365f2b82a74f7ef32a2044b3aba2eb798136fec9c",
+        "9f4c2eaa19ee4edc05db6dbd6216e67781e14766953e4b3fbbea7f02d44dcd00"),
 }
 
 
@@ -239,9 +239,9 @@ def output_digests(result, tmp_path) -> tuple[str, str]:
 
 
 @pytest.mark.parametrize("workload,seed,events,digest", [
-    ("default", 42, 144_825, "fc040e88690733dc"),
-    ("order-saturated", 1, 193_895, "f379fa110df16191"),
-    ("validate-wide", 1, 81_503, "e783cb7b00fdb740"),
+    ("default", 42, 144_825, "3491b532637a7930"),
+    ("order-saturated", 1, 193_895, "ac2dfc7b527ddf8d"),
+    ("validate-wide", 1, 81_503, "fa91f3486d282e0b"),
 ], ids=["default", "order-saturated", "validate-wide"])
 def test_schedule_guard_pinned_cell(workload, seed, events, digest,
                                     executions, validations, tmp_path):

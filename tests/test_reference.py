@@ -119,4 +119,4 @@ def test_the_event_client_keeps_the_schedule_of_one_event_per_reply():
     # txn: the reference draws every key where that schedule drew it.
     result = run_reference(ExperimentConfig.from_dict({"seed": 42}))
     assert (result.trace.events_dispatched, result.trace.dispatch_digest) == \
-        (174_825, "2dc30f27a12e195d")
+        (174_825, "f231a10c74015964")
