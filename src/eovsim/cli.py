@@ -92,31 +92,23 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = read_cells_csv(args.cells)
-    written = extract_figure(rows, args.figure, args.out)
-    for path in written:
+    for path in extract_figure(read_cells_csv(args.cells), args.figure,
+                               args.out):
         print(f"wrote {path}")
     return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    commands = {"run": cmd_run, "sweep": cmd_sweep, "report": cmd_report}
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "report":
-            return cmd_report(args)
-        parser.error(f"unknown command {args.command!r}")
+        return commands[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

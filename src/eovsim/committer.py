@@ -1,27 +1,20 @@
 """The peer: it endorses what it is sent, then runs the validation phase
 (policy check, version conflict check, commit with rollback of invalid
-transactions) and gossips blocks. Clients send proposals to the endorsing
-peers only; the policy is a threshold of endorsements that agree, and
-validation re-checks it by counting the distinct endorser ids an envelope
+transactions) and gossips blocks. The policy is a threshold of endorsements
+that agree, re-checked by counting the distinct endorser ids an envelope
 carries beside its one payload. A reply is no event: the peer hands its
 endorsement to the client (ClientNode.offer) at the reply's drawn key.
 
-Transactions in a block are processed in order; the conflict check for txn i
-sees the writes of valid txns 0..i-1 of the same block (first writer wins).
-Only valid write sets are applied, versioned (height, txn index). A
-block's flags, held on the block itself, are the one record of validation
-outcomes, which the run report counts and the clients read from the block
-a commit notice carries. Endorsing peers receive blocks from the ordering
-service; each non-endorsing peer is assigned one endorsing anchor peer that
-forwards each committed block to it as the BLOCK_DELIVER message it
-received, so every peer commits a height from the one message the leader
-built.
+A block's txns are processed in order; txn i's conflict check sees the
+writes of valid txns 0..i-1 of the block (first writer wins), and only valid
+write sets are applied, versioned (height, txn index). The block's flags are
+the one record of the outcomes. A non-endorsing peer gets each block from
+its endorsing anchor peer, as the BLOCK_DELIVER message the anchor received.
 
-Every peer validates and commits every block, and pays validate_per_txn for
-it in simulated time. On the host, every peer's ledger is a height on the
-run's one chain (ledger.Ledger): the first to commit a block appends it,
-validates it and writes its valid write sets into the chain's state; every
-later peer checks that the chain holds that very block and moves its height.
+Every peer pays validate_per_txn per txn in simulated time. On the host,
+every peer's ledger is a height on the run's one chain (ledger.Ledger): the
+first to commit a block appends and validates it, writing the chain's state;
+every later peer checks that the chain holds that very block.
 """
 
 from __future__ import annotations
@@ -94,15 +87,12 @@ class Peer(Node):
     """A peer endorses each proposal it is sent, and validates and commits
     blocks in height order.
 
-    Blocks may arrive out of height order (designated orderers rotate, and
-    gossip copies jitter); a block for a future height is buffered, at zero
-    service cost, as the message it came in. Once its predecessor commits,
-    the peer re-delivers that message to itself, and it re-enters the work
-    queue and pays its validation service like any block delivery.
-    Duplicate heights are dropped. After a commit the peer sends a commit
-    notice to each home client and forwards the block message to each
-    gossip target; a non-endorsing peer is one that no client or orderer
-    sends to, and has neither.
+    A block for a future height (designated orderers rotate, and gossip
+    copies jitter) is buffered, at zero service cost. Once its predecessor
+    commits, the peer re-delivers it to itself, and it pays its validation
+    service like any block delivery. Duplicate heights are dropped. After a
+    commit the peer notifies each home client and forwards the block to each
+    gossip target; a non-endorsing peer has neither.
     """
 
     def __init__(self, node_id: str, cfg: ExperimentConfig, ledger: Ledger):

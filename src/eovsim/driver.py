@@ -1,12 +1,12 @@
 """Benchmark client: fixed-rate, endorsement-aware submission loop.
 
-The schedule is open loop: proposal i is sent to all endorsing peers at
-round(i * 1e6 / rate) microseconds after start, never waiting for earlier
-transactions; each submission queues the next at a key reserved at time 0.
-Peers hand replies over at their drawn keys (offer), and a transaction takes
-one event, at the first key where a payload group reaches the threshold. A
-transaction missing its endorse or broadcast deadline (checked with >= when
-it is next touched, and at the run's end) is dropped, never retried.
+The schedule is open loop: proposal i goes to all endorsing peers at
+round(i * 1e6 / rate) us, never waiting for earlier transactions; each
+submission queues the next at a key reserved at time 0. Peers hand replies
+over at their drawn keys (offer), and a transaction takes one event, at the
+first key where a payload group reaches the threshold. A transaction past
+its endorse or broadcast deadline (checked with >= when next touched, and
+at the run's end) is dropped, never retried.
 
 A transaction's journey is its only state record: while status is None the
 journey is open, and its phase is the first unset instant (endorsed_us,
@@ -97,9 +97,9 @@ class ClientNode(Node):
 
     def _submit(self, index: int) -> None:
         now = self.engine.now
-        # Drop txns past their endorse deadline (< now: submissions go first)
+        # Drop txns past their endorse deadline (replies at now came first)
         for txn_id in list(self._collected):
-            if not self._expired(self.journeys[txn_id], now - 1):
+            if not self._expired(self.journeys[txn_id], now):
                 break
         proposal = self.proposals[index]
         journey = TxnJourney(txn_id=proposal.txn_id, client=self.id, index=index,

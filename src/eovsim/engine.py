@@ -2,26 +2,25 @@
 
 Simulated time is integer microseconds. A single heap-ordered event queue
 drives every node state machine, so a run is an exact function of
-(configuration, seed). Ties on fire time are broken by source: each key's
-tie is (rank << 40) | count, where the source is the node that drew the key
-(the sender of a message, the node itself for a schedule or a reservation),
-its rank is its registration order, and count numbers that node's own draws
-from 1. On a tie at one node the lower-ranked source goes first, and one
-source's keys go in the order it drew them. So a tie depends on which nodes
-drew the keys, and in what order each drew its own, never on the host order
-in which different nodes ran. A run holds fewer than 2**24 nodes (add_node
-refuses more), and each node draws fewer than 2**40 keys. Jitter is drawn by the engine, never by a node, from
-one stream per directed link (src, dst): a 64-bit linear congruential
-generator seeded from fnv1a(f"{seed}:{src}:{dst}") and advanced only by that
-link's sends. So a message's delay depends on the link's own send history
-alone, and adding or removing traffic on one link re-times no other link.
+(configuration, seed). A key is (fire_time, tie), and same-instant ties are
+broken by source: tie = (rank << 40) | count, where the source is the node
+that drew the key (a message's sender, the node itself for schedule and
+reserve), rank is its registration order and count numbers its own draws.
+So on a tie the lower-ranked source goes first, one source's keys keep
+their draw order, and no tie depends on which node ran first on the host.
+A run holds fewer than 2**24 nodes, and a node draws fewer than 2**40 keys.
+A served message is handled at the instant its service completes (Node).
+
+Jitter is drawn by the engine, never by a node, from one stream per directed
+link (src, dst): a 64-bit linear congruential generator seeded from
+fnv1a(f"{seed}:{src}:{dst}") and advanced only by that link's sends. So a
+message's delay depends on the link's own send history alone, and adding or
+removing traffic on one link re-times no other link.
 
 A Message is delivered by reference and never mutated: its body is the object
-it carries, a fan-out sends one Message to all, and a forward resends it.
-
-A heap entry is the plain tuple (fire_time, tie, node, message). tie is
-unique, so tuple comparison is decided by (fire_time, tie) and never reaches
-the Node, which has no ordering. send draws a message's key and queues it;
+it carries, a fan-out sends one Message to all, and a forward resends it. A
+heap entry is the tuple (fire_time, tie, node, message); tie is unique, so a
+comparison never reaches the Node. send draws a message's key and queues it;
 draw and reserve only take keys, which queue_at queues at later, or never.
 """
 
@@ -46,8 +45,7 @@ _LCG_MUL = 6364136223846793005
 _LCG_INC = 1442695040888963407
 
 # A key's tie is (source rank << _COUNT_BITS) | the source's draw count.
-_COUNT_BITS = 40
-MAX_NODES = 1 << 24
+_COUNT_BITS, MAX_NODES, _NO_LIMIT = 40, 1 << 24, 1 << 63
 
 
 def fnv1a(data: bytes, h: int = _FNV_OFFSET) -> int:
@@ -61,8 +59,7 @@ class SimError(Exception):
 
 
 class UnknownTargetError(SimError):
-    """Scheduling, sending to or sending from a node id that is not in the
-    topology."""
+    """Scheduling, sending to or sending from a node not in the topology."""
 
 
 class MessageKind(enum.Enum):
@@ -99,9 +96,9 @@ def timer(tag: str, arg: object = None) -> Message:
     return Message(MessageKind.TIMER_FIRE, 0, Timer(tag, arg))
 
 
+# A completion event's tag: timer(_SVC_TAG, msg) hands msg to its node.
 _SVC_TAG = "_svc"
-# The one service-completion message every node schedules to itself.
-_SERVICE_DONE = timer(_SVC_TAG)
+_TIMER_FIRE = MessageKind.TIMER_FIRE
 
 
 class NodeClass(enum.Enum):
@@ -118,8 +115,7 @@ class LatencyModel:
     base_us maps (src, dst) NodeClass pairs, both orders listed, to
     microseconds; pairs not listed fall back to default_us. With
     jitter_fraction == 0 the delay is a pure function of (classes, size).
-    The values are checked by config.py.
-    """
+    config.py checks the values."""
 
     base_us: dict[tuple[NodeClass, NodeClass], int]
     default_us: int
@@ -141,10 +137,13 @@ class TraceSummary:
 class Node:
     """Base state machine: a single-server FIFO work queue.
 
-    Each delivered message waits for the node to be idle, occupies it for
-    service_us(msg), and is handled when that service completes; the node is
-    busy exactly while a message is in service. Zero-service messages on an
-    idle node are handled inline without a completion event.
+    A message is handled when its service completes, at done = max(arrival,
+    previous done) + service_us(msg), known at arrival. So a node without
+    control messages handles it on arrival, with engine.now set to done, and
+    draws its keys as a completion event at done would. That event is kept
+    for a node with control messages (its service_us must not read the
+    messages ahead), and for a message done past the run's time limit, behind
+    which the node holds later messages until it is handled.
     """
 
     def __init__(self, node_id: str, klass: NodeClass):
@@ -153,49 +152,52 @@ class Node:
         self.id_fnv = fnv1a(node_id.encode())
         self.engine: Engine | None = None
         self._tie = 0  # the tie of this node's latest draw; set by add_node
-        self.sent_msgs = 0
-        self.sent_bytes = 0
-        self.recv_msgs = 0
-        self.recv_bytes = 0
-        self._work: deque[Message] = deque()
-        self._in_service: Message | None = None
-
-    # -- service discipline ------------------------------------------------
+        self._inline = type(self).is_control is Node.is_control
+        self._free_at = 0  # when the node finishes the last message it took
+        self._queued = 0  # completion events not yet dispatched
+        self._held: deque[Message] = deque()  # behind a completion event
 
     def service_us(self, msg: Message) -> int:
         return 0
 
     def is_control(self, msg: Message) -> bool:
-        """Control messages bypass the work queue and are handled on arrival
-        (out-of-band bookkeeping such as a broker's timers); they must not
-        charge busy time."""
+        """Control messages bypass the work queue, handled on arrival and
+        charging no busy time (out-of-band work such as a broker's timers)."""
         return False
 
     def handle(self, msg: Message) -> None:
         raise NotImplementedError
 
     def deliver(self, msg: Message) -> None:
-        if msg is _SERVICE_DONE:
-            done = self._in_service
-            self._in_service = None
-            self.handle(done)
-        elif self.is_control(msg):
+        if self._queued:  # a completion, or a message behind one
+            body = msg.body
+            if (msg.kind is _TIMER_FIRE and body.__class__ is Timer
+                    and body.tag is _SVC_TAG):
+                self._queued -= 1
+                self.handle(body.arg)
+                held = self._held
+                while held and not self._queued:
+                    self.deliver(held.popleft())
+                return
+            if self._inline:
+                self._held.append(msg)
+                return
+        if not self._inline and self.is_control(msg):
             self.handle(msg)
             return
-        else:
-            self._work.append(msg)
-            if self._in_service is not None:
-                return
-        # The node is idle: serve queued work until a message needs service.
-        work = self._work
-        while work:
-            msg = work.popleft()
-            service = self.service_us(msg)
-            if service > 0:
-                self._in_service = msg
-                self.engine.schedule(self.id, _SERVICE_DONE, service)
-                return
+        engine = self.engine
+        now = engine.now
+        free = self._free_at
+        done = self._free_at = (free if free > now else now) + self.service_us(msg)
+        if self._inline and done <= engine._limit:
+            engine.now = done
             self.handle(msg)
+            engine.now = now
+            if done > engine._handled_until:
+                engine._handled_until = done
+        else:
+            self._queued += 1
+            engine.schedule(self.id, timer(_SVC_TAG, msg), done - now)
 
 
 class Engine:
@@ -206,12 +208,13 @@ class Engine:
         self.nodes: dict[str, Node] = {}
         self._ranked: list[Node] = []  # the nodes in registration order
         self._heap: list[tuple[int, int, Node, Message]] = []
-        self._dispatch_tie = -1  # tie of the event now (or last) dispatched
+        self._dispatched: tuple = (0, -1)  # the event now (or last) dispatched
+        self._limit = _NO_LIMIT  # the time limit of the run in progress
+        self._handled_until = 0  # the latest instant a node handled a message
         self._events_dispatched = 0
         self._digest = _FNV_OFFSET
-        # (src id, dst id) -> [src node, dst node, base, jitter state]: base_us
-        # is fixed for a run, while the per-byte and jitter terms are read on
-        # every send; the state is the link's LCG value, one int per link.
+        # (src id, dst id) -> [src node, dst node, base_us, LCG state, msgs,
+        # bytes]: each link owns its jitter stream and traffic counts.
         self._pairs: dict[tuple[str, str], list] = {}
 
     def add_node(self, node: Node) -> None:
@@ -237,14 +240,8 @@ class Engine:
 
     def transit_us(self, src: str, dst: str, size_bytes: int,
                    extra_delay_us: int = 0) -> int:
-        """The delay of a size_bytes message sent now from src to dst.
-
-        Draws the link's jitter and counts the message as sent by src and
-        received by dst, but draws no key and schedules nothing: send
-        schedules the message, and a node that models its receiver itself
-        calls this alone. The network is lossless; drops only ever appear as
-        timeouts at the application layer.
-        """
+        """The delay of a size_bytes message sent now from src to dst; draws
+        the link's jitter and counts the message on the link, but no key."""
         return self._transit(self._link(src, dst), size_bytes, extra_delay_us)
 
     def _link(self, src: str, dst: str) -> list:
@@ -252,20 +249,17 @@ class Engine:
         if link is None:
             if src == dst:
                 raise SimError(f"loopback send on {src!r}")
-            src_node = self.nodes.get(src)
-            if src_node is None:
-                raise UnknownTargetError(f"unknown source node {src!r}")
-            dst_node = self.nodes.get(dst)
-            if dst_node is None:
-                raise UnknownTargetError(f"unknown destination node {dst!r}")
+            src_node, dst_node = self.nodes.get(src), self.nodes.get(dst)
+            if src_node is None or dst_node is None:
+                raise UnknownTargetError(f"unknown node on link {src!r} -> {dst!r}")
             link = self._pairs[src, dst] = [
                 src_node, dst_node,
                 self.latency.base_for(src_node.klass, dst_node.klass),
-                fnv1a(f"{self._seed}:{src}:{dst}".encode())]
+                fnv1a(f"{self._seed}:{src}:{dst}".encode()), 0, 0]
         return link
 
     def _transit(self, link: list, size_bytes: int, extra_delay_us: int) -> int:
-        src_node, dst_node, base, state = link
+        base, state = link[2], link[3]
         latency = self.latency
         delay = base + size_bytes * latency.per_byte_ns // 1000
         jitter = latency.jitter_fraction
@@ -280,10 +274,8 @@ class Engine:
         if delay < 0:
             raise SimError(f"negative delay {delay}")
         link[3] = state  # a refused send leaves the link's stream as it was
-        src_node.sent_msgs += 1
-        src_node.sent_bytes += size_bytes
-        dst_node.recv_msgs += 1
-        dst_node.recv_bytes += size_bytes
+        link[4] += 1
+        link[5] += size_bytes
         return delay
 
     def send(self, src: str, dst: str, msg: Message,
@@ -307,9 +299,7 @@ class Engine:
     def reserve(self, node_id: str, count: int) -> int:
         """Draw node_id's next count ties for keys queued later; returns the
         first."""
-        node = self.nodes.get(node_id)
-        if node is None:
-            raise UnknownTargetError(f"unknown node {node_id!r}")
+        node = self.nodes[node_id]
         node._tie += count
         return node._tie - count + 1
 
@@ -318,29 +308,40 @@ class Engine:
         before the event being dispatched, or a tie its source never drew,
         is refused."""
         rank = key[1] >> _COUNT_BITS
-        if (key <= (self.now, self._dispatch_tie) or rank >= len(self._ranked)
+        if (key <= self._dispatched or rank >= len(self._ranked)
                 or key[1] > self._ranked[rank]._tie):
             raise SimError(f"key {key} is undrawn or not after the current one")
         heappush(self._heap, (key[0], key[1], node, payload))
 
-    def run_until_quiescent(self, time_limit_us: int | None = None) -> TraceSummary:
-        """Dispatch events in (fire_time, tie) order until empty or the limit.
+    def traffic(self) -> dict[str, dict[str, int]]:
+        """Each node's sent and received messages and bytes, summed over its
+        links, for every node in registration order."""
+        counts = {node_id: dict.fromkeys(("sent_msgs", "sent_bytes", "recv_msgs",
+                                          "recv_bytes"), 0) for node_id in self.nodes}
+        for (src, dst), link in self._pairs.items():
+            for node_id, way in ((src, "sent"), (dst, "recv")):
+                counts[node_id][way + "_msgs"] += link[4]
+                counts[node_id][way + "_bytes"] += link[5]
+        return counts
 
-        Hitting the limit is not an error; the summary is flagged truncated
-        and remaining events stay queued.
+    def run_until_quiescent(self, time_limit_us: int | None = None) -> TraceSummary:
+        """Dispatch events in (fire_time, tie) order until empty or the limit;
+        at the limit the summary is flagged truncated and the rest stay queued.
         """
         heap, pop, prime, mask = self._heap, heappop, _FNV_PRIME, _MASK64
         events = self._events_dispatched
         digest = self._digest
         truncated = False
+        limit = self._limit = (_NO_LIMIT if time_limit_us is None
+                               else time_limit_us)
         try:
             while heap:
-                if time_limit_us is not None and heap[0][0] > time_limit_us:
+                if heap[0][0] > limit:
                     truncated = True
                     break
-                fire_time, tie, node, msg = pop(heap)
+                fire_time, tie, node, msg = entry = pop(heap)
                 self.now = fire_time
-                self._dispatch_tie = tie
+                self._dispatched = entry
                 events += 1
                 # FNV-1a over (fire_time, tie, node id), each in [0, 2**64)
                 digest = ((digest ^ fire_time) * prime) & mask
@@ -352,7 +353,7 @@ class Engine:
             self._digest = digest
         return TraceSummary(
             events_dispatched=events,
-            end_time_us=self.now,
+            end_time_us=max(self.now, self._handled_until),
             dispatch_digest=f"{digest:016x}",
             truncated=truncated,
         )

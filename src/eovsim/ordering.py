@@ -4,18 +4,15 @@ Orderers are proxies: they forward client envelopes to the log leader and
 ack the client once the record has committed (held by at least min_insync
 brokers, the leader's own copy the first of them). The one static leader,
 the only BrokerNode, commits records in the order it appends them, each at
-a "commit" timer; the remaining replica copies continue in the background
-without blocking commit. The followers are a queue recursion at the leader
-(see BrokerNode), and every other broker is a bare Node kept only for its
-message counters. The block cutter runs on the leader so every orderer and
-peer observes one authoritative block sequence; a deterministic designated
-orderer per block (round-robin by height) performs the peer fan-out.
+a "commit" timer, and runs the block cutter, so every node sees one block
+sequence; a designated orderer per block (round-robin by height) fans it
+out to the peers. The followers are a queue recursion at the leader (see
+BrokerNode), and every other broker is a bare Node, a link endpoint.
 
 A log record is the client's Envelope, a commit notice the txn id, and a
 block one BLOCK_DELIVER message sized at the leader; a replica copy and its
-ack are sized but never sent as messages.
-Every envelope of a run has the one size cfg.envelope_bytes, so each message
-that carries envelopes, and the cutter's size test, is sized from it.
+ack are sized but never sent. Every envelope has the one size
+cfg.envelope_bytes, which sizes each message that carries envelopes.
 """
 
 from __future__ import annotations
@@ -91,14 +88,11 @@ class BlockCutter:
 class OrdererNode(Node):
     """Front-end proxy between clients and the replicated log.
 
-    Counts every received envelope as an enqueue attempt and the commit of
-    one of its own forwarded envelopes as an enqueue success, so the
-    attempt/success ratio can be read off directly; window_attempts and
-    window_successes count only the envelopes and commit notices handled
-    before the window end, cfg.duration_us. A bounded input buffer of
-    cfg.orderer_capacity envelopes (forwarded but not yet committed)
-    refuses further envelopes when full; the client only ever observes
-    that as a broadcast timeout.
+    Each received envelope is an enqueue attempt, and the commit of one it
+    forwarded an enqueue success; the window counters count only those
+    handled before the window end, cfg.duration_us. A buffer of
+    cfg.orderer_capacity envelopes forwarded but not yet committed refuses
+    further envelopes when full, which a client sees as a broadcast timeout.
     """
 
     def __init__(self, node_id: str, cfg: ExperimentConfig):
@@ -157,30 +151,26 @@ class BrokerNode(Node):
 
     The leader keeps no log. A record commits once cfg.min_insync copies
     exist, the leader's own, held at append, the first of them, and never
-    before the record appended ahead of it, since a partition's high
-    watermark only moves forward. So at append the leader knows record k's
-    commit instant, commit_k = max(quorum_k, commit_k-1), and schedules one
-    "commit" control timer for it, with min_insync 1 as with any other.
-    On commit it notifies every orderer and feeds the block cutter; cut
-    blocks go to the designated orderer for that height.
+    before the record ahead of it, since a partition's high watermark only
+    moves forward. So at append the leader knows record k's commit instant,
+    commit_k = max(quorum_k, commit_k-1), and schedules a "commit" control
+    timer for it. On commit it notifies every orderer and feeds the cutter.
 
     The replication_factor - 1 followers are a queue recursion at the
-    leader and receive no events. A follower serves only the leader's
-    copies, one at a time for broker_append each, so at append the leader
-    computes, per follower, the copy's arrival, the follower's completion
+    leader and receive no events: at append the leader computes, per
+    follower, the copy's arrival, the follower's completion
     done_k = max(arrive_k, done_k-1) + broker_append (Lindley's recursion)
-    and the ack's arrival, each link drawing its own jitter through
-    Engine.transit_us, which also moves both nodes' message counters.
-    quorum_k is the min_insync-th earliest copy, the leader's own included.
+    and the ack's arrival, each link drawing its own jitter and counting the
+    message through Engine.transit_us. quorum_k is the min_insync-th
+    earliest copy, the leader's own included.
 
     A follower serves its copies in send order, as Kafka's replica fetch
     does: that is a model statement. It equals an event-driven FIFO follower
     whenever copies reach it in send order, which holds when the leader's
     gap between appends, at least leader_demand_us, is at least twice a
-    copy's jitter spread, as in every shipped config. A follower's copy and
-    ack are counted at append, so a run cut by its time limit counts acks
-    that the follower would not yet have sent. No other broker, follower
-    or not, receives an event, so the run registers each as a bare Node.
+    copy's jitter spread, as in every shipped config. A copy and its ack are
+    counted at append, so a run cut by its time limit counts acks that the
+    follower would not yet have sent.
     """
 
     def __init__(self, cfg: ExperimentConfig, cutter: BlockCutter):
@@ -201,7 +191,8 @@ class BrokerNode(Node):
     def is_control(self, msg: Message) -> bool:
         # Commit and cut timers are handled like the replication and timer
         # threads of a real broker: they never wait behind queued produce
-        # work. Service completions never get past deliver.
+        # work. So each record is handled at a completion event (Node), and
+        # service completions never get past deliver.
         return msg.kind is MessageKind.TIMER_FIRE
 
     def handle(self, msg: Message) -> None:

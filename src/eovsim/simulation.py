@@ -1,10 +1,9 @@
 """Builds a topology from a config, runs it to quiescence, and reports.
 
-The config names the nodes (ExperimentConfig.peer_ids and the rest); every
-node reads its settings and the ids it sends to from the run's one
+Every node reads its settings and the ids it sends to from the run's one
 ExperimentConfig. Every peer is a committer.Peer; the endorsing ones are
 those the clients send proposals to. Only the log leader is a BrokerNode:
-the other brokers receive no event and are bare Nodes holding counters.
+the other brokers receive no event and are bare Nodes, link endpoints.
 The genesis state is the workload's rule (smallbank.Genesis), held by the
 run's one chain; the genesis block is one unendorsed envelope that writes
 nothing. It commits through commit_block, validated at threshold 0, and
@@ -13,12 +12,12 @@ run's one chain (ledger.Ledger). collect_report builds the RunReport in one
 place: chain, flag and state figures from the observer peer's (peer000)
 ledger, whose blocks' flags from height 1 on give valid_txns,
 policy_violations and mvcc_conflicts; journey figures from
-metrics.aggregate; counters from the nodes. Peers agree when their ledgers
-equal the observer's: the same chain at the same height. Clients spray
-envelopes over orderers round-robin by submission index and observe commits
-through their round-robin home peer. Each orderer counts the enqueue
-attempts and successes it handles before the window end; there is no
-monitor node.
+metrics.aggregate; each node's traffic from its links (Engine.traffic).
+Peers agree when their ledgers equal the observer's: the same chain at the
+same height. Clients spray envelopes over orderers round-robin by
+submission index and observe commits through their round-robin home peer.
+Each orderer counts the enqueue attempts and successes it handles before
+the window end; there is no monitor node.
 """
 
 from __future__ import annotations
@@ -134,16 +133,9 @@ def collect_report(sim: Simulation, trace: TraceSummary,
     attempts_final = sum(o.enqueue_attempts for o in sim.orderers)
     successes_final = sum(o.enqueue_successes for o in sim.orderers)
 
-    per_node = {
-        node.id: {
-            "class": node.klass.value,
-            "sent_msgs": node.sent_msgs,
-            "sent_bytes": node.sent_bytes,
-            "recv_msgs": node.recv_msgs,
-            "recv_bytes": node.recv_bytes,
-        }
-        for node in sim.engine.nodes.values()
-    }
+    traffic = sim.engine.traffic()
+    per_node = {node.id: {"class": node.klass.value, **traffic[node.id]}
+                for node in sim.engine.nodes.values()}
 
     return RunReport(
         config=cfg.resolved(),

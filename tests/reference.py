@@ -1,29 +1,90 @@
-"""Test-only reference for the client: collection at the client and timeout
-deadlines undone.
+"""Test-only reference pipeline: inline service, collection at the client and
+timeout deadlines undone.
+
+Every node serves its messages as the engine did before nodes handled them
+on arrival (Queued): a served message waits in the node's FIFO, and is
+handled at a completion event scheduled when its service starts. So each
+served message takes one more event, and handlers run later in host order;
+under the tie rule every other event keeps its key.
 
 EventClient is the client as it was before replies were handed over at
 their keys: each reply a peer offers becomes its own event, at the key the
 peer drew for it, and is handled by the per-reply logic; each submission
 schedules an endorse_to timer and each envelope a bcast_to timer, which fire
 whether or not their txn has moved on; and the whole submission plan is
-scheduled at time 0. Every event the production ClientNode leaves out would
-sit at a key drawn where it is drawn today, so the two clients must agree
-on every output except events_dispatched, dispatch_digest and end_time_us.
+scheduled at time 0. A reply or ack that lands exactly at its deadline is
+too late, as in production: the timer no longer outranks a peer's or an
+orderer's message in the same us. Every event the production ClientNode
+leaves out would sit at a key drawn where it is drawn today.
+
+So the reference and production must agree on every output except
+events_dispatched and dispatch_digest.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import deque
 
 from eovsim import simulation
-from eovsim.committer import BlockCommitted, ValidationFlag
+from eovsim.committer import BlockCommitted, Peer, ValidationFlag
 from eovsim.driver import JourneyStatus, TxnJourney, submission_times
 from eovsim.endorser import policy_satisfied
 from eovsim.engine import Message, MessageKind, Node, NodeClass, Timer, timer
-from eovsim.ordering import Envelope
+from eovsim.ordering import BrokerNode, Envelope, OrdererNode
 
-# Report fields that count or time the host's events, not the system's.
-EVENT_FIELDS = ("events_dispatched", "dispatch_digest", "end_time_us")
+# Report fields that count the host's events, not the system's.
+EVENT_FIELDS = ("events_dispatched", "dispatch_digest")
+
+# The one service-completion message a Queued node schedules to itself.
+_SERVICE_DONE = timer("_done")
+
+
+class Queued:
+    """A node's service discipline as a FIFO work queue with a completion
+    event per served message: each message waits for the node to be idle,
+    occupies it for service_us(msg), and is handled when that service
+    completes. Zero-service messages on an idle node are handled inline."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._work = deque()
+        self._in_service = None
+
+    def deliver(self, msg: Message) -> None:
+        if msg is _SERVICE_DONE:
+            done = self._in_service
+            self._in_service = None
+            self.handle(done)
+        elif self.is_control(msg):
+            self.handle(msg)
+            return
+        else:
+            self._work.append(msg)
+            if self._in_service is not None:
+                return
+        # The node is idle: serve queued work until a message needs service.
+        work = self._work
+        while work:
+            msg = work.popleft()
+            service = self.service_us(msg)
+            if service > 0:
+                self._in_service = msg
+                self.engine.schedule(self.id, _SERVICE_DONE, service)
+                return
+            self.handle(msg)
+
+
+class QueuedPeer(Queued, Peer):
+    pass
+
+
+class QueuedOrderer(Queued, OrdererNode):
+    pass
+
+
+class QueuedBroker(Queued, BrokerNode):
+    pass
 
 
 class ReferenceKind(enum.Enum):
@@ -32,7 +93,7 @@ class ReferenceKind(enum.Enum):
     ENDORSEMENT = "Endorsement"
 
 
-class EventClient(Node):
+class EventClient(Queued, Node):
     def __init__(self, node_id, cfg, proposals):
         super().__init__(node_id, NodeClass.CLIENT)
         self.cfg = cfg
@@ -159,11 +220,20 @@ class EventClient(Node):
         return False
 
 
-def run_reference(cfg):
-    """simulation.run_simulation with every client an EventClient."""
-    production = simulation.ClientNode
-    simulation.ClientNode = EventClient
+# simulation.build's node classes, each with its reference.
+QUEUED = {"Peer": QueuedPeer, "OrdererNode": QueuedOrderer,
+          "BrokerNode": QueuedBroker}
+EVERY = QUEUED | {"ClientNode": EventClient}
+
+
+def run_reference(cfg, nodes=EVERY, run=simulation.run_simulation):
+    """run(cfg), simulation.run_simulation by default, with each node class
+    named in nodes replaced by its reference."""
+    production = {name: getattr(simulation, name) for name in nodes}
+    for name, node_class in nodes.items():
+        setattr(simulation, name, node_class)
     try:
-        return simulation.run_simulation(cfg)
+        return run(cfg)
     finally:
-        simulation.ClientNode = production
+        for name, node_class in production.items():
+            setattr(simulation, name, node_class)

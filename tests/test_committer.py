@@ -16,6 +16,11 @@ from eovsim.ordering import Envelope
 
 THRESHOLD = 2
 
+def traffic(node):
+    """node's sent and received messages and bytes, as its links count them."""
+    return node.engine.traffic()[node.id]
+
+
 
 def mk_env(txn_id, reads, writes, peers=("p0", "p1")):
     """Envelope whose endorser ids trivially satisfy THRESHOLD (or not)."""
@@ -254,7 +259,7 @@ def test_gossip_zero_targets_sends_nothing():
     for i, block in enumerate(chain_blocks(2)):
         deliver_block(engine, anchor.id, block, at=i * 100)
     engine.run_until_quiescent()
-    assert anchor.sent_msgs == 0
+    assert traffic(anchor)["sent_msgs"] == 0
 
 
 def test_gossip_two_targets_converge_to_anchor_tip():
@@ -303,8 +308,9 @@ def test_buffered_blocks_reenter_and_pay_validation_once(monkeypatch):
     cost = 3 * target.cfg.service.validate_per_txn
     assert commits == [(0, 100 + cost), (1, 100 + 2 * cost),
                        (2, 100 + 3 * cost)]
-    # three arrivals, two re-deliveries, three service completions
-    assert summary.events_dispatched == 8
+    # three arrivals and two re-deliveries: a peer handles each block when
+    # it arrives, at the instant its validation completes
+    assert summary.events_dispatched == 5
     assert target.ledger.tip_hash == hash_block(b2)
 
 

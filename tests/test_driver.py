@@ -13,6 +13,11 @@ from eovsim.ordering import Envelope
 from eovsim.simulation import run_simulation
 from eovsim.smallbank import OpKind, Proposal, SmallbankOp
 
+def traffic(node):
+    """node's sent and received messages and bytes, as its links count them."""
+    return node.engine.traffic()[node.id]
+
+
 
 def client_cfg(rate, duration_us, max_txns=None, **overrides):
     """A config whose one client submits at `rate` for `duration_us`."""
@@ -109,7 +114,7 @@ def test_proposals_fan_out_to_all_peers_at_schedule_times():
     client.arm()
     engine.run_until_quiescent(time_limit_us=1)
     # first submission went out at t=0 to every peer
-    assert client.sent_msgs == 3
+    assert traffic(client)["sent_msgs"] == 3
     engine.run_until_quiescent()
     assert [j.submit_us for j in client.journeys.values()] == [0, 100_000,
                                                                200_000]
@@ -452,7 +457,7 @@ def test_every_chain_envelope_carries_threshold_endorsements(threshold):
     for client in result.sim.clients:
         journeys = client.journeys.values()
         endorsed = sum(j.endorsed_us is not None for j in journeys)
-        assert client.sent_bytes == (
+        assert traffic(client)["sent_bytes"] == (
             len(journeys) * cfg.peers * cfg.sizes.proposal
             + endorsed * cfg.envelope_bytes)
 

@@ -7,6 +7,10 @@ from eovsim.engine import (Engine, LatencyModel, Message, MessageKind, Node,
                            NodeClass, SimError, UnknownTargetError, fnv1a,
                            timer)
 
+def traffic(node):
+    """node's sent and received messages and bytes, as its links count them."""
+    return node.engine.traffic()[node.id]
+
 
 class Recorder(Node):
     """Collects (time, body) for every handled message."""
@@ -112,8 +116,8 @@ def test_send_rejects_loopback_by_default():
 def test_send_updates_traffic_counters():
     engine, a, b = make_engine()
     engine.send("a", "b", Message(MessageKind.PROPOSAL, 77, "x"))
-    assert (a.sent_msgs, a.sent_bytes) == (1, 77)
-    assert (b.recv_msgs, b.recv_bytes) == (1, 77)
+    assert (traffic(a)["sent_msgs"], traffic(a)["sent_bytes"]) == (1, 77)
+    assert (traffic(b)["recv_msgs"], traffic(b)["recv_bytes"]) == (1, 77)
 
 
 def test_jittered_delivery_is_deterministic_per_seed():
@@ -228,11 +232,11 @@ def test_zero_service_message_adds_no_completion_event():
     engine.schedule("w", Message(MessageKind.PROPOSAL, 1, ("paid", 10)), 6)
     engine.schedule("w", Message(MessageKind.PROPOSAL, 1, ("behind", 0)), 7)
     summary = engine.run_until_quiescent()
-    # zero-service work is handled inline: on arrival when idle, right after
-    # the completion it queued behind otherwise
+    # zero-service work is handled on arrival when idle, and at the
+    # completion of the work it queued behind otherwise
     assert worker.seen == [(5, ("idle", 0)), (16, ("paid", 10)),
                            (16, ("behind", 0))]
-    assert summary.events_dispatched == 4  # three arrivals, one completion
+    assert summary.events_dispatched == 3  # three arrivals, no completion
 
 
 def test_message_requires_positive_size():
@@ -418,22 +422,34 @@ def relay_engine():
     engine.add_node(Relay("a", "b"))
     engine.add_node(Relay("b", "a"))
     for i in range(30):
-        engine.send("a", "b", Message(MessageKind.PROPOSAL, 10 + i, 8),
+        engine.send("a", "b", Message(MessageKind.PROPOSAL, 10 + i, 10),
                     extra_delay_us=13 * i)
     return engine
 
 
-def test_run_split_by_time_limit_equals_one_run():
-    whole = relay_engine().run_until_quiescent()
+def test_run_split_by_time_limit_equals_one_run(monkeypatch):
+    whole_engine = relay_engine()
+    whole = whole_engine.run_until_quiescent()
     assert not whole.truncated and whole.events_dispatched > 300
 
+    completions = []  # a message in service across a limit completes later
+    schedule = Engine.schedule
+
+    def spy(self, target, payload, delay_us):
+        if payload.kind is MessageKind.TIMER_FIRE:
+            completions.append(payload)
+        schedule(self, target, payload, delay_us)
+    monkeypatch.setattr(Engine, "schedule", spy)
     engine = relay_engine()
     for limit in (0, 150, 400, whole.end_time_us // 2):
         assert engine.run_until_quiescent(time_limit_us=limit).truncated
     rest = engine.run_until_quiescent()
-    assert not rest.truncated
-    assert (rest.events_dispatched, rest.dispatch_digest, rest.end_time_us) == \
-        (whole.events_dispatched, whole.dispatch_digest, whole.end_time_us)
+    assert not rest.truncated and completions
+    # every message is handled at the same instant, in the same order
+    for node_id in "ab":
+        assert engine.nodes[node_id].seen == whole_engine.nodes[node_id].seen
+    assert rest.end_time_us == whole.end_time_us
+    assert rest.events_dispatched == whole.events_dispatched + len(completions)
 
 
 def test_send_with_negative_total_delay_changes_nothing():
@@ -443,8 +459,7 @@ def test_send_with_negative_total_delay_changes_nothing():
             engine.send("a", "b", Message(MessageKind.PROPOSAL, 10, "x"),
                         extra_delay_us=-10**9)
         for node in (a, b):
-            assert (node.sent_msgs, node.sent_bytes,
-                    node.recv_msgs, node.recv_bytes) == (0, 0, 0, 0)
+            assert set(traffic(node).values()) == {0}
         assert engine.run_until_quiescent().events_dispatched == 0
         # nor does the refused send advance the link's jitter stream
         fresh, _, _ = make_engine(base=1000, jitter=jitter)
@@ -477,9 +492,8 @@ def test_draw_moves_the_link_and_counters_exactly_as_send():
     assert x.run_until_quiescent() == y.run_until_quiescent()
     assert xb.seen == yb.seen and len(xb.seen) == 21
     for p, q in ((xa, ya), (xb, yb)):
-        assert (p.sent_msgs, p.sent_bytes, p.recv_msgs, p.recv_bytes) == \
-            (q.sent_msgs, q.sent_bytes, q.recv_msgs, q.recv_bytes)
-    assert (xa.sent_msgs, xb.recv_msgs) == (22, 21)
+        assert traffic(p) == traffic(q)
+    assert (traffic(xa)["sent_msgs"], traffic(xb)["recv_msgs"]) == (22, 21)
 
 
 def test_a_reserved_key_dispatches_where_a_schedule_would_have():

@@ -179,8 +179,8 @@ def test_schedule_guard_buffered_reentry_cell(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["events_dispatched"] == 16_281
-    assert report["dispatch_digest"] == "fc12efd46d7423f6"
+    assert report["events_dispatched"] == 10_681
+    assert report["dispatch_digest"] == "b0a78bbe82277e9a"
     assert report["all_peers_agree"] is True
 
 
@@ -193,7 +193,7 @@ def test_schedule_guard_min_insync_one_cell():
         "duration_s": 2.0, "seed": 5}))
     trace = result.trace
     assert (trace.events_dispatched, trace.dispatch_digest) == \
-        (14_484, "e6fdba0908d2c89b")
+        (9_060, "42bbdfc6366a3aa7")
     assert result.report.all_peers_agree is True
 
 
@@ -239,9 +239,9 @@ def output_digests(result, tmp_path) -> tuple[str, str]:
 
 
 @pytest.mark.parametrize("workload,seed,events,digest", [
-    ("default", 42, 144_825, "3491b532637a7930"),
-    ("order-saturated", 1, 193_895, "ac2dfc7b527ddf8d"),
-    ("validate-wide", 1, 81_503, "fa91f3486d282e0b"),
+    ("default", 42, 90_590, "a89fddfec24bd334"),
+    ("order-saturated", 1, 109_290, "4c23750b53bea419"),
+    ("validate-wide", 1, 48_376, "a9da212d11be0d55"),
 ], ids=["default", "order-saturated", "validate-wide"])
 def test_schedule_guard_pinned_cell(workload, seed, events, digest,
                                     executions, validations, tmp_path):

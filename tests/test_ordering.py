@@ -10,6 +10,11 @@ from eovsim.ledger import CutReason, GENESIS_PREV_HASH, ReadSet, WriteSet
 from eovsim.ordering import BlockCutter, BrokerNode, Envelope, OrdererNode
 from eovsim.simulation import build, run_simulation
 
+def traffic(node):
+    """node's sent and received messages and bytes, as its links count them."""
+    return node.engine.traffic()[node.id]
+
+
 
 def ordering_cfg(count=100, max_bytes=10 * 1024 * 1024, envelope=500, **over):
     """A run config with these cut thresholds, a 2-s cut timeout, and
@@ -317,7 +322,7 @@ def test_min_insync_one_commits_at_append(commit_times):
     # no followers were involved at all
     others = [n for n in nodes.values()
               if n.klass is NodeClass.BROKER and n.id != leader_id]
-    assert others and all(n.recv_msgs == n.sent_msgs == 0 for n in others)
+    assert others and all(set(traffic(n).values()) == {0} for n in others)
 
 
 @pytest.mark.parametrize("min_insync", [1, 2, 3],
@@ -363,7 +368,7 @@ def test_high_min_insync_waits_for_follower_acks(commit_times):
                  if n.klass is NodeClass.BROKER and n.id != leader_id]
     # each of the replication_factor - 1 followers received the copy and
     # acked it once; the 16th broker is outside the replica set
-    assert sorted(f.sent_msgs for f in followers) == [0] + [1] * 14
+    assert sorted(traffic(f)["sent_msgs"] for f in followers) == [0] + [1] * 14
     # commit needed 13 follower acks on top of the leader's copy: at least
     # one round trip of intra-cluster latency after the append finished
     assert len(commit_times) == 1
@@ -505,18 +510,19 @@ def test_commit_notice_for_another_orderers_txn_changes_nothing():
     inject_envelope(engine, orderer.id, mk_envelope("mine"))
     engine.run_until_quiescent(
         time_limit_us=orderer.cfg.service.orderer_forward)
-    assert orderer.sent_msgs == 1  # "mine" is forwarded and awaits commit
+    # "mine" is forwarded and awaits commit
+    assert traffic(orderer)["sent_msgs"] == 1
 
     def counters():
         return (orderer.enqueue_attempts, orderer.enqueue_successes,
                 orderer.window_successes, orderer.refusals,
-                orderer.sent_msgs, orderer.sent_bytes)
+                traffic(orderer))
     before = counters()
     # every orderer hears every commit; orderer000 forwarded "theirs"
     orderer.handle(Message(MessageKind.COMMIT_NOTICE, 64, "theirs"))
     assert counters() == before
     orderer.handle(Message(MessageKind.COMMIT_NOTICE, 64, "mine"))
-    assert orderer.enqueue_successes == 1 and orderer.sent_msgs == 2
+    assert orderer.enqueue_successes == 1 and traffic(orderer)["sent_msgs"] == 2
 
 
 def test_one_message_per_fanout_and_log_record_is_the_envelope():
@@ -552,9 +558,10 @@ def test_one_message_per_fanout_and_log_record_is_the_envelope():
     assert events == [] and (leader_id, MessageKind.LOG_APPEND) not in by_kind
     copy_bytes = cfg.envelope_bytes + cfg.sizes.log_overhead
     for follower in followers:
-        assert (follower.recv_msgs, follower.recv_bytes, follower.sent_msgs,
-                follower.sent_bytes) == (1, copy_bytes, 1, cfg.sizes.log_ack)
-    assert nodes[leader_id].recv_msgs == 1 + 3
+        assert traffic(follower) == {
+            "sent_msgs": 1, "sent_bytes": cfg.sizes.log_ack,
+            "recv_msgs": 1, "recv_bytes": copy_bytes}
+    assert traffic(nodes[leader_id])["recv_msgs"] == 1 + 3
     # one notice message for all orderers, and the designated orderer
     # forwards the leader's block message as is
     for kind, receivers in ((MessageKind.COMMIT_NOTICE, 2),
@@ -571,9 +578,7 @@ def test_one_message_per_fanout_and_log_record_is_the_envelope():
 # --- followers: the queue recursion against event-driven followers ----------
 
 def broker_counters(nodes, cfg):
-    return {bid: (nodes[bid].sent_msgs, nodes[bid].sent_bytes,
-                  nodes[bid].recv_msgs, nodes[bid].recv_bytes)
-            for bid in cfg.broker_ids}
+    return {bid: traffic(nodes[bid]) for bid in cfg.broker_ids}
 
 
 def run_replication(reference, envelopes, gap_us, jitter, commit_times,
@@ -624,7 +629,8 @@ def test_follower_recursion_equals_event_driven_followers(
         delivered_txn_ids(ref_nodes["peer000"]) == offsets
     for follower in leader.followers:
         assert ref_nodes[follower].served == list(range(60))
-        assert counters[follower][0] == counters[follower][2] == 60
+        assert (counters[follower]["sent_msgs"]
+                == counters[follower]["recv_msgs"] == 60)
 
 
 def test_the_recursion_serves_a_followers_copies_in_send_order(
@@ -695,11 +701,13 @@ def test_a_truncated_run_counts_follower_acks_at_append(monkeypatch,
     assert appended == ["t0"] and commit_times == []
     # the copy reaches the follower 1,000 us after the append, and its ack
     # the leader 1,000 us after the follower's broker_append
-    assert (follower.recv_msgs, follower.sent_msgs) == (1, 1)
-    assert leader.recv_msgs == 2  # the record and the follower's ack
+    assert (traffic(follower)["recv_msgs"],
+            traffic(follower)["sent_msgs"]) == (1, 1)
+    assert traffic(leader)["recv_msgs"] == 2  # the record and the follower's ack
     engine.run_until_quiescent()
     assert len(commit_times) == nodes[oid].enqueue_successes == 1
-    assert (follower.recv_msgs, follower.sent_msgs, leader.recv_msgs) == \
+    assert (traffic(follower)["recv_msgs"], traffic(follower)["sent_msgs"],
+            traffic(leader)["recv_msgs"]) == \
         (1, 1, 2)
 
 

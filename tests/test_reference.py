@@ -1,17 +1,25 @@
-"""The production client against the test-only reference (reference.py): a
-client that takes one event per txn and decides timeouts as deadlines must
-produce the outputs of one that takes an event per reply and per timeout."""
+"""Production against the test-only reference (reference.py). Nodes that
+handle each served message on arrival must produce the outputs of nodes that
+handle it at a completion event; and a client that takes one event per txn
+and decides timeouts as deadlines must produce those of one that takes an
+event per reply and per timeout."""
 
 import copy
+import importlib.util
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
-from reference import EVENT_FIELDS, EventClient, run_reference
+from reference import EVENT_FIELDS, QUEUED, EventClient, Queued, run_reference
 
+from eovsim import simulation
 from eovsim.config import ExperimentConfig
 from eovsim.driver import ClientNode
 from eovsim.metrics import journeys_to_csv
+from eovsim.presets import figure_sweep
 from eovsim.simulation import run_simulation
+from eovsim.sweep import SweepSpec, _cell_config
 
 SMALL = {"topology": {"peers": 4, "clients": 4, "orderers": 2, "brokers": 3},
          "duration_s": 2.0, "rate": {"total_tps": 200.0},
@@ -99,6 +107,8 @@ def test_production_client_matches_the_event_client(name, tmp_path):
     cfg = ExperimentConfig.from_dict(overrides)
     production = run_simulation(cfg)
     reference = run_reference(cfg)
+    # the event client's timers fire at their deadlines, past the last
+    # message production handles
     assert all(isinstance(c, ClientNode) for c in production.sim.clients)
     assert all(isinstance(c, EventClient) for c in reference.sim.clients)
     journeys, blocks, report = outputs(production, tmp_path)
@@ -109,14 +119,105 @@ def test_production_client_matches_the_event_client(name, tmp_path):
     assert journeys == ref_journeys
     assert blocks == ref_blocks
     moved = {k for k in report if report[k] != ref_report[k]}
-    assert moved <= set(EVENT_FIELDS)
+    assert moved <= {*EVENT_FIELDS, "end_time_us"}
     # the reference takes an event per reply and per timeout
     assert report["events_dispatched"] < ref_report["events_dispatched"]
 
 
+def bench_workload(name, seed):
+    """A benchmark workload (bench/workloads.py) at seed."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return copy.deepcopy(module.WORKLOADS[name]) | {"seed": seed}
+
+
+def figure_cell(figure, index):
+    """Cell index of a figure's sweep, with the seed the sweep gives it."""
+    spec = SweepSpec.from_dict(figure_sweep(figure))
+    return _cell_config(spec, spec.cells()[index], None, index)
+
+
+# name -> config: the edge cells, the pinned cells, the held-out seed of the
+# benchmark's workloads, a fig9 cell (RF 15, 300 tps) and a fig10 cell (K 4)
+SERVICE_CELLS = {
+    **{name: lambda o=overrides: ExperimentConfig.from_dict(o)
+       for name, (overrides, _) in EDGE_CELLS.items()},
+    "default": lambda: ExperimentConfig.from_dict({"seed": 42}),
+    **{f"{w}-{seed}": lambda w=w, seed=seed: ExperimentConfig.from_dict(
+        bench_workload(w, seed))
+       for w in ("order-saturated", "validate-wide") for seed in (1, 3)},
+    "fig9-rf15-300tps": lambda: figure_cell("fig9", 3),
+    "fig10-k4": lambda: figure_cell("fig10", 0),
+    # cut while the peers validate: a block in service at the limit
+    # completes past it, and is never handled
+    "served-past-limit": lambda: ExperimentConfig.from_dict(cell(
+        22, drain_limit_s=0.0, rate={"total_tps": 300.0},
+        service_us={"validate_per_txn": 4000})),
+}
+
+
+@pytest.mark.parametrize("name", list(SERVICE_CELLS))
+def test_production_matches_the_completion_event_reference(name, tmp_path):
+    cfg = SERVICE_CELLS[name]()
+    production = run_simulation(cfg)
+    reference = run_reference(cfg, QUEUED)
+    assert all(isinstance(p, Queued) for p in reference.sim.all_peers())
+    assert not any(isinstance(p, Queued) for p in production.sim.all_peers())
+    journeys, blocks, report = outputs(production, tmp_path)
+    ref_journeys, ref_blocks, ref_report = outputs(reference, tmp_path)
+    assert journeys == ref_journeys
+    assert blocks == ref_blocks
+    assert {k for k in report if report[k] != ref_report[k]} <= \
+        set(EVENT_FIELDS)
+    if name == "served-past-limit":
+        assert report["truncated"] and any(
+            p._queued for p in production.sim.all_peers())
+    # the reference takes one more event per served message
+    assert report["events_dispatched"] < ref_report["events_dispatched"]
+
+
+def run_split(cfg):
+    """simulation.run_simulation, with the run stopped and resumed at every
+    quarter of its submission window."""
+    sim = simulation.build(cfg)
+    for part in (1, 2, 3):
+        assert sim.engine.run_until_quiescent(
+            cfg.duration_us * part // 4).truncated
+    limit = cfg.duration_us + cfg.drain_limit_us
+    trace = sim.engine.run_until_quiescent(limit)
+    if any([client.finish_open_journeys(limit) for client in sim.clients]):
+        trace = replace(trace, truncated=True)
+    journeys = [j for client in sim.clients for j in client.journeys.values()]
+    return simulation.RunResult(simulation.collect_report(sim, trace, journeys),
+                                journeys, sim, trace)
+
+
+def test_a_run_split_by_its_time_limit_matches_the_reference(tmp_path):
+    # The peers validate most of the time, so blocks in service at a stop
+    # complete at events in the next part.
+    cfg = ExperimentConfig.from_dict(cell(
+        23, rate={"total_tps": 300.0}, service_us={"validate_per_txn": 4000}))
+    split = run_split(cfg)
+    journeys, blocks, report = outputs(split, tmp_path)
+    for reference in (run_reference(cfg, QUEUED),
+                      run_reference(cfg, QUEUED, run_split)):
+        ref_journeys, ref_blocks, ref_report = outputs(reference, tmp_path)
+        assert journeys == ref_journeys
+        assert blocks == ref_blocks
+        assert {k for k in report if report[k] != ref_report[k]} <= \
+            set(EVENT_FIELDS)
+    whole = json.loads(run_simulation(cfg).report.to_json())
+    assert report == whole | {k: report[k] for k in EVENT_FIELDS}
+    # messages in service at a stop completed at events of their own
+    assert report["events_dispatched"] > whole["events_dispatched"]
+
+
 def test_the_event_client_keeps_the_schedule_of_one_event_per_reply():
-    # The default cell's events and digest before clients took one event per
-    # txn: the reference draws every key where that schedule drew it.
+    # The default cell's events and digest with an event per served message
+    # and per reply, under the tie rule: the reference draws every key where
+    # that schedule drew it.
     result = run_reference(ExperimentConfig.from_dict({"seed": 42}))
     assert (result.trace.events_dispatched, result.trace.dispatch_digest) == \
         (174_825, "f231a10c74015964")
