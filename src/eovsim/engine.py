@@ -288,8 +288,7 @@ class Engine:
         heappush(self._heap, (self.now + delay, src_node._tie, link[1], msg))
 
     def draw(self, src: str, dst: str, size_bytes: int) -> tuple[int, int]:
-        """The key (fire_time, tie) send would give a size_bytes message from
-        src to dst now, drawn as send draws it; nothing is queued."""
+        """The key send would draw for a size_bytes message; queues nothing."""
         link = self._pairs.get((src, dst)) or self._link(src, dst)
         delay = self._transit(link, size_bytes, 0)
         src_node = link[0]
@@ -297,25 +296,26 @@ class Engine:
         return self.now + delay, src_node._tie
 
     def reserve(self, node_id: str, count: int) -> int:
-        """Draw node_id's next count ties for keys queued later; returns the
-        first."""
+        """Draw node_id's next count ties, for keys queued later; the first."""
         node = self.nodes[node_id]
         node._tie += count
         return node._tie - count + 1
 
     def queue_at(self, key: tuple, node: Node, payload: Message) -> None:
-        """Enqueue payload for node at a key drawn earlier. A key at or
-        before the event being dispatched, or a tie its source never drew,
-        is refused."""
+        """Enqueue payload for node at a key drawn earlier. Refused: a tie
+        never drawn, a key before the instant being dispatched, or one at it
+        that the dispatched event's source drew no later. A zero-delay key
+        that a lower-ranked source draws now sorts first, and is taken."""
+        time, tie = self._dispatched[:2]
         rank = key[1] >> _COUNT_BITS
-        if (key <= self._dispatched or rank >= len(self._ranked)
-                or key[1] > self._ranked[rank]._tie):
+        if (rank >= len(self._ranked) or key[1] > self._ranked[rank]._tie
+                or key[0] < time or key[0] == time and key[1] <= tie
+                and rank == tie >> _COUNT_BITS):
             raise SimError(f"key {key} is undrawn or not after the current one")
         heappush(self._heap, (key[0], key[1], node, payload))
 
     def traffic(self) -> dict[str, dict[str, int]]:
-        """Each node's sent and received messages and bytes, summed over its
-        links, for every node in registration order."""
+        """Every node's sent and received messages and bytes, from its links."""
         counts = {node_id: dict.fromkeys(("sent_msgs", "sent_bytes", "recv_msgs",
                                           "recv_bytes"), 0) for node_id in self.nodes}
         for (src, dst), link in self._pairs.items():

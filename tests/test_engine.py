@@ -557,6 +557,21 @@ def test_queue_at_refuses_a_key_before_the_event_being_dispatched():
     assert summary == plain
 
 
+def test_queue_at_takes_a_key_a_lower_ranked_source_draws_at_this_instant():
+    # With zero delay, a's key sorts before the event b is dispatching.
+    engine = Engine(flat_latency(base=0), seed=0)
+    a = Recorder("a")
+
+    class Offer(Node):
+        def handle(self, msg):
+            engine.queue_at(engine.draw("a", "b", 1), a, timer("zero-delay"))
+    engine.add_node(a)
+    engine.add_node(Offer("b", NodeClass.PEER))
+    engine.schedule("b", timer("go"), 50)
+    engine.run_until_quiescent()
+    assert a.seen == [(50, timer("zero-delay").body)]
+
+
 def test_queue_at_between_runs_takes_only_keys_after_the_last_event():
     engine, a, _ = make_engine()
     first = engine.reserve("a", 2)

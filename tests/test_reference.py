@@ -88,6 +88,12 @@ EDGE_CELLS = {
                              queues={"orderer_capacity": 2}),
                         lambda r: r["truncated"] and r["in_flight"] > 0
                         and r["dropped_broadcast"] > 0),
+    # A reply drawn at the instant of its proposal's arrival sorts before
+    # it: the lower-ranked peer is its source.
+    "zero-delay": (cell(24, latency={"base_us": {"default": 0},
+                                     "per_byte_ns": 0, "jitter_fraction": 0.0},
+                        service_us={"endorse": 0}, policy={"threshold": 1}),
+                   lambda r: r["committed"] > 0),
 }
 DRAINED = {"drained-divergent", "drained-refused"}
 
