@@ -88,6 +88,13 @@ EDGE_CELLS = {
                              queues={"orderer_capacity": 2}),
                         lambda r: r["truncated"] and r["in_flight"] > 0
                         and r["dropped_broadcast"] > 0),
+    # Jitter-free lockstep clients: replies and acks land exactly at their
+    # deadlines, where they are too late.
+    "deadline-ties": (cell(25, latency={"jitter_fraction": 0.0},
+                           timeouts={"endorse_s": 0.005004,
+                                     "broadcast_s": 0.009052}),
+                      lambda r: r["dropped_endorse"] > 0
+                      and r["dropped_broadcast"] > 0),
     # A reply drawn at the instant of its proposal's arrival sorts before
     # it: the lower-ranked peer is its source.
     "zero-delay": (cell(24, latency={"base_us": {"default": 0},
