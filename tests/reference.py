@@ -17,8 +17,9 @@ too late, as in production: the timer no longer outranks a peer's or an
 orderer's message in the same us. Every event the production ClientNode
 leaves out would sit at a key drawn where it is drawn today.
 
-So the reference and production must agree on every output except
-events_dispatched and dispatch_digest.
+So production must agree with the Queued nodes on every output except
+events_dispatched and dispatch_digest, and with EventClient too except
+end_time_us, since the timers fire past the last message production handles.
 """
 
 from __future__ import annotations

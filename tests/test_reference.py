@@ -120,8 +120,6 @@ def test_production_client_matches_the_event_client(name, tmp_path):
     cfg = ExperimentConfig.from_dict(overrides)
     production = run_simulation(cfg)
     reference = run_reference(cfg)
-    # the event client's timers fire at their deadlines, past the last
-    # message production handles
     assert all(isinstance(c, ClientNode) for c in production.sim.clients)
     assert all(isinstance(c, EventClient) for c in reference.sim.clients)
     journeys, blocks, report = outputs(production, tmp_path)
@@ -131,6 +129,8 @@ def test_production_client_matches_the_event_client(name, tmp_path):
         assert not production.sim.engine._heap
     assert journeys == ref_journeys
     assert blocks == ref_blocks
+    # the event client's timers fire at their deadlines, past the last
+    # message production handles
     moved = {k for k in report if report[k] != ref_report[k]}
     assert moved <= {*EVENT_FIELDS, "end_time_us"}
     # the reference takes an event per reply and per timeout
