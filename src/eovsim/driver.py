@@ -2,7 +2,7 @@
 
 The schedule is open loop: proposal i goes to all endorsing peers at
 round(i * 1e6 / rate) us, never waiting for earlier transactions; each
-submission queues the next at a key reserved at time 0. Peers hand replies
+submission schedules the next. Peers hand replies
 over at their drawn keys (offer), and a transaction takes one event, at the
 first key where a payload group reaches the threshold. A transaction past
 its endorse or broadcast deadline (checked with >= when next touched, and
@@ -74,15 +74,14 @@ class ClientNode(Node):
         self._early_commits: dict[str, tuple[int, bool]] = {}
 
     def arm(self) -> None:
-        """Reserve the plan's keys and queue its first submission (time 0)."""
-        self._plan = submission_times(self.cfg)  # instants, then first tie
-        self._plan_tie = self.engine.reserve(self.id, len(self._plan))
+        """Plan the submissions and schedule the first (time 0)."""
+        self._plan = submission_times(self.cfg)
         self._queue_submission(0)
 
     def _queue_submission(self, index: int) -> None:
         if index < len(self._plan):
-            self.engine.queue_at((self._plan[index], self._plan_tie + index),
-                                 self, timer("submit", index))
+            self.engine.schedule(self.id, timer("submit", index),
+                                 self._plan[index] - self.engine.now)
 
     # -- events --------------------------------------------------------------
 

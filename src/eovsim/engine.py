@@ -4,8 +4,8 @@ Simulated time is integer microseconds. A single heap-ordered event queue
 drives every node state machine, so a run is an exact function of
 (configuration, seed). A key is (fire_time, tie), and same-instant ties are
 broken by source: tie = (rank << 40) | count, where the source is the node
-that drew the key (a message's sender, the node itself for schedule and
-reserve), rank is its registration order and count numbers its own draws.
+that drew the key (a message's sender, the node itself for schedule), rank
+is its registration order and count numbers its own draws.
 So on a tie the lower-ranked source goes first, one source's keys keep
 their draw order, and no tie depends on which node ran first on the host.
 A run holds fewer than 2**24 nodes, and a node draws fewer than 2**40 keys.
@@ -21,7 +21,7 @@ A Message is delivered by reference and never mutated: its body is the object
 it carries, a fan-out sends one Message to all, and a forward resends it. A
 heap entry is the tuple (fire_time, tie, node, message); tie is unique, so a
 comparison never reaches the Node. send draws a message's key and queues it;
-draw and reserve only take keys, which queue_at queues at later, or never.
+draw only takes one, which queue_at queues at later, or never.
 """
 
 from __future__ import annotations
@@ -142,8 +142,8 @@ class Node:
     control messages handles it on arrival, with engine.now set to done, and
     draws its keys as a completion event at done would. That event is kept
     for a node with control messages (its service_us must not read the
-    messages ahead), and for a message done past the run's time limit, behind
-    which the node holds later messages until it is handled.
+    messages ahead), and for a message done past the run's time limit;
+    behind it the node holds every later message but a control one.
     """
 
     def __init__(self, node_id: str, klass: NodeClass):
@@ -154,7 +154,7 @@ class Node:
         self._tie = 0  # the tie of this node's latest draw; set by add_node
         self._inline = type(self).is_control is Node.is_control
         self._free_at = 0  # when the node finishes the last message it took
-        self._queued = 0  # completion events not yet dispatched
+        self._queued = False  # a completion event is queued
         self._held: deque[Message] = deque()  # behind a completion event
 
     def service_us(self, msg: Message) -> int:
@@ -173,17 +173,17 @@ class Node:
             body = msg.body
             if (msg.kind is _TIMER_FIRE and body.__class__ is Timer
                     and body.tag is _SVC_TAG):
-                self._queued -= 1
+                self._queued = False
                 self.handle(body.arg)
                 held = self._held
                 while held and not self._queued:
                     self.deliver(held.popleft())
                 return
-            if self._inline:
-                self._held.append(msg)
-                return
         if not self._inline and self.is_control(msg):
             self.handle(msg)
+            return
+        if self._queued:
+            self._held.append(msg)
             return
         engine = self.engine
         now = engine.now
@@ -196,7 +196,7 @@ class Node:
             if done > engine._handled_until:
                 engine._handled_until = done
         else:
-            self._queued += 1
+            self._queued = True
             engine.schedule(self.id, timer(_SVC_TAG, msg), done - now)
 
 
@@ -294,12 +294,6 @@ class Engine:
         src_node = link[0]
         src_node._tie += 1
         return self.now + delay, src_node._tie
-
-    def reserve(self, node_id: str, count: int) -> int:
-        """Draw node_id's next count ties, for keys queued later; the first."""
-        node = self.nodes[node_id]
-        node._tie += count
-        return node._tie - count + 1
 
     def queue_at(self, key: tuple, node: Node, payload: Message) -> None:
         """Enqueue payload for node at a key drawn earlier. Refused: a tie

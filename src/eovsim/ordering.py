@@ -3,11 +3,11 @@
 Orderers are proxies: they forward client envelopes to the log leader and
 ack the client once the record has committed (held by at least min_insync
 brokers, the leader's own copy the first of them). The one static leader,
-the only BrokerNode, commits records in the order it appends them, each at
-a "commit" timer, and runs the block cutter, so every node sees one block
-sequence; a designated orderer per block (round-robin by height) fans it
-out to the peers. The followers are a queue recursion at the leader (see
-BrokerNode), and every other broker is a bare Node, a link endpoint.
+the only BrokerNode, commits each record at its append, in append order,
+and runs the block cutter, so every node sees one block sequence; a
+designated orderer per block (round-robin by height) fans it out to the
+peers. The followers are a queue recursion at the leader (see BrokerNode),
+and every other broker is a bare Node, a link endpoint.
 
 A log record is the client's Envelope, a commit notice the txn id, and a
 block one BLOCK_DELIVER message sized at the leader; a replica copy and its
@@ -42,26 +42,24 @@ class BlockCutter:
     """Batches committed envelopes into blocks.
 
     A block is cut when the pending count reaches cfg.cutter.max_txn_count,
-    when the pending envelopes' bytes reach cfg.cutter.max_block_bytes, or
-    when the oldest pending envelope has aged cfg.cutter.timeout_us; the
-    count condition is checked before size, and size before timeout. Timer
-    epochs make stale timeout fires harmless.
+    when the pending envelopes' bytes reach cfg.cutter.max_block_bytes (the
+    count checked first), or at the batch's deadline, cfg.cutter.timeout_us
+    after its first envelope; a stale timeout finds a later deadline.
     """
 
     def __init__(self, cfg: ExperimentConfig, next_height: int, prev_hash: str):
         self.cfg = cfg
         self.next_height = next_height
         self.prev_hash = prev_hash
-        self.epoch = 0
+        self._deadline = 0  # the pending batch's timeout instant
         self._pending: list = []
 
     def add(self, env, now: int) -> tuple[Block | None, bool]:
-        """Append a committed envelope; returns (block or None, arm_timer).
-
-        arm_timer is True when this envelope started a fresh batch: the
-        caller must schedule a timeout for exactly now + timeout_us.
-        """
+        """Append an envelope committed at now; returns (block or None, arm),
+        arm True if it started a batch, whose deadline is now + timeout_us."""
         arm = not self._pending
+        if arm:
+            self._deadline = now + self.cfg.cutter.timeout_us
         self._pending.append(env)
         pending, cut = len(self._pending), self.cfg.cutter
         if pending >= cut.max_txn_count:
@@ -70,17 +68,17 @@ class BlockCutter:
             return self._cut(CutReason.SIZE_THRESHOLD, now), False
         return None, arm
 
-    def on_timeout(self, epoch: int, now: int) -> Block | None:
-        if epoch != self.epoch or not self._pending:
+    def on_timeout(self, now: int) -> Block | None:
+        """Cut the pending batch at its deadline if now has reached it."""
+        if not self._pending or now < self._deadline:
             return None
-        return self._cut(CutReason.TIMEOUT, now)
+        return self._cut(CutReason.TIMEOUT, self._deadline)
 
     def _cut(self, reason: CutReason, now: int) -> Block:
         block = Block(height=self.next_height, prev_hash=self.prev_hash,
                       txns=self._pending, cut_reason=reason, created_at=now)
         self.prev_hash = hash_block(block)
         self.next_height += 1
-        self.epoch += 1
         self._pending = []
         return block
 
@@ -153,8 +151,11 @@ class BrokerNode(Node):
     exist, the leader's own, held at append, the first of them, and never
     before the record ahead of it, since a partition's high watermark only
     moves forward. So at append the leader knows record k's commit instant,
-    commit_k = max(quorum_k, commit_k-1), and schedules a "commit" control
-    timer for it. On commit it notifies every orderer and feeds the cutter.
+    commit_k = max(quorum_k, commit_k-1), and commits the record then, each
+    message delayed to its instant: it cuts a batch due by commit_k, so a
+    commit exactly at a deadline starts the next batch, then notifies every
+    orderer and feeds the cutter. A "cut" timer cuts a batch at its deadline
+    if no record appended by then commits at or past it.
 
     The replication_factor - 1 followers are a queue recursion at the
     leader and receive no events: at append the leader computes, per
@@ -168,9 +169,9 @@ class BrokerNode(Node):
     does: that is a model statement. It equals an event-driven FIFO follower
     whenever copies reach it in send order, which holds when the leader's
     gap between appends, at least leader_demand_us, is at least twice a
-    copy's jitter spread, as in every shipped config. A copy and its ack are
-    counted at append, so a run cut by its time limit counts acks that the
-    follower would not yet have sent.
+    copy's jitter spread, as in every shipped config. A copy, its ack and
+    the record's notices and block are counted at append, so a run cut by
+    its time limit counts messages not yet sent by then.
     """
 
     def __init__(self, cfg: ExperimentConfig, cutter: BlockCutter):
@@ -179,7 +180,7 @@ class BrokerNode(Node):
         self.followers = cfg.follower_ids
         self.orderers = cfg.orderer_ids
         self.cutter = cutter
-        self._last_commit_at = 0  # when the latest scheduled commit fires
+        self._last_commit_at = 0  # when the latest appended record commits
         # follower -> when it finishes the last copy the leader sent it
         self._follower_free = dict.fromkeys(self.followers, 0)
 
@@ -189,29 +190,21 @@ class BrokerNode(Node):
         return 0
 
     def is_control(self, msg: Message) -> bool:
-        # Commit and cut timers are handled like the replication and timer
-        # threads of a real broker: they never wait behind queued produce
-        # work. So each record is handled at a completion event (Node), and
-        # service completions never get past deliver.
+        # The cut timer is handled like a real broker's timer thread: it
+        # never waits behind queued produce work. So each record is handled
+        # at a completion event (Node), and service completions never get
+        # past deliver.
         return msg.kind is MessageKind.TIMER_FIRE
 
     def handle(self, msg: Message) -> None:
         if msg.kind is MessageKind.LOG_APPEND:
             self._leader_append(msg.body)
-        elif msg.kind is MessageKind.TIMER_FIRE:
-            tag, arg = msg.body
-            if tag == "commit":
-                self._commit(arg)
-            else:
-                block = self.cutter.on_timeout(arg, self.engine.now)
-                if block is not None:
-                    self._emit_block(block)
+        else:  # the cut timer
+            self._emit_block(self.cutter.on_timeout(self.engine.now))
 
     def _leader_append(self, env: Envelope) -> None:
-        commit_at = self._last_commit_at = max(self._replicate(),
-                                               self._last_commit_at)
-        self.engine.schedule(self.id, timer("commit", env),
-                             commit_at - self.engine.now)
+        self._last_commit_at = max(self._replicate(), self._last_commit_at)
+        self._commit(env, self._last_commit_at)
 
     def _replicate(self) -> int:
         """Copy the record just appended to every follower; return when the
@@ -228,21 +221,25 @@ class BrokerNode(Node):
             copies.append(done + transit(follower, me, ack_bytes))
         return sorted(copies)[cfg.min_insync - 1]
 
-    def _commit(self, env: Envelope) -> None:
+    def _commit(self, env: Envelope, at: int) -> None:
+        now = self.engine.now
+        self._emit_block(self.cutter.on_timeout(at))
         notice = Message(MessageKind.COMMIT_NOTICE, self.cfg.sizes.notice,
                          env.txn_id)
         for orderer in self.orderers:
-            self.engine.send(self.id, orderer, notice)
-        block, arm = self.cutter.add(env, self.engine.now)
-        if block is not None:
-            self._emit_block(block)
-        elif arm:
-            self.engine.schedule(self.id, timer("cut", self.cutter.epoch),
-                                 self.cfg.cutter.timeout_us)
+            self.engine.send(self.id, orderer, notice, extra_delay_us=at - now)
+        block, arm = self.cutter.add(env, at)
+        self._emit_block(block)
+        if arm:
+            self.engine.schedule(self.id, timer("cut"),
+                                 at + self.cfg.cutter.timeout_us - now)
 
-    def _emit_block(self, block: Block) -> None:
+    def _emit_block(self, block: Block | None) -> None:
+        if block is None:
+            return
         designated = self.orderers[block.height % len(self.orderers)]
         size = (self.cfg.sizes.block_header
                 + len(block.txns) * self.cfg.envelope_bytes)
         self.engine.send(self.id, designated,
-                         Message(MessageKind.BLOCK_DELIVER, size, block))
+                         Message(MessageKind.BLOCK_DELIVER, size, block),
+                         extra_delay_us=block.created_at - self.engine.now)

@@ -6,8 +6,9 @@ from eovsim.ordering import BlockCutter
 
 @pytest.fixture
 def commit_times(monkeypatch):
-    """Instants of every BlockCutter.add call; the leader makes one at each
-    record's commit, in commit order."""
+    """The now of every BlockCutter.add call: the leader makes one per
+    record at its append, at the instant the record commits, in commit
+    order."""
     times = []
     add = BlockCutter.add
 

@@ -1,11 +1,12 @@
-"""Test-only reference pipeline: inline service, collection at the client and
-timeout deadlines undone.
+"""Test-only reference pipeline: inline service, commit at append,
+collection at the client and timeout deadlines undone.
 
 Every node serves its messages as the engine did before nodes handled them
 on arrival (Queued): a served message waits in the node's FIFO, and is
 handled at a completion event scheduled when its service starts. So each
 served message takes one more event, and handlers run later in host order;
-under the tie rule every other event keeps its key.
+under the tie rule every other event keeps its key. QueuedBroker also commits
+each record at a "commit" timer at its commit instant, not at its append.
 
 EventClient is the client as it was before replies were handed over at
 their keys: each reply a peer offers becomes its own event, at the key the
@@ -18,7 +19,9 @@ orderer's message in the same us. Every event the production ClientNode
 leaves out would sit at a key drawn where it is drawn today.
 
 So production must agree with the Queued nodes on every output except
-events_dispatched and dispatch_digest, and with EventClient too except
+events_dispatched and dispatch_digest, and, in a run cut by its time limit,
+per_node and end_time_us, since production counts a record's notices and
+block on their links at its append; and with EventClient too except
 end_time_us, since the timers fire past the last message production handles.
 """
 
@@ -85,7 +88,20 @@ class QueuedOrderer(Queued, OrdererNode):
 
 
 class QueuedBroker(Queued, BrokerNode):
-    pass
+    """The leader as it was before it committed at append: a record's
+    append schedules a "commit" control timer at its commit instant, where
+    the record commits with its notices undelayed."""
+
+    def _leader_append(self, env) -> None:
+        self._last_commit_at = max(self._replicate(), self._last_commit_at)
+        self.engine.schedule(self.id, timer("commit", env),
+                             self._last_commit_at - self.engine.now)
+
+    def handle(self, msg: Message) -> None:
+        if msg.kind is MessageKind.TIMER_FIRE and msg.body.tag == "commit":
+            self._commit(msg.body.arg, self.engine.now)
+        else:
+            super().handle(msg)
 
 
 class ReferenceKind(enum.Enum):

@@ -90,12 +90,14 @@ def wire_client(n_peers=3, threshold=None, rate=10.0, duration_us=200_000,
 
 
 def offer_endorsement(engine, client, txn_id, peer, payload=0, at=0):
-    """Hand the client peer's reply arriving at `at`, its key drawn now as a
-    peer draws its reply's key."""
+    """Hand the client peer's reply arriving at `at`, its key's tie drawn
+    now by peer, as a peer draws its reply's key."""
     e = Endorsement(txn_id=txn_id, peer=peer,
                     read_set=ReadSet([("k", (0, payload))]),
                     write_set=WriteSet())
-    client.offer((at, engine.reserve(peer, 1)), e)
+    source = engine.nodes[peer]
+    source._tie += 1
+    client.offer((at, source._tie), e)
 
 
 def submit_first(engine, client):
@@ -125,7 +127,7 @@ def test_a_client_queues_one_submission_ahead():
     client.arm()
     assert len(engine._heap) == 1
     engine.run_until_quiescent(time_limit_us=0)
-    # submission 0 is done and submission 1 is queued, at its plan key
+    # submission 0 is done and submission 1 is queued, at its planned instant
     assert [e[0] for e in engine._heap if e[2] is client] == [100_000]
 
 

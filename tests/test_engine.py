@@ -220,6 +220,36 @@ def test_control_message_handled_on_arrival_while_busy():
     assert summary.events_dispatched == 5  # three arrivals, two completions
 
 
+def test_a_node_holds_its_backlog_behind_one_completion_event():
+    class Counting(Recorder):
+        """At each handle, records how many completion events it has queued
+        and how many messages it holds behind them."""
+
+        def is_control(self, msg):
+            return msg.kind is MessageKind.BROADCAST_ACK
+
+        def handle(self, msg):
+            super().handle(msg)
+            self.queued.append((sum(
+                entry[2] is self and entry[3].kind is MessageKind.TIMER_FIRE
+                for entry in self.engine._heap), len(self._held)))
+
+    engine = Engine(flat_latency(), seed=0)
+    worker = Counting("w", NodeClass.BROKER, service=100)
+    worker.queued = []
+    engine.add_node(worker)
+    for i in range(20):
+        engine.schedule("w", Message(MessageKind.LOG_APPEND, 1, i), 0)
+    engine.schedule("w", Message(MessageKind.BROADCAST_ACK, 1, "ack"), 30)
+    summary = engine.run_until_quiescent()
+    # the backlog waits in the node, not the heap: at the ack, one record is
+    # in service and the other 19 are held; each completion schedules the next
+    assert worker.seen == [(30, "ack")] + [(100 * (i + 1), i)
+                                           for i in range(20)]
+    assert worker.queued == [(1, 19)] + [(0, 19 - i) for i in range(20)]
+    assert summary.events_dispatched == 20 + 1 + 20
+
+
 def test_zero_service_message_adds_no_completion_event():
     class Costed(Recorder):
         def service_us(self, msg):
@@ -468,7 +498,7 @@ def test_send_with_negative_total_delay_changes_nothing():
 
 
 
-# --- keys drawn ahead: draw, reserve and queue_at ------------------------------
+# --- keys drawn ahead: draw and queue_at ---------------------------------------
 
 def test_draw_moves_the_link_and_counters_exactly_as_send():
     # Engine x draws keys and queues each later; a fresh engine y sends at
@@ -496,22 +526,11 @@ def test_draw_moves_the_link_and_counters_exactly_as_send():
     assert (traffic(xa)["sent_msgs"], traffic(xb)["recv_msgs"]) == (22, 21)
 
 
-def test_a_reserved_key_dispatches_where_a_schedule_would_have():
-    def run(ahead):
-        engine, a, _ = make_engine()
-        if ahead:
-            first = engine.reserve("a", 3)
-            for i in reversed(range(3)):
-                engine.queue_at((7, first + i), a, timer("plan", i))
-        else:
-            for i in range(3):
-                engine.schedule("a", timer("plan", i), 7)
-        engine.schedule("a", timer("later"), 7)
-        return engine.run_until_quiescent(), a.seen
-
-    summary, seen = run(ahead=True)
-    assert (summary, seen) == run(ahead=False)
-    assert [body.arg for _, body in seen] == [0, 1, 2, None]
+def take_ties(engine, node_id, count):
+    """Draw node_id's next count ties without queueing a key; the first."""
+    node = engine.nodes[node_id]
+    node._tie += count
+    return node._tie - count + 1
 
 
 class KeyProbe(Node):
@@ -532,12 +551,12 @@ class KeyProbe(Node):
 
 
 def probe_run(make_keys):
-    """A run whose probe event has key (50, s + 1), s being a seq reserved
+    """A run whose probe event has key (50, s + 1), s being a tie drawn
     before it; make_keys(s) gives the keys the probe tries."""
     engine = Engine(flat_latency(), seed=0)
     probe = KeyProbe("p", [])
     engine.add_node(probe)
-    probe.keys = make_keys(engine.reserve("p", 1))
+    probe.keys = make_keys(take_ties(engine, "p", 1))
     engine.schedule("p", timer("probe"), 50)
     engine.schedule("p", timer("after"), 60)
     return engine.run_until_quiescent(), probe.refused
@@ -574,13 +593,13 @@ def test_queue_at_takes_a_key_a_lower_ranked_source_draws_at_this_instant():
 
 def test_queue_at_between_runs_takes_only_keys_after_the_last_event():
     engine, a, _ = make_engine()
-    first = engine.reserve("a", 2)
+    first = take_ties(engine, "a", 2)
     engine.queue_at((0, first + 1), a, timer("second"))
     engine.queue_at((0, first), a, timer("first"))
     engine.run_until_quiescent()
     assert [body.tag for _, body in a.seen] == ["first", "second"]
     with pytest.raises(SimError):  # (0, first) has been dispatched
         engine.queue_at((0, first), a, timer("again"))
-    engine.queue_at((0, engine.reserve("a", 1)), a, timer("third"))
+    engine.queue_at((0, take_ties(engine, "a", 1)), a, timer("third"))
     engine.run_until_quiescent()
     assert [body.tag for _, body in a.seen] == ["first", "second", "third"]

@@ -179,21 +179,21 @@ def test_schedule_guard_buffered_reentry_cell(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["events_dispatched"] == 10_681
-    assert report["dispatch_digest"] == "b0a78bbe82277e9a"
+    assert report["events_dispatched"] == 10_281
+    assert report["dispatch_digest"] == "de190b8ce6785898"
     assert report["all_peers_agree"] is True
 
 
 def test_schedule_guard_min_insync_one_cell():
     # With replication factor 1 the leader's own copy is each record's
-    # quorum, and the record commits at its "commit" timer all the same. The
-    # values pin the event schedule; they change only if the schedule does.
+    # quorum, and the record commits at its append. The values pin the event
+    # schedule; they change only if the schedule does.
     result = run_simulation(ExperimentConfig.from_dict({
         "replication": {"replication_factor": 1, "min_insync": 1},
         "duration_s": 2.0, "seed": 5}))
     trace = result.trace
     assert (trace.events_dispatched, trace.dispatch_digest) == \
-        (9_060, "42bbdfc6366a3aa7")
+        (8_460, "1ab6ceecbd90e203")
     assert result.report.all_peers_agree is True
 
 
@@ -239,9 +239,9 @@ def output_digests(result, tmp_path) -> tuple[str, str]:
 
 
 @pytest.mark.parametrize("workload,seed,events,digest", [
-    ("default", 42, 90_590, "a89fddfec24bd334"),
-    ("order-saturated", 1, 109_290, "4c23750b53bea419"),
-    ("validate-wide", 1, 48_376, "a9da212d11be0d55"),
+    ("default", 42, 84_591, "68648663eb2f3689"),
+    ("order-saturated", 1, 105_297, "f5e375d1f7476b59"),
+    ("validate-wide", 1, 45_877, "0fd90b53f51fef93"),
 ], ids=["default", "order-saturated", "validate-wide"])
 def test_schedule_guard_pinned_cell(workload, seed, events, digest,
                                     executions, validations, tmp_path):

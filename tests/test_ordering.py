@@ -16,11 +16,12 @@ def traffic(node):
 
 
 
-def ordering_cfg(count=100, max_bytes=10 * 1024 * 1024, envelope=500, **over):
-    """A run config with these cut thresholds, a 2-s cut timeout, and
+def ordering_cfg(count=100, max_bytes=10 * 1024 * 1024, envelope=500,
+                 timeout_s=2.0, **over):
+    """A run config with these cut thresholds and cut timeout, and
     envelopes of `envelope` bytes: one endorsement, of half of them."""
     cfg = ExperimentConfig.from_dict(over | {
-        "cutter": {"max_txn_count": count, "timeout_s": 2.0,
+        "cutter": {"max_txn_count": count, "timeout_s": timeout_s,
                    "max_block_bytes": max_bytes},
         "policy": {"threshold": 1},
         "sizes_bytes": {"proposal": envelope // 2,
@@ -55,22 +56,42 @@ def test_cutter_count_threshold_exact_fill():
 
 
 def test_cutter_timeout_single_txn_exact():
-    cutter = fresh_cutter()
-    block, arm = cutter.add(mk_envelope("only"), now=12345)
-    assert block is None and arm
-    epoch = cutter.epoch
-    # a stale or early fire does nothing; the real one cuts at +2 s exactly
-    assert cutter.on_timeout(epoch - 1, 12345 + 1) is None
-    block = cutter.on_timeout(epoch, 12345 + 2_000_000)
-    assert block is not None
-    assert block.cut_reason is CutReason.TIMEOUT
-    assert block.created_at == 12345 + 2_000_000
-    assert [t.txn_id for t in block.txns] == ["only"]
+    for late in (0, 1, 500_000):
+        cutter = fresh_cutter()
+        block, arm = cutter.add(mk_envelope("only"), now=12345)
+        assert block is None and arm
+        # an early call does nothing; one at or past the deadline cuts at
+        # the deadline, +2 s exactly, whenever it is made
+        assert cutter.on_timeout(12345 + 2_000_000 - 1) is None
+        block = cutter.on_timeout(12345 + 2_000_000 + late)
+        assert block is not None
+        assert block.cut_reason is CutReason.TIMEOUT
+        assert block.created_at == 12345 + 2_000_000
+        assert [t.txn_id for t in block.txns] == ["only"]
+        assert cutter.on_timeout(12345 + 2_000_000 + late) is None
 
 
 def test_cutter_timeout_with_nothing_pending():
     cutter = fresh_cutter()
-    assert cutter.on_timeout(cutter.epoch, 999) is None
+    assert cutter.on_timeout(999) is None
+    assert cutter.on_timeout(10**12) is None
+
+
+def test_a_stale_timeout_finds_the_next_batchs_later_deadline():
+    # The first batch is cut by count at 10; the next starts at 20. The
+    # timer the first batch armed fires at its deadline, before the second
+    # batch's, and cuts nothing.
+    cutter = fresh_cutter(ordering_cfg(2, 10**9))
+    cutter.add(mk_envelope("a"), now=0)
+    block, _ = cutter.add(mk_envelope("b"), now=10)
+    assert block.cut_reason is CutReason.COUNT_THRESHOLD
+    _, arm = cutter.add(mk_envelope("c"), now=20)
+    assert arm
+    assert cutter.on_timeout(2_000_000) is None
+    assert cutter.on_timeout(2_000_019) is None
+    block = cutter.on_timeout(2_000_020)
+    assert [t.txn_id for t in block.txns] == ["c"]
+    assert block.created_at == 2_000_020
 
 
 def test_cutter_size_threshold():
@@ -173,7 +194,8 @@ class EventLeader(BrokerNode):
         while (self.committed_count < len(self.records)
                and self.in_sync[self.committed_count]):
             self.committed_count += 1
-            self._commit(self.records[self.committed_count - 1])
+            self._commit(self.records[self.committed_count - 1],
+                         self.engine.now)
 
     def is_control(self, msg):
         return msg.kind is REFERENCE_ACK or super().is_control(msg)
@@ -327,34 +349,81 @@ def test_min_insync_one_commits_at_append(commit_times):
 
 @pytest.mark.parametrize("min_insync", [1, 2, 3],
                          ids=["insync1", "insync2", "insync-rf"])
-def test_every_record_commits_at_one_commit_timer(monkeypatch, commit_times,
-                                                  min_insync):
+def test_every_record_is_added_at_its_commit_instant_at_append(
+        monkeypatch, min_insync):
     # The leader's own copy is the first of min_insync copies, so every
-    # record, min_insync 1 included, commits at the one "commit" timer its
-    # append schedules; with min_insync 1 that timer fires at the append.
+    # record, min_insync 1 included, is fed to the cutter at its append, in
+    # append order, at its commit instant; with min_insync 1 that instant is
+    # the append. Each orderer hears the commit no earlier than it.
     engine, nodes, [oid], _ = wire_service(replication_factor=3,
                                            min_insync=min_insync)
     engine.latency.jitter_fraction = 0.3
-    appends, commits = [], []  # (txn id, instant) the leader handles
-    handle = BrokerNode.handle
+    appends, adds = [], []  # (txn id, now[, commit instant])
+    handle, add = BrokerNode.handle, BlockCutter.add
 
-    def spy(self, msg):
+    def spy_handle(self, msg):
         if msg.kind is MessageKind.LOG_APPEND:
             appends.append((msg.body.txn_id, self.engine.now))
-        elif msg.kind is MessageKind.TIMER_FIRE and msg.body.tag == "commit":
-            commits.append((msg.body.arg.txn_id, self.engine.now))
         handle(self, msg)
-    monkeypatch.setattr(BrokerNode, "handle", spy)
+
+    def spy_add(self, env, now):
+        adds.append((env.txn_id, engine.now, now))
+        return add(self, env, now)
+    monkeypatch.setattr(BrokerNode, "handle", spy_handle)
+    monkeypatch.setattr(BlockCutter, "add", spy_add)
+    notices = {}  # txn id -> the instant the orderer handles its notice
+    orderer_handle = nodes[oid].handle
+
+    def spy_notice(msg):
+        if msg.kind is MessageKind.COMMIT_NOTICE:
+            notices[msg.body] = engine.now
+        orderer_handle(msg)
+    nodes[oid].handle = spy_notice
     for i in range(20):
         inject_envelope(engine, oid, mk_envelope(f"t{i}"), at=i * 100)
     engine.run_until_quiescent()
     assert len(appends) == nodes[oid].enqueue_successes == 20
-    assert [txn for txn, _ in commits] == [txn for txn, _ in appends]
-    assert [now for _, now in commits] == commit_times
+    assert [(txn, now) for txn, now, _ in adds] == appends
+    commits = [at for _, _, at in adds]
+    assert commits == sorted(commits)
     if min_insync == 1:
-        assert commit_times == [now for _, now in appends]
+        assert commits == [now for _, now in appends]
     else:
-        assert all(c > a for (_, a), c in zip(appends, commit_times))
+        assert all(c > a for (_, a), c in zip(appends, commits))
+    assert all(notices[txn] >= at for txn, _, at in adds)
+
+
+def test_a_commit_on_a_batchs_deadline_comes_after_the_cut(monkeypatch,
+                                                          commit_times):
+    # Replication lag exceeds the cut timeout: record 2 is appended before
+    # record 0 commits, and commits exactly at the deadline of the batch
+    # record 0 starts. The batch is cut first, and record 2 starts the next.
+    wiring = dict(n_brokers=2, replication_factor=2, min_insync=2)
+    _, nodes, [oid], _ = wire_service(**wiring)
+    demand = nodes[oid].cfg.leader_demand_us
+    engine, nodes, [oid], _ = wire_service(timeout_s=2 * demand / 1e6,
+                                           **wiring)
+    assert nodes[oid].cfg.cutter.timeout_us == 2 * demand
+    engine.latency.base_us[NodeClass.BROKER, NodeClass.BROKER] = 10_000
+    appends = []
+    handle = BrokerNode.handle
+
+    def spy(self, msg):
+        if msg.kind is MessageKind.LOG_APPEND:
+            appends.append(self.engine.now)
+        handle(self, msg)
+    monkeypatch.setattr(BrokerNode, "handle", spy)
+    for i in range(4):
+        inject_envelope(engine, oid, mk_envelope(f"t{i}"))
+    engine.run_until_quiescent()
+    assert appends[2] < commit_times[0]
+    assert commit_times[2] == commit_times[0] + 2 * demand
+    blocks = sorted((m.body for _, m in nodes["peer000"].got
+                     if m.kind is MessageKind.BLOCK_DELIVER),
+                    key=lambda b: b.height)
+    assert [b.txn_ids() for b in blocks] == [["t0", "t1"], ["t2", "t3"]]
+    assert blocks[0].cut_reason is CutReason.TIMEOUT
+    assert blocks[0].created_at == commit_times[2]
 
 
 def test_high_min_insync_waits_for_follower_acks(commit_times):
@@ -687,28 +756,41 @@ def test_the_recursion_serves_a_followers_copies_in_send_order(
 
 def test_a_truncated_run_counts_follower_acks_at_append(monkeypatch,
                                                        commit_times):
-    # A follower's copy and ack are counted when the leader appends, not
-    # when the follower would serve the copy and send the ack: a run cut in
-    # between counts an ack that an event-driven follower has not yet sent.
+    # A follower's copy and ack, and the record's commit notice and block,
+    # are counted when the leader appends, not when the follower would
+    # serve the copy and send the ack or the record would commit: a run cut
+    # in between counts messages that would not yet have been sent.
     engine, nodes, [oid], leader_id = wire_service(
-        n_brokers=2, replication_factor=2, min_insync=2)
-    leader, follower = nodes[leader_id], nodes["broker001"]
+        n_brokers=2, replication_factor=2, min_insync=2, cut=(1, 10**9))
+    leader, follower, orderer = nodes[leader_id], nodes["broker001"], nodes[oid]
     cfg = leader.cfg
     appended = spy_appends(monkeypatch)
     inject_envelope(engine, oid, mk_envelope("t0"))
     append_at = cfg.service.orderer_forward + 1000 + cfg.leader_demand_us
     assert engine.run_until_quiescent(time_limit_us=append_at).truncated
-    assert appended == ["t0"] and commit_times == []
+    # the record commits past the limit, once the follower's ack is back
+    assert appended == ["t0"] and len(commit_times) == 1
+    assert commit_times[0] > append_at
+    assert orderer.enqueue_successes == 0
     # the copy reaches the follower 1,000 us after the append, and its ack
     # the leader 1,000 us after the follower's broker_append
     assert (traffic(follower)["recv_msgs"],
             traffic(follower)["sent_msgs"]) == (1, 1)
     assert traffic(leader)["recv_msgs"] == 2  # the record and the follower's ack
+    # the copy, the notice and the one-txn block
+    assert traffic(leader)["sent_msgs"] == 3
+    at_limit = traffic(orderer)
+    assert at_limit["recv_msgs"] == 2  # the notice and the block
     engine.run_until_quiescent()
-    assert len(commit_times) == nodes[oid].enqueue_successes == 1
+    assert len(commit_times) == orderer.enqueue_successes == 1
     assert (traffic(follower)["recv_msgs"], traffic(follower)["sent_msgs"],
-            traffic(leader)["recv_msgs"]) == \
-        (1, 1, 2)
+            traffic(leader)["recv_msgs"], traffic(leader)["sent_msgs"]) == \
+        (1, 1, 2, 3)
+    # only the orderer's own sends follow: the ack to the client and the
+    # block's fan-out to the peers
+    assert traffic(orderer)["recv_msgs"] == at_limit["recv_msgs"]
+    assert traffic(orderer)["sent_msgs"] == \
+        at_limit["sent_msgs"] + 1 + len(cfg.peer_ids)
 
 
 def test_the_leaders_state_does_not_grow_with_the_record_count():
