@@ -52,12 +52,8 @@ def validate_block(block: Block, threshold: int,
         if len(set(env.endorsers)) < threshold:
             flags.append(ValidationFlag.POLICY_VIOLATION)
             continue
-        conflict = False
-        for key, expected in env.read_set.reads:
-            entry = ledger.read_state(key)
-            if (entry[1] if entry is not None else None) != expected:
-                conflict = True
-        if conflict:
+        if any((entry[1] if (entry := ledger.read_state(key)) is not None
+                else None) != expected for key, expected in env.read_set.reads):
             flags.append(ValidationFlag.MVCC_CONFLICT)
             continue
         ledger.apply_write_set(env.write_set, (block.height, idx))

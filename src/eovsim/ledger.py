@@ -173,12 +173,6 @@ class Ledger:
         self.height = height
         return new
 
-    @property
-    def genesis(self) -> Genesis | None:
-        """The chain's genesis rule, which a ledger at height -1 (before
-        the genesis block) does not see."""
-        return self.chain.genesis if self.height >= 0 else None
-
     def read_state(self, key: str) -> Entry | None:
         """Committed (value, version) as of this ledger's height, or None;
         absence is a normal outcome. A ledger at the chain's tip reads the
@@ -189,7 +183,7 @@ class Ledger:
         if self.height < chain.height:
             while entry is not None and entry[1][0] > self.height:
                 entry = chain.replaced[entry[1][0]].get(key)
-        if entry is None and self.height >= 0 and chain.genesis is not None:
+        if entry is None and chain.genesis is not None:
             return chain.genesis.get(key)
         return entry
 
@@ -217,7 +211,8 @@ class Ledger:
         The state as of this height is the genesis state with each such
         key's genesis entry swapped for its entry as of the height. A
         ledger at the chain's tip takes the newest entries as they are."""
-        genesis, chain = self.genesis, self.chain
+        chain = self.chain
+        genesis = chain.genesis
         at_tip = self.height >= chain.height
         for key, entry in chain.state.items():
             yield (key, None if genesis is None else genesis.get(key),
@@ -229,7 +224,7 @@ class Ledger:
         written since swapping its genesis entry's hash for its entry's.
         Equal states on one rule give equal digests; a rule and a chain that
         writes its state out do not. No genesis key is hashed."""
-        genesis = self.genesis
+        genesis = self.chain.genesis
         acc = 0 if genesis is None else _rule_hash(genesis)
         for key, before, after in self.changes():
             for entry in (before, after):
@@ -241,7 +236,7 @@ class Ledger:
         """Every (key, entry) as of this ledger's height, the genesis keys
         not written since included."""
         state = self.chain.state
-        genesis = self.genesis
+        genesis = self.chain.genesis
         if genesis is not None:
             entry = genesis.entry
             for key in genesis.keys():

@@ -165,13 +165,10 @@ class BrokerNode(Node):
     message through Engine.transit_us. quorum_k is the min_insync-th
     earliest copy, the leader's own included.
 
-    A follower serves its copies in send order, as Kafka's replica fetch
-    does: that is a model statement. It equals an event-driven FIFO follower
-    whenever copies reach it in send order, which holds when the leader's
-    gap between appends, at least leader_demand_us, is at least twice a
-    copy's jitter spread, as in every shipped config. A copy, its ack and
-    the record's notices and block are counted at append, so a run cut by
-    its time limit counts messages not yet sent by then.
+    Followers serve copies in offset order, as Kafka's replica fetch does,
+    checked against tests/reference.py. A copy, its ack and the record's
+    notices and block are counted at append, so a run cut by its time limit
+    counts messages not yet sent by then.
     """
 
     def __init__(self, cfg: ExperimentConfig, cutter: BlockCutter):

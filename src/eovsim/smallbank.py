@@ -266,7 +266,7 @@ def total_balance(ledger) -> int:
     """Sum of all committed customer balances as of the ledger's height, for
     conservation checks: the genesis balances, plus what each key written
     since genesis added to its genesis balance."""
-    genesis = ledger.genesis
+    genesis = ledger.chain.genesis
     total = 0 if genesis is None else 2 * genesis.n_accounts * genesis.entry[0]
     for key, before, after in ledger.changes():
         if key.startswith("cust/"):

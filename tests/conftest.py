@@ -7,8 +7,8 @@ from eovsim.ordering import BlockCutter
 @pytest.fixture
 def commit_times(monkeypatch):
     """The now of every BlockCutter.add call: the leader makes one per
-    record at its append, at the instant the record commits, in commit
-    order."""
+    record at the instant the record commits, in commit order (production's
+    at the record's append, the reference's at the commit)."""
     times = []
     add = BlockCutter.add
 

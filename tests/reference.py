@@ -1,12 +1,21 @@
-"""Test-only reference pipeline: inline service, commit at append,
-collection at the client and timeout deadlines undone.
+"""Test-only reference pipeline: inline service, the follower recursion,
+collection at the client and timeout deadlines undone; and the serial
+validation oracle and traffic helper the tests share.
 
 Every node serves its messages as the engine did before nodes handled them
 on arrival (Queued): a served message waits in the node's FIFO, and is
 handled at a completion event scheduled when its service starts. So each
 served message takes one more event, and handlers run later in host order;
-under the tie rule every other event keeps its key. QueuedBroker also commits
-each record at a "commit" timer at its commit instant, not at its append.
+under the tie rule every other event keeps its key.
+
+QueuedBroker is the log leader as an event-driven log. It keeps its records
+by offset, sends each follower a copy as a message at the append, takes the
+followers' acks as control messages, and commits the in-sync prefix of its
+log in offset order, each record's notices sent undelayed at its commit.
+ReferenceFollower, a Queued node, serves copies in offset order: a copy that
+arrives before the one ahead of it waits for it, as under a Kafka replica
+fetch. run_reference puts one in place of every bare broker Node that
+simulation.build makes.
 
 EventClient is the client as it was before replies were handed over at
 their keys: each reply a peer offers becomes its own event, at the key the
@@ -20,9 +29,10 @@ leaves out would sit at a key drawn where it is drawn today.
 
 So production must agree with the Queued nodes on every output except
 events_dispatched and dispatch_digest, and, in a run cut by its time limit,
-per_node and end_time_us, since production counts a record's notices and
-block on their links at its append; and with EventClient too except
-end_time_us, since the timers fire past the last message production handles.
+per_node and end_time_us, since production counts a record's copies, acks,
+notices and block on their links at its append; and with EventClient too
+except end_time_us, since the timers fire past the last message production
+handles.
 """
 
 from __future__ import annotations
@@ -87,27 +97,84 @@ class QueuedOrderer(Queued, OrdererNode):
     pass
 
 
+class ReferenceKind(enum.Enum):
+    """The message kinds production never sends."""
+
+    ENDORSEMENT = "Endorsement"
+    LOG_ACK = "LogAck"
+
+
 class QueuedBroker(Queued, BrokerNode):
-    """The leader as it was before it committed at append: a record's
-    append schedules a "commit" control timer at its commit instant, where
-    the record commits with its notices undelayed."""
+    """The leader with an explicit offset log: a record's offset is its
+    index in records. At its append the leader sends each follower a copy,
+    and a record is in sync once min_insync brokers hold it, the leader
+    first; the in-sync prefix of the log commits in offset order."""
+
+    def __init__(self, cfg, cutter):
+        super().__init__(cfg, cutter)
+        self.records = []
+        self._holders = []  # offset -> brokers holding the record
+        self._committed = 0  # the length of the committed prefix
 
     def _leader_append(self, env) -> None:
-        self._last_commit_at = max(self._replicate(), self._last_commit_at)
-        self.engine.schedule(self.id, timer("commit", env),
-                             self._last_commit_at - self.engine.now)
+        self.records.append(env)
+        self._holders.append(1)
+        copy = Message(MessageKind.LOG_APPEND, self.cfg.envelope_bytes
+                       + self.cfg.sizes.log_overhead, len(self.records) - 1)
+        for follower in self.followers:
+            self.engine.send(self.id, follower, copy)
+        self._commit_in_sync()
+
+    def is_control(self, msg: Message) -> bool:
+        return msg.kind is ReferenceKind.LOG_ACK or super().is_control(msg)
 
     def handle(self, msg: Message) -> None:
-        if msg.kind is MessageKind.TIMER_FIRE and msg.body.tag == "commit":
-            self._commit(msg.body.arg, self.engine.now)
+        if msg.kind is ReferenceKind.LOG_ACK:
+            self._holders[msg.body] += 1
+            self._commit_in_sync()
         else:
             super().handle(msg)
 
+    def _commit_in_sync(self) -> None:
+        holders = self._holders
+        while (self._committed < len(holders)
+               and holders[self._committed] >= self.cfg.min_insync):
+            self._commit(self.records[self._committed], self.engine.now)
+            self._committed += 1
 
-class ReferenceKind(enum.Enum):
-    """The message kind production no longer sends."""
 
-    ENDORSEMENT = "Endorsement"
+class ReferenceFollower(Queued, Node):
+    """A follower: it serves each copy for broker_append, in offset order,
+    then acks it to the leader. A copy that arrives before the one ahead of
+    it is held until that one has arrived."""
+
+    def __init__(self, node_id, cfg):
+        super().__init__(node_id, NodeClass.BROKER)
+        self.cfg = cfg
+        self.served = []  # offsets, in service order
+        self.held = 0  # copies that arrived before the one ahead of them
+        self._early = {}  # offset -> its copy, not yet in the work queue
+        self._next = 0  # the offset the work queue takes next
+
+    def service_us(self, msg: Message) -> int:
+        return self.cfg.service.broker_append
+
+    def deliver(self, msg: Message) -> None:
+        if msg.kind is not MessageKind.LOG_APPEND:  # a service completion
+            super().deliver(msg)
+            return
+        early = self._early
+        if msg.body > self._next:
+            self.held += 1
+        early[msg.body] = msg
+        while self._next in early:
+            super().deliver(early.pop(self._next))
+            self._next += 1
+
+    def handle(self, msg: Message) -> None:
+        self.served.append(msg.body)
+        self.engine.send(self.id, self.cfg.leader_id, Message(
+            ReferenceKind.LOG_ACK, self.cfg.sizes.log_ack, msg.body))
 
 
 class EventClient(Queued, Node):
@@ -245,7 +312,11 @@ EVERY = QUEUED | {"ClientNode": EventClient}
 
 def run_reference(cfg, nodes=EVERY, run=simulation.run_simulation):
     """run(cfg), simulation.run_simulation by default, with each node class
-    named in nodes replaced by its reference."""
+    named in nodes replaced by its reference; with the leader's, every bare
+    broker Node that simulation.build makes is a ReferenceFollower."""
+    if "BrokerNode" in nodes:
+        nodes = nodes | {"Node": lambda node_id, klass:
+                         ReferenceFollower(node_id, cfg)}
     production = {name: getattr(simulation, name) for name in nodes}
     for name, node_class in nodes.items():
         setattr(simulation, name, node_class)
@@ -254,3 +325,25 @@ def run_reference(cfg, nodes=EVERY, run=simulation.run_simulation):
     finally:
         for name, node_class in production.items():
             setattr(simulation, name, node_class)
+
+
+def oracle_block(state, block, threshold):
+    """The flags of a block validated serially against state, {key: (value,
+    version)}, which takes each valid write set as it goes."""
+    flags = []
+    for idx, env in enumerate(block.txns):
+        if len(set(env.endorsers)) < threshold:
+            flags.append(ValidationFlag.POLICY_VIOLATION)
+        elif all((state[k][1] if k in state else None) == version
+                 for k, version in env.read_set.reads):
+            for k, v in env.write_set.writes:
+                state[k] = (v, (block.height, idx))
+            flags.append(ValidationFlag.VALID)
+        else:
+            flags.append(ValidationFlag.MVCC_CONFLICT)
+    return flags
+
+
+def traffic(node):
+    """node's sent and received messages and bytes, as its links count them."""
+    return node.engine.traffic()[node.id]

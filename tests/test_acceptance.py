@@ -12,9 +12,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
+from reference import oracle_block
 
 from eovsim.cli import main
-from eovsim.committer import ValidationFlag, commit_block
+from eovsim.committer import commit_block
 from eovsim.config import ExperimentConfig
 from eovsim.ledger import (Block, CutReason, GENESIS_PREV_HASH, Ledger,
                            ReadSet, WriteSet)
@@ -148,22 +149,6 @@ def test_c01_determinism_byte_identical_outputs(tmp_path):
 
 
 # --- criterion 2: MVCC oracle equivalence --------------------------------------
-
-def oracle_block(state, block, threshold):
-    flags = []
-    for idx, env in enumerate(block.txns):
-        if len(set(env.endorsers)) < threshold:
-            flags.append(ValidationFlag.POLICY_VIOLATION)
-            continue
-        if all((state[k][1] if k in state else None) == v
-               for k, v in env.read_set.reads):
-            for k, v in env.write_set.writes:
-                state[k] = (v, (block.height, idx))
-            flags.append(ValidationFlag.VALID)
-        else:
-            flags.append(ValidationFlag.MVCC_CONFLICT)
-    return flags
-
 
 def test_c02_mvcc_serial_oracle_equivalence():
     threshold = 2

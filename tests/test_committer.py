@@ -1,9 +1,11 @@
 """Validation/commit behavior checked against a brute-force serial oracle
-that replays endorsement-time reads with first-writer-wins conflicts."""
+(reference.oracle_block) that replays endorsement-time reads with
+first-writer-wins conflicts."""
 
 import random
 
 import pytest
+from reference import oracle_block, traffic
 
 from eovsim import committer
 from eovsim.committer import Peer, ValidationFlag, commit_block
@@ -15,11 +17,6 @@ from eovsim.ledger import (Block, Chain, ChainIntegrityError, CutReason,
 from eovsim.ordering import Envelope
 
 THRESHOLD = 2
-
-def traffic(node):
-    """node's sent and received messages and bytes, as its links count them."""
-    return node.engine.traffic()[node.id]
-
 
 
 def mk_env(txn_id, reads, writes, peers=("p0", "p1")):
@@ -38,30 +35,6 @@ def committed(block, ledger):
     """The block committed on the ledger, carrying its validation outcome."""
     commit_block(ledger, block, THRESHOLD)
     return block
-
-
-# --- independent serial oracle ----------------------------------------------
-
-def oracle_block(state, block, threshold):
-    """state: {key: (value, version)}; returns (flags, new state)."""
-    flags = []
-    for idx, env in enumerate(block.txns):
-        if len(set(env.endorsers)) < threshold:
-            flags.append(ValidationFlag.POLICY_VIOLATION)
-            continue
-        ok = all((state[k][1] if k in state else None) == ver
-                 for k, ver in env.read_set.reads)
-        if not ok:
-            flags.append(ValidationFlag.MVCC_CONFLICT)
-            continue
-        for k, v in env.write_set.writes:
-            state[k] = (v, (block.height, idx))
-        flags.append(ValidationFlag.VALID)
-    return flags, state
-
-
-def oracle_state_of(ledger_like_state):
-    return dict(ledger_like_state)
 
 
 # --- directed cases -----------------------------------------------------------
@@ -201,8 +174,7 @@ def test_randomized_blocks_match_serial_oracle_on_two_peers():
         envs = random_envs(rng, ledger_a, h)
         block = mk_block(h, prev, envs)
         before = dict(oracle_state)
-        expected_flags, oracle_state = oracle_block(oracle_state, block,
-                                                    THRESHOLD)
+        expected_flags = oracle_block(oracle_state, block, THRESHOLD)
         assert committed(block, ledger_a).flags == expected_flags
         assert dict(ledger_a.state_items()) == oracle_state
         assert dict(ledger_b.state_items()) == before

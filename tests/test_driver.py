@@ -1,4 +1,5 @@
 import pytest
+from reference import traffic
 
 from eovsim.committer import BlockCommitted, ValidationFlag
 from eovsim.config import ExperimentConfig
@@ -12,11 +13,6 @@ from eovsim.ledger import (GENESIS_PREV_HASH, Block, CutReason, ReadSet,
 from eovsim.ordering import Envelope
 from eovsim.simulation import run_simulation
 from eovsim.smallbank import OpKind, Proposal, SmallbankOp
-
-def traffic(node):
-    """node's sent and received messages and bytes, as its links count them."""
-    return node.engine.traffic()[node.id]
-
 
 
 def client_cfg(rate, duration_us, max_txns=None, **overrides):

@@ -1,15 +1,12 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import traffic
 
 from eovsim import engine as engine_mod
 from eovsim.engine import (Engine, LatencyModel, Message, MessageKind, Node,
                            NodeClass, SimError, UnknownTargetError, fnv1a,
                            timer)
-
-def traffic(node):
-    """node's sent and received messages and bytes, as its links count them."""
-    return node.engine.traffic()[node.id]
 
 
 class Recorder(Node):

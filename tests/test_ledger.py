@@ -435,17 +435,6 @@ def test_genesis_rule_reads_only_canonical_balance_keys():
         assert ledger.read_state(key) is None
 
 
-def test_a_ledger_before_genesis_sees_no_genesis_state():
-    ledger = genesis_rule_ledger()
-    before = Ledger(ledger.chain, -1)
-    assert before.genesis is None and ledger.genesis is ledger.chain.genesis
-    assert before.read_state("cust/0/checking") is None
-    assert list(before.state_items()) == []
-    assert before.state_digest() == Ledger().state_digest()
-    assert total_balance(before) == 0
-    assert total_balance(ledger) == 2 * 5 * 100
-
-
 def test_a_key_first_written_at_a_height_reads_genesis_below_it():
     ledger = genesis_rule_ledger()
     commit(ledger, [("cust/1/checking", 7)])
@@ -476,10 +465,11 @@ def rule_digest(rule, materialised):
 
 
 def test_a_rule_chain_digest_hashes_the_rule_and_the_keys_written():
-    # at genesis the digest is the rule's hash alone (height -1 reads the
-    # empty state's: test_a_ledger_before_genesis_sees_no_genesis_state)
+    # at genesis the digest is the rule's hash alone, and the balance the
+    # rule's
     ledger = genesis_rule_ledger()
     assert ledger.state_digest() == f"{_rule_hash(ledger.chain.genesis):032x}"
+    assert total_balance(ledger) == 2 * 5 * 100
     digests = {genesis_rule_ledger(n, b).state_digest()
                for n, b in [(5, 100), (6, 100), (5, 101)]}
     assert len(digests) == 3
@@ -513,15 +503,14 @@ RULE_CHAINS = st.lists(st.lists(RULE_TXN_WRITES, min_size=1, max_size=3),
 def test_genesis_rule_reads_as_a_materialised_genesis(blocks):
     # one chain holds the rule and commits a genesis block that writes
     # nothing; the reference writes every genesis balance at (0, 0). Both
-    # then commit the same blocks, and a ledger left at every height,
-    # -1 included, must read the same state through every path
+    # then commit the same blocks, and a ledger left at every height from
+    # genesis on must read the same state through every path
     rule = Genesis(RULE_ACCOUNTS, RULE_BALANCE)
     ruled = Ledger(Chain(genesis=rule))
     reference = Ledger()
-    pairs = [(ruled.fork(), reference.fork())]
     commit(ruled, [])
     commit(reference, [(key, RULE_BALANCE) for key in rule.keys()])
-    pairs.append((ruled.fork(), reference.fork()))
+    pairs = [(ruled.fork(), reference.fork())]
     for txns in blocks:
         commit(ruled, *txns)
         commit(reference, *txns)

@@ -2,6 +2,7 @@
 counters and block fan-out, driven through small hand-wired engines."""
 
 import pytest
+from reference import QueuedBroker, ReferenceFollower, traffic
 
 from eovsim.config import ExperimentConfig
 from eovsim.engine import (Engine, LatencyModel, Message, MessageKind, Node,
@@ -9,11 +10,6 @@ from eovsim.engine import (Engine, LatencyModel, Message, MessageKind, Node,
 from eovsim.ledger import CutReason, GENESIS_PREV_HASH, ReadSet, WriteSet
 from eovsim.ordering import BlockCutter, BrokerNode, Envelope, OrdererNode
 from eovsim.simulation import build, run_simulation
-
-def traffic(node):
-    """node's sent and received messages and bytes, as its links count them."""
-    return node.engine.traffic()[node.id]
-
 
 
 def ordering_cfg(count=100, max_bytes=10 * 1024 * 1024, envelope=500,
@@ -162,77 +158,11 @@ class Sink(Node):
         self.got.append((self.engine.now, msg))
 
 
-# The reference followers' ack: any kind the leader is otherwise never sent.
-REFERENCE_ACK = MessageKind.BROADCAST_ACK
-
-
-class EventLeader(BrokerNode):
-    """Reference leader with an explicit offset log: a record's offset is its
-    index in records. It sends each replica copy as a message, counts the
-    follower acks as they arrive, as control messages, and commits the
-    in-sync prefix of its log in offset order."""
-
-    def __init__(self, cfg, cutter):
-        super().__init__(cfg, cutter)
-        self.records = []
-        self.in_sync = []  # offset -> has min_insync copies
-        self.acks = []
-        self.committed_count = 0
-
-    def _leader_append(self, env):
-        offset = len(self.records)
-        self.records.append(env)
-        self.in_sync.append(self.cfg.min_insync == 1)
-        self.acks.append(0)
-        copy = Message(MessageKind.LOG_APPEND, self.cfg.envelope_bytes
-                       + self.cfg.sizes.log_overhead, offset)
-        for follower in self.followers:
-            self.engine.send(self.id, follower, copy)
-        self._advance_commit()
-
-    def _advance_commit(self):
-        while (self.committed_count < len(self.records)
-               and self.in_sync[self.committed_count]):
-            self.committed_count += 1
-            self._commit(self.records[self.committed_count - 1],
-                         self.engine.now)
-
-    def is_control(self, msg):
-        return msg.kind is REFERENCE_ACK or super().is_control(msg)
-
-    def handle(self, msg):
-        if msg.kind is not REFERENCE_ACK:
-            return super().handle(msg)
-        self.acks[msg.body] += 1
-        if self.acks[msg.body] == self.cfg.min_insync - 1:
-            self.in_sync[msg.body] = True
-            self._advance_commit()
-
-
-class EventFollower(Node):
-    """Reference follower: an event-driven FIFO node that serves each copy
-    for broker_append and then acks it to the leader."""
-
-    def __init__(self, node_id, cfg):
-        super().__init__(node_id, NodeClass.BROKER)
-        self.cfg = cfg
-        self.served = []  # offsets, in service order
-
-    def service_us(self, msg):
-        return self.cfg.service.broker_append
-
-    def handle(self, msg):
-        self.served.append(msg.body)
-        self.engine.send(self.id, self.cfg.leader_id,
-                         Message(REFERENCE_ACK, self.cfg.sizes.log_ack,
-                                 msg.body))
-
-
 def wire_service(n_brokers=4, replication_factor=3, min_insync=2,
                  orderer_capacity=5000, n_peers=2, cut=(100, 10 * 1024 * 1024),
                  orderers=1, window_end=10**12, reference=False, **over):
     """An ordering service on a 1-ms jitter-free network; with reference,
-    the leader and its followers are the event-driven reference nodes."""
+    the leader and its followers are the reference nodes (reference.py)."""
     cfg = ordering_cfg(
         *cut,
         topology={"peers": n_peers, "orderers": orderers,
@@ -251,9 +181,9 @@ def wire_service(n_brokers=4, replication_factor=3, min_insync=2,
         nodes[oid] = OrdererNode(oid, cfg)
     for bid in cfg.broker_ids:
         if bid == cfg.leader_id:
-            nodes[bid] = (EventLeader if reference else BrokerNode)(cfg, cutter)
+            nodes[bid] = (QueuedBroker if reference else BrokerNode)(cfg, cutter)
         elif reference:
-            nodes[bid] = EventFollower(bid, cfg)
+            nodes[bid] = ReferenceFollower(bid, cfg)
         else:
             nodes[bid] = Node(bid, NodeClass.BROKER)
     for pid in cfg.peer_ids:
@@ -681,7 +611,7 @@ def test_follower_recursion_equals_event_driven_followers(
         replication_factor, min_insync, service, commit_times):
     # Copies cross a 1,000-us broker link with a spread of 300 us, while the
     # leader appends at most once per D; D > 2 * 300, so every copy reaches
-    # its follower in send order and the recursion is exact.
+    # its follower in send order (the next test takes them out of it).
     wiring = dict(n_brokers=8, replication_factor=replication_factor,
                   min_insync=min_insync, orderers=2, cut=(5, 10**9),
                   service_us=service)
@@ -705,9 +635,10 @@ def test_follower_recursion_equals_event_driven_followers(
 def test_the_recursion_serves_a_followers_copies_in_send_order(
         monkeypatch, commit_times):
     # A tiny D (broker_append alone, 5 us) under a 300-us spread: copies
-    # reach the follower out of send order. The event-driven follower serves
-    # them in arrival order; the recursion serves them in send order, as
-    # Kafka's in-order replica fetch does. That is a model statement.
+    # reach the follower out of send order. The recursion serves them in send
+    # order, which is offset order, as Kafka's in-order replica fetch does;
+    # so does the reference follower, which holds a copy that arrives before
+    # the one ahead of it.
     wiring = dict(n_brokers=2, replication_factor=2, min_insync=2,
                   cut=(5, 10**9),
                   service_us={"leader_order": 0, "leader_copy_send": 0,
@@ -730,7 +661,8 @@ def test_the_recursion_serves_a_followers_copies_in_send_order(
     ref_times, _, ref_nodes = run_replication(True, 30, 0, 0.3, commit_times,
                                               **wiring)
     assert nodes["broker000"].cfg.leader_demand_us == 5
-    assert ref_nodes["broker001"].served != list(range(30))
+    assert ref_nodes["broker001"].served == list(range(30))
+    assert ref_nodes["broker001"].held > 0
 
     # the recursion's timeline: copy k arrives at a_k, is served in offset
     # order from max(a_k, done_k-1), and its ack arrives at done_k + ack
@@ -749,7 +681,7 @@ def test_the_recursion_serves_a_followers_copies_in_send_order(
     assert any(quorum[k] < quorum[k - 1] for k in range(1, 30))
     expected = [max(quorum[:k + 1]) for k in range(30)]
     assert times == expected
-    assert times != ref_times
+    assert times == ref_times
     assert len(appended) == 30
     assert delivered_txn_ids(nodes["peer000"]) == appended
 

@@ -1,8 +1,10 @@
 """Production against the test-only reference (reference.py). Nodes that
-handle each served message on arrival must produce the outputs of nodes that
-handle it at a completion event; and a client that takes one event per txn
-and decides timeouts as deadlines must produce those of one that takes an
-event per reply and per timeout."""
+handle each served message on arrival, and a leader whose followers are a
+queue recursion, must produce the outputs of nodes that handle it at a
+completion event and of a leader with an offset log and event-driven
+followers; and a client that takes one event per txn and decides timeouts as
+deadlines must produce those of one that takes an event per reply and per
+timeout."""
 
 import copy
 import importlib.util
@@ -11,7 +13,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from reference import EVENT_FIELDS, QUEUED, EventClient, Queued, run_reference
+from reference import (EVENT_FIELDS, QUEUED, EventClient, Queued,
+                       ReferenceFollower, run_reference)
 
 from eovsim import simulation
 from eovsim.config import ExperimentConfig
@@ -169,7 +172,8 @@ SERVICE_CELLS = {
         22, drain_limit_s=0.0, rate={"total_tps": 300.0},
         service_us={"validate_per_txn": 4000})),
     # The replication lag exceeds the cut timeout: a batch is cut at its
-    # deadline by a record appended before it, or by the cut timer.
+    # deadline by a record appended before it, or by the cut timer. Copies
+    # reach the followers out of offset order.
     "replication-lag": lambda: ExperimentConfig.from_dict(cell(
         26, latency={"base_us": {"broker-broker": 20_000}},
         replication={"replication_factor": 3, "min_insync": 3},
@@ -180,10 +184,11 @@ SERVICE_CELLS = {
         27, topology={"clients": 1}, rate={"total_tps": 100.0},
         cutter={"timeout_s": 0.02}, latency={"jitter_fraction": 0.0})),
 }
-# Cut by the time limit: production counts a record's notices and block on
-# their links at its append, the reference at its commit timer, which may lie
-# past the limit; and the reference's last event may be a commit timer,
-# later than the last message production handles, which sets end_time_us.
+# Cut by the time limit: production counts a record's copies, acks, notices
+# and block on their links at its append, the reference as it sends each,
+# which may lie past the limit; and the reference's last event may be a copy
+# or an ack, later than the last message production handles, which sets
+# end_time_us.
 TRUNCATED = {"truncated-broadcast", "served-past-limit"}
 
 
@@ -194,6 +199,10 @@ def test_production_matches_the_completion_event_reference(name, tmp_path):
     reference = run_reference(cfg, QUEUED)
     assert all(isinstance(p, Queued) for p in reference.sim.all_peers())
     assert not any(isinstance(p, Queued) for p in production.sim.all_peers())
+    followers = [b for b in reference.sim.brokers if b.id != cfg.leader_id]
+    assert all(isinstance(b, ReferenceFollower) for b in followers)
+    if name == "replication-lag":  # a copy waited for the one ahead of it
+        assert any(b.held for b in followers)
     journeys, blocks, report = outputs(production, tmp_path)
     ref_journeys, ref_blocks, ref_report = outputs(reference, tmp_path)
     assert journeys == ref_journeys
@@ -245,9 +254,9 @@ def test_a_run_split_by_its_time_limit_matches_the_reference(tmp_path):
 
 
 def test_the_event_client_keeps_the_schedule_of_one_event_per_reply():
-    # The default cell's events and digest with an event per served message
-    # and per reply, under the tie rule: the reference draws every key where
-    # that schedule drew it.
+    # The default cell's events and digest with an event per served message,
+    # per reply and per follower copy and ack, under the tie rule: the
+    # reference draws every key where that schedule drew it.
     result = run_reference(ExperimentConfig.from_dict({"seed": 42}))
     assert (result.trace.events_dispatched, result.trace.dispatch_digest) == \
-        (174_825, "f231a10c74015964")
+        (204_820, "a3e5fc0d86f802d0")
